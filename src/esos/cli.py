@@ -7,8 +7,9 @@ Subcommands:
   from stdin).
 * ``check --nmax N [--stdin]`` -- the density statement, oracle-checked
   over builtin isomorphism classes (or a stdin graph6 stream).
-* ``lemmas --which 3|4|5|6 --samples N --seed S [--exhaustive-nmax M]`` --
-  analyzer suites with witness verification.
+* ``lemmas --which 3|4|5|6 --samples N --seed S [--records [--n N]]`` --
+  analyzer suites with witness verification; ``--records`` streams one JSON
+  record per analysis on n-vertex hosts instead of a summary.
 * ``census --n N --k K`` -- threshold graphs missing an all-even spider.
 
 ``--json`` prints machine-readable reports on stdout.  Exit codes:

@@ -343,12 +343,13 @@ def _constructive(G: Graph, legs: tuple[int, ...], u: int) -> EmbedOutcome:
         return got
     T = Spider(legs)
     # single-leg spiders go straight to the split-aware exhaustive oracle;
-    # any guided-phase failure just abstains, the oracle decides
+    # a guided phase that cannot finish abstains and the oracle decides, but
+    # a SoundnessError (a broken contract) always surfaces
     emb = None
     if len(legs) >= 2:
         try:
             emb = _guided(G, T, u)
-        except (InputError, CapabilityError, SoundnessError):
+        except (InputError, CapabilityError):
             emb = None
     if emb is None:
         emb = embed_bruteforce(G, T, u)

@@ -19,6 +19,23 @@ instances exhaustively at small order to enforce exactly this).
 All half-integer bookkeeping is carried doubled: ``surplus2`` is twice the
 rule's surplus, so every comparison is exact integer arithmetic.
 
+An instance is validated when it is sampled, by its analyzer and again by
+``verify_outcome``, and the builders run the same maximality search while
+they make it.  Three pure searches are therefore memoised, each in a memo of
+``paths.MEMO_SIZE`` entries that drops its oldest entry when full:
+
+* the maximality search (``_max_paths``), keyed by (graph, u, allowed set,
+  p).  It stores the nodes it spent; a hit charges them to the caller's
+  budget, or searches again under it when they do not fit, so a budget
+  trips at the same node as without the memo;
+* lemma 5's attachment set, keyed by (graph, u, w, V(P), p, node budget of
+  each longest-path search);
+* ``paths.reroute_maximizing_last_neighbor`` (lemma 6), keyed by (graph,
+  anchor, V(P), x); it runs under no budget.
+
+Neither P nor the stored surplus is part of a key, and every check of
+``validate_instance`` still runs on every call.
+
 The rules are numbered 3, 4, 5, 6 on the CLI:
 
 * 3 (``xv1v2``): two excluded vertices w1, w2;
@@ -47,6 +64,7 @@ from .graphs import (
     verify_H_certificate,
 )
 from .paths import (
+    LONGEST_PATH_BUDGET,
     UPath,
     is_absorbable,
     is_strictly_absorbable,
@@ -54,6 +72,7 @@ from .paths import (
     iter_upaths_exact,
     first_upath_to,
     longest_u_path,
+    remember,
     reroute_maximizing_last_neighbor,
 )
 
@@ -131,15 +150,24 @@ def _inner_edges(G: Graph, mask: int) -> int:
     return sum((G.rows[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
+_attachment_memo: dict[tuple, int] = {}
+
+
 def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     """Vertices z on P adjacent to w such that deleting {w,z} still leaves an
     anchored path of length p (lemma 5's correction set)."""
-    out = 0
-    for z in bits_of(G.rows[w] & p_mask):
-        if z == u:
-            continue
-        if longest_u_path(G, u, avoid=bit(w) | bit(z)).length >= p:
-            out |= bit(z)
+    # each longest-path search gets a fresh budget of this size, so a set
+    # stored under the same limit is what the searches would return again
+    key = (G.rows, u, w, p_mask, p, search_budget(LONGEST_PATH_BUDGET))
+    out = _attachment_memo.get(key)
+    if out is None:
+        out = 0
+        for z in bits_of(G.rows[w] & p_mask):
+            if z == u:
+                continue
+            if longest_u_path(G, u, avoid=bit(w) | bit(z)).length >= p:
+                out |= bit(z)
+        remember(_attachment_memo, key, out)
     return out
 
 
@@ -217,24 +245,50 @@ def make_instance(
 MAXIMALITY_BUDGET = 500_000
 
 
-def _max_inner_edges(
+_max_memo: dict[tuple, tuple] = {}
+
+
+def _max_paths(
     G: Graph, u: int, allowed: int, p: int, budget: Budget
-) -> Optional[int]:
+) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
+    """The most inner edges on the vertex set of a u-path with exactly p
+    edges inside ``allowed`` (None when there is no such path), and every
+    path reaching it, in lexicographic order.  Memoised with the nodes the
+    search spent; see the module docstring for how a hit is charged.
+    """
+    key = (G.rows, u, allowed, p)
+    got = _max_memo.get(key)
+    if got is not None and got[2] <= budget.limit - budget.used:
+        budget.spend(got[2])
+        return got[0], got[1]
+    start = budget.used
     best = None
+    out: list[tuple[int, ...]] = []
     for path in iter_upaths_exact(G, u, allowed, p, budget):
         e = _inner_edges(G, mask_of(path))
         if best is None or e > best:
-            best = e
-    return best
+            best, out = e, [path]
+        elif e == best:
+            out.append(path)
+    paths = tuple(out)
+    remember(_max_memo, key, (best, paths, budget.used - start))
+    return best, paths
 
 
 def validate_instance(inst: LemmaInstance) -> _Ctx:
-    """Recompute every hypothesis from scratch; InputError on any violation.
+    """Recompute every hypothesis; InputError on any violation.
 
     Includes the expensive part: P's inner-edge count must be maximum over
     all anchored paths of the same length in the stated vertex-deleted graph,
     confirmed by exhaustive enumeration (CapabilityError if that search
     exceeds its budget; such instances are rejected, never assumed valid).
+
+    That search, lemma 5's attachment set and lemma 6's optimal reroute are
+    read from the bounded memos described in the module docstring.  A
+    maximality hit charges this call's budget the nodes the original search
+    spent, or searches again when they do not fit, so the budget error is
+    the one a cold search raises.  The instance itself is never cached: P,
+    Q, x and the surplus are checked on every call.
     """
     G, u = inst.graph, inst.u
     P, Q = inst.p_path, inst.q_path
@@ -252,7 +306,7 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     def check_max(excluded: int):
         if pmask & excluded:
             raise InputError("P enters an excluded vertex")
-        best = _max_inner_edges(G, u, G.full_mask & ~excluded, p, budget)
+        best, _ = _max_paths(G, u, G.full_mask & ~excluded, p, budget)
         if best is None or _inner_edges(G, pmask) != best:
             raise InputError("P does not maximize inner edges at its length")
 
@@ -812,20 +866,6 @@ def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _argmax_paths(
-    G: Graph, u: int, allowed: int, p: int, budget: Budget
-) -> list[tuple[int, ...]]:
-    best = None
-    out: list[tuple[int, ...]] = []
-    for path in iter_upaths_exact(G, u, allowed, p, budget):
-        e = _inner_edges(G, mask_of(path))
-        if best is None or e > best:
-            best, out = e, [path]
-        elif e == best:
-            out.append(path)
-    return out
-
-
 def iter_all_upaths(
     G: Graph, u: int, allowed: int, budget: Budget
 ) -> Iterator[tuple[int, ...]]:
@@ -871,7 +911,7 @@ def _propose(
             w1, w2 = sorted(rng.sample(others, 2))
             excl = bit(w1) | bit(w2)
             p = rng.choice((1, 2, 2, 3, 3, 4))
-            cands = _argmax_paths(G, u, G.full_mask & ~excl, p, budget)
+            _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
             if not cands:
                 return None
             P = UPath(rng.choice(cands))
@@ -910,7 +950,7 @@ def _propose(
                 seq.reverse()
             Q = UPath(tuple(seq))
             p = rng.choice((1, 2, 2, 3, 3, 4))
-            cands = _argmax_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
+            _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
             inside = [c for c in cands if mask_of(c) & ~bit(u) & ~G.rows[u] == 0]
             if not inside:
                 return None
@@ -938,7 +978,7 @@ def _propose(
                 v, w = w, v
             excl = bit(v) | bit(w)
             p = rng.choice((1, 2, 2, 3, 3, 4))
-            cands = _argmax_paths(G, u, G.full_mask & ~excl, p, budget)
+            _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
             if not cands:
                 return None
             P = UPath(rng.choice(cands))
@@ -961,7 +1001,7 @@ def _propose(
         if lemma == 6:
             w = rng.choice([z for z in range(n) if z != u])
             p = rng.choice((1, 2, 2, 3, 3, 4))
-            cands = _argmax_paths(G, u, G.full_mask & ~bit(w), p, budget)
+            _, cands = _max_paths(G, u, G.full_mask & ~bit(w), p, budget)
             if not cands:
                 return None
             P = UPath(rng.choice(cands))
@@ -1081,7 +1121,7 @@ def _enum_probe_family(
     **extras,
 ) -> Iterator[LemmaInstance]:
     for p in range(1, top + 1):
-        cands = _argmax_paths(G, u, G.full_mask & ~p_excl, p, budget)
+        _, cands = _max_paths(G, u, G.full_mask & ~p_excl, p, budget)
         for pseq in cands:
             P = UPath(pseq)
             L = P.mask() & ~bit(u)
@@ -1117,7 +1157,7 @@ def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
             if Q.mask() & ~G.rows[u]:
                 continue
             for p in range(1, top + 1):
-                cands = _argmax_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
+                _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
                 for pseq in cands:
                     if mask_of(pseq) & ~bit(u) & ~G.rows[u]:
                         continue

@@ -23,6 +23,7 @@ at small order.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -31,7 +32,22 @@ from .graphs import Graph, VertexSetLike, bit, bits_of, mask_of, set_of
 
 EXACT_REROUTE_CAP = 16
 LONGEST_PATH_CAP = 20
+LONGEST_PATH_BUDGET = 2_000_000
 HAM_SET_CAP = 18
+
+# Entries per search memo.  Lemma instances repeat a search within a few
+# hundred calls of its first run, and a larger memo only costs memory.
+MEMO_SIZE = 256
+_memo_lock = threading.Lock()
+
+
+def remember(memo: dict, key, value) -> None:
+    """Store ``value`` under ``key``, first dropping the oldest entry of a
+    full memo.  Safe to call from several threads."""
+    with _memo_lock:
+        if len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
 
 
 @dataclass(frozen=True)
@@ -207,7 +223,7 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
         raise CapabilityError(
             f"exact longest-path search capped at {LONGEST_PATH_CAP} vertices"
         )
-    budget = Budget(search_budget(2_000_000), "longest_u_path")
+    budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
     memo: dict[tuple[int, int], int] = {}
 
     def extend(mask: int, last: int) -> int:
@@ -370,6 +386,9 @@ def reroute_path_to(G: Graph, P: UPath, end: int) -> Optional[UPath]:
     return spanning_path_to(G, P.mask(), P.anchor, end)
 
 
+_reroute_memo: dict[tuple, UPath] = {}
+
+
 def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     """The reroute of P whose last position adjacent to x is as late as
     possible; lexicographically least among the maximizers.
@@ -377,11 +396,24 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     Positions are indices along the rerouted sequence (anchor at 0); only
     positions >= 1 count, which never changes the argmax since the anchor is
     common to all reroutes.
+
+    Memoised per (graph, anchor, vertex set of P, x), MEMO_SIZE entries.
+    The search runs under no budget, so a hit is exactly what it returns;
+    errors are not stored.
     """
     verts = P.mask()
     if bit(x) & verts:
         raise InputError("reference vertex lies on the path")
     u = P.anchor
+    key = (G.rows, u, verts, x)
+    got = _reroute_memo.get(key)
+    if got is None:
+        got = _reroute_last_neighbor(G, u, verts, x)
+        remember(_reroute_memo, key, got)
+    return got
+
+
+def _reroute_last_neighbor(G: Graph, u: int, verts: int, x: int) -> UPath:
     xrow = G.rows[x]
     memo: dict[tuple[int, int], int] = {}
     NO_COMPLETION = -2

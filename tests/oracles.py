@@ -82,6 +82,28 @@ def brute_longest_path_len(G, u, avoid=()):
     return walk([u], {u})
 
 
+def brute_max_inner_edges(G, u, allowed, p):
+    """(most edges inside the vertex set of a u-path with p edges using only
+    ``allowed`` vertices, every such path reaching it in lexicographic
+    order), or (None, []) when there is no such path; by trying every
+    ordering."""
+    nbr = adj_sets(G)
+    allowed = set(allowed)
+    if u not in allowed:
+        return None, []
+    best, out = None, []
+    for tail in permutations(sorted(allowed - {u}), p):
+        seq = (u,) + tail
+        if not is_path_of(nbr, seq):
+            continue
+        inner = brute_edge_counts(G, seq)[0]
+        if best is None or inner > best:
+            best, out = inner, [seq]
+        elif inner == best:
+            out.append(seq)
+    return best, sorted(out)
+
+
 def brute_second_ends(G, P, forbidden=()):
     nbr = adj_sets(G)
     core = list(P.vertices[:-1])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from conftest import graph_from_bits, graphs
 from oracles import brute_embeds_anywhere, brute_embeds_at
 
-from esos.errors import CapabilityError, InputError
+import esos.embed as embed_mod
+from esos.errors import CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate, satisfies_local_condition
 from esos.embed import (
     Embedding,
@@ -215,3 +216,20 @@ def test_oracle_budget_error():
             embed_bruteforce(Graph.complete(8), Spider((3, 2, 2)), 0)
     finally:
         embed_mod.EMBED_DEFAULT_BUDGET = old
+
+
+def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch):
+    # a contract breach in the recursive certify of the stripped spider
+    # must not be swallowed by the guided phase
+    G, T = Graph.complete(5), Spider((2, 1))
+    real = embed_mod._constructive
+
+    def breach_below(G, legs, u):
+        if legs == T.legs:
+            return real(G, legs, u)
+        raise SoundnessError("contract breach in the stripped spider")
+
+    monkeypatch.setattr(embed_mod, "_memo", {})
+    monkeypatch.setattr(embed_mod, "_constructive", breach_below)
+    with pytest.raises(SoundnessError, match="stripped spider"):
+        embed_constructive(G, T, 0)

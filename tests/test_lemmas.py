@@ -1,9 +1,14 @@
 import dataclasses
+from itertools import combinations
 
 import pytest
 
-from esos.errors import InputError
-from esos.graphs import Graph, bit, verify_H_certificate
+from oracles import brute_max_inner_edges
+
+import esos.lemmas as lemmas_mod
+from esos.enumeration import enumerate_graphs
+from esos.errors import Budget, CapabilityError, InputError
+from esos.graphs import Graph, bit, bits_of, mask_of, verify_H_certificate
 from esos.lemmas import (
     CaseOutcome,
     LEMMA_IDS,
@@ -209,3 +214,69 @@ def test_verify_outcome_rejects_tampered_witness():
     )
     assert not verify_outcome(inst, bad)
     assert not verify_outcome(inst, CaseOutcome("A", {}))
+
+
+def test_max_paths_match_brute_oracle(monkeypatch):
+    # building and validating instances share this search, so pin it to an
+    # independent oracle; each case runs cold, then warm from the memo
+    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    for n in range(1, 6):
+        for G in enumerate_graphs(n):
+            for u in range(n):
+                for size in range(3):
+                    for excl in combinations(range(n), size):
+                        allowed = G.full_mask & ~mask_of(excl)
+                        for p in range(n + 1):
+                            want = brute_max_inner_edges(G, u, bits_of(allowed), p)
+                            cold, warm = Budget(10**9), Budget(10**9)
+                            got = lemmas_mod._max_paths(G, u, allowed, p, cold)
+                            again = lemmas_mod._max_paths(G, u, allowed, p, warm)
+                            assert (got[0], list(got[1])) == want, (G, u, excl, p)
+                            assert again == got and warm.used == cold.used
+
+
+def test_warm_maximality_memo_follows_the_budget(monkeypatch):
+    G = Graph.complete(7)
+    inst = make_instance(6, G, 0, UPath((0, 1, 2, 3)), UPath((0, 4)), w=6)
+    allowed = G.full_mask & ~bit(6)
+
+    # a hit charges the budget what the search spent, without searching
+    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    miss = Budget(10**9)
+    lemmas_mod._max_paths(G, 0, allowed, 3, miss)
+
+    def no_search(*args):
+        raise AssertionError("a memo hit must not search")
+
+    with monkeypatch.context() as m:
+        m.setattr(lemmas_mod, "iter_upaths_exact", no_search)
+        hit = Budget(10**9)
+        lemmas_mod._max_paths(G, 0, allowed, 3, hit)
+    assert hit.used == miss.used > 0
+
+    # the instance's own maximality search overflows halfway through
+    limit = str(miss.used // 2)
+    monkeypatch.setenv("ESOS_BUDGET", limit)
+    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    with pytest.raises(CapabilityError) as cold:
+        validate_instance(inst)
+
+    monkeypatch.delenv("ESOS_BUDGET")
+    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    out = analyze(inst)
+    assert verify_outcome(inst, out)
+    monkeypatch.setenv("ESOS_BUDGET", limit)
+    with pytest.raises(CapabilityError) as warm:
+        validate_instance(inst)
+    assert str(warm.value) == str(cold.value)
+    assert "maximality check" in str(warm.value)
+    assert not verify_outcome(inst, out)
+
+
+def test_warm_attachment_memo_follows_the_budget(monkeypatch):
+    G = Graph.complete(6)
+    monkeypatch.setattr(lemmas_mod, "_attachment_memo", {})
+    assert lemmas_mod._attachment_set(G, 0, 5, 0b111, 2) == 0b110
+    monkeypatch.setenv("ESOS_BUDGET", "1")
+    with pytest.raises(CapabilityError, match="longest_u_path"):
+        lemmas_mod._attachment_set(G, 0, 5, 0b111, 2)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from oracles import (
 from esos.errors import CapabilityError, InputError
 from esos.graphs import Graph, bits_of
 from esos.paths import (
+    MEMO_SIZE,
     UPath,
     absorb,
     check_lemma1_bound,
@@ -22,6 +26,7 @@ from esos.paths import (
     is_valid_upath,
     longest_u_path,
     make_upath,
+    remember,
     reroute_ends,
     reroute_maximizing_last_neighbor,
     reroute_path_to,
@@ -273,3 +278,28 @@ def test_bound_checkers_exhaustive_n5():
                             if not G.rows[x] & pm:
                                 continue
                             assert check_lemma2_bound(G, P, UPath(qseq))
+
+
+def test_memo_stays_bounded_under_threads():
+    # the search memos are shared by every thread of the process
+    memo, errors = {}, []
+
+    def fill(base):
+        try:
+            for i in range(5000):
+                remember(memo, (base, i), i)
+        except Exception as exc:
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(memo) == MEMO_SIZE
