@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_embed(args) -> int:
     T = Spider.parse(args.spider)
     if args.graph6 == "-":
-        graphs = list(read_graph6_stream(sys.stdin))
+        graphs = read_graph6_stream(sys.stdin)
     else:
         graphs = [Graph.from_graph6(args.graph6)]
     failures = 0

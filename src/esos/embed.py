@@ -49,6 +49,7 @@ from .paths import (
     is_absorbable,
     is_valid_upath,
     longest_u_path,
+    remember,
     reroute_ends,
     reroute_path_to,
     second_ends,
@@ -359,7 +360,7 @@ def _constructive(G: Graph, legs: tuple[int, ...], u: int) -> EmbedOutcome:
         out = EmbedOutcome(embedding=emb)
     else:
         out = _certify(G, T, u)
-    _memo[key] = out
+    remember(_memo, key, out)
     return out
 
 

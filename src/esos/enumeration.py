@@ -127,7 +127,13 @@ def graphs_up_to(n_max: int) -> Iterator[Graph]:
 
 
 def read_graph6_stream(lines) -> Iterator[Graph]:
-    for line in lines:
+    """One graph per nonempty line, read lazily; a bad line raises an
+    InputError naming its 1-based line number."""
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            yield Graph.from_graph6(line)
+            try:
+                G = Graph.from_graph6(line)
+            except InputError as exc:
+                raise InputError(f"line {number}: {exc}") from exc
+            yield G

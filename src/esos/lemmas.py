@@ -21,17 +21,17 @@ rule's surplus, so every comparison is exact integer arithmetic.
 
 An instance is validated when it is sampled, by its analyzer and again by
 ``verify_outcome``, and the builders run the same maximality search while
-they make it.  Three pure searches are therefore memoised, each in a memo of
-``paths.MEMO_SIZE`` entries that drops its oldest entry when full:
+they make it.  Two pure searches are therefore memoised through
+``paths.recall``, each in a memo of ``paths.MEMO_SIZE`` entries:
 
 * the maximality search (``_max_paths``), keyed by (graph, u, allowed set,
   p).  It stores the nodes it spent; a hit charges them to the caller's
   budget, or searches again under it when they do not fit, so a budget
   trips at the same node as without the memo;
 * lemma 5's attachment set, keyed by (graph, u, w, V(P), p, node budget of
-  each longest-path search);
-* ``paths.reroute_maximizing_last_neighbor`` (lemma 6), keyed by (graph,
-  anchor, V(P), x); it runs under no budget.
+  each longest-path search).
+
+Longest paths and lemma 6's optimal reroute are memoised in ``esos.paths``.
 
 Neither P nor the stored surplus is part of a key, and every check of
 ``validate_instance`` still runs on every call.
@@ -69,10 +69,11 @@ from .paths import (
     is_absorbable,
     is_strictly_absorbable,
     is_valid_upath,
+    iter_upaths,
     iter_upaths_exact,
     first_upath_to,
     longest_u_path,
-    remember,
+    recall,
     reroute_maximizing_last_neighbor,
 )
 
@@ -150,7 +151,7 @@ def _inner_edges(G: Graph, mask: int) -> int:
     return sum((G.rows[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
-_attachment_memo: dict[tuple, int] = {}
+_attachment_memo: dict[tuple, tuple] = {}
 
 
 def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
@@ -159,15 +160,14 @@ def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     # each longest-path search gets a fresh budget of this size, so a set
     # stored under the same limit is what the searches would return again
     key = (G.rows, u, w, p_mask, p, search_budget(LONGEST_PATH_BUDGET))
-    out = _attachment_memo.get(key)
-    if out is None:
-        out = 0
-        for z in bits_of(G.rows[w] & p_mask):
-            if z == u:
-                continue
-            if longest_u_path(G, u, avoid=bit(w) | bit(z)).length >= p:
-                out |= bit(z)
-        remember(_attachment_memo, key, out)
+    return recall(_attachment_memo, key, None, _attachment, G, u, w, p_mask, p)
+
+
+def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
+    out = 0
+    for z in bits_of(G.rows[w] & p_mask):
+        if z != u and longest_u_path(G, u, avoid=bit(w) | bit(z)).length >= p:
+            out |= bit(z)
     return out
 
 
@@ -257,11 +257,12 @@ def _max_paths(
     search spent; see the module docstring for how a hit is charged.
     """
     key = (G.rows, u, allowed, p)
-    got = _max_memo.get(key)
-    if got is not None and got[2] <= budget.limit - budget.used:
-        budget.spend(got[2])
-        return got[0], got[1]
-    start = budget.used
+    return recall(_max_memo, key, budget, _argmax_paths, G, u, allowed, p, budget)
+
+
+def _argmax_paths(
+    G: Graph, u: int, allowed: int, p: int, budget: Budget
+) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
     best = None
     out: list[tuple[int, ...]] = []
     for path in iter_upaths_exact(G, u, allowed, p, budget):
@@ -270,9 +271,7 @@ def _max_paths(
             best, out = e, [path]
         elif e == best:
             out.append(path)
-    paths = tuple(out)
-    remember(_max_memo, key, (best, paths, budget.used - start))
-    return best, paths
+    return best, tuple(out)
 
 
 def validate_instance(inst: LemmaInstance) -> _Ctx:
@@ -415,12 +414,6 @@ def _balanced_split_on(G: Graph, vsmask: int, side: int) -> Optional[HCertificat
     return None
 
 
-def _exists_upath_exact(
-    G: Graph, u: int, allowed: int, length: int, budget: Budget
-) -> Optional[tuple[int, ...]]:
-    return next(iter_upaths_exact(G, u, allowed, length, budget), None)
-
-
 def _paths2_through(G: Graph, w: int) -> list[tuple[int, int, int]]:
     """All 3-vertex paths containing w, each once, sorted; w-ended ones are
     oriented from w, w-middle ones with smaller first endpoint."""
@@ -518,7 +511,7 @@ def analyze_xPQ(inst: LemmaInstance) -> CaseOutcome:
     short, long_ = sorted((p, qv + 1))
     for pa in iter_upaths_exact(G, u, G.full_mask, short, budget):
         rest = G.full_mask & ~(mask_of(pa) & ~bit(u))
-        pb = _exists_upath_exact(G, u, rest, long_, budget)
+        pb = next(iter_upaths_exact(G, u, rest, long_, budget), None)
         if pb is not None:
             first, second = UPath(pa), UPath(pb)
             if first.length != p:
@@ -620,7 +613,7 @@ def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
         if z == u:
             continue
         allowed = (pmask | bit(x)) & ~bit(z)
-        got = _exists_upath_exact(G, u, allowed, p, budget)
+        got = next(iter_upaths_exact(G, u, allowed, p, budget), None)
         if got is not None:
             return CaseOutcome(
                 "C",
@@ -866,30 +859,6 @@ def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def iter_all_upaths(
-    G: Graph, u: int, allowed: int, budget: Budget
-) -> Iterator[tuple[int, ...]]:
-    """Every nontrivial simple anchored path inside ``allowed``, lex order."""
-    if not allowed & bit(u):
-        return
-    stack = [u]
-    mask = bit(u)
-    iters = [bits_of(G.rows[u] & allowed & ~mask)]
-    while iters:
-        try:
-            z = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            v = stack.pop()
-            mask &= ~bit(v)
-            continue
-        budget.spend()
-        stack.append(z)
-        mask |= bit(z)
-        yield tuple(stack)
-        iters.append(bits_of(G.rows[z] & allowed & ~mask))
-
-
 def _propose(
     lemma: int, rng: random.Random, n: int
 ) -> Optional[LemmaInstance]:
@@ -1122,11 +1091,13 @@ def _enum_probe_family(
 ) -> Iterator[LemmaInstance]:
     for p in range(1, top + 1):
         _, cands = _max_paths(G, u, G.full_mask & ~p_excl, p, budget)
+        if not cands:
+            break  # every longer u-path has one with p edges as its prefix
         for pseq in cands:
             P = UPath(pseq)
             L = P.mask() & ~bit(u)
             q_allowed = G.full_mask & ~(L | q_excl)
-            for qseq in iter_all_upaths(G, u, q_allowed, budget):
+            for qseq in iter_upaths(G, u, q_allowed, budget):
                 inst = make_instance(lemma, G, u, P, UPath(qseq), **extras)
                 if inst.surplus2 >= 0:
                     if lemma == 6:
@@ -1148,7 +1119,7 @@ def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
         for start in range(n):
             if start == u:
                 continue
-            for seq in iter_all_upaths(G, start, allowed_q, budget):
+            for seq in iter_upaths(G, start, allowed_q, budget):
                 if seq[0] <= seq[-1] and seq not in seen_q:
                     seen_q.add(seq)
                     qpaths.append(seq)
@@ -1158,6 +1129,8 @@ def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
                 continue
             for p in range(1, top + 1):
                 _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
+                if not cands:
+                    break  # every longer u-path has one with p edges as its prefix
                 for pseq in cands:
                     if mask_of(pseq) & ~bit(u) & ~G.rows[u]:
                         continue

@@ -15,6 +15,23 @@ Vocabulary used throughout:
   set of P-v plus w carries a spanning anchor-to-w path, or, failing any
   such w, a vertex of P-v reachable as the end of a spanning path of P-v.
 
+Searches over anchored paths read one table, the Bellman / Held-Karp subset
+recursion (``_reach``): level i maps the vertex set of each u-path with i
+edges inside an allowed set to the bitmask of its possible last vertices,
+and each (vertex set, last vertex) state after the root costs one budget
+node.  A query is a goal on the table: the whole set's state for reroute and
+second ends, the last nonempty level for the longest path, the state (verts,
+end) for ``spanning_path_to``, and for the optimal reroute a state on the
+latest level that holds every x-neighbour of P-u and ends at one, then any
+spanning completion.  ``_leading_to`` keeps the states that reach a goal and
+``_lex_least`` walks them in ascending neighbour order.
+
+The longest, ends and optimal-reroute results share one memo of MEMO_SIZE
+entries keyed by (query, graph, anchor, allowed set, extra argument, budget
+limit); ``recall`` charges a hit the nodes its search spent, so node counts
+and budget errors are those of a cold search.  Only results are kept: at
+LONGEST_PATH_CAP vertices a table holds millions of states.
+
 The three ``check_*`` predicates recast proven degree bounds as executable
 assertions: on every configuration meeting their preconditions they must
 return True, and the test suite enumerates such configurations exhaustively
@@ -28,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, search_budget
-from .graphs import Graph, VertexSetLike, bit, bits_of, mask_of, set_of
+from .graphs import Graph, VertexSetLike, bit, mask_of, set_of
 
 EXACT_REROUTE_CAP = 16
 LONGEST_PATH_CAP = 20
@@ -129,42 +146,128 @@ def absorb(G: Graph, P: UPath, v: int) -> UPath:
     return UPath(P.vertices[: i + 1] + (v,) + P.vertices[i + 1 :])
 
 
-# -- Hamiltonian-path machinery ----------------------------------------------
+# -- the reachable-path table ----------------------------------------------------
 
 
-def _ham_end_mask(G: Graph, core: int, u: int, budget: Budget) -> int:
+def recall(memo: dict, key, budget: Optional[Budget], search, *args):
+    """``search(*args)``, memoised under ``key`` with the nodes it spent of
+    ``budget``.  A hit charges those nodes when they fit, else searches again,
+    so a budget trips at the same node with or without the memo."""
+    got = memo.get(key)
+    if got is not None:
+        value, nodes = got
+        if budget is None:
+            return value
+        if nodes <= budget.limit - budget.used:
+            budget.spend(nodes)
+            return value
+    start = budget.used if budget is not None else 0
+    value = search(*args)
+    spent = budget.used - start if budget is not None else 0
+    remember(memo, key, (value, spent))
+    return value
+
+
+# Results of the longest-path, ends and optimal-reroute queries.
+_path_memo: dict[tuple, tuple] = {}
+
+
+def _reach(G: Graph, u: int, allowed: int, budget: Optional[Budget]) -> list[dict]:
+    """The table of u-paths inside ``allowed``: level i maps the vertex set
+    of each path with i edges to the bitmask of its possible last vertices.
+    Every (vertex set, last vertex) state after the root costs one node."""
+    rows = G.rows
+    level = {bit(u): bit(u)}
+    table = [level]
+    room = budget.limit - budget.used if budget is not None else 0
+    spent = 0
+    for _ in range(allowed.bit_count() - 1):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for m, lasts in level.items():
+            free = allowed & ~m
+            while lasts:
+                low = lasts & -lasts
+                lasts ^= low
+                ext = rows[low.bit_length() - 1] & free
+                while ext:
+                    z = ext & -ext
+                    ext ^= z
+                    nm = m | z
+                    nxt[nm] = get(nm, 0) | z
+        if not nxt:
+            break
+        if budget is not None:
+            spent += sum(map(int.bit_count, nxt.values()))
+            if spent > room:
+                budget.spend(room + 1)  # trips at the limit's next node
+        table.append(nxt)
+        level = nxt
+    if spent:
+        budget.spend(spent)
+    return table
+
+
+def _leading_to(G: Graph, table: list[dict], level: int, goal: dict) -> list[dict]:
+    """Levels 0..``level`` of ``table`` cut down to the states from which
+    some path reaches a state of ``goal`` (a dict shaped like a level)."""
+    rows = G.rows
+    good = table[: level + 1]
+    good[level] = goal
+    for i in range(level, 0, -1):
+        reached = table[i - 1].get
+        back: dict[int, int] = {}
+        get = back.get
+        for m, lasts in good[i].items():
+            while lasts:
+                z = lasts & -lasts
+                lasts ^= z
+                pm = m ^ z
+                preds = rows[z.bit_length() - 1] & reached(pm, 0)
+                if preds:
+                    back[pm] = get(pm, 0) | preds
+        good[i - 1] = back
+    return good
+
+
+def _lex_least(G: Graph, u: int, good: list[dict]) -> UPath:
+    """The lexicographically least u-path stepping through a state of every
+    level of ``good``, whose root state must be present."""
+    rows = G.rows
+    m = bit(u)
+    last = u
+    seq = [u]
+    for level in good[1:]:
+        ext = rows[last] & ~m
+        while True:
+            z = ext & -ext
+            if level.get(m | z, 0) & z:
+                break
+            ext ^= z
+        m |= z
+        last = z.bit_length() - 1
+        seq.append(last)
+    return UPath(tuple(seq))
+
+
+def _ends(G: Graph, core: int, u: int, budget: Budget) -> int:
     """Bitmask of vertices z such that G[core] has a spanning u->z path."""
     if not core & bit(u):
         raise InputError("anchor not inside the set")
     if core.bit_count() > HAM_SET_CAP:
         raise CapabilityError(f"spanning-path scan capped at {HAM_SET_CAP} vertices")
-    if core == bit(u):
-        return bit(u)
-    level = {bit(u): bit(u)}
-    result = 0
-    while level:
-        nxt: dict[int, int] = {}
-        for m, lasts in level.items():
-            for last in bits_of(lasts):
-                ext = G.rows[last] & core & ~m
-                while ext:
-                    low = ext & -ext
-                    ext ^= low
-                    nm = m | low
-                    cur = nxt.get(nm, 0)
-                    if not cur & low:
-                        nxt[nm] = cur | low
-                        budget.spend()
-        if core in nxt:
-            result = nxt[core]
-        level = nxt
-    return result
+    key = ("ends", G.rows, u, core, None, budget.limit)
+    return recall(_path_memo, key, budget, _spanning_ends, G, u, core, budget)
+
+
+def _spanning_ends(G: Graph, u: int, core: int, budget: Budget) -> int:
+    return _reach(G, u, core, budget)[-1].get(core, 0)
 
 
 def reroute_ends(G: Graph, P: UPath, mode: str = "exact") -> frozenset[int]:
     """Ends reachable by reroutes of P (same anchor, same vertex set).
 
-    exact: the full set, by subset dynamic programming (|V(P)| <= 16).
+    exact: the full set, from the reachable-path table (|V(P)| <= 16).
     rotation: the subset reachable by iterated single-edge rotations; a
     sound under-approximation of the exact set, usable on longer paths.
     """
@@ -176,7 +279,7 @@ def reroute_ends(G: Graph, P: UPath, mode: str = "exact") -> frozenset[int]:
                 f"exact reroute set capped at {EXACT_REROUTE_CAP} vertices"
             )
         budget = Budget(search_budget(4_000_000), "reroute_ends")
-        return set_of(_ham_end_mask(G, verts, u, budget))
+        return set_of(_ends(G, verts, u, budget))
     if mode == "rotation":
         budget = Budget(search_budget(100_000), "rotation closure")
         seen = {P.vertices}
@@ -199,14 +302,15 @@ def reroute_ends(G: Graph, P: UPath, mode: str = "exact") -> frozenset[int]:
 
 
 def _component(G: Graph, u: int, allowed: int) -> int:
-    comp = bit(u)
-    frontier = bit(u)
+    comp = frontier = bit(u)
     while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= G.rows[v] & allowed & ~comp
-        comp |= nxt
-        frontier = nxt
+        seen = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            seen |= G.rows[low.bit_length() - 1]
+        frontier = seen & allowed & ~comp
+        comp |= frontier
     return comp
 
 
@@ -224,35 +328,14 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
             f"exact longest-path search capped at {LONGEST_PATH_CAP} vertices"
         )
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
-    memo: dict[tuple[int, int], int] = {}
+    key = ("longest", G.rows, u, comp, None, budget.limit)
+    return recall(_path_memo, key, budget, _longest, G, u, comp, budget)
 
-    def extend(mask: int, last: int) -> int:
-        key = (mask, last)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        budget.spend()
-        best = 0
-        ext = G.rows[last] & comp & ~mask
-        for z in bits_of(ext):
-            cand = 1 + extend(mask | bit(z), z)
-            if cand > best:
-                best = cand
-        memo[key] = best
-        return best
 
-    total = extend(bit(u), u)
-    seq = [u]
-    mask = bit(u)
-    last = u
-    for remaining in range(total, 0, -1):
-        for z in bits_of(G.rows[last] & comp & ~mask):
-            if 1 + extend(mask | bit(z), z) == remaining:
-                seq.append(z)
-                mask |= bit(z)
-                last = z
-                break
-    return UPath(tuple(seq))
+def _longest(G: Graph, u: int, comp: int, budget: Budget) -> UPath:
+    budget.spend()  # the root state
+    table = _reach(G, u, comp, budget)
+    return _lex_least(G, u, _leading_to(G, table, len(table) - 1, table[-1]))
 
 
 def second_ends(
@@ -272,74 +355,12 @@ def second_ends(
         raise InputError("forbidden set overlaps the path")
     core = P.mask() & ~bit(P.end)
     budget = Budget(search_budget(4_000_000), "second_ends")
-    ends_core = _ham_end_mask(G, core, P.anchor, budget)
-    inside = set_of(ends_core)
-    outside = set()
+    ends_core = _ends(G, core, P.anchor, budget)
     blocked = P.mask() | fmask
-    for w in range(G.n):
-        if bit(w) & blocked:
-            continue
-        if G.rows[w] & ends_core:
-            outside.add(w)
-    return frozenset(outside), frozenset(inside)
-
-
-# -- deterministic path searches ----------------------------------------------
-
-
-def iter_upaths_exact(
-    G: Graph, u: int, allowed: int, length: int, budget: Budget
-) -> Iterator[tuple[int, ...]]:
-    """All u-paths of exactly ``length`` edges inside ``allowed``, in
-    lexicographic vertex-sequence order."""
-    if not allowed & bit(u):
-        return
-    if length == 0:
-        yield (u,)
-        return
-    stack: list[int] = [u]
-    mask = bit(u)
-    iters = [bits_of(G.rows[u] & allowed & ~mask)]
-    while iters:
-        try:
-            z = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            v = stack.pop()
-            mask &= ~bit(v)
-            continue
-        budget.spend()
-        stack.append(z)
-        mask |= bit(z)
-        if len(stack) == length + 1:
-            yield tuple(stack)
-            stack.pop()
-            mask &= ~bit(z)
-        else:
-            iters.append(bits_of(G.rows[z] & allowed & ~mask))
-
-
-def first_upath_to(
-    G: Graph, u: int, allowed: int, target: int, budget: Budget
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically first simple u-path to ``target`` inside ``allowed``."""
-    if not (allowed & bit(u)) or not (allowed & bit(target)) or u == target:
-        return None
-
-    def walk(path: list[int], mask: int) -> Optional[tuple[int, ...]]:
-        last = path[-1]
-        for z in bits_of(G.rows[last] & allowed & ~mask):
-            budget.spend()
-            path.append(z)
-            if z == target:
-                return tuple(path)
-            got = walk(path, mask | bit(z))
-            if got is not None:
-                return got
-            path.pop()
-        return None
-
-    return walk([u], bit(u))
+    outside = frozenset(
+        w for w in range(G.n) if not bit(w) & blocked and G.rows[w] & ends_core
+    )
+    return outside, set_of(ends_core)
 
 
 def spanning_path_to(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
@@ -347,46 +368,16 @@ def spanning_path_to(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
     vertex set ``verts``, or None when no such path exists."""
     if not verts & bit(u) or not verts & bit(end):
         return None
-    if u == end:
-        return UPath((u,)) if verts == bit(u) else None
-    memo: dict[tuple[int, int], bool] = {}
-
-    def finishes(mask: int, last: int) -> bool:
-        if mask == verts:
-            return last == end
-        if last == end:
-            return False
-        key = (mask, last)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        ok = any(
-            finishes(mask | bit(z), z) for z in bits_of(G.rows[last] & verts & ~mask)
-        )
-        memo[key] = ok
-        return ok
-
-    if not finishes(bit(u), u):
+    table = _reach(G, u, verts, None)
+    full = verts.bit_count() - 1
+    if full >= len(table) or not table[full].get(verts, 0) & bit(end):
         return None
-    seq = [u]
-    mask = bit(u)
-    while mask != verts:
-        for z in bits_of(G.rows[seq[-1]] & verts & ~mask):
-            if finishes(mask | bit(z), z):
-                seq.append(z)
-                mask |= bit(z)
-                break
-        else:
-            return None
-    return UPath(tuple(seq))
+    return _lex_least(G, u, _leading_to(G, table, full, {verts: bit(end)}))
 
 
 def reroute_path_to(G: Graph, P: UPath, end: int) -> Optional[UPath]:
     """Lexicographically least reroute of P ending at ``end``, or None."""
     return spanning_path_to(G, P.mask(), P.anchor, end)
-
-
-_reroute_memo: dict[tuple, UPath] = {}
 
 
 def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
@@ -395,75 +386,101 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
 
     Positions are indices along the rerouted sequence (anchor at 0); only
     positions >= 1 count, which never changes the argmax since the anchor is
-    common to all reroutes.
-
-    Memoised per (graph, anchor, vertex set of P, x), MEMO_SIZE entries.
-    The search runs under no budget, so a hit is exactly what it returns;
-    errors are not stored.
+    common to all reroutes.  The search runs under no budget; its result is
+    memoised with the other path queries (see the module docstring).
     """
     verts = P.mask()
     if bit(x) & verts:
         raise InputError("reference vertex lies on the path")
     u = P.anchor
-    key = (G.rows, u, verts, x)
-    got = _reroute_memo.get(key)
-    if got is None:
-        got = _reroute_last_neighbor(G, u, verts, x)
-        remember(_reroute_memo, key, got)
-    return got
+    key = ("reroute", G.rows, u, verts, x, None)
+    return recall(_path_memo, key, None, _last_neighbor_reroute, G, u, verts, x)
 
 
-def _reroute_last_neighbor(G: Graph, u: int, verts: int, x: int) -> UPath:
-    xrow = G.rows[x]
-    memo: dict[tuple[int, int], int] = {}
-    NO_COMPLETION = -2
-
-    def future_best(mask: int, last: int) -> int:
-        """Max position of an x-neighbour among future placements; -1 when a
-        completion exists but no future x-neighbour; -2 when stuck."""
-        if mask == verts:
-            return -1
-        key = (mask, last)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        best = NO_COMPLETION
-        pos = mask.bit_count()
-        for z in bits_of(G.rows[last] & verts & ~mask):
-            sub = future_best(mask | bit(z), z)
-            if sub == NO_COMPLETION:
-                continue
-            cand = sub
-            if xrow & bit(z) and pos > cand:
-                cand = pos
-            if cand > best:
-                best = cand
-        memo[key] = best
-        return best
-
-    target = future_best(bit(u), u)
-    if target == NO_COMPLETION:
+def _last_neighbor_reroute(G: Graph, u: int, verts: int, x: int) -> UPath:
+    table = _reach(G, u, verts, None)
+    full = verts.bit_count() - 1
+    ends = table[full].get(verts, 0) if full < len(table) else 0
+    if not ends:
         raise InputError("path cannot be rerouted (no spanning completion)")
-    seq = [u]
+    good = _leading_to(G, table, full, {verts: ends})
+    # the last x-neighbour sits at level i when the path's state there holds
+    # every x-neighbour of P-u and ends at one
+    near = G.rows[x] & verts & ~bit(u)
+    for i in range(full, 0, -1):
+        goal = {
+            m: lasts & near
+            for m, lasts in good[i].items()
+            if m & near == near and lasts & near
+        }
+        if goal:
+            good = _leading_to(G, table, i, goal) + good[i + 1 :]
+            break
+    return _lex_least(G, u, good)
+
+
+# -- depth-first path enumeration -----------------------------------------------
+
+
+def iter_upaths(
+    G: Graph,
+    u: int,
+    allowed: int,
+    budget: Budget,
+    shortest: int = 1,
+    longest: Optional[int] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Every u-path inside ``allowed`` with ``shortest`` to ``longest``
+    edges (no upper bound when None), in lexicographic vertex-sequence
+    order; each vertex the walk places after u costs one node."""
+    if not allowed & bit(u):
+        return
+    if shortest == 0:
+        yield (u,)
+    depth = (G.n if longest is None else longest) + 1
+    if depth == 1:
+        return
+    rows = G.rows
+    stack = [u]
     mask = bit(u)
-    achieved = -1
-    while mask != verts:
-        pos = mask.bit_count()
-        for z in bits_of(G.rows[seq[-1]] & verts & ~mask):
-            here = achieved
-            if xrow & bit(z) and pos > here:
-                here = pos
-            sub = future_best(mask | bit(z), z)
-            if sub == NO_COMPLETION:
-                continue
-            if max(here, sub) == target:
-                seq.append(z)
-                mask |= bit(z)
-                achieved = here
-                break
+    untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
+    while untried:
+        ext = untried[-1]
+        if not ext:
+            untried.pop()
+            mask ^= bit(stack.pop())
+            continue
+        low = ext & -ext
+        untried[-1] = ext ^ low
+        budget.spend()
+        z = low.bit_length() - 1
+        stack.append(z)
+        if len(stack) > shortest:
+            yield tuple(stack)
+        if len(stack) == depth:
+            stack.pop()
         else:
-            raise AssertionError("reconstruction lost the optimum")
-    return UPath(tuple(seq))
+            mask |= low
+            untried.append(rows[z] & allowed & ~mask)
+
+
+def iter_upaths_exact(
+    G: Graph, u: int, allowed: int, length: int, budget: Budget
+) -> Iterator[tuple[int, ...]]:
+    """All u-paths of exactly ``length`` edges inside ``allowed``, in
+    lexicographic vertex-sequence order."""
+    yield from iter_upaths(G, u, allowed, budget, length, length)
+
+
+def first_upath_to(
+    G: Graph, u: int, allowed: int, target: int, budget: Budget
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically first simple u-path to ``target`` inside ``allowed``."""
+    if not (allowed & bit(u)) or not (allowed & bit(target)) or u == target:
+        return None
+    # the walk never passes through target before it ends there
+    walk = iter_upaths(G, u, allowed, budget)
+    return next((path for path in walk if path[-1] == target), None)
 
 
 # -- bound checkers ------------------------------------------------------------

@@ -198,3 +198,63 @@ def brute_canonical_classes(n):
         )
         seen.add(key)
     return len(seen)
+
+
+def brute_longest_path(G, u, avoid=()):
+    """The lexicographically least of the longest u-paths in G minus
+    ``avoid``, by trying every ordering (longest first, each length in
+    lexicographic order)."""
+    nbr = adj_sets(G)
+    rest = sorted(set(range(G.n)) - set(avoid) - {u})
+    for r in range(len(rest), -1, -1):
+        for tail in permutations(rest, r):
+            seq = (u,) + tail
+            if is_path_of(nbr, seq):
+                return seq
+    return (u,)
+
+
+def brute_spanning_path_to(G, verts, u, end):
+    """The lexicographically least path from u to ``end`` covering exactly
+    ``verts``, or None."""
+    nbr = adj_sets(G)
+    verts = set(verts)
+    if u not in verts or end not in verts:
+        return None
+    for tail in permutations(sorted(verts - {u})):
+        seq = (u,) + tail
+        if seq[-1] == end and is_path_of(nbr, seq):
+            return seq
+    return None
+
+
+def brute_reroute_last_neighbor(G, P, x):
+    """Among the spanning paths from P's anchor over V(P), the
+    lexicographically least one whose last position >= 1 adjacent to x is
+    as late as possible (-1 when none is); None when V(P) has no such
+    path."""
+    nbr = adj_sets(G)
+    u = P.vertices[0]
+    best = best_seq = None
+    for tail in permutations(sorted(set(P.vertices) - {u})):
+        seq = (u,) + tail
+        if not is_path_of(nbr, seq):
+            continue
+        last = max((i for i in range(1, len(seq)) if seq[i] in nbr[x]), default=-1)
+        if best is None or last > best:
+            best, best_seq = last, seq
+    return best_seq
+
+
+def brute_prefix_states(G, u, allowed):
+    """Number of distinct (vertex set, last vertex) pairs over the u-paths
+    using only ``allowed`` vertices, the one-vertex path (u,) included."""
+    nbr = adj_sets(G)
+    rest = sorted(set(allowed) - {u})
+    states = set()
+    for r in range(len(rest) + 1):
+        for tail in permutations(rest, r):
+            seq = (u,) + tail
+            if is_path_of(nbr, seq):
+                states.add((frozenset(seq), seq[-1]))
+    return len(states)

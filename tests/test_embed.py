@@ -19,7 +19,7 @@ from esos.embed import (
     theorem2_check,
     verify_embedding,
 )
-from esos.paths import UPath
+from esos.paths import MEMO_SIZE, UPath
 from esos.spiders import Spider, enumerate_spiders
 
 
@@ -233,3 +233,11 @@ def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch):
     monkeypatch.setattr(embed_mod, "_constructive", breach_below)
     with pytest.raises(SoundnessError, match="stripped spider"):
         embed_constructive(G, T, 0)
+
+
+def test_constructive_memo_stays_bounded(monkeypatch):
+    # 2 * MEMO_SIZE distinct hosts, each with the edge 01
+    monkeypatch.setattr(embed_mod, "_memo", {})
+    for bits in range(1, 4 * MEMO_SIZE, 2):
+        embed_constructive(graph_from_bits(5, bits), Spider((1,)), 0)
+    assert len(embed_mod._memo) == MEMO_SIZE

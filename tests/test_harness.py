@@ -162,6 +162,15 @@ def test_cli_embed_stdin(capsys, monkeypatch):
     assert len(lines) == 2
 
 
+def test_cli_embed_stdin_streams_and_names_the_bad_line(capsys, monkeypatch):
+    # the graph before a malformed line is answered before that line is read
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\nC~x\nD~{\n"))
+    assert main(["embed", "-", "--spider", "1,1", "--at", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["C~: embedded spider [1, 1] at 0: 0-1 0-2"]
+    assert "line 2" in err
+
+
 def test_cli_check_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("C~\nDhc\nD~{\n"))
     assert main(["--json", "check", "--stdin"]) == 0

@@ -216,6 +216,26 @@ def test_verify_outcome_rejects_tampered_witness():
     assert not verify_outcome(inst, CaseOutcome("A", {}))
 
 
+def test_enumerators_stop_at_the_first_length_without_a_path(monkeypatch):
+    # a u-path with more edges would have one with p edges as its prefix
+    calls = []
+    real = lemmas_mod._max_paths
+
+    def spy(G, u, allowed, p, budget):
+        got = real(G, u, allowed, p, budget)
+        calls.append((p, got[0] is None))
+        return got
+
+    monkeypatch.setattr(lemmas_mod, "_max_paths", spy)
+    for G in enumerate_graphs(4):
+        for lem in LEMMA_IDS:
+            for _ in enumerate_instances(lem, G):
+                pass
+    assert any(empty for _, empty in calls)
+    for (_, empty), (p, _) in zip(calls, calls[1:]):
+        assert p == 1 or not empty
+
+
 def test_max_paths_match_brute_oracle(monkeypatch):
     # building and validating instances share this search, so pin it to an
     # independent oracle; each case runs cold, then warm from the memo

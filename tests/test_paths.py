@@ -1,5 +1,6 @@
 import sys
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +8,19 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_bits, graphs
 from oracles import (
+    brute_longest_path,
     brute_longest_path_len,
+    brute_prefix_states,
     brute_reroute_ends,
+    brute_reroute_last_neighbor,
     brute_second_ends,
+    brute_spanning_path_to,
 )
 
-from esos.errors import CapabilityError, InputError
-from esos.graphs import Graph, bits_of
+import esos.paths as paths_mod
+from esos.enumeration import enumerate_graphs
+from esos.errors import Budget, CapabilityError, InputError
+from esos.graphs import Graph, bits_of, mask_of
 from esos.paths import (
     MEMO_SIZE,
     UPath,
@@ -31,6 +38,7 @@ from esos.paths import (
     reroute_maximizing_last_neighbor,
     reroute_path_to,
     second_ends,
+    spanning_path_to,
 )
 
 C4 = Graph.cycle(4)
@@ -223,6 +231,110 @@ def test_reroute_path_to_and_last_neighbor():
     assert best.vertices == (0, 1, 2)
     with pytest.raises(InputError):
         reroute_maximizing_last_neighbor(G, P, 1)
+
+
+def small_classes():
+    for n in range(1, 6):
+        yield from enumerate_graphs(n)
+
+
+def small_graphs():
+    """Every labelled graph with n <= 5: ties depend on the labelling."""
+    for n in range(1, 6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_bits(n, bits)
+
+
+def test_longest_path_matches_brute_oracle():
+    # the whole sequence, so the lexicographic tie-break is pinned as well
+    for G in small_graphs():
+        for u in range(G.n):
+            others = [v for v in range(G.n) if v != u]
+            for size in range(3):
+                for avoid in combinations(others, size):
+                    got = longest_u_path(G, u, avoid).vertices
+                    assert got == brute_longest_path(G, u, avoid), (G, u, avoid)
+
+
+def test_spanning_paths_and_reroutes_match_brute_oracle():
+    for G in small_graphs():
+        for u in range(G.n):
+            others = [v for v in range(G.n) if v != u]
+            for size in range(len(others) + 1):
+                for rest in combinations(others, size):
+                    verts = (u,) + rest
+                    for end in verts:
+                        got = spanning_path_to(G, mask_of(verts), u, end)
+                        want = brute_spanning_path_to(G, verts, u, end)
+                        assert (got and got.vertices) == want, (G, verts, end)
+                    # the search reads only the anchor and the vertex set of P
+                    P = UPath(verts)
+                    for x in others:
+                        if x in rest:
+                            continue
+                        want = brute_reroute_last_neighbor(G, P, x)
+                        if want is None:
+                            with pytest.raises(InputError):
+                                reroute_maximizing_last_neighbor(G, P, x)
+                        else:
+                            got = reroute_maximizing_last_neighbor(G, P, x)
+                            assert got.vertices == want, (G, verts, x)
+
+
+def trips_at(monkeypatch, call, nodes):
+    """call() raises CapabilityError under ESOS_BUDGET = nodes - 1 and
+    succeeds under ESOS_BUDGET = nodes."""
+    if nodes:
+        monkeypatch.setenv("ESOS_BUDGET", str(nodes - 1))
+        with pytest.raises(CapabilityError):
+            call()
+    monkeypatch.setenv("ESOS_BUDGET", str(nodes))
+    call()
+
+
+def test_path_search_budgets_trip_at_the_state_count(monkeypatch):
+    # one node per distinct (vertex set, last vertex) path prefix; the
+    # longest-path search counts the one-vertex root, the ends searches not
+    for G in small_classes():
+        for u in range(G.n):
+            states = brute_prefix_states(G, u, range(G.n))
+            trips_at(monkeypatch, lambda: longest_u_path(G, u), states)
+            for seq in all_upaths(G, u):
+                P = UPath(seq)
+                states = brute_prefix_states(G, u, seq) - 1
+                trips_at(monkeypatch, lambda: reroute_ends(G, P), states)
+                states = brute_prefix_states(G, u, seq[:-1]) - 1
+                trips_at(monkeypatch, lambda: second_ends(G, P), states)
+
+
+def test_warm_path_memo_follows_the_budget(monkeypatch):
+    G, P = Graph.complete(5), UPath((0, 1, 2, 3))
+    budgets = []
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(paths_mod, "Budget", Recorded)
+    searches = (
+        (lambda: longest_u_path(G, 0), brute_prefix_states(G, 0, range(5))),
+        (lambda: reroute_ends(G, P), brute_prefix_states(G, 0, P.vertices) - 1),
+        (lambda: second_ends(G, P), brute_prefix_states(G, 0, P.vertices[:-1]) - 1),
+    )
+    for call, nodes in searches:
+        # a repeated search charges exactly what the first one spent
+        first = call()
+        assert call() == first
+        assert budgets[-1].used == budgets[-2].used == nodes
+        # a result found under the default limit does not answer a call
+        # under a smaller one
+        monkeypatch.setenv("ESOS_BUDGET", str(nodes - 1))
+        with pytest.raises(CapabilityError):
+            call()
+        monkeypatch.delenv("ESOS_BUDGET")
 
 
 # -- bound checkers -----------------------------------------------------------
