@@ -122,6 +122,25 @@ def _pretty_embed(payload: dict) -> str:
     return f"{payload['graph6']}: no embedding of {payload['spider']}"
 
 
+def _cmd_check(args) -> int:
+    if not args.stdin:
+        return _emit(verify_conjecture_spiders(n_max=args.nmax), args.json, "check")
+    bad: list[InputError] = []
+
+    def graphs_before_a_bad_line():
+        try:
+            yield from read_graph6_stream(sys.stdin)
+        except InputError as exc:
+            bad.append(exc)
+
+    code = _emit(
+        verify_conjecture_spiders(graphs=graphs_before_a_bad_line()), args.json, "check"
+    )
+    if bad:
+        raise bad[0]  # reported after the graphs before it, with exit code 2
+    return code
+
+
 def _cmd_lemma_records(args) -> int:
     from .lemmas import analyze, analysis_record, sample_instances, verify_outcome
 
@@ -155,13 +174,7 @@ def main(argv=None) -> int:
         if args.command == "embed":
             return _cmd_embed(args)
         if args.command == "check":
-            if args.stdin:
-                rep = verify_conjecture_spiders(
-                    graphs=read_graph6_stream(sys.stdin)
-                )
-            else:
-                rep = verify_conjecture_spiders(n_max=args.nmax)
-            return _emit(rep, args.json, "check")
+            return _cmd_check(args)
         if args.command == "lemmas":
             if args.records:
                 return _cmd_lemma_records(args)

@@ -34,6 +34,7 @@ from .graphs import (
     HCertificate,
     bit,
     bits_of,
+    e_inside,
     edge_counts,
     find_H_subgraph,
     heavy_vertex,
@@ -468,7 +469,7 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
             ex = (G.rows[x] & lmask).bit_count()
             r2 = min(2 * ew, max(ell - 1, 0)) + min(2 * ex, ell)
             r3 = sum(
-                _inner_edge_count(G, leg.mask())
+                e_inside(G, leg.mask())
                 for j, leg in enumerate(e.legs)
                 if j != idx
             )
@@ -486,10 +487,6 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
         return None
     _, _, e, idx, Q, x, w = best
     return _extend(G, T, u, e, idx, x, w)
-
-
-def _inner_edge_count(G: Graph, mask: int) -> int:
-    return sum((G.rows[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
 def _extend(

@@ -272,11 +272,6 @@ def edges_between(G: Graph, S1: VertexSetLike, S2: VertexSetLike) -> int:
     return sum((G.rows[v] & m2).bit_count() for v in bits_of(m1))
 
 
-def e_vertex(G: Graph, v: int, S: VertexSetLike) -> int:
-    """Edges from v into S (membership of v in S is irrelevant: no loops)."""
-    return (G.rows[v] & _checked_mask(G, S)).bit_count()
-
-
 def satisfies_density(G: Graph, k: int) -> bool:
     """2*e(G) > (k-1)*n, in exact integer arithmetic."""
     if k < 1:

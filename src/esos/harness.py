@@ -9,10 +9,10 @@ serialization), and graph-keyed results are ordered by graph6 string.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .embed import embed_bruteforce, embed_constructive, verify_embedding
-from .enumeration import ENUMERATION_CAP, enumerate_graphs
+from .enumeration import ENUMERATION_CAP, enumerate_graphs, graphs_up_to
 from .errors import CapabilityError, InputError, SoundnessError
 from .graphs import Graph, verify_H_certificate, recognize_H, find_H_subgraph
 from .lemmas import (
@@ -37,14 +37,14 @@ def verify_conjecture_spiders(
     """
     start = time.monotonic()
     if graphs is None:
+        if n_max < 1:
+            raise InputError("n_max must be positive")
         if n_max > ENUMERATION_CAP:
             raise CapabilityError(
                 f"builtin enumeration stops at n={ENUMERATION_CAP}; "
                 "pipe graph6 input for larger orders"
             )
-        population: Iterable[Graph] = (
-            G for n in range(1, n_max + 1) for G in enumerate_graphs(n)
-        )
+        population: Iterable[Graph] = graphs_up_to(n_max)
         scope = {"n_max": n_max, "source": "builtin"}
     else:
         population = graphs
@@ -95,24 +95,23 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
     start = time.monotonic()
     tests = certified = 0
     failures = []
-    for n in range(1, n_max + 1):
-        for G in enumerate_graphs(n):
-            e = G.edge_count()
-            k = 1
-            while 2 * e > (k - 1) * G.n:
-                if satisfies_local_condition(G, k) is None:
-                    spiders = list(enumerate_spiders(k))
-                    for u in range(G.n):
-                        if G.degree(u) < k:
-                            continue
-                        for T in spiders:
-                            tests += 1
-                            fail, was_cert = _dichotomy_one(G, k, u, T)
-                            if fail is not None:
-                                failures.append(fail)
-                            elif was_cert:
-                                certified += 1
-                k += 1
+    for G in graphs_up_to(n_max):
+        e = G.edge_count()
+        k = 1
+        while 2 * e > (k - 1) * G.n:
+            if satisfies_local_condition(G, k) is None:
+                spiders = list(enumerate_spiders(k))
+                for u in range(G.n):
+                    if G.degree(u) < k:
+                        continue
+                    for T in spiders:
+                        tests += 1
+                        fail, was_cert = _dichotomy_one(G, k, u, T)
+                        if fail is not None:
+                            failures.append(fail)
+                        elif was_cert:
+                            certified += 1
+            k += 1
     return Report(
         scope={"n_max": n_max},
         counts={"tests": tests, "certified": certified},
@@ -227,6 +226,31 @@ def extremal_census(n: int, k: int) -> Report:
     )
 
 
+def _run_lemma_cases(instances: Iterable) -> tuple[int, dict, list]:
+    """Analyze each instance, count its case and verify its witness; returns
+    the number of instances, the case counts and the failures."""
+    total = 0
+    cases = {"A": 0, "B": 0, "C": 0}
+    failures = []
+    for inst in instances:
+        total += 1
+        try:
+            out = analyze(inst)
+        except SoundnessError:
+            failures.append({"instance": inst.to_json(), "reason": "no case matched"})
+            continue
+        cases[out.case] += 1
+        if not verify_outcome(inst, out):
+            failures.append(
+                {
+                    "instance": inst.to_json(),
+                    "case": out.case,
+                    "reason": "witness failed verification",
+                }
+            )
+    return total, cases, failures
+
+
 def run_lemma_suite(
     lemma: int,
     samples: int,
@@ -238,34 +262,19 @@ def run_lemma_suite(
     if lemma not in LEMMA_IDS:
         raise InputError(f"unknown lemma id {lemma} (want one of {LEMMA_IDS})")
     start = time.monotonic()
-    cases = {"A": 0, "B": 0, "C": 0}
-    failures = []
-    produced = 0
     discarded_total = 0
     per_size = [samples // len(sizes)] * len(sizes)
     for i in range(samples - sum(per_size)):
         per_size[i % len(sizes)] += 1
-    for n, want in zip(sizes, per_size):
-        insts, discarded = sample_instances(lemma, n, want, seed + n)
-        discarded_total += discarded
-        for inst in insts:
-            produced += 1
-            try:
-                out = analyze(inst)
-            except SoundnessError:
-                failures.append(
-                    {"instance": inst.to_json(), "reason": "no case matched"}
-                )
-                continue
-            cases[out.case] += 1
-            if not verify_outcome(inst, out):
-                failures.append(
-                    {
-                        "instance": inst.to_json(),
-                        "case": out.case,
-                        "reason": "witness failed verification",
-                    }
-                )
+
+    def sampled() -> Iterator:
+        nonlocal discarded_total
+        for n, want in zip(sizes, per_size):
+            insts, discarded = sample_instances(lemma, n, want, seed + n)
+            discarded_total += discarded
+            yield from insts
+
+    produced, cases, failures = _run_lemma_cases(sampled())
     return Report(
         scope={"lemma": lemma, "samples": samples, "seed": seed, "sizes": list(sizes)},
         counts={
@@ -283,29 +292,9 @@ def exhaustive_lemma_suite(lemma: int, n_max: int = 6) -> Report:
     if lemma not in LEMMA_IDS:
         raise InputError(f"unknown lemma id {lemma}")
     start = time.monotonic()
-    cases = {"A": 0, "B": 0, "C": 0}
-    failures = []
-    total = 0
-    for n in range(1, n_max + 1):
-        for G in enumerate_graphs(n):
-            for inst in enumerate_instances(lemma, G):
-                total += 1
-                try:
-                    out = analyze(inst)
-                except SoundnessError:
-                    failures.append(
-                        {"instance": inst.to_json(), "reason": "no case matched"}
-                    )
-                    continue
-                cases[out.case] += 1
-                if not verify_outcome(inst, out):
-                    failures.append(
-                        {
-                            "instance": inst.to_json(),
-                            "case": out.case,
-                            "reason": "witness failed verification",
-                        }
-                    )
+    total, cases, failures = _run_lemma_cases(
+        inst for G in graphs_up_to(n_max) for inst in enumerate_instances(lemma, G)
+    )
     return Report(
         scope={"lemma": lemma, "n_max": n_max, "mode": "exhaustive"},
         counts={"instances": total, **{f"case_{c}": v for c, v in cases.items()}},

@@ -44,6 +44,18 @@ The rules are numbered 3, 4, 5, 6 on the CLI:
                  attachment set S of w;
 * 6 (``PQw``):   one excluded vertex w, P rerouted so x's last neighbour
                  sits as late as possible.
+
+All four share one shape: delete an excluded set, take a maximizing P of
+length p, probe with a path ending at x, and require a nonnegative surplus.
+Each rule's hypotheses are stated once:
+
+* ``_excluded`` checks the rule's own fields and returns the excluded set;
+  ``validate_instance`` then runs the same maximality, probe and x checks
+  for every rule (rule 4's detached path is its excluded set, and x is a
+  neighbour of u rather than a probe end);
+* ``compute_surplus2`` is the only statement of each surplus;
+* ``_probe_end_filter`` decides which x the generators admit: nonnegative
+  surplus, and for rule 6, x absorbable to P's optimal reroute.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
 from .graphs import (
@@ -59,6 +71,7 @@ from .graphs import (
     HCertificate,
     bit,
     bits_of,
+    e_inside,
     mask_of,
     set_of,
     verify_H_certificate,
@@ -145,10 +158,6 @@ class _Ctx:
 
 def _ev(G: Graph, v: int, mask: int) -> int:
     return (G.rows[v] & mask).bit_count()
-
-
-def _inner_edges(G: Graph, mask: int) -> int:
-    return sum((G.rows[v] & mask).bit_count() for v in bits_of(mask)) // 2
 
 
 _attachment_memo: dict[tuple, tuple] = {}
@@ -240,6 +249,25 @@ def make_instance(
     )
 
 
+def _probe_end_filter(
+    lemma: int, G: Graph, u: int, P: UPath, **fields
+) -> Callable[[int], bool]:
+    """Which probe ends x the rule admits with P: a nonnegative surplus, and
+    for rule 6, x absorbable to P's optimal reroute.  ``fields`` are the
+    rule's named vertices (rule 4: w1, w2, the detached path's ends); x must
+    lie off P.  Rule 5's attachment set is computed here, once per P."""
+    S = _attachment_set(G, u, fields["w"], P.mask(), P.length) if lemma == 5 else 0
+
+    def admissible(x: int) -> bool:
+        if compute_surplus2(lemma, G, u, P, x, attachment=S, **fields) < 0:
+            return False
+        return lemma != 6 or is_absorbable(
+            G, reroute_maximizing_last_neighbor(G, P, x), x
+        )
+
+    return admissible
+
+
 # -- validation ---------------------------------------------------------------
 
 MAXIMALITY_BUDGET = 500_000
@@ -266,12 +294,47 @@ def _argmax_paths(
     best = None
     out: list[tuple[int, ...]] = []
     for path in iter_upaths_exact(G, u, allowed, p, budget):
-        e = _inner_edges(G, mask_of(path))
+        e = e_inside(G, mask_of(path))
         if best is None or e > best:
             best, out = e, [path]
         elif e == best:
             out.append(path)
     return best, tuple(out)
+
+
+# What the probe of rules 3, 5 and 6 must avoid besides V(P-u).
+_PROBE_AVOIDS = {3: "the excluded pair", 5: "the excluded edge", 6: "w"}
+
+
+def _excluded(inst: LemmaInstance) -> int:
+    """Check the rule's own fields; return the vertices P must avoid (the
+    probe too, for rules 3, 5 and 6; rule 4's detached path)."""
+    G, u, Q = inst.graph, inst.u, inst.q_path
+    if inst.lemma == 3:
+        w1, w2 = inst.w1, inst.w2
+        if w1 is None or w2 is None or len({u, w1, w2}) != 3:
+            raise InputError("lemma 3 needs distinct u, w1, w2")
+        return bit(w1) | bit(w2)
+    if inst.lemma == 4:
+        if bit(u) & Q.mask():
+            raise InputError("detached path must avoid u")
+        if inst.w1 != Q.vertices[0] or inst.w2 != Q.vertices[-1]:
+            raise InputError("w1, w2 must be the detached path ends")
+        if Q.mask() & inst.p_path.mask():
+            raise InputError("P must avoid the detached path")
+        return Q.mask()
+    if inst.lemma == 5:
+        v, w = inst.v, inst.w
+        if v is None or w is None or len({u, v, w}) != 3:
+            raise InputError("lemma 5 needs distinct u, v, w")
+        if not G.has_edge(v, w):
+            raise InputError("vw must be an edge")
+        return bit(v) | bit(w)
+    if inst.lemma == 6:
+        if inst.w is None or inst.w == u:
+            raise InputError("lemma 6 needs w distinct from u")
+        return bit(inst.w)
+    raise InputError(f"unknown lemma id {inst.lemma}")
 
 
 def validate_instance(inst: LemmaInstance) -> _Ctx:
@@ -301,37 +364,14 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     pmask = P.mask()
     L = pmask & ~bit(u)
     budget = Budget(search_budget(MAXIMALITY_BUDGET), "maximality check")
-
-    def check_max(excluded: int):
-        if pmask & excluded:
-            raise InputError("P enters an excluded vertex")
-        best, _ = _max_paths(G, u, G.full_mask & ~excluded, p, budget)
-        if best is None or _inner_edges(G, pmask) != best:
-            raise InputError("P does not maximize inner edges at its length")
-
-    ctx: _Ctx
-    if inst.lemma == 3:
-        w1, w2 = inst.w1, inst.w2
-        if w1 is None or w2 is None or len({u, w1, w2}) != 3:
-            raise InputError("lemma 3 needs distinct u, w1, w2")
-        excl = bit(w1) | bit(w2)
-        check_max(excl)
-        if Q.anchor != u or Q.length < 1:
-            raise InputError("probe must be a nontrivial anchored path")
-        if Q.mask() & (L | excl):
-            raise InputError("probe must avoid V(P-u) and the excluded pair")
-        if inst.x != Q.end:
-            raise InputError("x must be the probe end")
-        ctx = _Ctx(L=L, p=p, q=Q.length)
-    elif inst.lemma == 4:
-        if bit(u) & Q.mask():
-            raise InputError("detached path must avoid u")
-        if inst.w1 != Q.vertices[0] or inst.w2 != Q.vertices[-1]:
-            raise InputError("w1, w2 must be the detached path ends")
-        if Q.mask() & pmask:
-            raise InputError("P must avoid the detached path")
-        check_max(Q.mask())
-        x = inst.x
+    excluded = _excluded(inst)
+    if pmask & excluded:
+        raise InputError("P enters an excluded vertex")
+    best, _ = _max_paths(G, u, G.full_mask & ~excluded, p, budget)
+    if best is None or e_inside(G, pmask) != best:
+        raise InputError("P does not maximize inner edges at its length")
+    x = inst.x
+    if inst.lemma == 4:
         if x is None or not G.rows[u] & bit(x):
             raise InputError("x must be a neighbour of u")
         if bit(x) & (pmask | Q.mask()):
@@ -339,52 +379,32 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
         if (pmask | Q.mask()) & ~bit(u) & ~G.rows[u]:
             raise InputError("every vertex of P and Q must be seen by u")
         ctx = _Ctx(L=L, p=p, q=len(Q.vertices))
-    elif inst.lemma == 5:
-        v, w = inst.v, inst.w
-        if v is None or w is None or len({u, v, w}) != 3:
-            raise InputError("lemma 5 needs distinct u, v, w")
-        if not G.has_edge(v, w):
-            raise InputError("vw must be an edge")
-        excl = bit(v) | bit(w)
-        check_max(excl)
-        if Q.anchor != u or Q.length < 1:
-            raise InputError("probe must be a nontrivial anchored path")
-        if Q.mask() & (L | excl):
-            raise InputError("probe must avoid V(P-u) and the excluded edge")
-        if inst.x != Q.end:
-            raise InputError("x must be the probe end")
-        S = _attachment_set(G, u, w, pmask, p)
-        ctx = _Ctx(L=L, p=p, q=Q.length, S=S)
-    elif inst.lemma == 6:
-        w = inst.w
-        if w is None or w == u:
-            raise InputError("lemma 6 needs w distinct from u")
-        check_max(bit(w))
-        if Q.anchor != u or Q.length < 1:
-            raise InputError("probe must be a nontrivial anchored path")
-        if Q.mask() & (L | bit(w)):
-            raise InputError("probe must avoid V(P-u) and w")
-        if inst.x != Q.end:
-            raise InputError("x must be the probe end")
-        p_prime = reroute_maximizing_last_neighbor(G, P, inst.x)
-        if not is_absorbable(G, p_prime, inst.x):
-            raise InputError("x is not absorbable to the optimal reroute")
-        ctx = _Ctx(L=L, p=p, q=Q.length, p_prime=p_prime)
     else:
-        raise InputError(f"unknown lemma id {inst.lemma}")
-
-    attachment = ctx.S if inst.lemma == 5 else 0
+        if Q.anchor != u or Q.length < 1:
+            raise InputError("probe must be a nontrivial anchored path")
+        if Q.mask() & (L | excluded):
+            avoid = _PROBE_AVOIDS[inst.lemma]
+            raise InputError(f"probe must avoid V(P-u) and {avoid}")
+        if x != Q.end:
+            raise InputError("x must be the probe end")
+        ctx = _Ctx(L=L, p=p, q=Q.length)
+    if inst.lemma == 5:
+        ctx.S = _attachment_set(G, u, inst.w, pmask, p)
+    elif inst.lemma == 6:
+        ctx.p_prime = reroute_maximizing_last_neighbor(G, P, x)
+        if not is_absorbable(G, ctx.p_prime, x):
+            raise InputError("x is not absorbable to the optimal reroute")
     s2 = compute_surplus2(
         inst.lemma,
         G,
         u,
         P,
-        inst.x,
+        x,
         w1=inst.w1,
         w2=inst.w2,
         v=inst.v,
         w=inst.w,
-        attachment=attachment,
+        attachment=ctx.S,
     )
     if s2 != inst.surplus2:
         raise InputError(
@@ -460,35 +480,23 @@ def analyze_xv1v2(inst: LemmaInstance) -> CaseOutcome:
     G, u, x = inst.graph, inst.u, inst.x
     pmask = inst.p_path.mask()
     p = ctx.p
-    # C: drop a neighbour z of one excluded vertex, keep x and the other
-    for i, (wi, other) in ((1, (inst.w1, inst.w2)), (2, (inst.w2, inst.w1))):
-        for z in bits_of(G.rows[wi] & pmask):
-            if z == u:
-                continue
-            allowed = (pmask | bit(x) | bit(other)) & ~bit(z)
-            lp = _longest_within(G, u, allowed)
-            if lp.length >= p:
-                return CaseOutcome(
-                    "C",
-                    {"length": lp.length},
-                    paths=(lp,),
-                    detail={"i": i, "z": z, "scope": "stated"},
-                )
-    # C, probe form: drop z, replace through the whole probe path instead
+    # C: drop a neighbour z of one excluded vertex and replace P inside the
+    # stated scope (x and the other excluded vertex), then inside the probe
     qmask = inst.q_path.mask()
-    for i, wi in ((1, inst.w1), (2, inst.w2)):
-        for z in bits_of(G.rows[wi] & pmask):
-            if z == u:
-                continue
-            allowed = (pmask | qmask) & ~bit(z)
-            lp = _longest_within(G, u, allowed)
-            if lp.length >= p:
-                return CaseOutcome(
-                    "C",
-                    {"length": lp.length},
-                    paths=(lp,),
-                    detail={"i": i, "z": z, "scope": "with-probe"},
-                )
+    for scope in ("stated", "with-probe"):
+        for i, wi, other in ((1, inst.w1, inst.w2), (2, inst.w2, inst.w1)):
+            keep = pmask | (bit(x) | bit(other) if scope == "stated" else qmask)
+            for z in bits_of(G.rows[wi] & pmask):
+                if z == u:
+                    continue
+                lp = _longest_within(G, u, keep & ~bit(z))
+                if lp.length >= p:
+                    return CaseOutcome(
+                        "C",
+                        {"length": lp.length},
+                        paths=(lp,),
+                        detail={"i": i, "z": z, "scope": scope},
+                    )
     # B: balanced split over V(P)+x
     if inst.surplus2 == 0 and ctx.q == 1 and p % 2 == 0:
         cert = _balanced_split_on(G, pmask | bit(x), p // 2 + 1)
@@ -859,6 +867,9 @@ def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
     return Graph(n, tuple(rows))
 
 
+_P_CHOICES = (1, 2, 2, 3, 3, 4)
+
+
 def _propose(
     lemma: int, rng: random.Random, n: int
 ) -> Optional[LemmaInstance]:
@@ -875,29 +886,6 @@ def _propose(
         G = Graph(n, tuple(rows))
     budget = Budget(200_000, "instance synthesis")
     try:
-        if lemma == 3:
-            others = [z for z in range(n) if z != u]
-            w1, w2 = sorted(rng.sample(others, 2))
-            excl = bit(w1) | bit(w2)
-            p = rng.choice((1, 2, 2, 3, 3, 4))
-            _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
-            if not cands:
-                return None
-            P = UPath(rng.choice(cands))
-            L = P.mask() & ~bit(u)
-            pair = _ev(G, w1, L) + _ev(G, w2, L)
-            q_allowed = G.full_mask & ~(L | excl)
-            good_x = [
-                z
-                for z in bits_of(q_allowed & ~bit(u))
-                if 2 * _ev(G, z, L) + pair - 2 * p >= 0
-            ]
-            rng.shuffle(good_x)
-            for xz in good_x:
-                qp = first_upath_to(G, u, q_allowed, xz, budget)
-                if qp is not None:
-                    return make_instance(3, G, u, P, UPath(qp), w1=w1, w2=w2)
-            return None
         if lemma == 4:
             qv = rng.choice((1, 2, 2, 3))
             pool = list(bits_of(G.rows[u]))
@@ -918,84 +906,53 @@ def _propose(
             if seq[0] > seq[-1]:
                 seq.reverse()
             Q = UPath(tuple(seq))
-            p = rng.choice((1, 2, 2, 3, 3, 4))
+            p = rng.choice(_P_CHOICES)
             _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
             inside = [c for c in cands if mask_of(c) & ~bit(u) & ~G.rows[u] == 0]
             if not inside:
                 return None
             P = UPath(rng.choice(inside))
-            L = P.mask() & ~bit(u)
-            pair = _ev(G, Q.vertices[0], L) + _ev(G, Q.vertices[-1], L)
+            admissible = _probe_end_filter(4, G, u, P, w1=seq[0], w2=seq[-1])
             xs = [
                 z
                 for z in bits_of(G.rows[u] & ~P.mask() & ~Q.mask())
-                if 2 * _ev(G, z, L) + pair - 2 * p >= 0
+                if admissible(z)
             ]
             if not xs:
                 return None
             return make_instance(4, G, u, P, Q, x=rng.choice(xs))
-        if lemma == 5:
-            edges = [
-                (a, b)
-                for a, b in G.edges()
-                if a != u and b != u
-            ]
+        # rules 3, 5, 6: pick the excluded set, then P, then a probe end
+        if lemma == 3:
+            others = [z for z in range(n) if z != u]
+            w1, w2 = sorted(rng.sample(others, 2))
+            fields = {"w1": w1, "w2": w2}
+        elif lemma == 5:
+            edges = [(a, b) for a, b in G.edges() if a != u and b != u]
             if not edges:
                 return None
             v, w = rng.choice(edges)
             if rng.random() < 0.5:
                 v, w = w, v
-            excl = bit(v) | bit(w)
-            p = rng.choice((1, 2, 2, 3, 3, 4))
-            _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
-            if not cands:
-                return None
-            P = UPath(rng.choice(cands))
-            L = P.mask() & ~bit(u)
-            S = _attachment_set(G, u, w, P.mask(), p)
-            pair2 = 2 * (_ev(G, v, L) + _ev(G, w, L))
-            corr = _ev(G, v, S)
-            q_allowed = G.full_mask & ~(L | excl)
-            good_x = [
-                z
-                for z in bits_of(q_allowed & ~bit(u))
-                if 4 * _ev(G, z, L) + pair2 - 4 * p - corr >= 0
-            ]
-            rng.shuffle(good_x)
-            for xz in good_x:
-                qp = first_upath_to(G, u, q_allowed, xz, budget)
-                if qp is not None:
-                    return make_instance(5, G, u, P, UPath(qp), v=v, w=w)
+            fields = {"v": v, "w": w}
+        else:
+            fields = {"w": rng.choice([z for z in range(n) if z != u])}
+        excl = mask_of(fields.values())
+        p = rng.choice(_P_CHOICES)
+        _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
+        if not cands:
             return None
-        if lemma == 6:
-            w = rng.choice([z for z in range(n) if z != u])
-            p = rng.choice((1, 2, 2, 3, 3, 4))
-            _, cands = _max_paths(G, u, G.full_mask & ~bit(w), p, budget)
-            if not cands:
-                return None
-            P = UPath(rng.choice(cands))
-            L = P.mask() & ~bit(u)
-            ew = _ev(G, w, L)
-            q_allowed = G.full_mask & ~(L | bit(w))
-            good_x = []
-            for z in bits_of(q_allowed & ~bit(u)):
-                if _ev(G, z, L) + ew - p < 0:
-                    continue
-                try:
-                    pp = reroute_maximizing_last_neighbor(G, P, z)
-                except InputError:
-                    continue
-                if is_absorbable(G, pp, z):
-                    good_x.append(z)
-            rng.shuffle(good_x)
-            for xz in good_x:
-                qp = first_upath_to(G, u, q_allowed, xz, budget)
-                if qp is not None:
-                    return make_instance(6, G, u, P, UPath(qp), w=w)
-            return None
+        P = UPath(rng.choice(cands))
+        admissible = _probe_end_filter(lemma, G, u, P, **fields)
+        q_allowed = G.full_mask & ~(P.mask() & ~bit(u) | excl)
+        good_x = [z for z in bits_of(q_allowed & ~bit(u)) if admissible(z)]
+        rng.shuffle(good_x)
+        for xz in good_x:
+            qp = first_upath_to(G, u, q_allowed, xz, budget)
+            if qp is not None:
+                return make_instance(lemma, G, u, P, UPath(qp), **fields)
+        return None
     except CapabilityError:
         return None
-    raise InputError(f"unknown lemma id {lemma}")
 
 
 def sample_instances(
@@ -1011,7 +968,9 @@ def sample_instances(
         raise InputError(f"unknown lemma id {lemma}")
     if n > MAX_INSTANCE_HOST:
         raise InputError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
-    if n < 3 or count < 0:
+    if count < 0:
+        raise InputError("instance count must be nonnegative")
+    if n < 3 or count == 0:
         return [], 0
     rng = random.Random(seed)
     out: list[LemmaInstance] = []
@@ -1057,57 +1016,43 @@ def enumerate_instances(
                 for w2 in range(w1 + 1, n):
                     if u in (w1, w2):
                         continue
-                    excl = bit(w1) | bit(w2)
                     yield from _enum_probe_family(
-                        3, G, u, excl, excl, top, budget, w1=w1, w2=w2
+                        3, G, u, top, budget, w1=w1, w2=w2
                     )
         elif lemma == 5:
             for v, w in G.edges():
                 for vv, ww in ((v, w), (w, v)):
                     if u in (vv, ww):
                         continue
-                    excl = bit(vv) | bit(ww)
                     yield from _enum_probe_family(
-                        5, G, u, excl, excl, top, budget, v=vv, w=ww
+                        5, G, u, top, budget, v=vv, w=ww
                     )
         elif lemma == 6:
             for w in range(n):
                 if w == u:
                     continue
-                yield from _enum_probe_family(
-                    6, G, u, bit(w), bit(w), top, budget, w=w
-                )
+                yield from _enum_probe_family(6, G, u, top, budget, w=w)
 
 
 def _enum_probe_family(
-    lemma: int,
-    G: Graph,
-    u: int,
-    p_excl: int,
-    q_excl: int,
-    top: int,
-    budget: Budget,
-    **extras,
+    lemma: int, G: Graph, u: int, top: int, budget: Budget, **fields
 ) -> Iterator[LemmaInstance]:
+    excl = mask_of(fields.values())
     for p in range(1, top + 1):
-        _, cands = _max_paths(G, u, G.full_mask & ~p_excl, p, budget)
+        _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
         if not cands:
             break  # every longer u-path has one with p edges as its prefix
         for pseq in cands:
             P = UPath(pseq)
-            L = P.mask() & ~bit(u)
-            q_allowed = G.full_mask & ~(L | q_excl)
+            q_allowed = G.full_mask & ~(P.mask() & ~bit(u) | excl)
+            # built at the first probe, so rule 5's attachment set (and any
+            # budget error in it) comes no earlier than an instance would
+            admissible = None
             for qseq in iter_upaths(G, u, q_allowed, budget):
-                inst = make_instance(lemma, G, u, P, UPath(qseq), **extras)
-                if inst.surplus2 >= 0:
-                    if lemma == 6:
-                        try:
-                            pp = reroute_maximizing_last_neighbor(G, P, inst.x)
-                        except InputError:
-                            continue
-                        if not is_absorbable(G, pp, inst.x):
-                            continue
-                    yield inst
+                if admissible is None:
+                    admissible = _probe_end_filter(lemma, G, u, P, **fields)
+                if admissible(qseq[-1]):
+                    yield make_instance(lemma, G, u, P, UPath(qseq), **fields)
 
 
 def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
@@ -1135,7 +1080,9 @@ def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
                     if mask_of(pseq) & ~bit(u) & ~G.rows[u]:
                         continue
                     P = UPath(pseq)
+                    admissible = _probe_end_filter(
+                        4, G, u, P, w1=qseq[0], w2=qseq[-1]
+                    )
                     for x in bits_of(G.rows[u] & ~P.mask() & ~Q.mask()):
-                        inst = make_instance(4, G, u, P, Q, x=x)
-                        if inst.surplus2 >= 0:
-                            yield inst
+                        if admissible(x):
+                            yield make_instance(4, G, u, P, Q, x=x)

@@ -42,10 +42,6 @@ class Spider:
     def k(self) -> int:
         return sum(self.legs)
 
-    @property
-    def num_legs(self) -> int:
-        return len(self.legs)
-
     def to_json(self) -> list[int]:
         return list(self.legs)
 

@@ -1,8 +1,3 @@
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-
 from hypothesis import strategies as st
 
 from esos.graphs import Graph

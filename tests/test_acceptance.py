@@ -59,16 +59,41 @@ def test_criterion_2_dichotomy_exhaustive_n7(capsys):
         )
 
 
+# The suites are deterministic, so their case counts are exact: any change
+# to an instance stream or to an analyzer's case order shows here.
+# Exhaustive n <= 6: cases A, B, C.
+EXHAUSTIVE_CASES = {
+    3: (2780, 120, 18360),
+    4: (132, 168, 18679),
+    5: (469, 76, 19971),
+    6: (2606, 484, 40513),
+}
+# Sampled, 10,000 instances with seed 1234 + rule: cases A, B, C, discarded.
+SAMPLED_CASES = {
+    3: (248, 4, 9748, 23375),
+    4: (29, 15, 9956, 11715),
+    5: (28, 5, 9967, 29479),
+    6: (23, 21, 9956, 6896),
+}
+
+
 def test_criterion_3_lemma_suites(capsys):
     ok = True
     msgs = []
     for lem in LEMMA_IDS:
         ex = exhaustive_lemma_suite(lem, 6)
         sam = run_lemma_suite(lem, 10_000, seed=1234 + lem)
+        got_ex = tuple(ex.counts[f"case_{c}"] for c in "ABC")
+        got_sam = tuple(sam.counts[f"case_{c}"] for c in "ABC") + (
+            sam.counts["discarded_proposals"],
+        )
         ok = ok and ex.ok and sam.ok and sam.counts["instances"] == 10_000
+        ok = ok and ex.counts["instances"] == sum(EXHAUSTIVE_CASES[lem])
+        ok = ok and got_ex == EXHAUSTIVE_CASES[lem] and got_sam == SAMPLED_CASES[lem]
         msgs.append(
-            f"rule {lem}: {ex.counts['instances']} exhaustive + "
-            f"{sam.counts['instances']} sampled, "
+            f"rule {lem}: {ex.counts['instances']} exhaustive (A/B/C "
+            f"{'/'.join(map(str, got_ex))}) + {sam.counts['instances']} sampled "
+            f"(A/B/C/discarded {'/'.join(map(str, got_sam))}), "
             f"{len(ex.failures) + len(sam.failures)} failures"
         )
     with capsys.disabled():

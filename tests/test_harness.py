@@ -179,6 +179,25 @@ def test_cli_check_stdin(capsys, monkeypatch):
     assert payload["scope"]["source"] == "stream"
 
 
+def test_cli_check_stdin_reports_the_graphs_before_a_bad_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\nC~x\nD~{\n"))
+    assert main(["--json", "check", "--stdin"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["counts"]["graphs"] == 1 and payload["failures"] == []
+    assert "line 2" in err
+
+
+def test_cli_rejects_a_negative_sample_count(capsys):
+    assert main(["lemmas", "--which", "3", "--samples", "-5"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_empty_check_range(capsys):
+    assert main(["check", "--nmax", "0"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cli_input_error_exit_2(capsys):
     assert main(["census", "--n", "5", "--k", "3"]) == 2
     assert main(["embed", "C~", "--spider", "zap", "--at", "0"]) == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from oracles import brute_max_inner_edges
 
 import esos.lemmas as lemmas_mod
-from esos.enumeration import enumerate_graphs
+from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import Budget, CapabilityError, InputError
 from esos.graphs import Graph, bit, bits_of, mask_of, verify_H_certificate
 from esos.lemmas import (
@@ -300,3 +302,50 @@ def test_warm_attachment_memo_follows_the_budget(monkeypatch):
     monkeypatch.setenv("ESOS_BUDGET", "1")
     with pytest.raises(CapabilityError, match="longest_u_path"):
         lemmas_mod._attachment_set(G, 0, 5, 0b111, 2)
+
+
+# SHA-256 of each rule's instance streams, one sorted-key JSON line of
+# to_json() per instance: sample_instances(R, 7, 25, seed=R), then
+# enumerate_instances(R, G) over every host with n <= 5.
+STREAM_DIGESTS = {
+    3: (
+        "1ee4f65478a262b2d4405783a5d326b866459b998e5c2873ee836c7bc18638cb",
+        "0dc2e25ee5dc220e2702177bce056789bcf16b1bd4069fade56250ee5321e4c4",
+    ),
+    4: (
+        "2bc2e17b50da4f27b3d017c379c4a621ea7410e1d14803e7b85109265e29b1e9",
+        "93e098fd905d9ccffaf697dde2bb042ce4ddff8e8ea01ebc3a7d1da7cee2f9af",
+    ),
+    5: (
+        "d631a18f7755156c2a3f3b7de1d4276cb8f64049e2797384f8a66e752dfe93b8",
+        "8cdf6613bb5442898dc0d4735035167f40cdd39316eeb33286b13428270f6f46",
+    ),
+    6: (
+        "1b9e93cf7ac20954c93e42afabd80e3ded70e8838cf5b699be32ad15ee425587",
+        "ac098458eb6fea96c8732d48f3146252f2c7e7b04b68d5612dea85434a435c8c",
+    ),
+}
+
+
+def _stream_digest(insts) -> str:
+    h = hashlib.sha256()
+    for inst in insts:
+        h.update(json.dumps(inst.to_json(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_instance_streams_are_pinned():
+    for lemma in LEMMA_IDS:
+        sampled, _ = sample_instances(lemma, 7, 25, seed=lemma)
+        enumerated = (
+            inst for G in graphs_up_to(5) for inst in enumerate_instances(lemma, G)
+        )
+        got = (_stream_digest(sampled), _stream_digest(enumerated))
+        assert got == STREAM_DIGESTS[lemma], lemma
+
+
+def test_sample_instances_rejects_a_negative_count():
+    with pytest.raises(InputError):
+        sample_instances(3, 7, -1, seed=0)
+    assert sample_instances(3, 7, 0, seed=0) == ([], 0)
+    assert sample_instances(3, 2, 5, seed=0) == ([], 0)
