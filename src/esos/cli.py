@@ -13,7 +13,8 @@ Subcommands:
 * ``census --n N --k K`` -- threshold graphs missing an all-even spider.
 
 ``--json`` prints machine-readable reports on stdout.  Exit codes:
-0 clean, 1 failures found, 2 input error, 3 budget/cap exceeded.
+0 clean, 1 failures found, 2 input error (a run that would check nothing
+counts as one), 3 budget/cap exceeded.
 The ESOS_BUDGET environment variable overrides search node budgets.
 """
 
@@ -133,9 +134,10 @@ def _cmd_check(args) -> int:
         except InputError as exc:
             bad.append(exc)
 
-    code = _emit(
-        verify_conjecture_spiders(graphs=graphs_before_a_bad_line()), args.json, "check"
-    )
+    report = verify_conjecture_spiders(graphs=graphs_before_a_bad_line())
+    if not bad and not report.counts["graphs"]:
+        raise InputError("no graph6 line on stdin")
+    code = _emit(report, args.json, "check")
     if bad:
         raise bad[0]  # reported after the graphs before it, with exit code 2
     return code
@@ -145,6 +147,8 @@ def _cmd_lemma_records(args) -> int:
     from .lemmas import analyze, analysis_record, sample_instances, verify_outcome
 
     insts, _ = sample_instances(args.which, args.n, args.samples, args.seed)
+    if not insts:
+        raise InputError(f"no rule {args.which} instance sampled on {args.n} vertices")
     failures = 0
     for inst in insts:
         out = analyze(inst)
@@ -179,6 +183,8 @@ def main(argv=None) -> int:
             if args.records:
                 return _cmd_lemma_records(args)
             rep = run_lemma_suite(args.which, args.samples, args.seed)
+            if not rep.counts["instances"]:
+                raise InputError(f"no rule {args.which} instance sampled")
             return _emit(rep, args.json, f"lemmas-{args.which}")
         if args.command == "census":
             rep = extremal_census(args.n, args.k)

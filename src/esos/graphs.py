@@ -12,7 +12,10 @@ Counting functionals follow the usual boundary conventions:
 * ``edges_between(S1, S2)`` counts edges with one end in each (disjoint sets).
 
 Density comparisons are done in doubled integers (2*e > (k-1)*n) so no
-fractions ever appear.
+fractions ever appear.  The per-subset condition lists no subsets: a
+minimum s-t cut on the adjacency rows minimises its defect over all sets
+(a selection problem, Picard & Queyranne 1982), and a few more cuts fix
+the violating set with the least mask bit by bit.
 
 An H(a,b) split of a vertex set is a partition X, Y with |X|=a, |Y|=b where
 every X-vertex's neighbourhood inside X∪Y is exactly Y (edges inside Y are
@@ -28,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .errors import Budget, CapabilityError, InputError, search_budget
+from .errors import Budget, InputError, search_budget
 
 MAX_VERTICES = 128
-LOCAL_CONDITION_CAP = 24
 
 VertexSetLike = Union[int, Iterable[int]]
 
@@ -249,8 +251,19 @@ def _checked_mask(G: Graph, S: VertexSetLike, what: str = "vertex set") -> int:
 
 def e_inside(G: Graph, S: VertexSetLike) -> int:
     """Edges with both ends in S."""
-    m = _checked_mask(G, S)
-    return sum((G.rows[v] & m).bit_count() for v in bits_of(m)) // 2
+    return _e_inside_mask(G, _checked_mask(G, S))
+
+
+def _e_inside_mask(G: Graph, m: int) -> int:
+    """``e_inside`` for a mask already known to lie inside 0..n-1."""
+    rows = G.rows
+    twice = 0
+    rest = m
+    while rest:
+        low = rest & -rest
+        twice += (rows[low.bit_length() - 1] & m).bit_count()
+        rest ^= low
+    return twice // 2
 
 
 def edge_counts(G: Graph, S: VertexSetLike) -> tuple[int, int]:
@@ -280,28 +293,145 @@ def satisfies_density(G: Graph, k: int) -> bool:
 
 
 def satisfies_local_condition(G: Graph, k: int) -> Optional[frozenset[int]]:
-    """None if every nonempty S has 2*(e(S)+d(S)) > (k-1)*|S|, else a violator.
+    """None if every nonempty S has 2*(e(S)+d(S)) > (k-1)*|S|, else the
+    violator whose mask is the least integer.
 
-    Exhaustive over all 2^n - 1 nonempty subsets; the first violating mask in
-    ascending order is returned, so the witness is deterministic.
+    S violates exactly when h(S) = d(S) + sum over v in S of (d(v) - (k-1))
+    is <= 0.  h is a cut function plus a modular term, so one minimum s-t
+    cut minimises it over the sets between a forced-in and a forced-out
+    set (see ``_violator_search``).  The least violating mask takes three
+    steps:
+
+    1. decide: one cut says whether any nonempty violator exists;
+    2. top bit: the least t with a violator inside {0..t}, by binary search;
+    3. lower bits: from t-1 down to 0, each bit stays out when some violator
+       still fits, else it is forced in.
+
+    A violator already in hand answers a step without a cut whenever it
+    fits the tighter constraint, so a graph meeting the condition costs one
+    cut and a violating one at most n + ceil(log2 n) + 1.
     """
     if k < 1:
         raise InputError("k must be positive")
-    if G.n > LOCAL_CONDITION_CAP:
-        raise CapabilityError(
-            f"subset scan capped at n <= {LOCAL_CONDITION_CAP} (got n={G.n})"
-        )
-    degs = [r.bit_count() for r in G.rows]
-    for m in range(1, 1 << G.n):
-        degsum = 0
-        inside2 = 0
-        for v in bits_of(m):
-            degsum += degs[v]
-            inside2 += (G.rows[v] & m).bit_count()
-        # e(S)+d(S) = sum(deg) - e(S); doubled to stay integral
-        if 2 * degsum - inside2 <= (k - 1) * m.bit_count():
-            return set_of(m)
-    return None
+    violator = _violator_search(G, k)
+    found = violator(0, 0)
+    if found is None:
+        return None
+    full = G.full_mask
+    lo, hi = 0, found.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        got = violator(0, full & -(2 << mid))
+        if got is None:
+            lo = mid + 1
+        else:
+            found, hi = got, got.bit_length() - 1
+    inside, outside = bit(hi), full & -(2 << hi)
+    for v in range(hi - 1, -1, -1):
+        if found & bit(v):
+            got = violator(inside, outside | bit(v))
+            if got is None:
+                inside |= bit(v)
+                continue
+            found = got
+        outside |= bit(v)
+    return set_of(found)
+
+
+def _violator_search(G: Graph, k: int) -> Callable[[int, int], Optional[int]]:
+    """A function of (inside, outside) returning, as a mask, the smallest
+    minimiser of (n+1)*h(S) - |S| over inside ⊆ S ⊆ V - outside when that
+    minimum is negative, else None.  Negative means h(S) <= 0 with S
+    nonempty (h(S) >= 1 makes the value positive), so the empty set needs
+    no special case.
+
+    Nodes s = n and t = n+1, source side S: each edge is two arcs of
+    capacity n+1, and v of weight w = (n+1)*(d(v)-(k-1)) - 1 (never 0) gets
+    v->t of capacity w if w > 0, else s->v of capacity -w.  A cut costs the
+    value plus ``limit``, the sum of the s->v capacities, so the minimum is
+    negative exactly when the maximum flow stays below ``limit``.  Forced
+    vertices get an s->v (in) or v->t (out) arc of capacity ``limit``,
+    which no cut below ``limit`` contains.
+    """
+    n = G.n
+    s, t = n, n + 1
+    base = [[0] * (n + 2) for _ in range(n + 2)]
+    adj: list[list[int]] = []
+    limit = 0
+    for v, row in enumerate(G.rows):
+        arcs = base[v]
+        nbrs = list(bits_of(row))
+        for w in nbrs:
+            arcs[w] = n + 1
+        adj.append(nbrs + [t])
+        weight = (n + 1) * (row.bit_count() - (k - 1)) - 1
+        if weight > 0:
+            arcs[t] = weight
+        else:
+            base[s][v] = -weight
+            limit -= weight
+    adj += [list(range(n)), []]
+
+    def violator(inside: int, outside: int) -> Optional[int]:
+        if not limit:
+            return None
+        cap = [row[:] for row in base]
+        for v in bits_of(inside):
+            cap[s][v] += limit
+        for v in bits_of(outside):
+            cap[v][t] += limit
+        reached = _max_flow(cap, adj, s, t, limit)
+        return None if reached is None else reached & ~bit(s)
+
+    return violator
+
+
+def _max_flow(
+    cap: list[list[int]], adj: list[list[int]], s: int, t: int, limit: int
+) -> Optional[int]:
+    """Dinic's maximum flow on the dense residual matrix ``cap``, changed in
+    place; ``adj[u]`` lists every node u may have an arc to, and every arc
+    that does not touch s or t has its reverse.  None once the flow reaches
+    ``limit``, else the mask of the nodes the last residual search reaches
+    from s: the source side of the smallest minimum cut."""
+    size = len(cap)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for v in adj[u]:
+                if level[v] < 0 and cap[u][v]:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return sum(1 << u for u in queue)
+        nxt = [0] * size
+
+        def push(u: int, room: int) -> int:
+            if u == t:
+                return room
+            arcs = adj[u]
+            row = cap[u]
+            step = level[u] + 1
+            sent = 0
+            while nxt[u] < len(arcs):
+                v = arcs[nxt[u]]
+                if row[v] and level[v] == step:
+                    got = push(v, min(room - sent, row[v]))
+                    if got:
+                        row[v] -= got
+                        cap[v][u] += got
+                        sent += got
+                        if sent == room:
+                            return sent
+                nxt[u] += 1
+            return sent
+
+        flow += push(s, limit - flow)
+        if flow >= limit:
+            return None
 
 
 def heavy_vertex(G: Graph, S: VertexSetLike, k: int) -> int:

@@ -69,6 +69,7 @@ from .errors import Budget, CapabilityError, InputError, SoundnessError, search_
 from .graphs import (
     Graph,
     HCertificate,
+    _e_inside_mask,
     bit,
     bits_of,
     e_inside,
@@ -294,7 +295,7 @@ def _argmax_paths(
     best = None
     out: list[tuple[int, ...]] = []
     for path in iter_upaths_exact(G, u, allowed, p, budget):
-        e = e_inside(G, mask_of(path))
+        e = _e_inside_mask(G, mask_of(path))
         if best is None or e > best:
             best, out = e, [path]
         elif e == best:

@@ -2,7 +2,9 @@
 
 Everything here works from explicit edge lists / adjacency sets with
 itertools, deliberately avoiding the library's bitmask machinery, so the
-two routes stay independent.
+two routes stay independent.  The one exception is
+``scan_local_condition``, a subset scan over the adjacency rows that is
+fast enough for hosts of up to 16 vertices.
 """
 
 from itertools import combinations, permutations
@@ -45,6 +47,25 @@ def brute_local_condition(G, k):
         e, d = brute_edge_counts(G, S)
         if 2 * (e + d) <= (k - 1) * len(S):
             return S
+    return None
+
+
+def scan_local_condition(G, k):
+    """First violating subset in mask order, as a mask, else None: every
+    nonempty mask in ascending order, e(S)+d(S) summed from the rows."""
+    degs = [row.bit_count() for row in G.rows]
+    for m in range(1, 1 << G.n):
+        degsum = inside2 = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            degsum += degs[v]
+            inside2 += (G.rows[v] & m).bit_count()
+            rest ^= low
+        # e(S)+d(S) = sum(deg) - e(S); doubled to stay integral
+        if 2 * degsum - inside2 <= (k - 1) * m.bit_count():
+            return m
     return None
 
 

@@ -1,4 +1,7 @@
+import io
 import json
+import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -11,8 +14,12 @@ from oracles import (
     brute_edges_between,
     brute_local_condition,
     brute_whole_graph_splits,
+    scan_local_condition,
 )
 
+from esos.cli import main
+from esos.embed import theorem2_check
+from esos.enumeration import graphs_up_to
 from esos.errors import CapabilityError, InputError
 from esos.graphs import (
     Graph,
@@ -79,9 +86,22 @@ def test_local_condition_examples():
     assert satisfies_local_condition(Graph.empty(1), 1) == {0}
 
 
-def test_local_condition_cap():
-    with pytest.raises(CapabilityError):
-        satisfies_local_condition(Graph.empty(25), 2)
+def test_local_condition_has_no_size_cap(capsys, monkeypatch):
+    # K8 on 0..7 with the path 7-8-...-31 hanging off it.  At k = 4 the
+    # least violator is {8, 9}: h = d(S) + sum(d(v) - 3) = 2 - 2 = 0, and
+    # every set below 2^9 holds a K8 vertex with d(v) - 3 >= 4.  Deleting
+    # it detaches 10..31, whose end vertex then violates alone each time.
+    core = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    G = Graph.from_edges(32, core + [(v, v + 1) for v in range(7, 31)])
+    assert satisfies_local_condition(G, 4) == {8, 9}
+    assert satisfies_local_condition(G, 2) is None
+    rep = theorem2_check(G, 4)
+    assert rep.ok and rep.counts["embedded"] == rep.counts["spiders"] == 5
+    assert rep.notes["deleted_sets"] == [[8, 9]] + [[v] for v in range(10, 32)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(G.to_graph6() + "\n"))
+    assert main(["--json", "check", "--stdin"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"]["graphs"] == 1 and payload["failures"] == []
 
 
 def test_heavy_vertex_examples():
@@ -250,6 +270,87 @@ def test_local_condition_matches_oracle(G, k):
     got = satisfies_local_condition(G, k)
     want = brute_local_condition(G, k)
     assert got == want
+
+
+def test_local_condition_matches_oracle_on_every_small_class():
+    # past k = 2*maxdeg + 1 every singleton violates and the witness is {0}
+    for G in graphs_up_to(7):
+        for k in range(1, 2 * max(map(G.degree, range(G.n))) + 3):
+            assert satisfies_local_condition(G, k) == brute_local_condition(G, k)
+
+
+def test_local_condition_matches_subset_scan_on_seeded_hosts():
+    rng = random.Random(16)
+    for n in range(8, 17):
+        for p in (0.2, 0.5, 0.8):
+            G = Graph.from_edges(
+                n, [(a, b) for a, b in combinations(range(n), 2) if rng.random() < p]
+            )
+            for k in sorted(rng.sample(range(1, n + 2), 3)):
+                want = scan_local_condition(G, k)
+                got = satisfies_local_condition(G, k)
+                assert got == (None if want is None else set(bits_of(want)))
+
+
+def _planted_host(n: int, seed: int) -> Graph:
+    """A circulant C_m(1, 2) on m = n // 3 vertices (4-regular) beside a
+    G(n - m, 1/2), joined by three edges, labels shuffled.  For k = 6..8
+    long arcs of the circulant violate while no single vertex does."""
+    rng = random.Random(seed)
+    m = n // 3
+    edges = {(i, (i + j) % m) for i in range(m) for j in (1, 2)}
+    edges |= {(a, b) for a, b in combinations(range(m, n), 2) if rng.random() < 0.5}
+    edges |= {(rng.randrange(m), rng.randrange(m, n)) for _ in range(3)}
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[a], label[b]) for a, b in edges])
+
+
+def _nx_min_h(G: Graph, k: int, inside: int, outside: int) -> int:
+    """min of h(S) = d(S) + sum over S of (d(v) - (k-1)) over the sets with
+    inside <= S <= V - outside, by networkx.minimum_cut (source side S)."""
+    D = nx.DiGraph()
+    D.add_nodes_from("st")
+    for a, b in G.edges():
+        D.add_edge(a, b, capacity=1)
+        D.add_edge(b, a, capacity=1)
+    shift = 0
+    forced = 2 * G.n * (G.n + k)  # more than every arc below together
+    for v in range(G.n):
+        c = G.degree(v) - (k - 1)
+        shift += min(c, 0)
+        to_t = max(c, 0) + (forced if outside >> v & 1 else 0)
+        from_s = max(-c, 0) + (forced if inside >> v & 1 else 0)
+        if to_t:
+            D.add_edge(v, "t", capacity=to_t)
+        if from_s:
+            D.add_edge("s", v, capacity=from_s)
+    value, _ = nx.minimum_cut(D, "s", "t")
+    return value + shift
+
+
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_local_condition_matches_networkx_cuts(n):
+    G = _planted_host(n, n)
+    full = G.full_mask
+    sizes = []
+    for k in (5, 6, 7):
+        got = satisfies_local_condition(G, k)
+        sizes.append(0 if got is None else len(got))
+        if got is None:
+            assert all(_nx_min_h(G, k, 1 << v, 0) >= 1 for v in range(n))
+            continue
+        e, d = brute_edge_counts(G, got)
+        assert 2 * (e + d) <= (k - 1) * len(got)
+        w = sum(1 << v for v in got)
+        # no violator below w: for each bit j of w, none agrees with w above
+        # j and leaves j out
+        for j in got:
+            above = w & -(2 << j)
+            outside = (full & -(2 << j) & ~w) | 1 << j
+            starts = [above] if above else [1 << v for v in range(j)]
+            assert all(_nx_min_h(G, k, s, outside) >= 1 for s in starts)
+    assert sizes[0] == 0 and min(sizes[1:]) > 1  # both sides are reached
 
 
 @settings(max_examples=80, deadline=None)

@@ -198,6 +198,24 @@ def test_cli_rejects_an_empty_check_range(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemmas", "--which", "3", "--records", "--n", "2"],
+        ["lemmas", "--which", "3", "--records", "--samples", "0"],
+        ["lemmas", "--which", "5", "--samples", "0"],
+        ["check", "--stdin"],
+        ["--json", "check", "--stdin"],
+    ],
+)
+def test_cli_runs_that_check_nothing_are_input_errors(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "input error" in err
+    assert out == ""
+
+
 def test_cli_input_error_exit_2(capsys):
     assert main(["census", "--n", "5", "--k", "3"]) == 2
     assert main(["embed", "C~", "--spider", "zap", "--at", "0"]) == 2
