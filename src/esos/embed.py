@@ -4,16 +4,19 @@
 over legs, longest leg first, neighbours in ascending order.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
-suggests: strip a leaf off the longest leg, embed the smaller spider,
-then try guided extension moves chosen by a three-part selection rule
-(prefer configurations whose stripped leg has a second end off itself;
-then maximize the capped attachment counts of the second end and the probe
-end; then the inner edge count of the remaining legs).  Guided moves are
-verify-or-skip: when they all fail the bounded exhaustive oracle decides,
-so correctness never depends on the heuristic phase.  A certificate is
+suggests: strip a leaf off the longest leg, take the capped census of the
+smaller spider's embeddings at the centre (empty or capped: the guided
+phase abstains), then try guided extension moves chosen by a three-part
+selection rule (prefer configurations whose stripped leg has a second end
+off itself; then maximize the capped attachment counts of the second end
+and the probe end; then the inner edge count of the remaining legs).
+Guided moves are verify-or-skip: when they all fail the bounded exhaustive
+oracle decides, so correctness never depends on the heuristic phase.  Each
+call decides its spider once and keeps no outcome memo.  A certificate is
 emitted only after the oracle has confirmed the spider does not embed at
 the requested centre, and every certificate is verified before it is
-returned.
+returned; ``whole_split`` and ``local_split`` state the two certificate
+shapes.
 
 ``theorem2_check`` is the density pipeline: while some vertex set violates
 the per-subset condition, delete it (the edge identity e(G-S) =
@@ -42,6 +45,7 @@ from .graphs import (
     recognize_H,
     satisfies_density,
     satisfies_local_condition,
+    twin_classes,
     verify_H_certificate,
 )
 from .paths import (
@@ -50,7 +54,6 @@ from .paths import (
     is_absorbable,
     is_valid_upath,
     longest_u_path,
-    remember,
     reroute_ends,
     reroute_path_to,
     second_ends,
@@ -311,9 +314,6 @@ def embed_into_H(cert: HCertificate, T: Spider, u: int) -> Optional[Embedding]:
 # -- embed-or-certify ------------------------------------------------------------
 
 
-_memo: dict[tuple[Graph, tuple[int, ...], int], EmbedOutcome] = {}
-
-
 def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     """Embedding centred at u, or (for all-even spiders only) a verified
     split certificate once the oracle has confirmed non-embeddability at u.
@@ -331,24 +331,11 @@ def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
         raise InputError(
             f"centre degree {G.degree(u)} below the spider size {T.k}"
         )
-    return _constructive(G, T.legs, u)
-
-
-def clear_memo() -> None:
-    _memo.clear()
-
-
-def _constructive(G: Graph, legs: tuple[int, ...], u: int) -> EmbedOutcome:
-    key = (G, legs, u)
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    T = Spider(legs)
     # single-leg spiders go straight to the split-aware exhaustive oracle;
     # a guided phase that cannot finish abstains and the oracle decides, but
     # a SoundnessError (a broken contract) always surfaces
     emb = None
-    if len(legs) >= 2:
+    if len(T.legs) >= 2:
         try:
             emb = _guided(G, T, u)
         except (InputError, CapabilityError):
@@ -358,47 +345,44 @@ def _constructive(G: Graph, legs: tuple[int, ...], u: int) -> EmbedOutcome:
     if emb is not None:
         if not verify_embedding(G, T, emb):
             raise SoundnessError(f"embedding failed verification: {emb.to_json()}")
-        out = EmbedOutcome(embedding=emb)
-    else:
-        out = _certify(G, T, u)
-    remember(_memo, key, out)
-    return out
+        return EmbedOutcome(embedding=emb)
+    return _certify(G, T, u)
+
+
+def whole_split(G: Graph, k: int) -> Optional[HCertificate]:
+    """The whole graph as a verified (n - k/2, k/2) split, or None."""
+    cert = recognize_H(G)
+    if (
+        cert is not None
+        and cert.b == k // 2
+        and cert.a == G.n - k // 2
+        and verify_H_certificate(G, cert)
+    ):
+        return cert
+    return None
+
+
+def local_split(G: Graph, k: int, u: int) -> Optional[HCertificate]:
+    """A verified (k/2 + 1, k/2) split through u, or None."""
+    cert = find_H_subgraph(G, k // 2 + 1, k // 2, u)
+    return cert if cert is not None and verify_H_certificate(G, cert) else None
 
 
 def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     k = T.k
     if in_T0_family(T):
         is_t0 = T.legs == (2,) * (k // 2)
-        orders = ("whole", "local") if not is_t0 else ("local", "whole")
-        for shape in orders:
-            if shape == "whole":
-                cert = recognize_H(G)
-                if (
-                    cert is not None
-                    and cert.b == k // 2
-                    and cert.a == G.n - k // 2
-                    and verify_H_certificate(G, cert)
-                ):
-                    return EmbedOutcome(
-                        certificate=cert,
-                        kind="whole-graph",
-                        spider_is_t0=is_t0,
-                    )
-            else:
-                cert = find_H_subgraph(G, k // 2 + 1, k // 2, u)
-                if cert is not None and verify_H_certificate(G, cert):
-                    ymask = mask_of(cert.y_side)
-                    avail = sum(
-                        1
-                        for v in range(G.n)
-                        if not ymask & bit(v) and G.rows[v] == ymask
-                    )
-                    return EmbedOutcome(
-                        certificate=cert,
-                        kind="local",
-                        spider_is_t0=is_t0,
-                        detail={"x_available": avail},
-                    )
+        for kind in ("local", "whole-graph") if is_t0 else ("whole-graph", "local"):
+            cert = local_split(G, k, u) if kind == "local" else whole_split(G, k)
+            if cert is None:
+                continue
+            detail = {}
+            if kind == "local":
+                ymask = mask_of(cert.y_side)
+                detail["x_available"] = twin_classes(G, G.full_mask)[ymask].bit_count()
+            return EmbedOutcome(
+                certificate=cert, kind=kind, spider_is_t0=is_t0, detail=detail
+            )
     witness = satisfies_local_condition(G, k)
     if witness is not None:
         raise InputError(
@@ -415,12 +399,6 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     k = T.k
     Tp = strip_leaf(T, 0)
     ell1 = T.legs[0]
-    if Tp.k >= 1:
-        if G.degree(u) < Tp.k:
-            return None
-        sub = _constructive(G, Tp.legs, u)
-        if not sub.embedded:
-            return None
     embs = _embed_all(G, Tp, u, GUIDED_NODE_CAP, GUIDED_COUNT_CAP)
     if not embs:
         return None

@@ -84,12 +84,17 @@ def canonical_key(G: Graph) -> tuple[int, ...]:
 
 def canonical_form(G: Graph) -> Graph:
     """An isomorphic copy whose labelling realizes the canonical key."""
-    key = canonical_key(G)
+    return _from_key(canonical_key(G))
+
+
+def _from_key(key: tuple[int, ...]) -> Graph:
+    """The graph a canonical key encodes: row j lists the earlier
+    neighbours of vertex j."""
     edges = []
     for j, row in enumerate(key):
         for i in bits_of(row):
             edges.append((i, j))
-    return Graph.from_edges(G.n, edges)
+    return Graph.from_edges(len(key), edges)
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -115,7 +120,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
                 G = Graph(n, tuple(rows))
                 key = canonical_key(G)
                 if key not in reps_by_key:
-                    reps_by_key[key] = canonical_form(G)
+                    reps_by_key[key] = _from_key(key)
         reps = sorted(reps_by_key.values(), key=lambda g: g.to_graph6())
     _cache[n] = reps
     return reps

@@ -19,9 +19,12 @@ the violating set with the least mask bit by bit.
 
 An H(a,b) split of a vertex set is a partition X, Y with |X|=a, |Y|=b where
 every X-vertex's neighbourhood inside X∪Y is exactly Y (edges inside Y are
-unconstrained).  ``HCertificate`` carries such a partition; recognition
-returns the maximal-X split of the whole graph, and ``find_H_subgraph``
-searches for an induced split through a required vertex.
+unconstrained).  ``HCertificate`` carries such a partition.  Every split
+is read off one partition, ``twin_classes``: the vertices of a pool grouped
+by their neighbourhood inside it.  X is always a set of twins and Y their
+shared neighbourhood, so ``recognize_H`` (the maximal-X split of the whole
+graph) and ``find_H_subgraph`` (an induced split through a required vertex)
+look at classes, never at subsets.
 
 graph6 ingestion/emission is bit-exact: 6-bit big-endian packing of the
 upper triangle in column order, each byte offset by 63.
@@ -30,10 +33,9 @@ upper triangle in column order, each byte offset by 63.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .errors import Budget, InputError, search_budget
+from .errors import InputError
 
 MAX_VERTICES = 128
 
@@ -493,72 +495,64 @@ def verify_H_certificate(G: Graph, cert: HCertificate) -> bool:
     return all(G.rows[v] & both == ym for v in bits_of(xm))
 
 
+def twin_classes(G: Graph, pool: int) -> dict[int, int]:
+    """The vertices of ``pool`` grouped by their neighbourhood inside it:
+    {neighbourhood mask: members mask}, in order of first member."""
+    classes: dict[int, int] = {}
+    for v in bits_of(pool):
+        nbhd = G.rows[v] & pool
+        classes[nbhd] = classes.get(nbhd, 0) | bit(v)
+    return classes
+
+
 def recognize_H(G: Graph) -> Optional[HCertificate]:
     """Maximal-X whole-graph split, or None.
 
-    Vertices are grouped by exact neighbourhood; a class X with common
-    neighbourhood Y qualifies when X ∪ Y covers the graph.  Output is unique:
-    the largest qualifying class wins, ties by smallest sorted X.
+    X is a twin class of the whole graph and Y its shared neighbourhood; the
+    class qualifies when X ∪ Y covers the graph.  Output is unique: the
+    largest qualifying class wins, ties by smallest sorted X.
     """
-    classes: dict[int, list[int]] = {}
-    for v in range(G.n):
-        classes.setdefault(G.rows[v], []).append(v)
     best: Optional[tuple[int, list[int], int]] = None
-    for ymask, members in classes.items():
-        xmask = mask_of(members)
-        if xmask & ymask:
-            continue
+    for ymask, xmask in twin_classes(G, G.full_mask).items():
         if (xmask | ymask) != G.full_mask:
             continue
-        key = (-len(members), sorted(members))
-        if best is None or key < (best[0], best[1]):
-            best = (-len(members), sorted(members), ymask)
+        key = (-xmask.bit_count(), list(bits_of(xmask)))
+        if best is None or key < best[:2]:
+            best = (*key, ymask)
     if best is None:
         return None
     return HCertificate(frozenset(best[1]), set_of(best[2]))
 
 
-FIND_H_DEFAULT_BUDGET = 10_000_000
-
-
 def find_H_subgraph(G: Graph, a: int, b: int, u: int) -> Optional[HCertificate]:
-    """Induced H(a,b) split through u, or None when the search exhausts.
+    """Induced H(a,b) split through u, or None when there is none.
 
-    Y-candidates are the b-subsets of neighbourhoods N(z) for z in the closed
-    neighbourhood of u (every split through u has its Y inside some such
-    neighbourhood); X is collected by exact whole-graph neighbourhood match
-    and trimmed to size a, keeping u when u sits on the X side.  Each
-    candidate subset costs one budget unit; running out raises rather than
-    returning None.
+    Every X-vertex has whole-graph neighbourhood exactly Y, so X lies in
+    one twin class and Y is that class's neighbourhood: Y qualifies when
+    |Y| = b, its class has at least a members and u is in X ∪ Y.  Order
+    contract: for z = u and then the neighbours of u ascending, the first z
+    whose neighbourhood contains a qualifying Y gives the lexicographically
+    least such Y (as a sorted tuple); X is the first a members of the
+    class, u first when it is one of them.
     """
     if a < 1 or b < 0:
         raise InputError("need a >= 1 and b >= 0")
     if not 0 <= u < G.n:
         raise InputError("u out of range")
-    if a + b > G.n:
-        return None
-    budget = Budget(search_budget(FIND_H_DEFAULT_BUDGET), "find_H_subgraph")
-    seen: set[int] = set()
-    for z in [u] + list(bits_of(G.rows[u])):
-        nbrs = list(bits_of(G.rows[z]))
-        if len(nbrs) < b:
-            continue
-        for ys in combinations(nbrs, b):
-            budget.spend()
-            ymask = mask_of(ys)
-            if ymask in seen:
-                continue
-            seen.add(ymask)
-            xs = [v for v in range(G.n) if not ymask & bit(v) and G.rows[v] == ymask]
-            if len(xs) < a:
-                continue
-            if not (bit(u) & ymask) and u not in xs:
-                continue
+    classes = {
+        ymask: xmask
+        for ymask, xmask in twin_classes(G, G.full_mask).items()
+        if ymask.bit_count() == b
+        and xmask.bit_count() >= a
+        and (xmask | ymask) & bit(u)
+    }
+    for z in [u, *bits_of(G.rows[u])]:
+        inside = [y for y in classes if not y & ~G.rows[z]]
+        if inside:
+            ymask = min(inside, key=lambda y: list(bits_of(y)))
+            xs = list(bits_of(classes[ymask]))
             if u in xs:
-                picked = [u] + [v for v in xs if v != u][: a - 1]
-            else:
-                picked = xs[:a]
-            cert = HCertificate(frozenset(picked), set_of(ymask))
-            if verify_H_certificate(G, cert):
-                return cert
+                xs.remove(u)
+                xs.insert(0, u)
+            return HCertificate(frozenset(xs[:a]), set_of(ymask))
     return None

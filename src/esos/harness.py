@@ -11,10 +11,16 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Optional
 
-from .embed import embed_bruteforce, embed_constructive, verify_embedding
+from .embed import (
+    embed_bruteforce,
+    embed_constructive,
+    local_split,
+    verify_embedding,
+    whole_split,
+)
 from .enumeration import ENUMERATION_CAP, enumerate_graphs, graphs_up_to
 from .errors import CapabilityError, InputError, SoundnessError
-from .graphs import Graph, verify_H_certificate, recognize_H, find_H_subgraph
+from .graphs import Graph, verify_H_certificate
 from .lemmas import (
     LEMMA_IDS,
     analyze,
@@ -181,6 +187,7 @@ def extremal_census(n: int, k: int) -> Report:
         if G.edge_count() != threshold:
             continue
         scanned += 1
+        whole = whole_split(G, k)
         for u in range(G.n):
             if G.degree(u) < k:
                 continue
@@ -189,23 +196,15 @@ def extremal_census(n: int, k: int) -> Report:
                     continue
                 if embed_bruteforce(G, T, u) is not None:
                     continue
-                whole = recognize_H(G)
-                whole_match = (
-                    whole is not None
-                    and whole.b == k // 2
-                    and whole.a == G.n - k // 2
-                    and verify_H_certificate(G, whole)
-                )
-                local = find_H_subgraph(G, k // 2 + 1, k // 2, u)
-                local_match = local is not None and verify_H_certificate(G, local)
+                local = local_split(G, k, u)
                 entries.append(
                     {
                         "graph6": G.to_graph6(),
                         "u": u,
                         "spider": list(T.legs),
                         "is_t0": T.legs == t0_legs,
-                        "whole_graph_split": whole.to_json() if whole_match else None,
-                        "local_split": local.to_json() if local_match else None,
+                        "whole_graph_split": whole.to_json() if whole else None,
+                        "local_split": local.to_json() if local else None,
                     }
                 )
     entries.sort(key=lambda r: (r["graph6"], r["u"], r["spider"]))

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
@@ -75,6 +74,7 @@ from .graphs import (
     e_inside,
     mask_of,
     set_of,
+    twin_classes,
     verify_H_certificate,
 )
 from .paths import (
@@ -92,7 +92,6 @@ from .paths import (
 )
 
 LEMMA_IDS = (3, 4, 5, 6)
-LEMMA_NAMES = {3: "xv1v2", 4: "xPQ", 5: "xvw", 6: "PQw"}
 
 MAX_INSTANCE_HOST = 12
 
@@ -422,16 +421,18 @@ CASE_SEARCH_BUDGET = 2_000_000
 
 
 def _balanced_split_on(G: Graph, vsmask: int, side: int) -> Optional[HCertificate]:
-    """First (lex by X) balanced uniform-neighbourhood split of exactly the
-    given vertex set, sides of the given size, or None."""
-    verts = sorted(bits_of(vsmask))
-    if len(verts) != 2 * side:
+    """The balanced uniform-neighbourhood split of exactly the given vertex
+    set, sides of the given size (at least 1), or None.
+
+    X is a twin class of G[S] whose neighbourhood is S - X, so at most two
+    classes qualify and they are each other's Y: the one holding min(S) is
+    the first by sorted X.
+    """
+    if vsmask.bit_count() != 2 * side:
         return None
-    for xs in combinations(verts, side):
-        xmask = mask_of(xs)
-        ymask = vsmask & ~xmask
-        if all(G.rows[v] & vsmask == ymask for v in xs):
-            return HCertificate(frozenset(xs), set_of(ymask))
+    for ymask, xmask in twin_classes(G, vsmask).items():
+        if xmask | ymask == vsmask and xmask.bit_count() == side:
+            return HCertificate(set_of(xmask), set_of(ymask))
     return None
 
 
@@ -574,7 +575,7 @@ def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
                     },
                 )
     # C, wide: w-ended companion anywhere, replacement path avoiding it
-    for r in _paths2_through(G, w):
+    for r in r_candidates:
         if r[0] != w and r[2] != w:
             continue
         rmask = mask_of(r)
@@ -996,9 +997,7 @@ def sample_instances(
 # -- exhaustive enumeration on a host ----------------------------------------------
 
 
-def enumerate_instances(
-    lemma: int, G: Graph, max_p: Optional[int] = None
-) -> Iterator[LemmaInstance]:
+def enumerate_instances(lemma: int, G: Graph) -> Iterator[LemmaInstance]:
     """Every valid instance on the host, over all anchors, excluded-vertex
     choices, path lengths, maximizing paths, and probes.  Desk scale only."""
     if lemma not in LEMMA_IDS:
@@ -1006,10 +1005,9 @@ def enumerate_instances(
     n = G.n
     if n > MAX_INSTANCE_HOST:
         raise InputError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
-    top = max_p if max_p is not None else n
     budget = Budget(search_budget(20_000_000), "instance enumeration")
     if lemma == 4:
-        yield from _enum_lemma4(G, top, budget)
+        yield from _enum_lemma4(G, budget)
         return
     for u in range(n):
         if lemma == 3:
@@ -1018,7 +1016,7 @@ def enumerate_instances(
                     if u in (w1, w2):
                         continue
                     yield from _enum_probe_family(
-                        3, G, u, top, budget, w1=w1, w2=w2
+                        3, G, u, budget, w1=w1, w2=w2
                     )
         elif lemma == 5:
             for v, w in G.edges():
@@ -1026,20 +1024,20 @@ def enumerate_instances(
                     if u in (vv, ww):
                         continue
                     yield from _enum_probe_family(
-                        5, G, u, top, budget, v=vv, w=ww
+                        5, G, u, budget, v=vv, w=ww
                     )
         elif lemma == 6:
             for w in range(n):
                 if w == u:
                     continue
-                yield from _enum_probe_family(6, G, u, top, budget, w=w)
+                yield from _enum_probe_family(6, G, u, budget, w=w)
 
 
 def _enum_probe_family(
-    lemma: int, G: Graph, u: int, top: int, budget: Budget, **fields
+    lemma: int, G: Graph, u: int, budget: Budget, **fields
 ) -> Iterator[LemmaInstance]:
     excl = mask_of(fields.values())
-    for p in range(1, top + 1):
+    for p in range(1, G.n + 1):
         _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
         if not cands:
             break  # every longer u-path has one with p edges as its prefix
@@ -1056,7 +1054,7 @@ def _enum_probe_family(
                     yield make_instance(lemma, G, u, P, UPath(qseq), **fields)
 
 
-def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
+def _enum_lemma4(G: Graph, budget: Budget) -> Iterator[LemmaInstance]:
     n = G.n
     for u in range(n):
         allowed_q = G.full_mask & ~bit(u)
@@ -1073,7 +1071,7 @@ def _enum_lemma4(G: Graph, top: int, budget: Budget) -> Iterator[LemmaInstance]:
             Q = UPath(qseq)
             if Q.mask() & ~G.rows[u]:
                 continue
-            for p in range(1, top + 1):
+            for p in range(1, G.n + 1):
                 _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
                 if not cands:
                     break  # every longer u-path has one with p edges as its prefix

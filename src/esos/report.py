@@ -22,17 +22,12 @@ class Report:
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        # timing is excluded by default so identical runs serialize identically
+    def dumps(self) -> str:
+        # timing is left out so identical runs serialize identically
         out = {
             "scope": self.scope,
             "counts": self.counts,
             "failures": self.failures,
             "notes": self.notes,
         }
-        if include_timing:
-            out["timing"] = self.timing
-        return out
-
-    def dumps(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json(include_timing), sort_keys=True)
+        return json.dumps(out, sort_keys=True)

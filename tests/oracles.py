@@ -2,8 +2,9 @@
 
 Everything here works from explicit edge lists / adjacency sets with
 itertools, deliberately avoiding the library's bitmask machinery, so the
-two routes stay independent.  The one exception is
-``scan_local_condition``, a subset scan over the adjacency rows that is
+two routes stay independent.  The exceptions are the ``scan_*`` oracles:
+the subset scans the library once ran, over the adjacency rows, kept to pin
+the polynomial searches that replaced them.  ``scan_local_condition`` is
 fast enough for hosts of up to 16 vertices.
 """
 
@@ -66,6 +67,50 @@ def scan_local_condition(G, k):
         # e(S)+d(S) = sum(deg) - e(S); doubled to stay integral
         if 2 * degsum - inside2 <= (k - 1) * m.bit_count():
             return m
+    return None
+
+
+def _mask(vertices):
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def scan_find_H_subgraph(G, a, b, u):
+    """(X, Y) of the first induced H(a, b) split through u, else None: for
+    z = u and then the neighbours of u ascending, every b-subset Y of N(z)
+    in lexicographic order; X is every vertex whose neighbourhood is
+    exactly Y, u first when it is one of them, cut to a."""
+    if a + b > G.n:
+        return None
+    nbrs_u = [v for v in range(G.n) if G.rows[u] >> v & 1]
+    for z in [u] + nbrs_u:
+        nbrs = [v for v in range(G.n) if G.rows[z] >> v & 1]
+        for ys in combinations(nbrs, b):
+            ymask = _mask(ys)
+            xs = [v for v in range(G.n) if G.rows[v] == ymask]
+            if len(xs) < a or (u not in ys and u not in xs):
+                continue
+            if u in xs:
+                xs.remove(u)
+                xs.insert(0, u)
+            return set(xs[:a]), set(ys)
+    return None
+
+
+def scan_balanced_split(G, vertices, side):
+    """(X, Y) of the first split of exactly ``vertices`` into two sides of
+    the given size with every X-vertex seeing exactly Y inside the set,
+    X in lexicographic order, else None."""
+    verts = sorted(vertices)
+    if len(verts) != 2 * side:
+        return None
+    vsmask = _mask(verts)
+    for xs in combinations(verts, side):
+        ymask = vsmask & ~_mask(xs)
+        if all(G.rows[v] & vsmask == ymask for v in xs):
+            return set(xs), set(verts) - set(xs)
     return None
 
 

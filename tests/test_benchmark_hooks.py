@@ -1,25 +1,40 @@
 """The benchmark's tracer patches library functions by name; a rename in
 the library must fail here rather than silently leave a layer untraced.
-The benchmark's pinned witnesses are read here too, as an independent
-record of what the per-subset condition returns."""
+A short traced run of each workload must pass its checks and reach every
+layer the benchmark expects it to.  The benchmark's pinned witnesses are
+read here too, as an independent record of what the per-subset condition
+returns."""
 
 import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import esos.paths as paths_mod
 from esos.graphs import Graph, mask_of, satisfies_local_condition
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
+
+# Units per traced run: enough to reach every expected layer, about 3.5 s
+# for the four together.
+GUARD_QUOTA = {"dichotomy": 50, "lemmas-exhaustive": 20, "lemmas-sampled": 30, "stream": 30}
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     for module, attr in tracer.TRACED:
         obj = importlib.import_module(f"esos.{module}")
         for part in attr.split("."):
@@ -41,3 +56,33 @@ def test_local_condition_reproduces_the_pinned_stream_witnesses():
         k, line = key.split(":", 1)
         witness = satisfies_local_condition(Graph.from_graph6(line), int(k))
         assert (-1 if witness is None else mask_of(witness)) == want, key
+
+
+@pytest.mark.parametrize("workload", sorted(GUARD_QUOTA))
+def test_traced_run_reaches_every_expected_layer(workload):
+    expected = load_perfbench("run").EXPECTED_CALLS[workload]
+    env = {k: v for k, v in os.environ.items() if k != "ESOS_BUDGET"}
+    env["PYTHONHASHSEED"] = "0"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(PERFBENCH / "child.py"),
+            "--workload",
+            workload,
+            "--seed",
+            "1009",
+            "--quota",
+            str(GUARD_QUOTA[workload]),
+            "--trace",
+        ],
+        cwd=PERFBENCH.parent,
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["attempted"] > 0 and out["failed"] == 0, out["errors"]
+    missing = [fn for fn in expected if not out["layers"][f"{fn}.calls"]["value"]]
+    assert not missing, f"layers with no calls: {missing}"

@@ -12,14 +12,13 @@ from esos.errors import CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate, satisfies_local_condition
 from esos.embed import (
     Embedding,
-    clear_memo,
     embed_bruteforce,
     embed_constructive,
     embed_into_H,
     theorem2_check,
     verify_embedding,
 )
-from esos.paths import MEMO_SIZE, UPath
+from esos.paths import UPath
 from esos.spiders import Spider, enumerate_spiders
 
 
@@ -112,8 +111,7 @@ def test_constructive_reports_missing_certificate_as_input_error():
         embed_constructive(star, Spider((4,)), 0)
     assert "condition fails" in str(err.value)
     # same host, two-leg spider: the error must blame the requested spider,
-    # not the stripped one the guided phase recursed on
-    clear_memo()
+    # not the stripped one the guided phase extends
     with pytest.raises(InputError) as err:
         embed_constructive(star, Spider((2, 2)), 0)
     assert "2,2" in str(err.value)
@@ -124,7 +122,6 @@ def test_constructive_deterministic():
     T = Spider((2, 1))
     outs = set()
     for _ in range(3):
-        clear_memo()
         u = next(v for v in range(G.n) if G.degree(v) >= 3)
         out = embed_constructive(G, T, u)
         outs.add(str(out.to_json()))
@@ -219,25 +216,13 @@ def test_oracle_budget_error():
 
 
 def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch):
-    # a contract breach in the recursive certify of the stripped spider
-    # must not be swallowed by the guided phase
+    # a contract breach inside the guided phase must not be swallowed the
+    # way its InputError and CapabilityError abstentions are
     G, T = Graph.complete(5), Spider((2, 1))
-    real = embed_mod._constructive
 
-    def breach_below(G, legs, u):
-        if legs == T.legs:
-            return real(G, legs, u)
-        raise SoundnessError("contract breach in the stripped spider")
+    def breach(*args):
+        raise SoundnessError("contract breach in a guided move")
 
-    monkeypatch.setattr(embed_mod, "_memo", {})
-    monkeypatch.setattr(embed_mod, "_constructive", breach_below)
-    with pytest.raises(SoundnessError, match="stripped spider"):
+    monkeypatch.setattr(embed_mod, "_extend", breach)
+    with pytest.raises(SoundnessError, match="guided move"):
         embed_constructive(G, T, 0)
-
-
-def test_constructive_memo_stays_bounded(monkeypatch):
-    # 2 * MEMO_SIZE distinct hosts, each with the edge 01
-    monkeypatch.setattr(embed_mod, "_memo", {})
-    for bits in range(1, 4 * MEMO_SIZE, 2):
-        embed_constructive(graph_from_bits(5, bits), Spider((1,)), 0)
-    assert len(embed_mod._memo) == MEMO_SIZE

@@ -14,13 +14,14 @@ from oracles import (
     brute_edges_between,
     brute_local_condition,
     brute_whole_graph_splits,
+    scan_find_H_subgraph,
     scan_local_condition,
 )
 
 from esos.cli import main
 from esos.embed import theorem2_check
 from esos.enumeration import graphs_up_to
-from esos.errors import CapabilityError, InputError
+from esos.errors import InputError
 from esos.graphs import (
     Graph,
     HCertificate,
@@ -142,17 +143,44 @@ def test_find_H_subgraph_examples():
     assert cert.x_side == {0, 1, 2} and cert.y_side == {3, 4}
 
 
-def test_find_H_subgraph_budget_error():
-    import esos.graphs as graphs_mod
+def test_twin_class_splits_match_the_subset_scans():
+    # every class with n <= 6: each (a, b, u) against the old subset scan,
+    # and the whole-graph split against every split (largest X, then the
+    # smallest sorted X).  No canonical labelling puts two qualifying Y in
+    # the first neighbourhood searched, so one host that does is added: Y =
+    # {0,2} (X = {4}) and {0,3} (X = {5}) both lie in N(1), and the
+    # lexicographically least wins
+    tie = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (0, 4), (2, 4), (0, 5), (3, 5)])
+    assert find_H_subgraph(tie, 1, 2, 0) == HCertificate(frozenset({4}), frozenset({0, 2}))
+    for G in [*graphs_up_to(6), tie]:
+        for u in range(G.n):
+            for a in range(1, G.n + 1):
+                for b in range(G.n + 1 - a):
+                    cert = find_H_subgraph(G, a, b, u)
+                    got = None if cert is None else (cert.x_side, cert.y_side)
+                    assert got == scan_find_H_subgraph(G, a, b, u), (G, a, b, u)
+                    if cert is not None:
+                        assert verify_H_certificate(G, cert)
+                        assert cert.a == a and cert.b == b
+        splits = brute_whole_graph_splits(G)
+        cert = recognize_H(G)
+        if not splits:
+            assert cert is None
+            continue
+        x, y = min(splits, key=lambda s: (-len(s[0]), sorted(s[0])))
+        assert (cert.x_side, cert.y_side) == (x, y)
 
-    big = Graph.complete(12)
-    old = graphs_mod.FIND_H_DEFAULT_BUDGET
-    graphs_mod.FIND_H_DEFAULT_BUDGET = 3
-    try:
-        with pytest.raises(CapabilityError):
-            find_H_subgraph(big, 2, 5, 0)
-    finally:
-        graphs_mod.FIND_H_DEFAULT_BUDGET = old
+
+def test_find_H_subgraph_on_a_large_extremal_host():
+    # K6 joined to an independent set of 37 vertices: the extremal host for
+    # k = 12 at n = 43, far beyond what a scan of Y candidates could finish
+    G = Graph.from_edges(43, [(a, b) for a in range(6) for b in range(a + 1, 43)])
+    cert = find_H_subgraph(G, 7, 6, 0)
+    assert cert.x_side == set(range(6, 13)) and cert.y_side == set(range(6))
+    cert = find_H_subgraph(G, 7, 6, 20)
+    assert cert.x_side == {20, 6, 7, 8, 9, 10, 11} and cert.y_side == set(range(6))
+    whole = recognize_H(G)
+    assert whole.x_side == set(range(6, 43)) and whole.y_side == set(range(6))
 
 
 def test_certificate_json_round_trip():

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_max_inner_edges
+from oracles import brute_max_inner_edges, scan_balanced_split
 
 import esos.lemmas as lemmas_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
@@ -94,6 +94,19 @@ def test_lemma3_case_b_balanced_square():
     assert out.certificate.vertex_mask() == 0b1111
     assert out.facts["p_half_matches"] == [1, 2]
     assert verify_outcome(inst, out)
+
+
+def test_balanced_splits_match_the_subset_scan():
+    # every class with n <= 6 and every nonempty vertex set of even size
+    for G in graphs_up_to(6):
+        for vsmask in range(1, 1 << G.n):
+            if vsmask.bit_count() % 2:
+                continue
+            side = vsmask.bit_count() // 2
+            cert = lemmas_mod._balanced_split_on(G, vsmask, side)
+            got = None if cert is None else (cert.x_side, cert.y_side)
+            assert got == scan_balanced_split(G, bits_of(vsmask), side), (G, vsmask)
+            assert lemmas_mod._balanced_split_on(G, vsmask, side + 1) is None
 
 
 def test_lemma3_case_c_dense():
