@@ -10,13 +10,17 @@ phase abstains), then try guided extension moves chosen by a three-part
 selection rule (prefer configurations whose stripped leg has a second end
 off itself; then maximize the capped attachment counts of the second end
 and the probe end; then the inner edge count of the remaining legs).
-Guided moves are verify-or-skip: when they all fail the bounded exhaustive
-oracle decides, so correctness never depends on the heuristic phase.  Each
-call decides its spider once and keeps no outcome memo.  A certificate is
-emitted only after the oracle has confirmed the spider does not embed at
-the requested centre, and every certificate is verified before it is
-returned; ``whole_split`` and ``local_split`` state the two certificate
-shapes.
+The census is a list of leg vertex tuples.  Each search behind the rule
+runs once per distinct input: the probe end once per census vertex set,
+the second ends once per stub (then filtered by each candidate's other
+legs and probe end), and only the chosen candidate becomes an
+``Embedding``.  Guided moves are verify-or-skip: when they all fail the
+bounded exhaustive oracle decides, so correctness never depends on the
+heuristic phase.  Each call decides its spider once and keeps no outcome
+memo.  A certificate is emitted only after the oracle has confirmed the
+spider does not embed at the requested centre, and every certificate is
+verified before it is returned; ``whole_split`` and ``local_split`` state
+the two certificate shapes.
 
 ``theorem2_check`` is the density pipeline: while some vertex set violates
 the per-subset condition, delete it (the edge identity e(G-S) =
@@ -35,9 +39,9 @@ from .errors import Budget, CapabilityError, InputError, SoundnessError, search_
 from .graphs import (
     Graph,
     HCertificate,
+    _e_inside_mask,
     bit,
     bits_of,
-    e_inside,
     edge_counts,
     find_H_subgraph,
     heavy_vertex,
@@ -49,6 +53,7 @@ from .graphs import (
     verify_H_certificate,
 )
 from .paths import (
+    EXACT_REROUTE_CAP,
     UPath,
     absorb,
     is_absorbable,
@@ -158,8 +163,9 @@ def _embed_search(
 ) -> Optional[Embedding]:
     """Backtracking over legs (longest first, neighbours ascending).
 
-    With ``collect`` set, gathers embeddings up to ``count_cap`` instead of
-    returning the first; raises CapabilityError via the budget either way.
+    With ``collect`` set, gathers each embedding's leg vertex tuples, in
+    ``legs`` order, up to ``count_cap`` instead of returning the first;
+    raises CapabilityError via the budget either way.
     """
     total = sum(legs)
     done: list[tuple[int, ...]] = []
@@ -168,10 +174,9 @@ def _embed_search(
     def place(li: int) -> Optional[Embedding]:
         nonlocal used
         if li == len(legs):
-            emb = Embedding(center, tuple(UPath(p) for p in done))
             if collect is None:
-                return emb
-            collect.append(emb)
+                return Embedding(center, tuple(UPath(p) for p in done))
+            collect.append(tuple(done))
             if len(collect) >= count_cap:
                 raise CapabilityError("embedding collection cap reached")
             return None
@@ -261,12 +266,13 @@ def embed_bruteforce(
 
 def _embed_all(
     G: Graph, T: Spider, u: int, node_cap: int, count_cap: int
-) -> Optional[list[Embedding]]:
-    """Every embedding at u up to the caps; None when a cap was hit (the
-    caller must then fall back rather than trust a truncated census)."""
+) -> Optional[list[tuple[tuple[int, ...], ...]]]:
+    """The leg vertex tuples of every embedding at u, in ``T.legs`` order, up
+    to the caps; None when a cap was hit (the caller must then fall back
+    rather than trust a truncated census)."""
     if T.k == 0:
-        return [Embedding(u, ())]
-    out: list[Embedding] = []
+        return [()]
+    out: list[tuple[tuple[int, ...], ...]] = []
     budget = Budget(node_cap, "guided embedding census")
     try:
         _embed_search(G, T.legs, u, budget, collect=out, count_cap=count_cap)
@@ -396,75 +402,107 @@ def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
 
 
 def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
+    # The census lists leg vertex tuples in Tp.legs order, so the stub slots
+    # (legs of the stripped length, or the bare centre) are the same for every
+    # entry.  The probe end x is found once per census vertex set and the
+    # stub's second ends once per stub, then filtered by the candidate's other
+    # legs and x.  Scores are compared component by component, the tie tuple
+    # is built only on a tied score, and only the chosen candidate becomes an
+    # Embedding.  First calls come in candidate order, so a search that
+    # raises does so at the same candidate as an uncached scan would.
     k = T.k
     Tp = strip_leaf(T, 0)
     ell1 = T.legs[0]
-    embs = _embed_all(G, Tp, u, GUIDED_NODE_CAP, GUIDED_COUNT_CAP)
-    if not embs:
+    census = _embed_all(G, Tp, u, GUIDED_NODE_CAP, GUIDED_COUNT_CAP)
+    if not census:
         return None
 
+    rows = G.rows
+    ub = bit(u)
     stub_len = ell1 - 1
-    s0 = 0
-    cands: list[tuple[Embedding, Optional[int]]] = []
-    for e in embs:
-        if stub_len == 0:
-            s0 |= bit(u)
-            cands.append((e, None))
-            continue
-        for idx, leg in enumerate(e.legs):
-            if leg.length == stub_len:
-                s0 |= bit(leg.end)
-                cands.append((e, idx))
-    if not cands:
-        return None
+    if stub_len:
+        slots = [j for j, l in enumerate(Tp.legs) if l == stub_len]
+        s0 = 0
+        for legs in census:
+            for j in slots:
+                s0 |= bit(legs[j][-1])
+    else:
+        slots = [-1]  # the stub is the bare centre
+        s0 = ub
 
     ell = k - ell1  # vertices of the other legs beyond the centre
-    best = None
-    for e, idx in cands:
-        stub = e.legs[idx] if idx is not None else UPath((u,))
-        emb_mask = e.vertex_mask()
-        lmask = emb_mask & ~stub.mask() & ~bit(u)
-        Q = longest_u_path(G, u, avoid=emb_mask & ~bit(u))
-        if Q.length < 1:
+    w_cap = max(ell - 1, 0)
+    spans: dict[tuple[int, ...], tuple[int, int]] = {}  # leg -> (mask, inner edges)
+    probe: dict[int, Optional[int]] = {}  # vertex mask -> probe end x
+    ends: dict[tuple[int, ...], tuple[int, int]] = {}  # stub -> (outside, inside)
+    best = None  # (r1, r2, r3, legs, idx, w, x); idx and w are -1 when absent
+    for legs in census:
+        masks = []
+        inner = []
+        for leg in legs:
+            got = spans.get(leg)
+            if got is None:
+                m = mask_of(leg)
+                got = spans[leg] = (m, _e_inside_mask(G, m))
+            masks.append(got[0])
+            inner.append(got[1])
+        vmask = ub
+        for m in masks:
+            vmask |= m
+        if vmask not in probe:
+            Q = longest_u_path(G, u, avoid=vmask & ~ub)
+            probe[vmask] = Q.end if Q.length >= 1 else None
+        x = probe[vmask]
+        if x is None:
             continue
-        x = Q.end
-        if stub.length >= 1:
-            outside, inside = second_ends(G, stub, forbidden=lmask | bit(x))
-            wcands = sorted(outside) if outside else sorted(inside)
-        else:
-            wcands = [None]
-        for w in wcands:
-            in_stub = w is not None and bool(bit(w) & stub.mask() & ~bit(u))
-            if in_stub:
-                r1 = (
-                    2 * G.degree(stub.end)
-                    - (G.rows[stub.end] & s0).bit_count()
-                    - 2 * G.n
-                )
+        total = sum(inner)
+        for idx in slots:
+            r1_in = 0
+            if idx < 0:
+                lmask = vmask & ~ub
+                r3 = total
+                wset = (-1,)
             else:
-                r1 = 0
-            ew = (G.rows[w] & lmask).bit_count() if w is not None else 0
-            ex = (G.rows[x] & lmask).bit_count()
-            r2 = min(2 * ew, max(ell - 1, 0)) + min(2 * ex, ell)
-            r3 = sum(
-                e_inside(G, leg.mask())
-                for j, leg in enumerate(e.legs)
-                if j != idx
-            )
-            tie = (
-                tuple(leg.vertices for leg in e.legs),
-                -1 if idx is None else idx,
-                -1 if w is None else w,
-            )
-            entry = ((r1, r2, r3), tie, e, idx, Q, x, w)
-            if best is None or entry[0] > best[0] or (
-                entry[0] == best[0] and entry[1] < best[1]
-            ):
-                best = entry
+                stub = legs[idx]
+                lmask = vmask & ~masks[idx]
+                r3 = total - inner[idx]
+                if stub not in ends:
+                    outside, inside = second_ends(G, UPath(stub))
+                    ends[stub] = (mask_of(outside), mask_of(inside))
+                outside, inside = ends[stub]
+                wmask = outside & ~(lmask | bit(x))
+                if not wmask:
+                    # second ends on the stub itself; all but the centre score r1
+                    wmask = inside
+                    end = stub[-1]
+                    r1_in = 2 * G.degree(end) - (rows[end] & s0).bit_count() - 2 * G.n
+                wset = bits_of(wmask)
+            rx = min(2 * (rows[x] & lmask).bit_count(), ell)
+            for w in wset:
+                r1 = r1_in if w != u else 0
+                r2 = rx
+                if w >= 0:
+                    r2 += min(2 * (rows[w] & lmask).bit_count(), w_cap)
+                if best is not None:
+                    if r1 != best[0]:
+                        if r1 < best[0]:
+                            continue
+                    elif r2 != best[1]:
+                        if r2 < best[1]:
+                            continue
+                    elif r3 != best[2]:
+                        if r3 < best[2]:
+                            continue
+                    elif (legs, idx, w) >= best[3:6]:
+                        continue
+                best = (r1, r2, r3, legs, idx, w, x)
     if best is None:
         return None
-    _, _, e, idx, Q, x, w = best
-    return _extend(G, T, u, e, idx, x, w)
+    _, _, _, legs, idx, w, x = best
+    emb = Embedding(u, tuple(UPath(leg) for leg in legs))
+    return _extend(
+        G, T, u, emb, None if idx < 0 else idx, x, None if w < 0 else w
+    )
 
 
 def _extend(
@@ -499,7 +537,7 @@ def _extend(
         if got:
             return got
     # reroute the stub, then extend
-    if 1 <= stub.length and len(stub.vertices) <= 16:
+    if 1 <= stub.length and len(stub.vertices) <= EXACT_REROUTE_CAP:
         for v2 in sorted(reroute_ends(G, stub, mode="exact")):
             if not G.rows[v2] & free:
                 continue

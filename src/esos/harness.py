@@ -176,7 +176,7 @@ def extremal_census(n: int, k: int) -> Report:
     """
     start = time.monotonic()
     if k < 1 or k % 2:
-        raise InputError("census needs an even k (all-even spiders exist)")
+        raise InputError("census needs a positive even k (all-even spiders exist)")
     if n > ENUMERATION_CAP:
         raise CapabilityError(f"builtin enumeration stops at n={ENUMERATION_CAP}")
     threshold = ((k - 1) * n) // 2

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from conftest import graph_from_bits, graphs
 from oracles import brute_embeds_anywhere, brute_embeds_at
 
 import esos.embed as embed_mod
+from esos.enumeration import graphs_up_to
 from esos.errors import CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate, satisfies_local_condition
 from esos.embed import (
@@ -19,7 +22,7 @@ from esos.embed import (
     verify_embedding,
 )
 from esos.paths import UPath
-from esos.spiders import Spider, enumerate_spiders
+from esos.spiders import Spider, enumerate_spiders, strip_leaf
 
 
 def h32_host():
@@ -226,3 +229,68 @@ def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch):
     monkeypatch.setattr(embed_mod, "_extend", breach)
     with pytest.raises(SoundnessError, match="guided move"):
         embed_constructive(G, T, 0)
+
+
+def _constructive_digest() -> tuple[int, str]:
+    """Call count and SHA-256 of every embed_constructive outcome or error
+    text over the classes with n <= 6, every centre, k <= d(u) and spider."""
+    digest = hashlib.sha256()
+    calls = 0
+    for G in graphs_up_to(6):
+        for u in range(G.n):
+            for k in range(1, G.degree(u) + 1):
+                for T in enumerate_spiders(k):
+                    try:
+                        out = embed_constructive(G, T, u)
+                        line = json.dumps(out.to_json(), sort_keys=True)
+                    except (InputError, CapabilityError) as exc:
+                        line = f"{type(exc).__name__}: {exc}"
+                    digest.update(line.encode() + b"\n")
+                    calls += 1
+    return calls, digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "budget, pinned",
+    [
+        (None, "b3e0836b352d16ad367b68d4c3e1c6cd96bd7f24fb9e3d89514ba37f8010ed7f"),
+        ("40", "97400780076ce06793612cc2ac8278f085d28274948e9302e03b27919ebade2c"),
+        ("300", "b3e0836b352d16ad367b68d4c3e1c6cd96bd7f24fb9e3d89514ba37f8010ed7f"),
+    ],
+)
+def test_constructive_outcomes_are_pinned(monkeypatch, budget, pinned):
+    # every embedding, certificate and error text, also under a budget that
+    # trips the guided phase's path searches (40) and a looser one (300)
+    if budget is None:
+        monkeypatch.delenv("ESOS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ESOS_BUDGET", budget)
+    assert _constructive_digest() == (5913, pinned)
+
+
+def test_guided_searches_once_per_vertex_set_and_stub(monkeypatch):
+    # K5 with [3,1] at 0: the census of [2,1] has 24 embeddings, one stub
+    # each, over 4 vertex sets and 12 distinct stubs
+    G, T, u = Graph.complete(5), Spider((3, 1)), 0
+    census = embed_mod._embed_all(
+        G, strip_leaf(T, 0), u, embed_mod.GUIDED_NODE_CAP, embed_mod.GUIDED_COUNT_CAP
+    )
+    vertex_sets = {frozenset(v for leg in legs for v in leg) for legs in census}
+    stubs = {legs[0] for legs in census}
+    assert (len(census), len(vertex_sets), len(stubs)) == (24, 4, 12)
+    calls = {"longest_u_path": 0, "second_ends": 0}
+
+    def counted(name):
+        inner = getattr(embed_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(embed_mod, name, counted(name))
+    emb = embed_mod._guided(G, T, u)
+    assert emb is not None and verify_embedding(G, T, emb)
+    assert calls == {"longest_u_path": len(vertex_sets), "second_ends": len(stubs)}

@@ -221,6 +221,12 @@ def test_cli_input_error_exit_2(capsys):
     assert main(["embed", "C~", "--spider", "zap", "--at", "0"]) == 2
 
 
+def test_cli_census_rejects_k_zero(capsys):
+    # 0 is even, but no spider has zero edges
+    assert main(["census", "--n", "5", "--k", "0"]) == 2
+    assert "positive even k" in capsys.readouterr().err
+
+
 def test_cli_budget_exit_3(monkeypatch):
     monkeypatch.setenv("ESOS_BUDGET", "1")
     k7 = Graph.complete(7).to_graph6()
