@@ -77,10 +77,6 @@ class Embedding:
     center: int
     legs: tuple[UPath, ...]
 
-    @property
-    def spider(self) -> Spider:
-        return Spider.from_lengths(l.length for l in self.legs)
-
     def vertex_mask(self) -> int:
         m = bit(self.center)
         for leg in self.legs:
@@ -167,7 +163,6 @@ def _embed_search(
     ``legs`` order, up to ``count_cap`` instead of returning the first;
     raises CapabilityError via the budget either way.
     """
-    total = sum(legs)
     done: list[tuple[int, ...]] = []
     used = bit(center)
 
@@ -538,7 +533,7 @@ def _extend(
             return got
     # reroute the stub, then extend
     if 1 <= stub.length and len(stub.vertices) <= EXACT_REROUTE_CAP:
-        for v2 in sorted(reroute_ends(G, stub, mode="exact")):
+        for v2 in sorted(reroute_ends(G, stub)):
             if not G.rows[v2] & free:
                 continue
             rerouted = reroute_path_to(G, stub, v2)

@@ -455,6 +455,22 @@ def _longest_within(G: Graph, u: int, allowed: int) -> UPath:
     return longest_u_path(G, u, avoid=G.full_mask & ~allowed)
 
 
+def _w_companion(
+    G: Graph, u: int, w: int, p: int, scope: int, candidates: list[tuple[int, ...]]
+) -> Optional[tuple[UPath, UPath]]:
+    """(The first p edges of a longest u-path in ``scope`` minus V(r), r) for
+    the first w-ended r of ``_paths2_through(G, w)`` that misses u and leaves
+    a u-path with p edges there; None when no r does."""
+    for r in candidates:
+        rmask = mask_of(r)
+        if r[0] != w or rmask & bit(u):
+            continue
+        lp = _longest_within(G, u, scope & ~rmask)
+        if lp.length >= p:
+            return UPath(lp.vertices[: p + 1]), UPath(r)
+    return None
+
+
 # -- analyzers -------------------------------------------------------------------
 
 
@@ -562,7 +578,7 @@ def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
             rmask = mask_of(r)
             if rmask & ppmask:
                 continue
-            w_end = r[0] == w or r[2] == w
+            w_end = r[0] == w
             w_in_host = rmask & ~r_ok_mask == 0
             if w_end or w_in_host:
                 return CaseOutcome(
@@ -575,20 +591,11 @@ def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
                     },
                 )
     # C, wide: w-ended companion anywhere, replacement path avoiding it
-    for r in r_candidates:
-        if r[0] != w and r[2] != w:
-            continue
-        rmask = mask_of(r)
-        if rmask & bit(u):
-            continue
-        lp = _longest_within(G, u, G.full_mask & ~rmask)
-        if lp.length >= p:
-            return CaseOutcome(
-                "C",
-                {},
-                paths=(UPath(lp.vertices[: p + 1]), UPath(r)),
-                detail={"scope": "wide", "reading": "w-end"},
-            )
+    got = _w_companion(G, u, w, p, G.full_mask, r_candidates)
+    if got is not None:
+        return CaseOutcome(
+            "C", {}, paths=got, detail={"scope": "wide", "reading": "w-end"}
+        )
     # B: balanced split inside V(P)+{x,v} (one vertex of the pool left out)
     if inst.surplus2 == 0 and ctx.q == 1 and p % 2 == 0:
         pool = pmask | bit(x) | bit(v)
@@ -632,22 +639,10 @@ def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
                 detail={"r_size": 2},
             )
     # C, three-vertex companion: w-ended, replacement inside V(P)+V(Q)
-    qmask = inst.q_path.mask()
-    for r in _paths2_through(G, w):
-        if r[0] != w:
-            continue
-        rmask = mask_of(r)
-        if rmask & bit(u):
-            continue
-        allowed = (pmask | qmask) & ~rmask
-        lp = _longest_within(G, u, allowed)
-        if lp.length >= p:
-            return CaseOutcome(
-                "C",
-                {},
-                paths=(UPath(lp.vertices[: p + 1]), UPath(r)),
-                detail={"r_size": 3},
-            )
+    scope = pmask | inst.q_path.mask()
+    got = _w_companion(G, u, w, p, scope, _paths2_through(G, w))
+    if got is not None:
+        return CaseOutcome("C", {}, paths=got, detail={"r_size": 3})
     # B: balanced split over V(P)+x
     if inst.surplus2 == 0 and ctx.q == 1 and p % 2 == 0:
         cert = _balanced_split_on(G, pmask | bit(x), p // 2 + 1)
@@ -1055,22 +1050,13 @@ def _enum_probe_family(
 
 
 def _enum_lemma4(G: Graph, budget: Budget) -> Iterator[LemmaInstance]:
-    n = G.n
-    for u in range(n):
-        allowed_q = G.full_mask & ~bit(u)
-        seen_q = set()
-        qpaths = [(z,) for z in range(n) if z != u]
-        for start in range(n):
-            if start == u:
-                continue
-            for seq in iter_upaths(G, start, allowed_q, budget):
-                if seq[0] <= seq[-1] and seq not in seen_q:
-                    seen_q.add(seq)
-                    qpaths.append(seq)
+    for u in range(G.n):
+        # u must see all of Q: walk inside N(u), one orientation per path
+        nu = G.rows[u]
+        walks = (iter_upaths(G, z, nu, budget, shortest=0) for z in bits_of(nu))
+        qpaths = [q for walk in walks for q in walk if q[0] <= q[-1]]
         for qseq in sorted(qpaths):
             Q = UPath(qseq)
-            if Q.mask() & ~G.rows[u]:
-                continue
             for p in range(1, G.n + 1):
                 _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
                 if not cands:

@@ -27,10 +27,11 @@ spanning completion.  ``_leading_to`` keeps the states that reach a goal and
 ``_lex_least`` walks them in ascending neighbour order.
 
 The longest, ends and optimal-reroute results share one memo of MEMO_SIZE
-entries keyed by (query, graph, anchor, allowed set, extra argument, budget
-limit); ``recall`` charges a hit the nodes its search spent, so node counts
-and budget errors are those of a cold search.  Only results are kept: at
-LONGEST_PATH_CAP vertices a table holds millions of states.
+entries keyed by (query, graph, anchor, allowed set[, x]), never by a budget:
+``recall`` charges a hit the nodes its search spent, or searches again when
+they do not fit, so node counts and budget errors are those of a cold search
+under any limit.  Only results are kept: at LONGEST_PATH_CAP vertices a table
+holds millions of states.
 
 The three ``check_*`` predicates recast proven degree bounds as executable
 assertions: on every configuration meeting their preconditions they must
@@ -256,7 +257,7 @@ def _ends(G: Graph, core: int, u: int, budget: Budget) -> int:
         raise InputError("anchor not inside the set")
     if core.bit_count() > HAM_SET_CAP:
         raise CapabilityError(f"spanning-path scan capped at {HAM_SET_CAP} vertices")
-    key = ("ends", G.rows, u, core, None, budget.limit)
+    key = ("ends", G.rows, u, core)
     return recall(_path_memo, key, budget, _spanning_ends, G, u, core, budget)
 
 
@@ -264,41 +265,14 @@ def _spanning_ends(G: Graph, u: int, core: int, budget: Budget) -> int:
     return _reach(G, u, core, budget)[-1].get(core, 0)
 
 
-def reroute_ends(G: Graph, P: UPath, mode: str = "exact") -> frozenset[int]:
-    """Ends reachable by reroutes of P (same anchor, same vertex set).
-
-    exact: the full set, from the reachable-path table (|V(P)| <= 16).
-    rotation: the subset reachable by iterated single-edge rotations; a
-    sound under-approximation of the exact set, usable on longer paths.
-    """
-    verts = P.mask()
-    u = P.anchor
-    if mode == "exact":
-        if len(P.vertices) > EXACT_REROUTE_CAP:
-            raise CapabilityError(
-                f"exact reroute set capped at {EXACT_REROUTE_CAP} vertices"
-            )
-        budget = Budget(search_budget(4_000_000), "reroute_ends")
-        return set_of(_ends(G, verts, u, budget))
-    if mode == "rotation":
-        budget = Budget(search_budget(100_000), "rotation closure")
-        seen = {P.vertices}
-        queue = [P.vertices]
-        ends = {P.end}
-        while queue:
-            path = queue.pop()
-            last = path[-1]
-            row = G.rows[last]
-            for i in range(len(path) - 2):
-                if row & bit(path[i]):
-                    new = path[: i + 1] + path[:i:-1]
-                    if new not in seen:
-                        budget.spend()
-                        seen.add(new)
-                        ends.add(new[-1])
-                        queue.append(new)
-        return frozenset(ends)
-    raise InputError(f"unknown mode {mode!r} (want 'exact' or 'rotation')")
+def reroute_ends(G: Graph, P: UPath) -> frozenset[int]:
+    """Ends reachable by reroutes of P (same anchor, same vertex set)."""
+    if len(P.vertices) > EXACT_REROUTE_CAP:
+        raise CapabilityError(
+            f"exact reroute set capped at {EXACT_REROUTE_CAP} vertices"
+        )
+    budget = Budget(search_budget(4_000_000), "reroute_ends")
+    return set_of(_ends(G, P.mask(), P.anchor, budget))
 
 
 def _component(G: Graph, u: int, allowed: int) -> int:
@@ -328,7 +302,7 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
             f"exact longest-path search capped at {LONGEST_PATH_CAP} vertices"
         )
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
-    key = ("longest", G.rows, u, comp, None, budget.limit)
+    key = ("longest", G.rows, u, comp)
     return recall(_path_memo, key, budget, _longest, G, u, comp, budget)
 
 
@@ -338,27 +312,21 @@ def _longest(G: Graph, u: int, comp: int, budget: Budget) -> UPath:
     return _lex_least(G, u, _leading_to(G, table, len(table) - 1, table[-1]))
 
 
-def second_ends(
-    G: Graph, P: UPath, forbidden: VertexSetLike = 0
-) -> tuple[frozenset[int], frozenset[int]]:
+def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:
     """(outside, inside) second ends of P.
 
-    outside: vertices w off P (and off ``forbidden``) such that V(P-v)+w has
-    a spanning anchor-to-w path; inside: ends of spanning anchor paths of
-    G[V(P-v)].  The working convention: a second end is any member of
-    outside when outside is nonempty, else any member of inside.
+    outside: vertices w off P such that V(P-v)+w has a spanning anchor-to-w
+    path; inside: ends of spanning anchor paths of G[V(P-v)].  The working
+    convention: a second end is any member of outside when outside is
+    nonempty, else any member of inside.
     """
     if P.length < 1:
         raise InputError("second ends need a path of length >= 1")
-    fmask = mask_of(forbidden)
-    if fmask & P.mask():
-        raise InputError("forbidden set overlaps the path")
-    core = P.mask() & ~bit(P.end)
+    pmask = P.mask()
     budget = Budget(search_budget(4_000_000), "second_ends")
-    ends_core = _ends(G, core, P.anchor, budget)
-    blocked = P.mask() | fmask
+    ends_core = _ends(G, pmask & ~bit(P.end), P.anchor, budget)
     outside = frozenset(
-        w for w in range(G.n) if not bit(w) & blocked and G.rows[w] & ends_core
+        w for w in range(G.n) if not bit(w) & pmask and G.rows[w] & ends_core
     )
     return outside, set_of(ends_core)
 
@@ -393,7 +361,7 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     if bit(x) & verts:
         raise InputError("reference vertex lies on the path")
     u = P.anchor
-    key = ("reroute", G.rows, u, verts, x, None)
+    key = ("reroute", G.rows, u, verts, x)
     return recall(_path_memo, key, None, _last_neighbor_reroute, G, u, verts, x)
 
 
@@ -503,7 +471,7 @@ def check_observation1(G: Graph, P: UPath, v: int) -> bool:
 def check_lemma1_bound(G: Graph, P: UPath) -> bool:
     """Every reachable reroute end v keeps 2*e(v,V(P)) - e(v,S) <= p+1, where
     S is the full exact reroute-end set."""
-    S = reroute_ends(G, P, mode="exact")
+    S = reroute_ends(G, P)
     smask = mask_of(S)
     pmask = P.mask()
     p = P.length

@@ -170,7 +170,7 @@ def brute_max_inner_edges(G, u, allowed, p):
     return best, sorted(out)
 
 
-def brute_second_ends(G, P, forbidden=()):
+def brute_second_ends(G, P):
     nbr = adj_sets(G)
     core = list(P.vertices[:-1])
     u = P.vertices[0]
@@ -179,11 +179,10 @@ def brute_second_ends(G, P, forbidden=()):
         seq = (u,) + perm
         if is_path_of(nbr, seq):
             inside.add(seq[-1])
-    blocked = set(P.vertices) | set(forbidden)
     outside = {
         w
         for w in range(G.n)
-        if w not in blocked and any(t in nbr[w] for t in inside)
+        if w not in P.vertices and any(t in nbr[w] for t in inside)
     }
     return outside, inside
 

@@ -10,7 +10,7 @@ from conftest import graph_from_bits, graphs
 from oracles import brute_embeds_anywhere, brute_embeds_at
 
 import esos.embed as embed_mod
-from esos.enumeration import graphs_up_to
+from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate, satisfies_local_condition
 from esos.embed import (
@@ -294,3 +294,31 @@ def test_guided_searches_once_per_vertex_set_and_stub(monkeypatch):
     emb = embed_mod._guided(G, T, u)
     assert emb is not None and verify_embedding(G, T, emb)
     assert calls == {"longest_u_path": len(vertex_sets), "second_ends": len(stubs)}
+
+
+def _oracle_agrees_with_itertools(G) -> int:
+    """embed_bruteforce against the itertools oracles on every spider with
+    k < n, at every centre and anywhere; the number of (G, T, u) triples."""
+    triples = 0
+    for k in range(1, G.n):
+        for T in enumerate_spiders(k):
+            anywhere = embed_bruteforce(G, T)
+            assert (anywhere is not None) == brute_embeds_anywhere(G, T), (G, T)
+            assert anywhere is None or verify_embedding(G, T, anywhere)
+            for u in range(G.n):
+                emb = embed_bruteforce(G, T, u)
+                assert (emb is not None) == brute_embeds_at(G, T, u), (G, T, u)
+                if emb is not None:
+                    assert emb.center == u and verify_embedding(G, T, emb)
+                triples += 1
+    return triples
+
+
+def test_oracle_matches_itertools_oracle_exhaustive_n6():
+    assert sum(_oracle_agrees_with_itertools(G) for G in graphs_up_to(6)) == 19022
+
+
+def test_oracle_matches_itertools_oracle_sampled_n7():
+    classes = enumerate_graphs(7)
+    for G in random.Random(7).sample(classes, 40):
+        _oracle_agrees_with_itertools(G)

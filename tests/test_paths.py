@@ -20,7 +20,7 @@ from oracles import (
 import esos.paths as paths_mod
 from esos.enumeration import enumerate_graphs
 from esos.errors import Budget, CapabilityError, InputError
-from esos.graphs import Graph, bits_of, mask_of
+from esos.graphs import Graph, mask_of
 from esos.paths import (
     MEMO_SIZE,
     UPath,
@@ -120,43 +120,22 @@ def test_reroute_ends_examples():
     assert reroute_ends(K4, UPath((0, 1, 2, 3))) == {1, 2, 3}
     assert reroute_ends(P4G, UPath((0, 1, 2, 3))) == {3}
     assert reroute_ends(C5, UPath((0, 1, 2, 3, 4))) == {1, 4}
-    with pytest.raises(InputError):
-        reroute_ends(K4, UPath((0, 1)), mode="bogus")
 
 
 def test_reroute_exact_cap():
     G = Graph.path_graph(18)
     with pytest.raises(CapabilityError):
-        reroute_ends(G, UPath(tuple(range(18))), mode="exact")
-    # rotation mode still answers
-    assert 17 in reroute_ends(G, UPath(tuple(range(18))), mode="rotation")
+        reroute_ends(G, UPath(tuple(range(18))))
 
 
-def test_rotation_subset_exhaustive_small():
+def test_reroute_ends_match_brute_exhaustive_small():
     for n in range(2, 6):
         for bits in range(1 << (n * (n - 1) // 2)):
             G = graph_from_bits(n, bits)
             for u in range(n):
                 for seq in all_upaths(G, u):
                     P = UPath(seq)
-                    rot = reroute_ends(G, P, mode="rotation")
-                    exact = reroute_ends(G, P, mode="exact")
-                    assert rot <= exact
-                    assert exact == brute_reroute_ends(G, P)
-
-
-@settings(max_examples=100, deadline=None)
-@given(graphs(min_n=2, max_n=7), st.data())
-def test_rotation_subset_of_exact(G, data):
-    starts = [u for u in range(G.n) if G.degree(u)]
-    if not starts:
-        return
-    u = data.draw(st.sampled_from(starts))
-    paths = all_upaths(G, u)
-    if not paths:
-        return
-    P = UPath(data.draw(st.sampled_from(paths)))
-    assert reroute_ends(G, P, mode="rotation") <= reroute_ends(G, P, mode="exact")
+                    assert reroute_ends(G, P) == brute_reroute_ends(G, P)
 
 
 def test_longest_u_path_examples():
@@ -183,8 +162,6 @@ def test_second_ends_examples():
     assert out == {3} and ins == {1}
     with pytest.raises(InputError):
         second_ends(C4, UPath((0,)))
-    with pytest.raises(InputError):
-        second_ends(C4, UPath((0, 1, 2)), forbidden=[1])
 
 
 @settings(max_examples=120, deadline=None)
@@ -194,9 +171,8 @@ def test_second_ends_match_brute(G, data):
     if not pool:
         return
     P = UPath(data.draw(st.sampled_from(pool)))
-    forb_bits = data.draw(st.integers(0, G.full_mask)) & ~P.mask() & G.full_mask
-    got = second_ends(G, P, forb_bits)
-    want = brute_second_ends(G, P, bits_of(forb_bits))
+    got = second_ends(G, P)
+    want = brute_second_ends(G, P)
     assert got == (frozenset(want[0]), frozenset(want[1]))
 
 
