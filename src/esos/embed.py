@@ -4,23 +4,18 @@
 over legs, longest leg first, neighbours in ascending order.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
-suggests: strip a leaf off the longest leg, take the capped census of the
-smaller spider's embeddings at the centre (empty or capped: the guided
-phase abstains), then try guided extension moves chosen by a three-part
-selection rule (prefer configurations whose stripped leg has a second end
-off itself; then maximize the capped attachment counts of the second end
-and the probe end; then the inner edge count of the remaining legs).
-The census is a list of leg vertex tuples.  Each search behind the rule
-runs once per distinct input: the probe end once per census vertex set,
-the second ends once per stub (then filtered by each candidate's other
-legs and probe end), and only the chosen candidate becomes an
-``Embedding``.  Guided moves are verify-or-skip: when they all fail the
-bounded exhaustive oracle decides, so correctness never depends on the
-heuristic phase.  Each call decides its spider once and keeps no outcome
-memo.  A certificate is emitted only after the oracle has confirmed the
-spider does not embed at the requested centre, and every certificate is
-verified before it is returned; ``whole_split`` and ``local_split`` state
-the two certificate shapes.
+suggests: strip a leaf off the longest leg, take the oracle's embedding of
+the smaller spider at the centre (none: the guided phase abstains), find
+the probe end x of a longest path off it, and try the extension moves on
+its first stub (a leg of the stripped length, or the bare centre), with
+the stub's least second end off the embedding and x (else its least
+inside second end) as the swap anchor.  Guided moves are verify-or-skip:
+when they all fail the bounded exhaustive oracle decides, so correctness
+never depends on the heuristic phase.  Each call decides its spider once
+and keeps no outcome memo.  A certificate is emitted only after the oracle
+has confirmed the spider does not embed at the requested centre, and every
+certificate is verified before it is returned; ``whole_split`` and
+``local_split`` state the two certificate shapes.
 
 ``theorem2_check`` is the density pipeline: while some vertex set violates
 the per-subset condition, delete it (the edge identity e(G-S) =
@@ -39,7 +34,6 @@ from .errors import Budget, CapabilityError, InputError, SoundnessError, search_
 from .graphs import (
     Graph,
     HCertificate,
-    _e_inside_mask,
     bit,
     bits_of,
     edge_counts,
@@ -68,8 +62,6 @@ from .report import Report
 from .spiders import Spider, enumerate_spiders, in_T0_family, strip_leaf
 
 EMBED_DEFAULT_BUDGET = 2_000_000
-GUIDED_NODE_CAP = 30_000
-GUIDED_COUNT_CAP = 800
 
 
 @dataclass(frozen=True)
@@ -154,27 +146,17 @@ def _embed_search(
     legs: tuple[int, ...],
     center: int,
     budget: Budget,
-    collect: Optional[list] = None,
-    count_cap: int = 0,
 ) -> Optional[Embedding]:
-    """Backtracking over legs (longest first, neighbours ascending).
-
-    With ``collect`` set, gathers each embedding's leg vertex tuples, in
-    ``legs`` order, up to ``count_cap`` instead of returning the first;
-    raises CapabilityError via the budget either way.
-    """
+    """Backtracking over legs (longest first, neighbours ascending); the
+    first embedding, legs in ``legs`` order, or None.  Raises
+    CapabilityError via the budget."""
     done: list[tuple[int, ...]] = []
     used = bit(center)
 
     def place(li: int) -> Optional[Embedding]:
         nonlocal used
         if li == len(legs):
-            if collect is None:
-                return Embedding(center, tuple(UPath(p) for p in done))
-            collect.append(tuple(done))
-            if len(collect) >= count_cap:
-                raise CapabilityError("embedding collection cap reached")
-            return None
+            return Embedding(center, tuple(UPath(p) for p in done))
         remaining = sum(legs[li:])
         if (G.full_mask & ~used).bit_count() < remaining:
             return None
@@ -257,23 +239,6 @@ def embed_bruteforce(
         if got is not None:
             return got
     return None
-
-
-def _embed_all(
-    G: Graph, T: Spider, u: int, node_cap: int, count_cap: int
-) -> Optional[list[tuple[tuple[int, ...], ...]]]:
-    """The leg vertex tuples of every embedding at u, in ``T.legs`` order, up
-    to the caps; None when a cap was hit (the caller must then fall back
-    rather than trust a truncated census)."""
-    if T.k == 0:
-        return [()]
-    out: list[tuple[tuple[int, ...], ...]] = []
-    budget = Budget(node_cap, "guided embedding census")
-    try:
-        _embed_search(G, T.legs, u, budget, collect=out, count_cap=count_cap)
-    except CapabilityError:
-        return None
-    return out
 
 
 # -- certificate-side embedding -------------------------------------------------
@@ -397,107 +362,27 @@ def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
 
 
 def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
-    # The census lists leg vertex tuples in Tp.legs order, so the stub slots
-    # (legs of the stripped length, or the bare centre) are the same for every
-    # entry.  The probe end x is found once per census vertex set and the
-    # stub's second ends once per stub, then filtered by the candidate's other
-    # legs and x.  Scores are compared component by component, the tie tuple
-    # is built only on a tied score, and only the chosen candidate becomes an
-    # Embedding.  First calls come in candidate order, so a search that
-    # raises does so at the same candidate as an uncached scan would.
-    k = T.k
+    # The oracle's embedding of the smaller spider, then one extension of its
+    # first stub (a leg of the stripped length, or the bare centre) with the
+    # probe end x off the embedding and, on a stub, its least second end w.
     Tp = strip_leaf(T, 0)
-    ell1 = T.legs[0]
-    census = _embed_all(G, Tp, u, GUIDED_NODE_CAP, GUIDED_COUNT_CAP)
-    if not census:
+    budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
+    emb = _embed_search(G, Tp.legs, u, budget)
+    if emb is None:
         return None
-
-    rows = G.rows
-    ub = bit(u)
-    stub_len = ell1 - 1
-    if stub_len:
-        slots = [j for j, l in enumerate(Tp.legs) if l == stub_len]
-        s0 = 0
-        for legs in census:
-            for j in slots:
-                s0 |= bit(legs[j][-1])
-    else:
-        slots = [-1]  # the stub is the bare centre
-        s0 = ub
-
-    ell = k - ell1  # vertices of the other legs beyond the centre
-    w_cap = max(ell - 1, 0)
-    spans: dict[tuple[int, ...], tuple[int, int]] = {}  # leg -> (mask, inner edges)
-    probe: dict[int, Optional[int]] = {}  # vertex mask -> probe end x
-    ends: dict[tuple[int, ...], tuple[int, int]] = {}  # stub -> (outside, inside)
-    best = None  # (r1, r2, r3, legs, idx, w, x); idx and w are -1 when absent
-    for legs in census:
-        masks = []
-        inner = []
-        for leg in legs:
-            got = spans.get(leg)
-            if got is None:
-                m = mask_of(leg)
-                got = spans[leg] = (m, _e_inside_mask(G, m))
-            masks.append(got[0])
-            inner.append(got[1])
-        vmask = ub
-        for m in masks:
-            vmask |= m
-        if vmask not in probe:
-            Q = longest_u_path(G, u, avoid=vmask & ~ub)
-            probe[vmask] = Q.end if Q.length >= 1 else None
-        x = probe[vmask]
-        if x is None:
-            continue
-        total = sum(inner)
-        for idx in slots:
-            r1_in = 0
-            if idx < 0:
-                lmask = vmask & ~ub
-                r3 = total
-                wset = (-1,)
-            else:
-                stub = legs[idx]
-                lmask = vmask & ~masks[idx]
-                r3 = total - inner[idx]
-                if stub not in ends:
-                    outside, inside = second_ends(G, UPath(stub))
-                    ends[stub] = (mask_of(outside), mask_of(inside))
-                outside, inside = ends[stub]
-                wmask = outside & ~(lmask | bit(x))
-                if not wmask:
-                    # second ends on the stub itself; all but the centre score r1
-                    wmask = inside
-                    end = stub[-1]
-                    r1_in = 2 * G.degree(end) - (rows[end] & s0).bit_count() - 2 * G.n
-                wset = bits_of(wmask)
-            rx = min(2 * (rows[x] & lmask).bit_count(), ell)
-            for w in wset:
-                r1 = r1_in if w != u else 0
-                r2 = rx
-                if w >= 0:
-                    r2 += min(2 * (rows[w] & lmask).bit_count(), w_cap)
-                if best is not None:
-                    if r1 != best[0]:
-                        if r1 < best[0]:
-                            continue
-                    elif r2 != best[1]:
-                        if r2 < best[1]:
-                            continue
-                    elif r3 != best[2]:
-                        if r3 < best[2]:
-                            continue
-                    elif (legs, idx, w) >= best[3:6]:
-                        continue
-                best = (r1, r2, r3, legs, idx, w, x)
-    if best is None:
+    vmask = emb.vertex_mask()
+    Q = longest_u_path(G, u, avoid=vmask & ~bit(u))
+    if Q.length < 1:
         return None
-    _, _, _, legs, idx, w, x = best
-    emb = Embedding(u, tuple(UPath(leg) for leg in legs))
-    return _extend(
-        G, T, u, emb, None if idx < 0 else idx, x, None if w < 0 else w
-    )
+    x = Q.end
+    if T.legs[0] == 1:
+        return _extend(G, T, u, emb, None, x, None)
+    idx = Tp.legs.index(T.legs[0] - 1)
+    stub = emb.legs[idx]
+    outside, inside = second_ends(G, stub)
+    wmask = mask_of(outside) & ~(vmask | bit(x)) or mask_of(inside)
+    w = (wmask & -wmask).bit_length() - 1
+    return _extend(G, T, u, emb, idx, x, w)
 
 
 def _extend(
@@ -583,8 +468,10 @@ def theorem2_check(G: Graph, k: int) -> Report:
     exist (each deletion preserves density by the edge identity, checked),
     then every spider is embedded at a maximum-degree vertex of the reduced
     host; certificates are converted to embeddings inside the certified
-    split, or by whole-graph search as a last resort.  Every reported
-    embedding is lifted back to the original vertex ids and verified there.
+    split, which always holds one: a verified (k/2 + 1, k/2) or
+    (n - k/2, k/2) split has k/2 vertices on each side beyond the centre.
+    Every reported embedding is lifted back to the original vertex ids and
+    verified there.
     """
     start = time.monotonic()
     if not satisfies_density(G, k):
@@ -621,15 +508,7 @@ def theorem2_check(G: Graph, k: int) -> Report:
             emb = out.embedding
         else:
             certified += 1
-            cert = out.certificate
-            emb = None
-            xs = sorted(cert.x_side)
-            if xs:
-                emb = embed_into_H(cert, T, xs[0])
-            if emb is not None and not verify_embedding(H, T, emb):
-                emb = None
-            if emb is None:
-                emb = embed_bruteforce(H, T, None)
+            emb = embed_into_H(out.certificate, T, min(out.certificate.x_side))
         if emb is None or not verify_embedding(H, T, emb):
             failures.append({"spider": T.to_json(), "reason": "no embedding found"})
             continue

@@ -31,6 +31,8 @@ from .lemmas import (
 from .report import Report
 from .spiders import Spider, enumerate_spiders, in_T0_family
 
+SAMPLE_SIZES = (5, 6, 7, 8, 9, 10)  # host orders of the sampled lemma suite
+
 
 def verify_conjecture_spiders(
     n_max: int = ENUMERATION_CAP, graphs: Optional[Iterable[Graph]] = None
@@ -94,7 +96,10 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
     match the oracle's embeddability verdict, and certificates must carry
     the promised shape (all-even spider; local (k/2+1, k/2) split through u
     for the all-twos spider, else the whole graph splitting as
-    (n-k/2, k/2)).
+    (n-k/2, k/2)).  The constructive embedding comes from the oracle's
+    embedding of the smaller spider plus one verified extension move, so
+    comparing it with the oracle at the same centre still compares two
+    different searches.
     """
     from .graphs import satisfies_local_condition
 
@@ -129,6 +134,10 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
 def _dichotomy_one(
     G: Graph, k: int, u: int, T: Spider
 ) -> tuple[Optional[dict], bool]:
+    """One (G, k, u, T) check: the failure entry or None, and whether the
+    outcome was a certificate.  The embed_constructive verdict (its guided
+    embedding grown from the smaller spider's oracle embedding, else the
+    oracle's own) is compared with a fresh oracle call at u."""
     where = {"graph6": G.to_graph6(), "k": k, "u": u, "spider": T.to_json()}
     try:
         out = embed_constructive(G, T, u)
@@ -250,32 +259,33 @@ def _run_lemma_cases(instances: Iterable) -> tuple[int, dict, list]:
     return total, cases, failures
 
 
-def run_lemma_suite(
-    lemma: int,
-    samples: int,
-    seed: int,
-    sizes: tuple[int, ...] = (5, 6, 7, 8, 9, 10),
-) -> Report:
-    """Sampled analyzer run: every instance must resolve to a case and every
-    witness must survive independent verification."""
+def run_lemma_suite(lemma: int, samples: int, seed: int) -> Report:
+    """Sampled analyzer run over hosts of the ``SAMPLE_SIZES`` orders: every
+    instance must resolve to a case and every witness must survive
+    independent verification."""
     if lemma not in LEMMA_IDS:
         raise InputError(f"unknown lemma id {lemma} (want one of {LEMMA_IDS})")
     start = time.monotonic()
     discarded_total = 0
-    per_size = [samples // len(sizes)] * len(sizes)
+    per_size = [samples // len(SAMPLE_SIZES)] * len(SAMPLE_SIZES)
     for i in range(samples - sum(per_size)):
-        per_size[i % len(sizes)] += 1
+        per_size[i % len(SAMPLE_SIZES)] += 1
 
     def sampled() -> Iterator:
         nonlocal discarded_total
-        for n, want in zip(sizes, per_size):
+        for n, want in zip(SAMPLE_SIZES, per_size):
             insts, discarded = sample_instances(lemma, n, want, seed + n)
             discarded_total += discarded
             yield from insts
 
     produced, cases, failures = _run_lemma_cases(sampled())
     return Report(
-        scope={"lemma": lemma, "samples": samples, "seed": seed, "sizes": list(sizes)},
+        scope={
+            "lemma": lemma,
+            "samples": samples,
+            "seed": seed,
+            "sizes": list(SAMPLE_SIZES),
+        },
         counts={
             "instances": produced,
             "discarded_proposals": discarded_total,

@@ -22,7 +22,7 @@ from esos.embed import (
     verify_embedding,
 )
 from esos.paths import UPath
-from esos.spiders import Spider, enumerate_spiders, strip_leaf
+from esos.spiders import Spider, enumerate_spiders
 
 
 def h32_host():
@@ -193,6 +193,17 @@ def test_theorem2_runs_the_reduction_when_needed():
     assert rep.ok
     assert rep.counts["reduction_steps"] >= 1
     assert rep.notes["deleted_sets"]
+    # K16 with a pendant path out to n = 128: the reduction deletes the path,
+    # then every spider embeds in K16
+    core = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+    G = Graph.from_edges(128, core + [(v, v + 1) for v in range(15, 127)])
+    rep = theorem2_check(G, 4)
+    assert rep.ok
+    assert (
+        rep.counts["embedded"],
+        rep.counts["via_certificate"],
+        rep.counts["reduction_steps"],
+    ) == (5, 0, 111)
 
 
 def test_theorem2_converts_certificates():
@@ -231,10 +242,13 @@ def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch):
         embed_constructive(G, T, 0)
 
 
-def _constructive_digest() -> tuple[int, str]:
-    """Call count and SHA-256 of every embed_constructive outcome or error
-    text over the classes with n <= 6, every centre, k <= d(u) and spider."""
-    digest = hashlib.sha256()
+def _constructive_digest() -> tuple[int, str, str]:
+    """Call count and two SHA-256 digests over the classes with n <= 6, every
+    centre, k <= d(u) and spider: of every embed_constructive outcome or
+    error text, and of the verdicts alone ("embedded" for an embedding, the
+    certificate outcome, or the error text)."""
+    full = hashlib.sha256()
+    verdicts = hashlib.sha256()
     calls = 0
     for G in graphs_up_to(6):
         for u in range(G.n):
@@ -243,41 +257,53 @@ def _constructive_digest() -> tuple[int, str]:
                     try:
                         out = embed_constructive(G, T, u)
                         line = json.dumps(out.to_json(), sort_keys=True)
+                        verdict = "embedded" if out.embedded else line
                     except (InputError, CapabilityError) as exc:
-                        line = f"{type(exc).__name__}: {exc}"
-                    digest.update(line.encode() + b"\n")
+                        line = verdict = f"{type(exc).__name__}: {exc}"
+                    full.update(line.encode() + b"\n")
+                    verdicts.update(verdict.encode() + b"\n")
                     calls += 1
-    return calls, digest.hexdigest()
+    return calls, full.hexdigest(), verdicts.hexdigest()
+
+
+FULL_PIN = "b9c0747ebf3c1cff165eb25a165cbfd985784aa7180d3bb8f9558b3582bf0c7e"
+VERDICT_PIN = "9e48f948143567c9a38548fcbe805d66e7e2a4b1dd5a801b8399350d7755ab88"
 
 
 @pytest.mark.parametrize(
-    "budget, pinned",
+    "budget, full, verdicts",
     [
-        (None, "b3e0836b352d16ad367b68d4c3e1c6cd96bd7f24fb9e3d89514ba37f8010ed7f"),
-        ("40", "97400780076ce06793612cc2ac8278f085d28274948e9302e03b27919ebade2c"),
-        ("300", "b3e0836b352d16ad367b68d4c3e1c6cd96bd7f24fb9e3d89514ba37f8010ed7f"),
+        (None, FULL_PIN, VERDICT_PIN),
+        (
+            "40",
+            "4d25ca355043496f385c8e5451b18cb12a8ae8da77c9c133d48ba39571c517d0",
+            "7ccb5bd961a1903e1dce0a2722e426dea0f3bf67b4e5e9487259794d54288b72",
+        ),
+        ("300", FULL_PIN, VERDICT_PIN),
     ],
+    ids=["None", "40", "300"],
 )
-def test_constructive_outcomes_are_pinned(monkeypatch, budget, pinned):
+def test_constructive_outcomes_are_pinned(monkeypatch, budget, full, verdicts):
     # every embedding, certificate and error text, also under a budget that
-    # trips the guided phase's path searches (40) and a looser one (300)
+    # trips the guided phase's path searches (40) and a looser one (300); the
+    # verdict digests were taken before the guided phase changed, and hold
+    # whichever verified embedding it returns
     if budget is None:
         monkeypatch.delenv("ESOS_BUDGET", raising=False)
     else:
         monkeypatch.setenv("ESOS_BUDGET", budget)
-    assert _constructive_digest() == (5913, pinned)
+    assert _constructive_digest() == (5913, full, verdicts)
 
 
-def test_guided_searches_once_per_vertex_set_and_stub(monkeypatch):
-    # K5 with [3,1] at 0: the census of [2,1] has 24 embeddings, one stub
-    # each, over 4 vertex sets and 12 distinct stubs
-    G, T, u = Graph.complete(5), Spider((3, 1)), 0
-    census = embed_mod._embed_all(
-        G, strip_leaf(T, 0), u, embed_mod.GUIDED_NODE_CAP, embed_mod.GUIDED_COUNT_CAP
-    )
-    vertex_sets = {frozenset(v for leg in legs for v in leg) for legs in census}
-    stubs = {legs[0] for legs in census}
-    assert (len(census), len(vertex_sets), len(stubs)) == (24, 4, 12)
+@pytest.mark.parametrize(
+    "G, legs",
+    [(Graph.complete(5), (3, 1)), (Graph.complete(16), (2, 1, 1))],
+    ids=["K5-3,1", "K16-2,1,1"],
+)
+def test_guided_searches_each_path_question_once(monkeypatch, G, legs):
+    # one probe end for the stripped spider's embedding, one second-end
+    # search for its stub
+    T, u = Spider(legs), 0
     calls = {"longest_u_path": 0, "second_ends": 0}
 
     def counted(name):
@@ -293,7 +319,7 @@ def test_guided_searches_once_per_vertex_set_and_stub(monkeypatch):
         monkeypatch.setattr(embed_mod, name, counted(name))
     emb = embed_mod._guided(G, T, u)
     assert emb is not None and verify_embedding(G, T, emb)
-    assert calls == {"longest_u_path": len(vertex_sets), "second_ends": len(stubs)}
+    assert calls == {"longest_u_path": 1, "second_ends": 1}
 
 
 def _oracle_agrees_with_itertools(G) -> int:

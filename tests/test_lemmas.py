@@ -54,11 +54,11 @@ def test_validation_rejects_corrupted_surplus():
 
 
 def test_validation_rejects_non_maximizing_path():
-    # 0-1-2 triangle plus pendant 0-3: from 0 with nothing excluded,
-    # the path 0-3 has fewer inner edges than 0-1
-    G = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (4, 5)])
-    bad = make_instance(6, G, 0, UPath((0, 3)), UPath((0, 4)), w=5)
-    with pytest.raises(InputError):
+    # rule 3 on the triangle 0-1-2 plus the path 0-3-4: with 5 and 6
+    # excluded, the two-edge path 0-3-4 has fewer inner edges than 0-1-2
+    G = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+    bad = make_instance(3, G, 0, UPath((0, 3, 4)), UPath((0, 1)), w1=5, w2=6)
+    with pytest.raises(InputError, match="P does not maximize inner edges"):
         validate_instance(bad)
 
 
