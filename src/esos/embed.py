@@ -59,7 +59,7 @@ from .paths import (
     spanning_path_to,
 )
 from .report import Report
-from .spiders import Spider, enumerate_spiders, in_T0_family, strip_leaf
+from .spiders import Spider, enumerate_spiders, in_T0_family, strip_leaf, t0
 
 EMBED_DEFAULT_BUDGET = 2_000_000
 
@@ -337,7 +337,7 @@ def local_split(G: Graph, k: int, u: int) -> Optional[HCertificate]:
 def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     k = T.k
     if in_T0_family(T):
-        is_t0 = T.legs == (2,) * (k // 2)
+        is_t0 = T == t0(k)
         for kind in ("local", "whole-graph") if is_t0 else ("whole-graph", "local"):
             cert = local_split(G, k, u) if kind == "local" else whole_split(G, k)
             if cert is None:

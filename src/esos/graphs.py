@@ -140,26 +140,7 @@ class Graph:
                 if a < b:
                     yield (a, b)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits_of(self.rows[v]))
-
     # -- derived graphs ----------------------------------------------------
-
-    def with_edge(self, a: int, b: int) -> "Graph":
-        if a == b:
-            raise InputError("loop edge")
-        rows = list(self.rows)
-        rows[a] |= bit(b)
-        rows[b] |= bit(a)
-        return Graph(self.n, tuple(rows))
-
-    def masked(self, keep: VertexSetLike) -> "Graph":
-        """Same id space; keeps only edges with both ends inside ``keep``."""
-        m = mask_of(keep)
-        return Graph(
-            self.n,
-            tuple(r & m if bit(v) & m else 0 for v, r in enumerate(self.rows)),
-        )
 
     def induced(self, keep: VertexSetLike) -> tuple["Graph", list[int]]:
         """Relabelled induced subgraph plus the new->old vertex map."""
@@ -477,10 +458,6 @@ class HCertificate:
 
     def to_json(self) -> dict:
         return {"x": sorted(self.x_side), "y": sorted(self.y_side)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HCertificate":
-        return cls(frozenset(obj["x"]), frozenset(obj["y"]))
 
 
 def verify_H_certificate(G: Graph, cert: HCertificate) -> bool:

@@ -20,7 +20,7 @@ from .embed import (
 )
 from .enumeration import ENUMERATION_CAP, enumerate_graphs, graphs_up_to
 from .errors import CapabilityError, InputError, SoundnessError
-from .graphs import Graph, verify_H_certificate
+from .graphs import Graph, satisfies_local_condition, verify_H_certificate
 from .lemmas import (
     LEMMA_IDS,
     analyze,
@@ -29,7 +29,7 @@ from .lemmas import (
     verify_outcome,
 )
 from .report import Report
-from .spiders import Spider, enumerate_spiders, in_T0_family
+from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 
 SAMPLE_SIZES = (5, 6, 7, 8, 9, 10)  # host orders of the sampled lemma suite
 
@@ -101,8 +101,6 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
     comparing it with the oracle at the same centre still compares two
     different searches.
     """
-    from .graphs import satisfies_local_condition
-
     start = time.monotonic()
     tests = certified = 0
     failures = []
@@ -155,7 +153,7 @@ def _dichotomy_one(
         return {**where, "reason": "certified a spider with an odd leg"}, True
     if not verify_H_certificate(G, cert):
         return {**where, "reason": "certificate failed verification"}, True
-    if T.legs == (2,) * (k // 2):
+    if T == t0(k):
         ok = (
             out.kind == "local"
             and cert.a == k // 2 + 1
@@ -189,7 +187,7 @@ def extremal_census(n: int, k: int) -> Report:
     if n > ENUMERATION_CAP:
         raise CapabilityError(f"builtin enumeration stops at n={ENUMERATION_CAP}")
     threshold = ((k - 1) * n) // 2
-    t0_legs = (2,) * (k // 2)
+    all_twos = t0(k)
     entries = []
     scanned = 0
     for G in enumerate_graphs(n):
@@ -211,7 +209,7 @@ def extremal_census(n: int, k: int) -> Report:
                         "graph6": G.to_graph6(),
                         "u": u,
                         "spider": list(T.legs),
-                        "is_t0": T.legs == t0_legs,
+                        "is_t0": T == all_twos,
                         "whole_graph_split": whole.to_json() if whole else None,
                         "local_split": local.to_json() if local else None,
                     }

@@ -25,9 +25,8 @@ they make it.  Two pure searches are therefore memoised through
 ``paths.recall``, each in a memo of ``paths.MEMO_SIZE`` entries:
 
 * the maximality search (``_max_paths``), keyed by (graph, u, allowed set,
-  p).  It stores the nodes it spent; a hit charges them to the caller's
-  budget, or searches again under it when they do not fit, so a budget
-  trips at the same node as without the memo;
+  p), with the nodes it spent; ``paths.recall`` states how a hit is
+  charged;
 * lemma 5's attachment set, keyed by (graph, u, w, V(P), p, node budget of
   each longest-path search).
 
@@ -282,7 +281,7 @@ def _max_paths(
     """The most inner edges on the vertex set of a u-path with exactly p
     edges inside ``allowed`` (None when there is no such path), and every
     path reaching it, in lexicographic order.  Memoised with the nodes the
-    search spent; see the module docstring for how a hit is charged.
+    search spent; ``paths.recall`` states how a hit is charged.
     """
     key = (G.rows, u, allowed, p)
     return recall(_max_memo, key, budget, _argmax_paths, G, u, allowed, p, budget)
@@ -346,11 +345,10 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     exceeds its budget; such instances are rejected, never assumed valid).
 
     That search, lemma 5's attachment set and lemma 6's optimal reroute are
-    read from the bounded memos described in the module docstring.  A
-    maximality hit charges this call's budget the nodes the original search
-    spent, or searches again when they do not fit, so the budget error is
-    the one a cold search raises.  The instance itself is never cached: P,
-    Q, x and the surplus are checked on every call.
+    read from the bounded memos described in the module docstring; a
+    maximality hit is charged to this call's budget as ``paths.recall``
+    states.  The instance itself is never cached: P, Q, x and the surplus
+    are checked on every call.
     """
     G, u = inst.graph, inst.u
     P, Q = inst.p_path, inst.q_path
@@ -731,7 +729,7 @@ def verify_outcome(inst: LemmaInstance, out: CaseOutcome) -> bool:
         ctx = validate_instance(inst)
     except (InputError, CapabilityError):
         return False
-    G, u = inst.graph, inst.u
+    G = inst.graph
     p = ctx.p
     pmask = inst.p_path.mask()
     if out.case == "C":

@@ -27,11 +27,9 @@ spanning completion.  ``_leading_to`` keeps the states that reach a goal and
 ``_lex_least`` walks them in ascending neighbour order.
 
 The longest, ends and optimal-reroute results share one memo of MEMO_SIZE
-entries keyed by (query, graph, anchor, allowed set[, x]), never by a budget:
-``recall`` charges a hit the nodes its search spent, or searches again when
-they do not fit, so node counts and budget errors are those of a cold search
-under any limit.  Only results are kept: at LONGEST_PATH_CAP vertices a table
-holds millions of states.
+entries keyed by (query, graph, anchor, allowed set[, x]), never by a budget;
+``recall`` states how a hit is charged.  Only results are kept: at
+LONGEST_PATH_CAP vertices a table holds millions of states.
 
 The three ``check_*`` predicates recast proven degree bounds as executable
 assertions: on every configuration meeting their preconditions they must
@@ -105,13 +103,6 @@ def is_valid_upath(G: Graph, vertices: tuple[int, ...]) -> bool:
     return all(G.has_edge(a, b) for a, b in zip(vertices, vertices[1:]))
 
 
-def make_upath(G: Graph, vertices) -> UPath:
-    seq = tuple(vertices)
-    if not is_valid_upath(G, seq):
-        raise InputError(f"not a path of this graph: {seq}")
-    return UPath(seq)
-
-
 # -- absorption --------------------------------------------------------------
 
 
@@ -152,16 +143,16 @@ def absorb(G: Graph, P: UPath, v: int) -> UPath:
 
 def recall(memo: dict, key, budget: Optional[Budget], search, *args):
     """``search(*args)``, memoised under ``key`` with the nodes it spent of
-    ``budget``.  A hit charges those nodes when they fit, else searches again,
-    so a budget trips at the same node with or without the memo."""
+    ``budget``.  A hit never searches: it charges those nodes, capped at the
+    limit's next node.  Every memoised search trips at that node (one node per
+    step, or ``_reach``'s ``room + 1``), so node counts and budget errors
+    are those of a cold search under any limit."""
     got = memo.get(key)
     if got is not None:
         value, nodes = got
-        if budget is None:
-            return value
-        if nodes <= budget.limit - budget.used:
-            budget.spend(nodes)
-            return value
+        if budget is not None:
+            budget.spend(min(nodes, budget.limit - budget.used + 1))
+        return value
     start = budget.used if budget is not None else 0
     value = search(*args)
     spent = budget.used - start if budget is not None else 0

@@ -183,11 +183,9 @@ def test_find_H_subgraph_on_a_large_extremal_host():
     assert whole.x_side == set(range(6, 43)) and whole.y_side == set(range(6))
 
 
-def test_certificate_json_round_trip():
+def test_certificate_json_shape():
     cert = HCertificate(frozenset({0, 2}), frozenset({1, 3}))
-    blob = json.dumps(cert.to_json())
-    assert HCertificate.from_json(json.loads(blob)) == cert
-    assert json.loads(blob) == {"x": [0, 2], "y": [1, 3]}
+    assert json.loads(json.dumps(cert.to_json())) == {"x": [0, 2], "y": [1, 3]}
 
 
 # -- graph6 ---------------------------------------------------------------
@@ -278,7 +276,7 @@ def test_heavy_vertex_bound_when_condition_holds(G, k):
     for smask in range(1, 1 << G.n):
         v = heavy_vertex(G, smask, k)
         assert smask >> v & 1
-        assert 2 * G.degree(v) - len(set(G.neighbors(v)) & set(bits_of(smask))) >= k
+        assert 2 * G.degree(v) - len(set(bits_of(G.rows[v])) & set(bits_of(smask))) >= k
 
 
 def test_heavy_vertex_bound_exhaustive_small():
@@ -396,14 +394,12 @@ def test_recognize_H_is_verified_and_maximal(G):
 
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_n=7), st.integers(0, 2**28))
-def test_masked_and_induced_preserve_symmetry(G, pick):
+def test_induced_preserves_symmetry(G, pick):
     keep = (pick & G.full_mask) | 1  # nonempty
-    M = G.masked(keep)
-    assert all(not M.rows[v] & (1 << v) for v in range(M.n))
     H, old = G.induced(keep)
     assert H.n == len(old)
     for i in range(H.n):
         for j in bits_of(H.rows[i]):
-            assert G.has_edge(old[i], old[j])
+            assert H.has_edge(j, i) and G.has_edge(old[i], old[j])
     inside, _ = edge_counts(G, keep)
     assert H.edge_count() == inside

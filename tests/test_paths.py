@@ -20,7 +20,7 @@ from oracles import (
 import esos.paths as paths_mod
 from esos.enumeration import enumerate_graphs
 from esos.errors import Budget, CapabilityError, InputError
-from esos.graphs import Graph, mask_of
+from esos.graphs import Graph, bits_of, mask_of
 from esos.paths import (
     MEMO_SIZE,
     UPath,
@@ -32,7 +32,6 @@ from esos.paths import (
     is_strictly_absorbable,
     is_valid_upath,
     longest_u_path,
-    make_upath,
     remember,
     reroute_ends,
     reroute_maximizing_last_neighbor,
@@ -62,12 +61,11 @@ def all_upaths(G, u):
 
 
 def test_upath_basics():
-    P = make_upath(C4, [0, 1, 2])
+    P = UPath((0, 1, 2))
+    assert is_valid_upath(C4, P.vertices)
     assert (P.anchor, P.end, P.length) == (0, 2, 2)
-    with pytest.raises(InputError):
-        make_upath(C4, [0, 2])  # non-edge
-    with pytest.raises(InputError):
-        make_upath(C4, [0, 1, 0])
+    assert not is_valid_upath(C4, (0, 2))  # non-edge
+    assert not is_valid_upath(C4, (0, 1, 0))
     with pytest.raises(InputError):
         UPath(())
 
@@ -194,11 +192,11 @@ def test_inside_second_end_neighbourhood_property():
                     if outside:
                         continue
                     for w in inside:
-                        assert set(G.neighbors(w)) <= set(P.vertices)
+                        assert set(bits_of(G.rows[w])) <= set(P.vertices)
 
 
 def test_reroute_path_to_and_last_neighbor():
-    G = C4.with_edge(0, 2)
+    G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     P = UPath((0, 1, 2))
     assert reroute_path_to(G, P, 1).vertices == (0, 2, 1)
     assert reroute_path_to(G, P, 0) is None
@@ -294,6 +292,9 @@ def test_warm_path_memo_follows_the_budget(monkeypatch):
             super().__init__(*args)
             budgets.append(self)
 
+    def no_search(*args):
+        raise AssertionError("a memo hit must not search")
+
     monkeypatch.setattr(paths_mod, "Budget", Recorded)
     searches = (
         (lambda: longest_u_path(G, 0), brute_prefix_states(G, 0, range(5))),
@@ -301,15 +302,24 @@ def test_warm_path_memo_follows_the_budget(monkeypatch):
         (lambda: second_ends(G, P), brute_prefix_states(G, 0, P.vertices[:-1]) - 1),
     )
     for call, nodes in searches:
+        monkeypatch.setattr(paths_mod, "_path_memo", {})
         # a repeated search charges exactly what the first one spent
         first = call()
         assert call() == first
         assert budgets[-1].used == budgets[-2].used == nodes
         # a result found under the default limit does not answer a call
-        # under a smaller one
+        # under a smaller one: the hit raises the cold search's error
+        # without searching
         monkeypatch.setenv("ESOS_BUDGET", str(nodes - 1))
-        with pytest.raises(CapabilityError):
+        with monkeypatch.context() as m:
+            m.setattr(paths_mod, "_reach", no_search)
+            with pytest.raises(CapabilityError) as warm:
+                call()
+        monkeypatch.setattr(paths_mod, "_path_memo", {})
+        with pytest.raises(CapabilityError) as cold:
             call()
+        assert str(warm.value) == str(cold.value)
+        assert f"({nodes} > {nodes - 1} nodes)" in str(cold.value)
         monkeypatch.delenv("ESOS_BUDGET")
 
 
