@@ -234,11 +234,7 @@ def _checked_mask(G: Graph, S: VertexSetLike, what: str = "vertex set") -> int:
 
 def e_inside(G: Graph, S: VertexSetLike) -> int:
     """Edges with both ends in S."""
-    return _e_inside_mask(G, _checked_mask(G, S))
-
-
-def _e_inside_mask(G: Graph, m: int) -> int:
-    """``e_inside`` for a mask already known to lie inside 0..n-1."""
+    m = _checked_mask(G, S)
     rows = G.rows
     twice = 0
     rest = m

@@ -67,7 +67,6 @@ from .errors import Budget, CapabilityError, InputError, SoundnessError, search_
 from .graphs import (
     Graph,
     HCertificate,
-    _e_inside_mask,
     bit,
     bits_of,
     e_inside,
@@ -290,14 +289,42 @@ def _max_paths(
 def _argmax_paths(
     G: Graph, u: int, allowed: int, p: int, budget: Budget
 ) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
+    """The search behind ``_max_paths``, in the order and at the node
+    charge of ``paths.iter_upaths_exact``: lexicographic, one node per vertex
+    placed after u.  Each prefix carries its mask and inner-edge count, and a
+    path becomes a tuple only when it ties or beats the best so far."""
+    if not allowed & bit(u):
+        return None, ()
+    if p == 0:
+        return 0, ((u,),)
+    rows = G.rows
     best = None
     out: list[tuple[int, ...]] = []
-    for path in iter_upaths_exact(G, u, allowed, p, budget):
-        e = _e_inside_mask(G, mask_of(path))
-        if best is None or e > best:
-            best, out = e, [path]
+    stack = [u]
+    mask = bit(u)
+    inner = [0]  # per depth, the inner edges of the prefix
+    untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
+    while untried:
+        ext = untried[-1]
+        if not ext:
+            untried.pop()
+            inner.pop()
+            mask ^= bit(stack.pop())
+            continue
+        low = ext & -ext
+        untried[-1] = ext ^ low
+        budget.spend()
+        z = low.bit_length() - 1
+        e = inner[-1] + (rows[z] & mask).bit_count()
+        if len(stack) < p:
+            stack.append(z)
+            inner.append(e)
+            mask |= low
+            untried.append(rows[z] & allowed & ~mask)
+        elif best is None or e > best:
+            best, out = e, [(*stack, z)]
         elif e == best:
-            out.append(path)
+            out.append((*stack, z))
     return best, tuple(out)
 
 

@@ -40,7 +40,7 @@ at small order.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, search_budget
@@ -68,13 +68,22 @@ def remember(memo: dict, key, value) -> None:
 
 @dataclass(frozen=True)
 class UPath:
+    """A simple path written from its anchor.  Its vertex mask is computed
+    once, at construction; equality, hash and repr see only ``vertices``."""
+
     vertices: tuple[int, ...]
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.vertices:
+        vertices = self.vertices
+        if not vertices:
             raise InputError("a path needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if min(vertices) < 0:
+            raise InputError("path vertices must be nonnegative ids")
+        m = mask_of(vertices)
+        if m.bit_count() != len(vertices):
             raise InputError("path vertices must be distinct")
+        object.__setattr__(self, "_mask", m)
 
     @property
     def anchor(self) -> int:
@@ -89,18 +98,29 @@ class UPath:
         return len(self.vertices) - 1
 
     def mask(self) -> int:
-        return mask_of(self.vertices)
+        return self._mask
 
     def to_json(self) -> list[int]:
         return list(self.vertices)
 
 
 def is_valid_upath(G: Graph, vertices: tuple[int, ...]) -> bool:
-    if not vertices or len(set(vertices)) != len(vertices):
+    """Whether ``vertices`` is a nonempty simple path of G, in one pass
+    checking each vertex's range, repeats and edge to its predecessor."""
+    if not vertices:
         return False
-    if any(not 0 <= v < G.n for v in vertices):
-        return False
-    return all(G.has_edge(a, b) for a, b in zip(vertices, vertices[1:]))
+    n, rows = G.n, G.rows
+    seen = 0
+    prev = -1  # the predecessor's row; the first vertex has none to match
+    for v in vertices:
+        if not 0 <= v < n:
+            return False
+        b = 1 << v
+        if seen & b or not prev & b:
+            return False
+        seen |= b
+        prev = rows[v]
+    return True
 
 
 # -- absorption --------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here works from explicit edge lists / adjacency sets with
 itertools, deliberately avoiding the library's bitmask machinery, so the
 two routes stay independent.  The exceptions are the ``scan_*`` oracles:
 the subset scans the library once ran, over the adjacency rows, kept to pin
-the polynomial searches that replaced them.  ``scan_local_condition`` is
-fast enough for hosts of up to 16 vertices.
+the polynomial searches that replaced them, and ``reference_is_valid_upath``,
+the library's earlier path check, kept to pin its one-pass loop.
+``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
 
 from itertools import combinations, permutations
@@ -116,6 +117,30 @@ def scan_balanced_split(G, vertices, side):
 
 def is_path_of(nbr, seq):
     return all(b in nbr[a] for a, b in zip(seq, seq[1:]))
+
+
+def reference_is_valid_upath(G, vertices):
+    """Whether ``vertices`` is a simple path of G, by the set and
+    generator checks ``paths.is_valid_upath`` once made."""
+    if not vertices or len(set(vertices)) != len(vertices):
+        return False
+    if any(not 0 <= v < G.n for v in vertices):
+        return False
+    return all(G.has_edge(a, b) for a, b in zip(vertices, vertices[1:]))
+
+
+def brute_upath_counts(G, u, allowed):
+    """Entry i is the number of u-paths with i edges using only
+    ``allowed`` vertices, by trying every ordering."""
+    nbr = adj_sets(G)
+    allowed = set(allowed)
+    if u not in allowed:
+        return [0]
+    rest = sorted(allowed - {u})
+    return [
+        sum(is_path_of(nbr, (u,) + tail) for tail in permutations(rest, r))
+        for r in range(len(rest) + 1)
+    ]
 
 
 def brute_reroute_ends(G, P):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_max_inner_edges, scan_balanced_split
+from oracles import brute_max_inner_edges, brute_upath_counts, scan_balanced_split
 
 import esos.lemmas as lemmas_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
@@ -261,12 +261,15 @@ def test_max_paths_match_brute_oracle(monkeypatch):
                 for size in range(3):
                     for excl in combinations(range(n), size):
                         allowed = G.full_mask & ~mask_of(excl)
+                        counts = brute_upath_counts(G, u, bits_of(allowed))
                         for p in range(n + 1):
                             want = brute_max_inner_edges(G, u, bits_of(allowed), p)
                             cold, warm = Budget(10**9), Budget(10**9)
                             got = lemmas_mod._max_paths(G, u, allowed, p, cold)
                             again = lemmas_mod._max_paths(G, u, allowed, p, warm)
                             assert (got[0], list(got[1])) == want, (G, u, excl, p)
+                            # one node per vertex placed: each path of 1..p edges
+                            assert cold.used == sum(counts[1 : p + 1])
                             assert again == got and warm.used == cold.used
 
 
@@ -284,7 +287,7 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
         raise AssertionError("a memo hit must not search")
 
     with monkeypatch.context() as m:
-        m.setattr(lemmas_mod, "iter_upaths_exact", no_search)
+        m.setattr(lemmas_mod, "_argmax_paths", no_search)
         hit = Budget(10**9)
         lemmas_mod._max_paths(G, 0, allowed, 3, hit)
     assert hit.used == miss.used > 0
@@ -302,7 +305,7 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
     assert verify_outcome(inst, out)
     monkeypatch.setenv("ESOS_BUDGET", limit)
     with monkeypatch.context() as m:
-        m.setattr(lemmas_mod, "iter_upaths_exact", no_search)
+        m.setattr(lemmas_mod, "_argmax_paths", no_search)
         with pytest.raises(CapabilityError) as warm:
             validate_instance(inst)
     assert str(warm.value) == str(cold.value)

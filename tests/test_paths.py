@@ -1,6 +1,6 @@
 import sys
 import threading
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from oracles import (
     brute_reroute_last_neighbor,
     brute_second_ends,
     brute_spanning_path_to,
+    reference_is_valid_upath,
 )
 
 import esos.paths as paths_mod
@@ -68,6 +69,26 @@ def test_upath_basics():
     assert not is_valid_upath(C4, (0, 1, 0))
     with pytest.raises(InputError):
         UPath(())
+    with pytest.raises(InputError, match="distinct"):
+        UPath((0, 1, 0))
+    with pytest.raises(InputError, match="nonnegative"):
+        UPath((-1, 0))
+    # the mask built at construction stays out of equality, hash and repr
+    assert UPath((0, 1)) == UPath((0, 1)) and UPath((0, 1)) != UPath((1, 0))
+    assert hash(UPath((0, 1))) == hash(UPath((0, 1)))
+    assert P.mask() == 0b111 and UPath((2, 0)).mask() == 0b101
+    assert repr(P) == "UPath(vertices=(0, 1, 2))"
+    assert P.to_json() == [0, 1, 2]
+
+
+def test_valid_upath_matches_reference_on_small_classes():
+    for n in range(1, 5):
+        for G in enumerate_graphs(n):
+            for size in range(5):
+                for seq in product(range(-1, n + 1), repeat=size):
+                    assert is_valid_upath(G, seq) == reference_is_valid_upath(
+                        G, seq
+                    ), (G, seq)
 
 
 def test_strictly_absorbable_examples():
