@@ -2,12 +2,25 @@
 
 Built-in enumeration is capped at 7 vertices; larger populations come from
 external graph6 streams.  Classes are produced incrementally: every class on
-m vertices is extended by a new vertex with each possible neighbourhood, and
-the results are deduplicated by a canonical key (colour refinement to an
-invariant ordered partition, then the lexicographically least row-by-row
-adjacency encoding over partition-respecting orderings, with prefix
-pruning).  Results are cached per order and returned sorted by graph6
-string, so enumeration order is stable across runs.
+m vertices is extended by a new vertex with each neighbourhood that leaves
+the new vertex at minimum degree, and the results are deduplicated by a
+canonical key.  Both shortcuts are exact:
+
+* every graph is a smaller graph plus a vertex of minimum degree (delete a
+  vertex of minimum degree and read off its class), so the extensions
+  that keep the new vertex at minimum degree still reach every class;
+* the key is colour refinement to an invariant ordered partition, then the
+  lexicographically least row-by-row adjacency encoding over
+  partition-respecting orderings, with prefix pruning.  Twins u, v (with
+  N(u) - v = N(v) - u) lie in one cell, and swapping two unplaced twins is
+  an automorphism fixing every placed vertex, so the two subtrees give the
+  same encodings and the search tries one twin of each class per position.
+
+The key does not depend on which extension produced a graph, and the
+representative of a class is built from its key, so the classes and their
+labellings are those of the unfiltered, unpruned search.  Results are
+cached per order and returned sorted by graph6 string, so enumeration
+order is stable across runs.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import CapabilityError, InputError
-from .graphs import Graph, bit, bits_of
+from .graphs import Graph, bit, bits_of, mask_of
 
 ENUMERATION_CAP = 7
 
@@ -23,13 +36,23 @@ _cache: dict[int, list[Graph]] = {}
 
 
 def refined_cells(G: Graph) -> list[list[int]]:
-    """Stable colour refinement from degrees; cells in invariant order."""
-    color = [G.degree(v) for v in range(G.n)]
+    """Stable colour refinement from degrees; cells in invariant order.
+
+    A vertex's signature is its colour and the sorted tuple of its
+    neighbours' colours, read off one popcount per colour class."""
+    rows = G.rows
+    color = [row.bit_count() for row in rows]
     while True:
-        sigs = [
-            (color[v], tuple(sorted(color[w] for w in bits_of(G.rows[v]))))
-            for v in range(G.n)
-        ]
+        classes: dict[int, int] = {}
+        for v, c in enumerate(color):
+            classes[c] = classes.get(c, 0) | 1 << v
+        by_color = sorted(classes.items())
+        sigs = []
+        for v, row in enumerate(rows):
+            nbr_colors: list[int] = []
+            for c, members in by_color:
+                nbr_colors += (c,) * (row & members).bit_count()
+            sigs.append((color[v], tuple(nbr_colors)))
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
         if new == color:
@@ -43,42 +66,62 @@ def refined_cells(G: Graph) -> list[list[int]]:
 
 def canonical_key(G: Graph) -> tuple[int, ...]:
     """Lex-least row-by-row lower-triangle encoding over orderings that
-    respect the refined partition."""
+    respect the refined partition: row t has bit i set when the vertices at
+    positions i and t are adjacent.  Each twin class is placed in one fixed
+    order (see the module docstring)."""
     n = G.n
-    cells = refined_cells(G)
-    pos_cell = []
-    for idx, cell in enumerate(cells):
-        pos_cell.extend([idx] * len(cell))
-    best: list[int] | None = None
-    placed: list[int] = []
-    used = set()
-    rowbits: list[int] = []
+    rows = G.rows
+    cell_at: list[list[int]] = []
+    twin_before = [-1] * n  # v's nearest earlier twin in its cell, else -1
+    for cell in refined_cells(G):
+        cell_at += [cell] * len(cell)
+        # An open row never equals another vertex's closed row, so one
+        # dict finds both kinds of twin.
+        last: dict[int, int] = {}
+        for v in cell:
+            row, closed = rows[v], rows[v] | 1 << v
+            twin_before[v] = last.get(row, last.get(closed, -1))
+            last[row] = last[closed] = v
+    adj = [0] * n  # adj[v]: positions of v's placed neighbours
+    rowbits = [0] * n
+    best: list[int] = []
 
-    def rec(t: int):
+    def rec(t: int, used: int, tied: bool) -> bool:
+        """Search below a prefix of t rows; ``tied`` says the prefix equals
+        the best key's (else it is smaller, or there is no best yet).
+        Returns whether the best key changed."""
         nonlocal best
         if t == n:
-            if best is None or rowbits < best:
-                best = rowbits.copy()
-            return
-        for v in cells[pos_cell[t]]:
-            if v in used:
+            if tied:
+                return False
+            best = rowbits.copy()
+            return True
+        found = False
+        bit_t = 1 << t
+        for v in cell_at[t]:
+            if used >> v & 1:
                 continue
-            row = 0
-            gr = G.rows[v]
-            for i, q in enumerate(placed):
-                if gr & bit(q):
-                    row |= 1 << i
-            rowbits.append(row)
-            if best is None or rowbits <= best[: t + 1]:
-                placed.append(v)
-                used.add(v)
-                rec(t + 1)
-                used.remove(v)
-                placed.pop()
-            rowbits.pop()
+            twin = twin_before[v]
+            if twin >= 0 and not used >> twin & 1:
+                continue
+            row = adj[v]
+            if tied:
+                if row > best[t]:
+                    continue
+                below_tied = row == best[t]
+            else:
+                below_tied = False
+            rowbits[t] = row
+            nbrs = list(bits_of(rows[v] & ~used))
+            for w in nbrs:
+                adj[w] ^= bit_t
+            if rec(t + 1, used | 1 << v, below_tied):
+                found = tied = True
+            for w in nbrs:
+                adj[w] ^= bit_t
+        return found
 
-    rec(0)
-    assert best is not None
+    rec(0, 0, False)
     return tuple(best)
 
 
@@ -114,7 +157,15 @@ def enumerate_graphs(n: int) -> list[Graph]:
     else:
         reps_by_key: dict[tuple[int, ...], Graph] = {}
         for H in enumerate_graphs(n - 1):
+            # The new vertex keeps minimum degree d: every old vertex of
+            # degree below d must gain the new edge, and none is below d - 1.
+            degs = [r.bit_count() for r in H.rows]
+            max_d = min(degs) + 1
+            below = [mask_of(v for v, dv in enumerate(degs) if dv < d) for d in range(n)]
             for nbrs in range(1 << (n - 1)):
+                d = nbrs.bit_count()
+                if d > max_d or below[d] & ~nbrs:
+                    continue
                 rows = [r | (bit(n - 1) if nbrs & bit(v) else 0) for v, r in enumerate(H.rows)]
                 rows.append(nbrs)
                 G = Graph(n, tuple(rows))

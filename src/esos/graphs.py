@@ -77,16 +77,20 @@ class Graph:
             raise InputError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.rows) != self.n:
             raise InputError("adjacency row count does not match n")
+        rows = self.rows
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise InputError(f"row {v} references vertices >= n")
-            if row & bit(v):
+            if row >> v & 1:
                 raise InputError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for w in bits_of(self.rows[v]):
-                if not self.rows[w] & bit(v):
+        for v, row in enumerate(rows):
+            while row:
+                low = row & -row
+                w = low.bit_length() - 1
+                if not rows[w] >> v & 1:
                     raise InputError(f"asymmetric adjacency at ({v},{w})")
+                row ^= low
 
     # -- constructors ------------------------------------------------------
 

@@ -4,12 +4,17 @@ Everything here works from explicit edge lists / adjacency sets with
 itertools, deliberately avoiding the library's bitmask machinery, so the
 two routes stay independent.  The exceptions are the ``scan_*`` oracles:
 the subset scans the library once ran, over the adjacency rows, kept to pin
-the polynomial searches that replaced them, and ``reference_is_valid_upath``,
-the library's earlier path check, kept to pin its one-pass loop.
+the polynomial searches that replaced them, ``reference_is_valid_upath``,
+the library's earlier path check, kept to pin its one-pass loop, and the
+``reference_*`` enumerator, the library's earlier canonical key and
+unfiltered extend-and-dedup, kept to pin the pruned search and the
+minimum-degree extension byte for byte.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
 
 from itertools import combinations, permutations
+
+from esos.graphs import Graph
 
 
 def adj_sets(G):
@@ -348,3 +353,96 @@ def brute_prefix_states(G, u, allowed):
             if is_path_of(nbr, seq):
                 states.add((frozenset(seq), seq[-1]))
     return len(states)
+
+
+def _row_ids(row):
+    return [v for v in range(row.bit_length()) if row >> v & 1]
+
+
+def reference_refined_cells(G):
+    """Stable colour refinement from degrees, by sorting each vertex's
+    neighbour colours one by one; cells in invariant order."""
+    color = [G.degree(v) for v in range(G.n)]
+    while True:
+        sigs = [
+            (color[v], tuple(sorted(color[w] for w in _row_ids(G.rows[v]))))
+            for v in range(G.n)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [palette[s] for s in sigs]
+        if new == color:
+            break
+        color = new
+    cells = {}
+    for v in range(G.n):
+        cells.setdefault(color[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def reference_canonical_key(G):
+    """Lex-least row-by-row lower-triangle encoding over orderings that
+    respect the refined partition: every such ordering is tried, dropping a
+    prefix only when it is larger than the best key's prefix."""
+    n = G.n
+    cells = reference_refined_cells(G)
+    pos_cell = []
+    for idx, cell in enumerate(cells):
+        pos_cell.extend([idx] * len(cell))
+    best = None
+    placed = []
+    rowbits = []
+
+    def rec(t):
+        nonlocal best
+        if t == n:
+            if best is None or rowbits < best:
+                best = rowbits.copy()
+            return
+        for v in cells[pos_cell[t]]:
+            if v in placed:
+                continue
+            row = 0
+            for i, q in enumerate(placed):
+                if G.rows[v] >> q & 1:
+                    row |= 1 << i
+            rowbits.append(row)
+            if best is None or rowbits <= best[: t + 1]:
+                placed.append(v)
+                rec(t + 1)
+                placed.pop()
+            rowbits.pop()
+
+    rec(0)
+    return tuple(best)
+
+
+def reference_from_key(key):
+    return Graph.from_edges(
+        len(key), [(i, j) for j, row in enumerate(key) for i in _row_ids(row)]
+    )
+
+
+def reference_extensions(H):
+    """H plus one new vertex, for every neighbourhood of the new vertex."""
+    n = H.n + 1
+    for nbrs in range(1 << H.n):
+        rows = [r | (1 << H.n if nbrs >> v & 1 else 0) for v, r in enumerate(H.rows)]
+        yield Graph(n, tuple(rows) + (nbrs,))
+
+
+def reference_enumerate_graphs(n, _cache={}):
+    """One representative per isomorphism class on n vertices, sorted by
+    graph6: every class on n - 1 vertices extended in every way, deduplicated
+    by ``reference_canonical_key``."""
+    if n not in _cache:
+        if n == 1:
+            _cache[n] = [Graph(1, (0,))]
+        else:
+            reps = {}
+            for H in reference_enumerate_graphs(n - 1):
+                for G in reference_extensions(H):
+                    key = reference_canonical_key(G)
+                    if key not in reps:
+                        reps[key] = reference_from_key(key)
+            _cache[n] = sorted(reps.values(), key=lambda g: g.to_graph6())
+    return _cache[n]

@@ -40,11 +40,27 @@ C4 = Graph.cycle(4)
 K13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
 
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (2, (0b10, 0b00), "asymmetric adjacency at (0,1)"),
+        # two asymmetric pairs, (1,0) and (0,2): the first in row order
+        (3, (0b100, 0b001, 0b000), "asymmetric adjacency at (0,2)"),
+        (1, (0b1,), "loop at vertex 0"),
+        (2, (0b01, 0b00), "loop at vertex 0"),
+        (2, (0b100, 0b000), "row 0 references vertices >= n"),
+        # every row's range and loop checks run before any symmetry check
+        (2, (0b101, 0b00), "row 0 references vertices >= n"),
+        (3, (0b010, 0b000, 0b100), "loop at vertex 2"),
+    ],
+)
+def test_construction_error_texts(n, rows, message):
+    with pytest.raises(InputError) as exc:
+        Graph(n, rows)
+    assert str(exc.value) == message
+
+
 def test_construction_rejects_bad_rows():
-    with pytest.raises(InputError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(InputError):
-        Graph(1, (1,))  # loop
     with pytest.raises(InputError):
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(InputError):

@@ -1,9 +1,18 @@
 import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_canonical_classes
+from conftest import graph_from_bits, graphs
+from oracles import (
+    brute_canonical_classes,
+    reference_canonical_key,
+    reference_enumerate_graphs,
+    reference_extensions,
+)
 
 from esos.cli import main
 from esos.enumeration import (
@@ -24,8 +33,61 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 def test_enumeration_counts_match_known_table():
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert len(enumerate_graphs(n)) == KNOWN_CLASS_COUNTS[n]
+
+
+def test_enumeration_matches_reference_graph6():
+    for n in range(1, 8):
+        got = [G.to_graph6() for G in enumerate_graphs(n)]
+        assert got == [G.to_graph6() for G in reference_enumerate_graphs(n)], n
+
+
+def test_canonical_key_matches_reference_on_every_small_extension():
+    # every candidate the unfiltered extend-and-dedup keys for n <= 6,
+    # including the ones the minimum-degree filter now skips
+    for n in range(2, 7):
+        for H in enumerate_graphs(n - 1):
+            for G in reference_extensions(H):
+                assert canonical_key(G) == reference_canonical_key(G), G
+
+
+@pytest.mark.parametrize("n, count", [(7, 300), (8, 150)])
+def test_canonical_key_matches_reference_on_seeded_samples(n, count):
+    rng = random.Random(20260 + n)
+    for _ in range(count):
+        G = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2))
+        assert canonical_key(G) == reference_canonical_key(G), G
+
+
+def _join(*parts):
+    """The complete multipartite graph with the given part sizes."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(
+        n, [(a, b) for a in range(n) for b in range(a + 1, n) if part[a] != part[b]]
+    )
+
+
+TWIN_HEAVY_HOSTS = (
+    [Graph.complete(n) for n in range(1, 9)]
+    + [Graph.empty(n) for n in range(1, 9)]
+    + [_join(3, 4), _join(2, 2, 2, 2), _join(1, 7), _join(1, 4)]
+    + [Graph.from_edges(n, [(0, 1), (1, 2), (2, 3), (3, 0)]) for n in range(4, 9)]
+)
+
+
+@pytest.mark.parametrize("G", TWIN_HEAVY_HOSTS, ids=lambda G: G.to_graph6())
+def test_canonical_key_matches_reference_on_twin_heavy_hosts(G):
+    assert canonical_key(G) == reference_canonical_key(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_canonical_key_is_invariant_under_relabelling(G, data):
+    perm = data.draw(st.permutations(range(G.n)))
+    H = Graph.from_edges(G.n, [(perm[a], perm[b]) for a, b in G.edges()])
+    assert canonical_key(H) == canonical_key(G)
 
 
 def test_enumeration_matches_independent_dedup_oracle():
