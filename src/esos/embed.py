@@ -1,7 +1,12 @@
 """Spider embedding: oracle, embed-or-certify, and the density pipeline.
 
-``embed_bruteforce`` is the independent oracle: deterministic backtracking
-over legs, longest leg first, neighbours in ascending order.
+``embed_bruteforce`` is the independent oracle: one deterministic
+depth-first search over the k vertices a spider places beside its centre,
+leg by leg (longest leg first), each leg from the centre outward, and
+candidates in ascending order.  Every placed vertex is one node of the
+search budget.  The free-vertex prune (k + 1 <= n) costs no node, and a leg
+as long as the one before it starts above that leg's first vertex, so equal
+legs are not tried in both orders.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
 suggests: strip a leaf off the longest leg, take the oracle's embedding of
@@ -51,7 +56,6 @@ from .paths import (
     UPath,
     absorb,
     is_absorbable,
-    is_valid_upath,
     longest_u_path,
     reroute_ends,
     reroute_path_to,
@@ -112,29 +116,34 @@ def verify_embedding(G: Graph, T: Spider, emb: Embedding) -> bool:
 
     A single-leg spider is a path and its centre designation is ambiguous,
     so the centre may sit anywhere on the realized path: one or two legs
-    with positive lengths summing to k are accepted in that case.
+    with positive lengths summing to k are accepted in that case.  After
+    the lengths, one pass over the legs checks each vertex past the centre
+    for range, for repeats (against every vertex seen so far) and for an
+    edge to its predecessor.
     """
-    if not 0 <= emb.center < G.n:
+    n, rows, center = G.n, G.rows, emb.center
+    if not 0 <= center < n:
         return False
     if len(T.legs) == 1:
-        lengths = sorted((l.length for l in emb.legs), reverse=True)
+        lengths = [l.length for l in emb.legs]
         if not 1 <= len(lengths) <= 2 or sum(lengths) != T.k or min(lengths) < 1:
             return False
-    else:
-        if len(emb.legs) != len(T.legs):
-            return False
-        if tuple(l.length for l in emb.legs) != T.legs:
-            return False
-    seen = bit(emb.center)
+    elif tuple(l.length for l in emb.legs) != T.legs:
+        return False
+    seen = 1 << center
     for leg in emb.legs:
-        if leg.anchor != emb.center:
+        vertices = iter(leg.vertices)
+        if next(vertices) != center:
             return False
-        if not is_valid_upath(G, leg.vertices):
-            return False
-        body = leg.mask() & ~bit(emb.center)
-        if body & seen:
-            return False
-        seen |= body
+        prev = rows[center]
+        for v in vertices:
+            if not 0 <= v < n:
+                return False
+            b = 1 << v
+            if seen & b or not prev & b:
+                return False
+            seen |= b
+            prev = rows[v]
     return seen.bit_count() == T.k + 1
 
 
@@ -147,52 +156,68 @@ def _embed_search(
     center: int,
     budget: Budget,
 ) -> Optional[Embedding]:
-    """Backtracking over legs (longest first, neighbours ascending); the
-    first embedding, legs in ``legs`` order, or None.  Raises
-    CapabilityError via the budget."""
-    done: list[tuple[int, ...]] = []
-    used = bit(center)
+    """The first embedding, legs in ``legs`` order, or None.
 
-    def place(li: int) -> Optional[Embedding]:
-        nonlocal used
-        if li == len(legs):
-            return Embedding(center, tuple(UPath(p) for p in done))
-        remaining = sum(legs[li:])
-        if (G.full_mask & ~used).bit_count() < remaining:
-            return None
-        floor = -1
-        if li and legs[li] == legs[li - 1]:
-            floor = done[li - 1][1]  # same-length legs: break the swap symmetry
-        for z in bits_of(G.rows[center] & ~used):
-            if z <= floor:
-                continue
-            budget.spend()
-            used |= bit(z)
-            got = walk(li, [center, z], legs[li] - 1)
-            used &= ~bit(z)
-            if got is not None:
-                return got
+    One depth-first search over the k placement positions: leg by leg in
+    ``legs`` order, each leg vertex by vertex from the centre, candidates
+    ascending.  Each placed vertex costs one node of ``budget``: nodes are
+    counted locally and charged once on return, or at once at the node that
+    crosses the limit, which raises CapabilityError as ``spend`` does.  The
+    free-vertex prune needs no node: every placed vertex is a fresh vertex
+    of G, so k vertices fit beside the centre exactly when k + 1 <= n.  A leg
+    as long as the one before it starts above that leg's first vertex,
+    which breaks the swap symmetry of equal legs.
+    """
+    k = sum(legs)
+    if k + 1 > G.n:
         return None
-
-    def walk(li: int, path: list[int], left: int) -> Optional[Embedding]:
-        nonlocal used
-        if left == 0:
-            done.append(tuple(path))
-            got = place(li + 1)
-            done.pop()
-            return got
-        for z in bits_of(G.rows[path[-1]] & ~used):
-            budget.spend()
-            used |= bit(z)
-            path.append(z)
-            got = walk(li, path, left - 1)
-            path.pop()
-            used &= ~bit(z)
-            if got is not None:
-                return got
-        return None
-
-    return place(0)
+    rows = G.rows
+    # floor[j]: None inside a leg; at a leg start, the position of the
+    # previous leg's first vertex when the two legs are equally long, else -1
+    floor: list[Optional[int]] = [None] * k
+    j = prev = 0
+    for ell in legs:
+        floor[j] = j - prev if ell == prev else -1
+        j += ell
+        prev = ell
+    seq = [0] * k
+    cand = [0] * k
+    free = G.full_mask ^ (1 << center)
+    cand[0] = rows[center] & free
+    room = budget.limit - budget.used
+    nodes = 0
+    j = 0
+    while True:
+        c = cand[j]
+        if not c:
+            j -= 1
+            if j < 0:
+                budget.spend(nodes)
+                return None
+            free |= 1 << seq[j]
+            continue
+        low = c & -c
+        cand[j] = c ^ low
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        free ^= low
+        z = seq[j] = low.bit_length() - 1
+        j += 1
+        if j == k:
+            budget.spend(nodes)
+            paths, s = [], 0
+            for ell in legs:
+                paths.append(UPath((center, *seq[s : s + ell])))
+                s += ell
+            return Embedding(center, tuple(paths))
+        f = floor[j]
+        if f is None:
+            cand[j] = rows[z] & free
+        elif f < 0:
+            cand[j] = rows[center] & free
+        else:
+            cand[j] = rows[center] & free & -(2 << seq[f])
 
 
 def _path_splits(k: int) -> list[tuple[int, ...]]:
@@ -214,14 +239,14 @@ def embed_bruteforce(
     through u (the centre of a path is any of its vertices), so each split
     of the path at u is tried in turn.
     """
+    if u is not None and not 0 <= u < G.n:
+        raise InputError("centre out of range")
     if T.k < 1:
         raise InputError("spider must have at least one edge")
     if T.k + 1 > G.n:
         return None
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
     if u is not None and len(T.legs) == 1:
-        if not 0 <= u < G.n:
-            raise InputError("centre out of range")
         for legs in _path_splits(T.k):
             if G.degree(u) < len(legs):
                 continue
@@ -231,8 +256,6 @@ def embed_bruteforce(
         return None
     centers = [u] if u is not None else list(range(G.n))
     for c in centers:
-        if not 0 <= c < G.n:
-            raise InputError("centre out of range")
         if G.degree(c) < len(T.legs):
             continue
         got = _embed_search(G, T.legs, c, budget)

@@ -8,7 +8,7 @@ shapes a certificate can ever accompany.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -16,13 +16,18 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class Spider:
+    """Leg lengths, non-increasing.  The edge count ``k`` is summed once, at
+    construction; equality, hash and repr see only ``legs``."""
+
     legs: tuple[int, ...]
+    k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(l < 1 for l in self.legs):
             raise InputError("leg lengths must be positive")
         if any(self.legs[i] < self.legs[i + 1] for i in range(len(self.legs) - 1)):
             raise InputError("legs must be non-increasing (canonical form)")
+        object.__setattr__(self, "k", sum(self.legs))
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "Spider":
@@ -37,10 +42,6 @@ class Spider:
         if not lengths:
             raise InputError("empty spider literal")
         return cls.from_lengths(lengths)
-
-    @property
-    def k(self) -> int:
-        return sum(self.legs)
 
     def to_json(self) -> list[int]:
         return list(self.legs)

@@ -8,13 +8,18 @@ the polynomial searches that replaced them, ``reference_is_valid_upath``,
 the library's earlier path check, kept to pin its one-pass loop, and the
 ``reference_*`` enumerator, the library's earlier canonical key and
 unfiltered extend-and-dedup, kept to pin the pruned search and the
-minimum-degree extension byte for byte.
+minimum-degree extension byte for byte, and ``reference_embed_search`` and
+``reference_verify_embedding``, the library's earlier recursive embedding
+oracle and leg-by-leg embedding check, kept to pin the flat search (same
+embedding, same node charge) and the one-pass check.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
 
 from itertools import combinations, permutations
 
-from esos.graphs import Graph
+from esos.embed import Embedding
+from esos.graphs import Graph, bit, bits_of
+from esos.paths import UPath, is_valid_upath
 
 
 def adj_sets(G):
@@ -446,3 +451,80 @@ def reference_enumerate_graphs(n, _cache={}):
                         reps[key] = reference_from_key(key)
             _cache[n] = sorted(reps.values(), key=lambda g: g.to_graph6())
     return _cache[n]
+
+
+def reference_embed_search(G, legs, center, budget):
+    """Backtracking over legs (longest first, neighbours ascending); the
+    first embedding, legs in ``legs`` order, or None.  Raises
+    CapabilityError via the budget."""
+    done = []
+    used = bit(center)
+
+    def place(li):
+        nonlocal used
+        if li == len(legs):
+            return Embedding(center, tuple(UPath(p) for p in done))
+        remaining = sum(legs[li:])
+        if (G.full_mask & ~used).bit_count() < remaining:
+            return None
+        floor = -1
+        if li and legs[li] == legs[li - 1]:
+            floor = done[li - 1][1]  # same-length legs: break the swap symmetry
+        for z in bits_of(G.rows[center] & ~used):
+            if z <= floor:
+                continue
+            budget.spend()
+            used |= bit(z)
+            got = walk(li, [center, z], legs[li] - 1)
+            used &= ~bit(z)
+            if got is not None:
+                return got
+        return None
+
+    def walk(li, path, left):
+        nonlocal used
+        if left == 0:
+            done.append(tuple(path))
+            got = place(li + 1)
+            done.pop()
+            return got
+        for z in bits_of(G.rows[path[-1]] & ~used):
+            budget.spend()
+            used |= bit(z)
+            path.append(z)
+            got = walk(li, path, left - 1)
+            path.pop()
+            used &= ~bit(z)
+            if got is not None:
+                return got
+        return None
+
+    return place(0)
+
+
+def reference_verify_embedding(G, T, emb):
+    """Leg lengths against T (one or two legs summing to k for a one-leg
+    spider), then each leg anchored at the centre, a path of G, and off the
+    vertices of the legs before it."""
+    if not 0 <= emb.center < G.n:
+        return False
+    if len(T.legs) == 1:
+        lengths = sorted((l.length for l in emb.legs), reverse=True)
+        if not 1 <= len(lengths) <= 2 or sum(lengths) != T.k or min(lengths) < 1:
+            return False
+    else:
+        if len(emb.legs) != len(T.legs):
+            return False
+        if tuple(l.length for l in emb.legs) != T.legs:
+            return False
+    seen = bit(emb.center)
+    for leg in emb.legs:
+        if leg.anchor != emb.center:
+            return False
+        if not is_valid_upath(G, leg.vertices):
+            return False
+        body = leg.mask() & ~bit(emb.center)
+        if body & seen:
+            return False
+        seen |= body
+    return seen.bit_count() == T.k + 1

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_bits, graphs
-from oracles import brute_embeds_anywhere, brute_embeds_at
+from oracles import (
+    brute_embeds_anywhere,
+    brute_embeds_at,
+    reference_embed_search,
+    reference_verify_embedding,
+)
 
 import esos.embed as embed_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
-from esos.errors import CapabilityError, InputError, SoundnessError
+from esos.errors import Budget, CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate, satisfies_local_condition
 from esos.embed import (
     Embedding,
@@ -42,6 +47,16 @@ def test_oracle_examples():
     assert embed_bruteforce(h32_host(), Spider((2, 2)), 4) is None
     for x in (0, 1, 2):
         assert embed_bruteforce(h32_host(), Spider((2, 2)), x) is not None
+
+
+def test_oracle_rejects_out_of_range_centres():
+    # the centre is checked before the size test, which answered None here
+    # for spiders too large for the host
+    K3 = Graph.complete(3)
+    for legs in [(2, 1, 1), (3, 3), (1,)]:
+        for u in (99, 3, -1):
+            with pytest.raises(InputError, match="centre out of range"):
+                embed_bruteforce(K3, Spider(legs), u)
 
 
 def test_oracle_single_leg_goes_through_the_centre():
@@ -348,3 +363,130 @@ def test_oracle_matches_itertools_oracle_sampled_n7():
     classes = enumerate_graphs(7)
     for G in random.Random(7).sample(classes, 40):
         _oracle_agrees_with_itertools(G)
+
+
+def _run_search(search, G, legs, center, limit):
+    budget = Budget(limit, "embedding oracle")
+    try:
+        return search(G, legs, center, budget), budget.used, None
+    except CapabilityError as exc:
+        return None, budget.used, str(exc)
+
+
+def _search_agrees_with_reference(G) -> int:
+    """The flat search against the recursive reference on every spider with
+    k < n, path split and centre: the same embedding and Budget.used, and
+    at limits used - 1 and used // 2 the same CapabilityError (the first
+    trips only at the last node, the second mid-search); the number of
+    searches."""
+    searches = 0
+    for k in range(1, G.n):
+        for T in enumerate_spiders(k):
+            splits = embed_mod._path_splits(k) if len(T.legs) == 1 else [T.legs]
+            for legs in splits:
+                for c in range(G.n):
+                    args = (G, legs, c)
+                    want = _run_search(reference_embed_search, *args, 10**9)
+                    assert _run_search(embed_mod._embed_search, *args, 10**9) == want, args
+                    used = want[1]
+                    for limit in {used - 1, used // 2} if used else ():
+                        tight = _run_search(reference_embed_search, *args, limit)
+                        assert tight[2] is not None
+                        assert _run_search(embed_mod._embed_search, *args, limit) == tight, args
+                    searches += 1
+    return searches
+
+
+def test_oracle_search_matches_reference_exhaustive_n6():
+    assert sum(_search_agrees_with_reference(G) for G in graphs_up_to(6)) == 25418
+
+
+def test_oracle_search_matches_reference_sampled_n7_n8():
+    rng = random.Random(15)
+    for G in rng.sample(enumerate_graphs(7), 30):
+        _search_agrees_with_reference(G)
+    for _ in range(12):
+        _search_agrees_with_reference(graph_from_bits(8, rng.getrandbits(28)))
+
+
+def _forged(vertices) -> UPath:
+    """A UPath that skips the constructor's checks, so repeated and
+    negative ids reach the verifiers."""
+    leg = object.__new__(UPath)
+    mask = 0
+    for v in vertices:
+        if v >= 0:
+            mask |= 1 << v
+    object.__setattr__(leg, "vertices", tuple(vertices))
+    object.__setattr__(leg, "_mask", mask)
+    return leg
+
+
+def _tamperings(G, emb, rng):
+    """Seeded corruptions of a valid embedding, by kind."""
+    c, legs = emb.center, list(emb.legs)
+    out = [
+        ("wrong centre", Embedding((c + rng.randrange(1, G.n)) % G.n, emb.legs)),
+        ("centre out of range", Embedding(rng.choice([G.n, -1]), emb.legs)),
+        ("dropped leg", Embedding(c, tuple(legs[:-1]))),
+        ("legs reversed", Embedding(c, tuple(legs[::-1]))),
+    ]
+
+    def with_vertex(i, p, v):
+        vs = list(legs[i].vertices)
+        vs[p] = v
+        new = legs[:i] + [_forged(vs)] + legs[i + 1 :]
+        return Embedding(c, tuple(new))
+
+    i = rng.randrange(len(legs))
+    p = rng.randrange(1, len(legs[i].vertices))
+    out += [
+        ("vertex out of range", with_vertex(i, p, G.n + rng.randrange(3))),
+        ("negative vertex", with_vertex(i, p, -1 - rng.randrange(3))),
+        ("repeated centre", with_vertex(i, p, c)),
+        ("non-edge", with_vertex(i, p, rng.randrange(G.n))),
+    ]
+    if len(legs) >= 2:
+        j = rng.choice([t for t in range(len(legs)) if t != i])
+        out.append(("legs overlap", with_vertex(i, p, rng.choice(legs[j].vertices[1:]))))
+    short = legs[i].vertices[:-1]
+    longer = legs[i].vertices + (rng.randrange(G.n),)
+    for name, vs in (("leg shortened", short), ("leg lengthened", longer)):
+        out.append((name, Embedding(c, tuple(legs[:i] + [_forged(vs)] + legs[i + 1 :]))))
+    if len(legs) <= 2:
+        # the one-leg spider's path, split again at each of its vertices
+        path = legs[-1].vertices[::-1] + (legs[0].vertices[1:] if len(legs) == 2 else ())
+        for q, x in enumerate(path):
+            ends = (UPath(path[q:]), UPath(path[q::-1]))
+            out += [
+                ("path split", Embedding(x, ends)),
+                ("path one leg", Embedding(x, ends[:1])),
+                ("path three legs", Embedding(x, ends + (UPath((x,)),))),
+            ]
+    return out
+
+
+def test_verify_embedding_matches_reference():
+    rng = random.Random(1509)
+    seen = {}
+    for G in graphs_up_to(6):
+        for k in range(1, G.n):
+            for T in enumerate_spiders(k):
+                for u in range(G.n):
+                    emb = embed_bruteforce(G, T, u)
+                    if emb is None:
+                        continue
+                    assert verify_embedding(G, T, emb)
+                    assert reference_verify_embedding(G, T, emb)
+                    for kind, bad in _tamperings(G, emb, rng):
+                        want = reference_verify_embedding(G, T, bad)
+                        assert verify_embedding(G, T, bad) == want, (kind, bad)
+                        seen.setdefault(kind, set()).add(want)
+    # every kind of corruption was made and rejected somewhere; only a
+    # re-split path, a relabelled non-edge or a swap of equal legs can stay
+    # valid
+    assert len(seen) == 14
+    assert all(False in verdicts for verdicts in seen.values()), seen
+    assert {kind for kind, verdicts in seen.items() if True in verdicts} <= {
+        "path split", "path one leg", "non-edge", "legs reversed",
+    }

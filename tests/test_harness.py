@@ -283,6 +283,14 @@ def test_cli_input_error_exit_2(capsys):
     assert main(["embed", "C~", "--spider", "zap", "--at", "0"]) == 2
 
 
+def test_cli_embed_rejects_an_out_of_range_centre(capsys):
+    # a spider too large for the host used to print "no embedding", exit 1
+    for spider in ("3,3", "1"):
+        assert main(["embed", "Bw", "--spider", spider, "--at", "99"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "input error: centre out of range" in err
+
+
 def test_cli_census_rejects_k_zero(capsys):
     # 0 is even, but no spider has zero edges
     assert main(["census", "--n", "5", "--k", "0"]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,18 @@ def test_enumeration_examples():
 @given(st.integers(1, 20))
 def test_enumeration_count_is_partition_number(k):
     assert sum(1 for _ in enumerate_spiders(k)) == brute_partition_count(k)
+
+
+def test_edge_count_is_stored_and_unseen_by_equality():
+    T = Spider((3, 2, 2))
+    assert T.k == 7 and Spider(()).k == 0
+    assert repr(T) == "Spider(legs=(3, 2, 2))" and str(T) == "3,2,2"
+    assert T == Spider.from_lengths([2, 3, 2]) and hash(T) == hash(Spider((3, 2, 2)))
+    assert T != Spider((3, 3, 1)) and T.to_json() == [3, 2, 2]
+    with pytest.raises(TypeError):
+        Spider((1,), k=5)
+    with pytest.raises(FrozenInstanceError):
+        T.k = 1
 
 
 def test_canonical_form_enforced():
