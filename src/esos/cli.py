@@ -78,15 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_embed(args) -> int:
     T = Spider.parse(args.spider)
+    if args.constructive and args.at is None:
+        raise InputError("--constructive needs --at CENTRE")
     if args.graph6 == "-":
         graphs = read_graph6_stream(sys.stdin)
     else:
         graphs = [Graph.from_graph6(args.graph6)]
-    failures = 0
+    seen = failures = 0
     for G in graphs:
+        seen += 1
         if args.constructive:
-            if args.at is None:
-                raise InputError("--constructive needs --at CENTRE")
             out = embed_constructive(G, T, args.at)
             payload = out.to_json()
             ok = out.embedded
@@ -108,6 +109,8 @@ def _cmd_embed(args) -> int:
             print(_pretty_embed(payload))
         if not ok and not args.constructive:
             failures += 1
+    if not seen:
+        raise InputError("no graph6 line on stdin")
     return 1 if failures else 0
 
 

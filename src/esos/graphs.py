@@ -230,7 +230,10 @@ class Graph:
 
 
 def _checked_mask(G: Graph, S: VertexSetLike, what: str = "vertex set") -> int:
-    m = mask_of(S)
+    try:
+        m = mask_of(S)
+    except ValueError:  # mask_of meets a negative id
+        m = -1
     if m & ~G.full_mask:
         raise InputError(f"{what} references vertices outside 0..{G.n - 1}")
     return m

@@ -19,10 +19,11 @@ instances exhaustively at small order to enforce exactly this).
 All half-integer bookkeeping is carried doubled: ``surplus2`` is twice the
 rule's surplus, so every comparison is exact integer arithmetic.
 
-An instance is validated when it is sampled, by its analyzer and again by
-``verify_outcome``, and the builders run the same maximality search while
-they make it.  Two pure searches are therefore memoised through
-``paths.recall``, each in a memo of ``paths.MEMO_SIZE`` entries:
+An instance is validated when it is sampled, by ``analyze`` (which hands
+the analyzer its context) and again by ``verify_outcome``, and the builders
+run the same maximality search while they make it.  Two pure searches are
+therefore memoised through ``paths.recall``, each in a memo of
+``paths.MEMO_SIZE`` entries:
 
 * the maximality search (``_max_paths``), keyed by (graph, u, allowed set,
   p), with the nodes it spent; ``paths.recall`` states how a hit is
@@ -54,7 +55,11 @@ Each rule's hypotheses are stated once:
   neighbour of u rather than a probe end);
 * ``compute_surplus2`` is the only statement of each surplus;
 * ``_probe_end_filter`` decides which x the generators admit: nonnegative
-  surplus, and for rule 6, x absorbable to P's optimal reroute.
+  surplus, and for rule 6, x absorbable to P's optimal reroute;
+* ``_split_pools`` is case B's precondition and the vertex sets its split
+  must cover; ``_degenerate`` is case A's predicate and facts.  Each
+  analyzer ends its own case-C search in the same B-then-A tail, and
+  ``verify_outcome`` reads both statements.
 """
 
 from __future__ import annotations
@@ -499,27 +504,91 @@ def _w_companion(
 # -- analyzers -------------------------------------------------------------------
 
 
-def _fail(inst: LemmaInstance) -> SoundnessError:
-    return SoundnessError(
-        f"no case matched a valid lemma-{inst.lemma} instance: {inst.to_json()}"
-    )
+def _split_pools(inst: LemmaInstance, ctx: _Ctx) -> list[int]:
+    """The vertex sets a case-B split must cover exactly: V(P)+x for rules 3,
+    4 and 6; for rule 5, V(P)+{x,v} less one vertex, in ascending order of
+    that vertex.  Empty unless the surplus is 0, p is even and, for rules
+    3, 5 and 6, the probe is one edge."""
+    if inst.surplus2 or ctx.p % 2 or (inst.lemma != 4 and ctx.q != 1):
+        return []
+    pool = inst.p_path.mask() | bit(inst.x)
+    if inst.lemma != 5:
+        return [pool]
+    pool |= bit(inst.v)
+    return [pool & ~bit(omit) for omit in bits_of(pool)]
 
 
-def _pair_facts(G: Graph, inst: LemmaInstance, ctx: _Ctx) -> dict:
-    half = []
-    for i, wv in ((1, inst.w1), (2, inst.w2)):
-        if 2 * _ev(G, wv, ctx.L) == ctx.p:
-            half.append(i)
-    return {
-        "e_w1_L": _ev(G, inst.w1, ctx.L),
-        "e_w2_L": _ev(G, inst.w2, ctx.L),
-        "e_x_L": _ev(G, inst.x, ctx.L),
-        "p_half_matches": half,
-    }
+def _degenerate(inst: LemmaInstance, ctx: _Ctx) -> Optional[dict]:
+    """Case A's facts when the rule's degeneracy holds at surplus 0, else
+    None."""
+    if inst.surplus2:
+        return None
+    G, L, x = inst.graph, ctx.L, inst.x
+    if inst.lemma == 3:
+        # the excluded pair is detached from L
+        if _ev(G, inst.w1, L) + _ev(G, inst.w2, L) == 0:
+            return {"e_pair_L": 0, "e_x_L": _ev(G, x, L)}
+    elif inst.lemma == 4:
+        # either x is dominated by the tied pair, or x sees all of L
+        ex, e1, e2 = _ev(G, x, L), _ev(G, inst.w1, L), _ev(G, inst.w2, L)
+        if (ex < e1 and e1 == e2) or ex == ctx.p:
+            return {"e_x_L": ex, "e_w1_L": e1, "e_w2_L": e2}
+    elif inst.lemma == 5:
+        # x sees all of L, the excluded edge sees none of it
+        if G.rows[x] & L == L and (G.rows[inst.v] | G.rows[inst.w]) & L == 0:
+            return {"e_x_L": ctx.p, "e_vw_L": 0}
+    else:
+        # x reaches the reroute's end; w's attachments match the gap pattern
+        pp, w = ctx.p_prime, inst.w
+        if not G.rows[x] & bit(pp.end):
+            return None
+        matches = _pqw_gap_readings(G, ctx, x, w)
+        ew = _ev(G, w, L)
+        if matches and (ew == 0 or is_strictly_absorbable(G, pp, w) is not None):
+            return {
+                "end_seen_by_x": True,
+                "e_w_L": ew,
+                "nw_readings": matches,
+                "reroute": pp.to_json(),
+            }
+    return None
 
 
-def analyze_xv1v2(inst: LemmaInstance) -> CaseOutcome:
-    ctx = validate_instance(inst)
+def _split_or_degenerate(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+    """Every analyzer's tail after its own case-C search: B over the split
+    pools, then A; a SoundnessError when neither holds."""
+    G, L = inst.graph, ctx.L
+    for pool in _split_pools(inst, ctx):
+        cert = _balanced_split_on(G, pool, ctx.p // 2 + 1)
+        if cert is None:
+            continue
+        if inst.lemma in (3, 4):
+            e1, e2 = _ev(G, inst.w1, L), _ev(G, inst.w2, L)
+            facts = {
+                "e_w1_L": e1,
+                "e_w2_L": e2,
+                "e_x_L": _ev(G, inst.x, L),
+                "p_half_matches": [i for i, e in ((1, e1), (2, e2)) if 2 * e == ctx.p],
+            }
+        elif inst.lemma == 5:
+            left_out = (inst.p_path.mask() | bit(inst.x) | bit(inst.v)) & ~pool
+            facts = {
+                "e_w_L": _ev(G, inst.w, L),
+                "e_v_L": _ev(G, inst.v, L),
+                "omitted": left_out.bit_length() - 1,
+            }
+        else:
+            facts = {"e_w_L": _ev(G, inst.w, L)}
+        return CaseOutcome("B", facts, certificate=cert)
+    facts = _degenerate(inst, ctx)
+    if facts is None:
+        raise SoundnessError(
+            f"no case matched a valid lemma-{inst.lemma} instance: {inst.to_json()}"
+        )
+    return CaseOutcome("A", facts)
+
+
+def analyze_xv1v2(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
     G, u, x = inst.graph, inst.u, inst.x
     pmask = inst.p_path.mask()
     p = ctx.p
@@ -540,22 +609,11 @@ def analyze_xv1v2(inst: LemmaInstance) -> CaseOutcome:
                         paths=(lp,),
                         detail={"i": i, "z": z, "scope": scope},
                     )
-    # B: balanced split over V(P)+x
-    if inst.surplus2 == 0 and ctx.q == 1 and p % 2 == 0:
-        cert = _balanced_split_on(G, pmask | bit(x), p // 2 + 1)
-        if cert is not None:
-            return CaseOutcome("B", _pair_facts(G, inst, ctx), certificate=cert)
-    # A: the excluded pair is detached from L
-    if inst.surplus2 == 0 and _ev(G, inst.w1, ctx.L) + _ev(G, inst.w2, ctx.L) == 0:
-        return CaseOutcome(
-            "A", {"e_pair_L": 0, "e_x_L": _ev(G, x, ctx.L)}
-        )
-    raise _fail(inst)
+    return _split_or_degenerate(inst, ctx)
 
 
-def analyze_xPQ(inst: LemmaInstance) -> CaseOutcome:
-    ctx = validate_instance(inst)
-    G, u, x = inst.graph, inst.u, inst.x
+def analyze_xPQ(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+    G, u = inst.graph, inst.u
     p, qv = ctx.p, ctx.q
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 4 case search")
     # C: internally disjoint anchored paths of lengths p and qv+1
@@ -570,25 +628,10 @@ def analyze_xPQ(inst: LemmaInstance) -> CaseOutcome:
             return CaseOutcome(
                 "C", {"lengths": [p, qv + 1]}, paths=(first, second)
             )
-    # B: balanced split over V(P)+x (no probe-length requirement here)
-    if inst.surplus2 == 0 and p % 2 == 0:
-        cert = _balanced_split_on(G, inst.p_path.mask() | bit(x), p // 2 + 1)
-        if cert is not None:
-            return CaseOutcome("B", _pair_facts(G, inst, ctx), certificate=cert)
-    # A: either x is dominated by the tied pair, or x sees all of L
-    if inst.surplus2 == 0:
-        ex = _ev(G, x, ctx.L)
-        e1 = _ev(G, inst.w1, ctx.L)
-        e2 = _ev(G, inst.w2, ctx.L)
-        if (ex < e1 and e1 == e2) or ex == p:
-            return CaseOutcome(
-                "A", {"e_x_L": ex, "e_w1_L": e1, "e_w2_L": e2}
-            )
-    raise _fail(inst)
+    return _split_or_degenerate(inst, ctx)
 
 
-def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
-    ctx = validate_instance(inst)
+def analyze_xvw(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
     G, u, x, v, w = inst.graph, inst.u, inst.x, inst.v, inst.w
     pmask = inst.p_path.mask()
     p = ctx.p
@@ -621,34 +664,13 @@ def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
         return CaseOutcome(
             "C", {}, paths=got, detail={"scope": "wide", "reading": "w-end"}
         )
-    # B: balanced split inside V(P)+{x,v} (one vertex of the pool left out)
-    if inst.surplus2 == 0 and ctx.q == 1 and p % 2 == 0:
-        pool = pmask | bit(x) | bit(v)
-        for omit in sorted(bits_of(pool)):
-            cert = _balanced_split_on(G, pool & ~bit(omit), p // 2 + 1)
-            if cert is not None:
-                facts = {
-                    "e_w_L": _ev(G, w, ctx.L),
-                    "e_v_L": _ev(G, v, ctx.L),
-                    "omitted": omit,
-                }
-                return CaseOutcome("B", facts, certificate=cert)
-    # A: x sees all of L, the excluded edge sees none of it
-    if (
-        inst.surplus2 == 0
-        and G.rows[x] & ctx.L == ctx.L
-        and (G.rows[v] | G.rows[w]) & ctx.L == 0
-    ):
-        return CaseOutcome("A", {"e_x_L": p, "e_vw_L": 0})
-    raise _fail(inst)
+    return _split_or_degenerate(inst, ctx)
 
 
-def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
-    ctx = validate_instance(inst)
+def analyze_PQw(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
     G, u, x, w = inst.graph, inst.u, inst.x, inst.w
     pmask = inst.p_path.mask()
     p = ctx.p
-    pp = ctx.p_prime
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 6 case search")
     # C, two-vertex companion: an edge wz, replacement inside V(P)+x
     for z in sorted(bits_of(G.rows[w])):
@@ -668,30 +690,7 @@ def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
     got = _w_companion(G, u, w, p, scope, _paths2_through(G, w))
     if got is not None:
         return CaseOutcome("C", {}, paths=got, detail={"r_size": 3})
-    # B: balanced split over V(P)+x
-    if inst.surplus2 == 0 and ctx.q == 1 and p % 2 == 0:
-        cert = _balanced_split_on(G, pmask | bit(x), p // 2 + 1)
-        if cert is not None:
-            return CaseOutcome(
-                "B", {"e_w_L": _ev(G, w, ctx.L)}, certificate=cert
-            )
-    # A: x reaches the reroute's end; w's attachments match the gap pattern
-    if inst.surplus2 == 0:
-        matches = _pqw_gap_readings(G, ctx, x, w)
-        tail_ok = _ev(G, w, ctx.L) == 0 or (
-            is_strictly_absorbable(G, pp, w) is not None
-        )
-        if (G.rows[x] & bit(pp.end)) and matches and tail_ok:
-            return CaseOutcome(
-                "A",
-                {
-                    "end_seen_by_x": True,
-                    "e_w_L": _ev(G, w, ctx.L),
-                    "nw_readings": matches,
-                    "reroute": pp.to_json(),
-                },
-            )
-    raise _fail(inst)
+    return _split_or_degenerate(inst, ctx)
 
 
 def _pqw_gap_readings(G: Graph, ctx: _Ctx, x: int, w: int) -> list[str]:
@@ -731,7 +730,7 @@ def analyze(inst: LemmaInstance) -> CaseOutcome:
         fn = _ANALYZERS[inst.lemma]
     except KeyError:
         raise InputError(f"unknown lemma id {inst.lemma}")
-    return fn(inst)
+    return fn(inst, validate_instance(inst))
 
 
 def analysis_record(inst: LemmaInstance, out: CaseOutcome, verified: bool) -> dict:
@@ -756,123 +755,69 @@ def verify_outcome(inst: LemmaInstance, out: CaseOutcome) -> bool:
         ctx = validate_instance(inst)
     except (InputError, CapabilityError):
         return False
-    G = inst.graph
-    p = ctx.p
-    pmask = inst.p_path.mask()
     if out.case == "C":
         return _verify_case_c(inst, out, ctx)
     if out.case == "B":
         cert = out.certificate
-        if cert is None or not verify_H_certificate(G, cert):
-            return False
-        side = p // 2 + 1
-        if cert.a != side or cert.b != side:
-            return False
-        if inst.surplus2 != 0:
-            return False
-        if inst.lemma in (3, 5, 6) and ctx.q != 1:
-            return False
-        pool = pmask | bit(inst.x)
-        if inst.lemma == 5:
-            pool |= bit(inst.v)
-        return cert.vertex_mask() & ~pool == 0
+        return (
+            cert is not None
+            and cert.a == cert.b == ctx.p // 2 + 1
+            and cert.vertex_mask() in _split_pools(inst, ctx)
+            and verify_H_certificate(inst.graph, cert)
+        )
     if out.case == "A":
-        if inst.surplus2 != 0:
-            return False
-        L = ctx.L
-        if inst.lemma == 3:
-            return _ev(G, inst.w1, L) + _ev(G, inst.w2, L) == 0
-        if inst.lemma == 4:
-            ex = _ev(G, inst.x, L)
-            e1 = _ev(G, inst.w1, L)
-            e2 = _ev(G, inst.w2, L)
-            return (ex < e1 and e1 == e2) or ex == p
-        if inst.lemma == 5:
-            return (
-                G.rows[inst.x] & L == L
-                and (G.rows[inst.v] | G.rows[inst.w]) & L == 0
-            )
-        if inst.lemma == 6:
-            pp = ctx.p_prime
-            if not G.rows[inst.x] & bit(pp.end):
-                return False
-            if not _pqw_gap_readings(G, ctx, inst.x, inst.w):
-                return False
-            return _ev(G, inst.w, L) == 0 or (
-                is_strictly_absorbable(G, pp, inst.w) is not None
-            )
+        return _degenerate(inst, ctx) is not None
     return False
 
 
 def _verify_case_c(inst: LemmaInstance, out: CaseOutcome, ctx: _Ctx) -> bool:
     G, u = inst.graph, inst.u
     p = ctx.p
+    if len(out.paths) != (1 if inst.lemma == 3 else 2):
+        return False
+    for path in out.paths:
+        if not is_valid_upath(G, path.vertices):
+            return False
+    first = out.paths[0]
+    if first.anchor != u or first.length < p:
+        return False
     pmask = inst.p_path.mask()
     if inst.lemma == 3:
-        if len(out.paths) != 1:
+        i, z = out.detail.get("i"), out.detail.get("z")
+        if i not in (1, 2) or z is None:
             return False
-        lp = out.paths[0]
-        i = out.detail.get("i")
-        z = out.detail.get("z")
-        if i not in (1, 2):
-            return False
-        wi = inst.w1 if i == 1 else inst.w2
-        other = inst.w2 if i == 1 else inst.w1
-        if z is None or not (G.rows[wi] & bit(z)) or not (pmask & bit(z)):
-            return False
-        if not (
-            is_valid_upath(G, lp.vertices) and lp.anchor == u and lp.length >= p
-        ):
+        wi, other = (inst.w1, inst.w2) if i == 1 else (inst.w2, inst.w1)
+        if not G.rows[wi] & pmask & bit(z):
             return False
         stated = (pmask | bit(inst.x) | bit(other)) & ~bit(z)
         with_probe = (pmask | inst.q_path.mask()) & ~bit(z)
-        return lp.mask() & ~stated == 0 or lp.mask() & ~with_probe == 0
+        return first.mask() & ~stated == 0 or first.mask() & ~with_probe == 0
+    second = out.paths[1]
+    if first.length != p:
+        return False
     if inst.lemma == 4:
-        if len(out.paths) != 2:
-            return False
-        a, b = out.paths
-        if not (is_valid_upath(G, a.vertices) and is_valid_upath(G, b.vertices)):
-            return False
-        if a.anchor != u or b.anchor != u:
-            return False
-        if a.length != p or b.length != ctx.q + 1:
-            return False
-        return a.mask() & b.mask() == bit(u)
+        return (
+            second.anchor == u
+            and second.length == ctx.q + 1
+            and first.mask() & second.mask() == bit(u)
+        )
+    if first.mask() & second.mask():
+        return False
     if inst.lemma == 5:
-        if len(out.paths) != 2:
+        if second.length != 2 or not second.mask() & bit(inst.w):
             return False
-        pp, r = out.paths
-        if not (is_valid_upath(G, pp.vertices) and is_valid_upath(G, r.vertices)):
-            return False
-        if pp.anchor != u or pp.length != p or r.length != 2:
-            return False
-        if pp.mask() & r.mask():
-            return False
-        if not r.mask() & bit(inst.w):
-            return False
-        w_end = r.vertices[0] == inst.w or r.vertices[-1] == inst.w
+        w_end = inst.w in (second.anchor, second.end)
         narrow = (
-            pp.mask() & ~(pmask | bit(inst.x)) == 0
-            and r.mask() & ~(pmask | bit(inst.w) | bit(inst.v)) == 0
+            first.mask() & ~(pmask | bit(inst.x)) == 0
+            and second.mask() & ~(pmask | bit(inst.w) | bit(inst.v)) == 0
         )
         return w_end or narrow
-    if inst.lemma == 6:
-        if len(out.paths) != 2:
-            return False
-        pp, r = out.paths
-        if not (is_valid_upath(G, pp.vertices) and is_valid_upath(G, r.vertices)):
-            return False
-        if pp.anchor != u or pp.length != p:
-            return False
-        if pp.mask() & r.mask():
-            return False
-        if r.vertices[0] != inst.w:
-            return False
-        if r.length == 1:
-            return pp.mask() & ~(pmask | bit(inst.x)) == 0
-        if r.length == 2:
-            return pp.mask() & ~(pmask | inst.q_path.mask()) == 0
+    if second.anchor != inst.w:
         return False
+    if second.length == 1:
+        return first.mask() & ~(pmask | bit(inst.x)) == 0
+    if second.length == 2:
+        return first.mask() & ~(pmask | inst.q_path.mask()) == 0
     return False
 
 

@@ -302,11 +302,11 @@ def _component(G: Graph, u: int, allowed: int) -> int:
 def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
     """A maximum-length path from u in G minus ``avoid``; lexicographically
     smallest vertex sequence among the maximum-length ones."""
+    if not 0 <= u < G.n:
+        raise InputError("anchor out of range")
     avoid_mask = mask_of(avoid)
     if bit(u) & avoid_mask:
         raise InputError("anchor is in the avoid set")
-    if not 0 <= u < G.n:
-        raise InputError("anchor out of range")
     comp = _component(G, u, G.full_mask & ~avoid_mask)
     if comp.bit_count() > LONGEST_PATH_CAP:
         raise CapabilityError(

@@ -11,7 +11,10 @@ unfiltered extend-and-dedup, kept to pin the pruned search and the
 minimum-degree extension byte for byte, and ``reference_embed_search`` and
 ``reference_verify_embedding``, the library's earlier recursive embedding
 oracle and leg-by-leg embedding check, kept to pin the flat search (same
-embedding, same node charge) and the one-pass check.
+embedding, same node charge) and the one-pass check, and
+``reference_case_b_holds`` and ``reference_case_a_holds``, the witness
+check's earlier statements of the growth rules' cases B and A, kept to pin
+the statements the analyzers and the witness check now share.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
 
@@ -528,3 +531,63 @@ def reference_verify_embedding(G, T, emb):
             return False
         seen |= body
     return seen.bit_count() == T.k + 1
+
+
+def reference_case_b_holds(inst, cert):
+    """Case B of a valid growth-rule instance, as the witness check once
+    stated it, with the p-even condition added: surplus 0, p even, a
+    one-edge probe for rules 3, 5 and 6, and ``cert`` a split with both
+    sides of p/2 + 1 vertices, inside V(P)+x (V(P)+{x,v} for rule 5), where
+    every X-vertex sees exactly Y."""
+    p = len(inst.p_path.vertices) - 1
+    if cert is None or inst.surplus2 != 0 or p % 2:
+        return False
+    if inst.lemma in (3, 5, 6) and len(inst.q_path.vertices) != 2:
+        return False
+    X, Y = set(cert.x_side), set(cert.y_side)
+    if len(X) != p // 2 + 1 or len(Y) != p // 2 + 1 or X & Y:
+        return False
+    pool = set(inst.p_path.vertices) | {inst.x}
+    if inst.lemma == 5:
+        pool.add(inst.v)
+    if not X | Y <= pool:
+        return False
+    nbr = adj_sets(inst.graph)
+    return all(nbr[v] & (X | Y) == Y for v in X)
+
+
+def reference_case_a_holds(inst):
+    """Case A of a valid growth-rule instance, as the witness check once
+    stated it, over adjacency sets; L is V(P) less the anchor.  Rule 6
+    reroutes P by ``brute_reroute_last_neighbor`` and reads the gap
+    patterns of N(w) in L along it."""
+    if inst.surplus2 != 0:
+        return False
+    nbr = adj_sets(inst.graph)
+    L = set(inst.p_path.vertices[1:])
+    p = len(L)
+
+    def e(v):
+        return len(nbr[v] & L)
+
+    x = inst.x
+    if inst.lemma == 3:
+        return e(inst.w1) + e(inst.w2) == 0
+    if inst.lemma == 4:
+        return (e(x) < e(inst.w1) == e(inst.w2)) or e(x) == p
+    if inst.lemma == 5:
+        return L <= nbr[x] and not (nbr[inst.v] | nbr[inst.w]) & L
+    vs = brute_reroute_last_neighbor(inst.graph, inst.p_path, x)
+    if vs[-1] not in nbr[x]:
+        return False
+    q = len(inst.q_path.vertices) - 1
+    # shift-down: drop the successors of x's neighbours and the probe prefix
+    down = {vs[i] for i in range(1, p + 1) if i <= q or vs[i - 1] in nbr[x]}
+    # shift-up: keep the vertices whose successor misses x
+    up = {vs[i] for i in range(1, p) if vs[i + 1] not in nbr[x]}
+    w = inst.w
+    if nbr[w] & L not in (L - down, up):
+        return False
+    return e(w) == 0 or any(
+        vs[i] in nbr[w] and vs[i + 1] in nbr[w] for i in range(p)
+    )

@@ -26,6 +26,7 @@ from esos.graphs import (
     Graph,
     HCertificate,
     bits_of,
+    e_inside,
     edge_counts,
     edges_between,
     find_H_subgraph,
@@ -65,6 +66,26 @@ def test_construction_rejects_bad_rows():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(InputError):
         Graph.from_edges(3, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda G: e_inside(G, [-1, 0]), "vertex set"),
+        (lambda G: e_inside(G, [0, 9]), "vertex set"),
+        (lambda G: edge_counts(G, [0, -2]), "vertex set"),
+        (lambda G: heavy_vertex(G, [-1], 2), "vertex set"),
+        (lambda G: edges_between(G, [-1], [0]), "first set"),
+        (lambda G: edges_between(G, [1], [0, -3]), "second set"),
+    ],
+    ids=["e_inside", "e_inside-high", "edge_counts", "heavy_vertex",
+         "edges_between-first", "edges_between-second"],
+)
+def test_vertex_sets_out_of_range_are_input_errors(call, message):
+    # a negative id is out of range like a large one, not a ValueError
+    with pytest.raises(InputError) as exc:
+        call(Graph.complete(4))
+    assert str(exc.value) == f"{message} references vertices outside 0..3"
 
 
 def test_edge_counts_examples():

@@ -278,6 +278,27 @@ def test_cli_runs_that_check_nothing_are_input_errors(capsys, monkeypatch, argv)
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "stdin, extra, message",
+    [
+        ("", [], "no graph6 line on stdin"),
+        ("\n\n", [], "no graph6 line on stdin"),
+        ("", ["--constructive", "--at", "0"], "no graph6 line on stdin"),
+        ("", ["--constructive"], "--constructive needs --at CENTRE"),
+        # rejected before the stream is read, so its bad line goes unnamed
+        ("C~x\n", ["--constructive"], "--constructive needs --at CENTRE"),
+    ],
+    ids=["empty", "blank", "constructive-empty", "no-at", "no-at-bad-line"],
+)
+def test_cli_embed_that_checks_nothing_is_an_input_error(
+    capsys, monkeypatch, stdin, extra, message
+):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["embed", "-", "--spider", "1", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"
+
+
 def test_cli_input_error_exit_2(capsys):
     assert main(["census", "--n", "5", "--k", "3"]) == 2
     assert main(["embed", "C~", "--spider", "zap", "--at", "0"]) == 2

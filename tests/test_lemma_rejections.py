@@ -106,6 +106,7 @@ def on(inst_of, tamper):
 VERIFY_ROWS = {
     # rule 3, case C: D@[ at u=2, P=[2,4], x=3, (w1,w2)=(0,1); [2,3], i=2, z=4
     "rule3-path-count": ("3C", paths()),
+    "rule3-extra-path": ("3C", paths((2, 3), (2, 4))),
     "rule3-bad-i": ("3C", detail(i=3)),
     "rule3-z-off-w": ("3C", detail(z=0)),
     "rule3-not-a-path": ("3C", paths((2, 0))),
@@ -144,8 +145,13 @@ VERIFY_ROWS = {
     "B-missing-certificate": ("3B", certificate()),
     "B-not-a-split": ("3B", certificate({2, 4}, {3, 5})),
     "B-wrong-size": ("3B", certificate({3}, {4, 5})),
+    # 4 sees all of 2, 3, 5: a split of exactly the pool, but unbalanced
+    "B-unbalanced": ("3B", certificate({4}, {2, 3, 5})),
     # E@~o at u=4, P=[4,0,5], x=1, v=2: the pool is {0,1,2,4,5}
     "B-outside-pool": ("5B", certificate({1, 3}, {4, 5})),
+    # D@K at u=2, P=[2,3], x=4, surplus 0: 3-4 is a split of sides p//2 + 1
+    # inside V(P)+x, but p is odd (and the split leaves u out)
+    "B-odd-p": ("3A", claim("B", ({3}, {4}))),
     "B-nonzero-surplus": (
         "3B",
         on(

@@ -1,16 +1,23 @@
 import dataclasses
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
 
-from oracles import brute_max_inner_edges, brute_upath_counts, scan_balanced_split
+from oracles import (
+    brute_max_inner_edges,
+    brute_upath_counts,
+    reference_case_a_holds,
+    reference_case_b_holds,
+    scan_balanced_split,
+)
 
 import esos.lemmas as lemmas_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import Budget, CapabilityError, InputError
-from esos.graphs import Graph, bit, bits_of, mask_of, verify_H_certificate
+from esos.graphs import Graph, HCertificate, bit, bits_of, mask_of, verify_H_certificate
 from esos.lemmas import (
     CaseOutcome,
     LEMMA_IDS,
@@ -229,6 +236,88 @@ def test_verify_outcome_rejects_tampered_witness():
     )
     assert not verify_outcome(inst, bad)
     assert not verify_outcome(inst, CaseOutcome("A", {}))
+
+
+def _split_claims(inst):
+    """Case-B claims for the balanced split of every vertex set of
+    2 * (p//2 + 1) vertices inside V(P)+x (V(P)+{x,v} for rule 5), each
+    way round."""
+    side = inst.p_path.length // 2 + 1
+    pool = inst.p_path.mask() | bit(inst.x) | (bit(inst.v) if inst.lemma == 5 else 0)
+    for verts in combinations(bits_of(pool), 2 * side):
+        cert = lemmas_mod._balanced_split_on(inst.graph, mask_of(verts), side)
+        if cert is not None:
+            for sides in ((cert.x_side, cert.y_side), (cert.y_side, cert.x_side)):
+                yield CaseOutcome("B", {}, certificate=HCertificate(*sides))
+
+
+def _reference_verdict(inst, claim):
+    """What the witness check must say on a valid instance, for any claim
+    but a genuine case-C one."""
+    if claim.case == "A":
+        return reference_case_a_holds(inst)
+    if claim.case == "B":
+        return reference_case_b_holds(inst, claim.certificate)
+    return False  # C without the analyzer's paths, or no case at all
+
+
+def test_verify_outcome_matches_the_reference_cases_exhaustive_n6():
+    # every instance with n <= 6: a bare case-A claim, and at surplus 0 every
+    # balanced split inside the pool claimed as case B; no split is case B
+    # at odd p, though some of them fit the pool at the right size
+    accepted = {"A": 0, "B": 0}
+    odd_splits = 0
+    for lem in LEMMA_IDS:
+        for G in graphs_up_to(6):
+            for inst in enumerate_instances(lem, G):
+                claims = [CaseOutcome("A", {})]
+                if inst.surplus2 == 0:
+                    claims += _split_claims(inst)
+                for claim in claims:
+                    got = verify_outcome(inst, claim)
+                    assert got == _reference_verdict(inst, claim), (
+                        inst.to_json(),
+                        claim.to_json(),
+                    )
+                    accepted[claim.case] += got
+                    if claim.case == "B" and inst.p_path.length % 2:
+                        assert not got
+                        odd_splits += verify_H_certificate(G, claim.certificate)
+    assert accepted["A"] > 0 and accepted["B"] > 0
+    assert odd_splits > 0
+
+
+def test_verify_outcome_matches_the_reference_cases_on_tamperings():
+    # seeded instances at n = 5..10 and their real outcomes relabelled,
+    # random splits near the pool and anywhere, and every split in the pool
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for lem in LEMMA_IDS:
+        for n in range(5, 11):
+            insts, _ = sample_instances(lem, n, 10, seed=100 * lem + n)
+            for inst in insts:
+                out = analyze(inst)
+                claims = [
+                    dataclasses.replace(out, case=c) for c in "ABCD" if c != out.case
+                ]
+                side = inst.p_path.length // 2 + 1
+                near = list(inst.p_path.vertices) + [inst.x, rng.randrange(n)]
+                for verts in (near, range(n)):
+                    verts = sorted(set(verts))
+                    chosen = rng.sample(verts, min(len(verts), 2 * side))
+                    cut = rng.randint(1, len(chosen) - 1)
+                    x_side, y_side = frozenset(chosen[:cut]), frozenset(chosen[cut:])
+                    cert = HCertificate(x_side, y_side)
+                    claims.append(CaseOutcome("B", {}, certificate=cert))
+                claims += _split_claims(inst)
+                for claim in claims:
+                    got = verify_outcome(inst, claim)
+                    assert got == _reference_verdict(inst, claim), (
+                        inst.to_json(),
+                        claim.to_json(),
+                    )
+                    seen[got] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_enumerators_stop_at_the_first_length_without_a_path(monkeypatch):

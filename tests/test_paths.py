@@ -91,6 +91,12 @@ def test_valid_upath_matches_reference_on_small_classes():
                     ), (G, seq)
 
 
+@pytest.mark.parametrize("u", [-1, 4])
+def test_longest_u_path_rejects_an_anchor_out_of_range(u):
+    with pytest.raises(InputError, match="anchor out of range"):
+        longest_u_path(K4, u)
+
+
 def test_strictly_absorbable_examples():
     assert is_strictly_absorbable(K4, UPath((0, 1)), 2) == 0
     assert is_strictly_absorbable(C4, UPath((0, 1, 2)), 3) is None
