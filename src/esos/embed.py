@@ -235,32 +235,23 @@ def embed_bruteforce(
     """First embedding in deterministic order, centred at u if given, else at
     the smallest workable centre; None when none exists.
 
-    At a designated centre, a single-leg spider embeds as a k-edge path
-    through u (the centre of a path is any of its vertices), so each split
-    of the path at u is tried in turn.
+    One loop: centres (u, else every vertex), then leg splits.  A one-leg
+    spider at a given u embeds as a k-edge path through u (the centre of a
+    path is any of its vertices), so each split of it at u is tried in turn.
     """
     if u is not None and not 0 <= u < G.n:
         raise InputError("centre out of range")
     if T.k < 1:
         raise InputError("spider must have at least one edge")
-    if T.k + 1 > G.n:
-        return None
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
-    if u is not None and len(T.legs) == 1:
-        for legs in _path_splits(T.k):
-            if G.degree(u) < len(legs):
+    splits = _path_splits(T.k) if u is not None and len(T.legs) == 1 else [T.legs]
+    for c in range(G.n) if u is None else (u,):
+        for legs in splits:
+            if G.degree(c) < len(legs):
                 continue
-            got = _embed_search(G, legs, u, budget)
+            got = _embed_search(G, legs, c, budget)
             if got is not None:
                 return got
-        return None
-    centers = [u] if u is not None else list(range(G.n))
-    for c in centers:
-        if G.degree(c) < len(T.legs):
-            continue
-        got = _embed_search(G, T.legs, c, budget)
-        if got is not None:
-            return got
     return None
 
 
@@ -514,7 +505,7 @@ def theorem2_check(G: Graph, k: int) -> Report:
         H2, sub = H.induced(keep)
         if H2.edge_count() != H.edge_count() - d_out - e_in:
             raise SoundnessError("edge identity failed during reduction")
-        if 2 * H2.edge_count() <= (k - 1) * H2.n:
+        if not satisfies_density(H2, k):
             raise SoundnessError("density lost during reduction")
         deletions.append(sorted(mapping[v] for v in witness))
         mapping = [mapping[i] for i in sub]

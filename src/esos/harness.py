@@ -34,6 +34,11 @@ from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 SAMPLE_SIZES = (5, 6, 7, 8, 9, 10)  # host orders of the sampled lemma suite
 
 
+def _dense_ks(G: Graph) -> range:
+    """k = 1 ... ceil(2e/n): exactly the k with 2e(G) > (k-1)n."""
+    return range(1, -(-2 * G.edge_count() // G.n) + 1)
+
+
 def verify_conjecture_spiders(
     n_max: int = ENUMERATION_CAP, graphs: Optional[Iterable[Graph]] = None
 ) -> Report:
@@ -59,29 +64,23 @@ def verify_conjecture_spiders(
         scope = {"n_max": None, "source": "stream"}
     graphs_scanned = 0
     tests = 0
-    embedded = 0
     failures = []
     for G in population:
         graphs_scanned += 1
-        e = G.edge_count()
-        k = 1
-        while 2 * e > (k - 1) * G.n:
+        for k in _dense_ks(G):
             for T in enumerate_spiders(k):
                 tests += 1
                 if embed_bruteforce(G, T) is None:
                     failures.append(
                         {"graph6": G.to_graph6(), "k": k, "spider": T.to_json()}
                     )
-                else:
-                    embedded += 1
-            k += 1
     failures.sort(key=lambda f: (f["graph6"], f["k"], f["spider"]))
     return Report(
         scope=scope,
         counts={
             "graphs": graphs_scanned,
             "spider_tests": tests,
-            "embedded": embedded,
+            "embedded": tests - len(failures),
         },
         failures=failures,
         timing=time.monotonic() - start,
@@ -109,22 +108,20 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
     tests = certified = 0
     failures = []
     for G in graphs_up_to(n_max):
-        e = G.edge_count()
-        k = 1
-        while 2 * e > (k - 1) * G.n:
-            if satisfies_local_condition(G, k) is None:
-                spiders = list(enumerate_spiders(k))
-                for u in range(G.n):
-                    if G.degree(u) < k:
-                        continue
-                    for T in spiders:
-                        tests += 1
-                        fail, was_cert = _dichotomy_one(G, k, u, T)
-                        if fail is not None:
-                            failures.append(fail)
-                        elif was_cert:
-                            certified += 1
-            k += 1
+        for k in _dense_ks(G):
+            if satisfies_local_condition(G, k) is not None:
+                continue
+            spiders = list(enumerate_spiders(k))
+            for u in range(G.n):
+                if G.degree(u) < k:
+                    continue
+                for T in spiders:
+                    tests += 1
+                    fail, was_cert = _dichotomy_one(G, k, u, T)
+                    if fail is not None:
+                        failures.append(fail)
+                    elif was_cert:
+                        certified += 1
     return Report(
         scope={"n_max": n_max},
         counts={"tests": tests, "certified": certified},
@@ -157,24 +154,10 @@ def _dichotomy_one(
         return {**where, "reason": "certified a spider with an odd leg"}, True
     if not verify_H_certificate(G, cert):
         return {**where, "reason": "certificate failed verification"}, True
-    if T == t0(k):
-        ok = (
-            out.kind == "local"
-            and cert.a == k // 2 + 1
-            and cert.b == k // 2
-            and (u in cert.x_side or u in cert.y_side)
-        ) or (
-            out.kind == "whole-graph"
-            and cert.a == G.n - k // 2
-            and cert.b == k // 2
-        )
-    else:
-        ok = (
-            out.kind == "whole-graph"
-            and cert.a == G.n - k // 2
-            and cert.b == k // 2
-        )
-    if not ok:
+    half, shape = k // 2, (out.kind, cert.a, cert.b)
+    whole = shape == ("whole-graph", G.n - half, half)
+    local = shape == ("local", half + 1, half) and u in cert.x_side | cert.y_side
+    if not (whole or (local and T == t0(k))):
         return {**where, "reason": f"certificate shape mismatch: {out.to_json()}"}, True
     return None, True
 

@@ -47,7 +47,11 @@ The rules are numbered 3, 4, 5, 6 on the CLI:
 
 All four share one shape: delete an excluded set, take a maximizing P of
 length p, probe with a path ending at x, and require a nonnegative surplus.
-Each rule's hypotheses are stated once:
+``enumerate_instances`` walks it in one loop for every rule: anchor u,
+excluded choice, p = 1, 2, ... up to the first p with no u-path, each
+maximizing P, then its probes.  Rule 4 differs in three places: its
+excluded set is V(Q), P must be seen by u, and its probes are the edges
+ux with x in N(u) off P and Q.  Each rule's hypotheses are stated once:
 
 * ``_excluded`` checks the rule's own fields and returns the excluded set;
   ``validate_instance`` then runs the same maximality, probe and x checks
@@ -963,81 +967,70 @@ def sample_instances(
 
 
 def enumerate_instances(lemma: int, G: Graph) -> Iterator[LemmaInstance]:
-    """Every valid instance on the host, over all anchors, excluded-vertex
-    choices, path lengths, maximizing paths, and probes.  Desk scale only."""
+    """Every valid instance on the host, desk scale only.  One loop for every
+    rule: anchor u, excluded choice (``_exclusions``), p = 1, 2, ... up to
+    the first p with no u-path, each maximizing P, its probes.  Rule 4's
+    excluded set is V(Q), it skips a P holding a vertex u does not see, and
+    its probes are the edges ux with x in N(u) off P and Q."""
     if lemma not in LEMMA_IDS:
         raise InputError(f"unknown lemma id {lemma}")
     n = G.n
     if n > MAX_INSTANCE_HOST:
         raise InputError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
     budget = Budget(search_budget(20_000_000), "instance enumeration")
-    if lemma == 4:
-        yield from _enum_lemma4(G, budget)
-        return
     for u in range(n):
-        if lemma == 3:
-            for w1 in range(n):
-                for w2 in range(w1 + 1, n):
-                    if u in (w1, w2):
-                        continue
-                    yield from _enum_probe_family(
-                        3, G, u, budget, w1=w1, w2=w2
-                    )
-        elif lemma == 5:
-            for v, w in G.edges():
-                for vv, ww in ((v, w), (w, v)):
-                    if u in (vv, ww):
-                        continue
-                    yield from _enum_probe_family(
-                        5, G, u, budget, v=vv, w=ww
-                    )
-        elif lemma == 6:
-            for w in range(n):
-                if w == u:
-                    continue
-                yield from _enum_probe_family(6, G, u, budget, w=w)
-
-
-def _enum_probe_family(
-    lemma: int, G: Graph, u: int, budget: Budget, **fields
-) -> Iterator[LemmaInstance]:
-    excl = mask_of(fields.values())
-    for p in range(1, G.n + 1):
-        _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
-        if not cands:
-            break  # every longer u-path has one with p edges as its prefix
-        for pseq in cands:
-            P = UPath(pseq)
-            q_allowed = G.full_mask & ~(P.mask() & ~bit(u) | excl)
-            # built at the first probe, so rule 5's attachment set (and any
-            # budget error in it) comes no earlier than an instance would
-            admissible = None
-            for qseq in iter_upaths(G, u, q_allowed, budget):
-                if admissible is None:
-                    admissible = _probe_end_filter(lemma, G, u, P, **fields)
-                if admissible(qseq[-1]):
-                    yield make_instance(lemma, G, u, P, UPath(qseq), **fields)
-
-
-def _enum_lemma4(G: Graph, budget: Budget) -> Iterator[LemmaInstance]:
-    for u in range(G.n):
-        # u must see all of Q: walk inside N(u), one orientation per path
         nu = G.rows[u]
-        walks = (iter_upaths(G, z, nu, budget, shortest=0) for z in bits_of(nu))
-        qpaths = [q for walk in walks for q in walk if q[0] <= q[-1]]
-        for qseq in sorted(qpaths):
-            Q = UPath(qseq)
-            for p in range(1, G.n + 1):
-                _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
+        for fields, Q in _exclusions(lemma, G, u, budget):
+            excl = mask_of(fields.values()) if Q is None else Q.mask()
+            for p in range(1, n + 1):
+                _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
                 if not cands:
                     break  # every longer u-path has one with p edges as its prefix
                 for pseq in cands:
-                    if mask_of(pseq) & ~bit(u) & ~G.rows[u]:
-                        continue
                     P = UPath(pseq)
-                    admissible = _probe_end_filter(
-                        4, G, u, P, w1=qseq[0], w2=qseq[-1]
-                    )
-                    for x in bits_of(G.rows[u] & ~P.mask() & ~Q.mask()):
+                    off = P.mask() & ~bit(u)
+                    if Q is None:  # every u-path off V(P-u) and the excluded set
+                        probes = iter_upaths(G, u, G.full_mask & ~(off | excl), budget)
+                    elif off & ~nu:  # rule 4: u must see all of P
+                        continue
+                    else:  # rule 4: the edges ux, x in N(u) off P and Q
+                        probes = ((u, x) for x in bits_of(nu & ~(P.mask() | excl)))
+                    # built at the first probe, so rule 5's attachment set (and
+                    # any budget error in it) comes no earlier than an instance
+                    admissible = None
+                    for q in probes:
+                        if admissible is None:
+                            admissible = _probe_end_filter(lemma, G, u, P, **fields)
+                        x = q[-1]
                         if admissible(x):
-                            yield make_instance(4, G, u, P, Q, x=x)
+                            probe = UPath(q) if Q is None else Q
+                            yield make_instance(lemma, G, u, P, probe, x=x, **fields)
+
+
+def _exclusions(
+    lemma: int, G: Graph, u: int, budget: Budget
+) -> Iterator[tuple[dict, Optional[UPath]]]:
+    """The rule's excluded choices at anchor u, in enumeration order: its
+    named vertices, and for rule 4 the detached path Q they end (else
+    None).  Rule 4's paths are all walked inside N(u), since u must see all
+    of Q, one orientation each, and sorted before the first is used."""
+    n = G.n
+    if lemma == 3:
+        for w1 in range(n):
+            for w2 in range(w1 + 1, n):
+                if u not in (w1, w2):
+                    yield {"w1": w1, "w2": w2}, None
+    elif lemma == 4:
+        nu = G.rows[u]
+        walks = (iter_upaths(G, z, nu, budget, shortest=0) for z in bits_of(nu))
+        for q in sorted(q for walk in walks for q in walk if q[0] <= q[-1]):
+            yield {"w1": q[0], "w2": q[-1]}, UPath(q)
+    elif lemma == 5:
+        for v, w in G.edges():
+            for vv, ww in ((v, w), (w, v)):
+                if u not in (vv, ww):
+                    yield {"v": vv, "w": ww}, None
+    else:
+        for w in range(n):
+            if w != u:
+                yield {"w": w}, None

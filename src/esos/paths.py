@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, search_budget
-from .graphs import Graph, VertexSetLike, bit, mask_of, set_of
+from .graphs import Graph, VertexSetLike, _checked_mask, bit, mask_of, set_of
 
 EXACT_REROUTE_CAP = 16
 LONGEST_PATH_CAP = 20
@@ -126,10 +126,17 @@ def is_valid_upath(G: Graph, vertices: tuple[int, ...]) -> bool:
 # -- absorption --------------------------------------------------------------
 
 
+def _off_path(G: Graph, P: UPath, v: int, on_path="vertex already on the path"):
+    """InputError unless v is a vertex of G off P."""
+    if not 0 <= v < G.n:
+        raise InputError("vertex out of range")
+    if bit(v) & P.mask():
+        raise InputError(on_path)
+
+
 def is_strictly_absorbable(G: Graph, P: UPath, v: int) -> Optional[int]:
     """Least edge index i with v adjacent to both P[i] and P[i+1], else None."""
-    if bit(v) & P.mask():
-        raise InputError("vertex already on the path")
+    _off_path(G, P, v)
     row = G.rows[v]
     for i in range(P.length):
         if row & bit(P.vertices[i]) and row & bit(P.vertices[i + 1]):
@@ -138,8 +145,7 @@ def is_strictly_absorbable(G: Graph, P: UPath, v: int) -> Optional[int]:
 
 
 def is_absorbable(G: Graph, P: UPath, v: int) -> bool:
-    if bit(v) & P.mask():
-        raise InputError("vertex already on the path")
+    _off_path(G, P, v)
     if G.rows[v] & bit(P.end):
         return True
     return is_strictly_absorbable(G, P, v) is not None
@@ -148,8 +154,7 @@ def is_absorbable(G: Graph, P: UPath, v: int) -> bool:
 def absorb(G: Graph, P: UPath, v: int) -> UPath:
     """P extended by v: end-extension when possible, else splice into the
     least absorbing edge.  Length grows by exactly 1, anchor unchanged."""
-    if bit(v) & P.mask():
-        raise InputError("vertex already on the path")
+    _off_path(G, P, v)
     if G.rows[v] & bit(P.end):
         return UPath(P.vertices + (v,))
     i = is_strictly_absorbable(G, P, v)
@@ -278,6 +283,8 @@ def _spanning_ends(G: Graph, u: int, core: int, budget: Budget) -> int:
 
 def reroute_ends(G: Graph, P: UPath) -> frozenset[int]:
     """Ends reachable by reroutes of P (same anchor, same vertex set)."""
+    if not is_valid_upath(G, P.vertices):
+        raise InputError("P must be a path of the host")
     if len(P.vertices) > EXACT_REROUTE_CAP:
         raise CapabilityError(
             f"exact reroute set capped at {EXACT_REROUTE_CAP} vertices"
@@ -304,7 +311,7 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
     smallest vertex sequence among the maximum-length ones."""
     if not 0 <= u < G.n:
         raise InputError("anchor out of range")
-    avoid_mask = mask_of(avoid)
+    avoid_mask = _checked_mask(G, avoid, "avoid set")
     if bit(u) & avoid_mask:
         raise InputError("anchor is in the avoid set")
     comp = _component(G, u, G.full_mask & ~avoid_mask)
@@ -331,6 +338,8 @@ def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:
     convention: a second end is any member of outside when outside is
     nonempty, else any member of inside.
     """
+    if not is_valid_upath(G, P.vertices):
+        raise InputError("P must be a path of the host")
     if P.length < 1:
         raise InputError("second ends need a path of length >= 1")
     pmask = P.mask()
@@ -368,9 +377,8 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     common to all reroutes.  The search runs under no budget; its result is
     memoised with the other path queries (see the module docstring).
     """
+    _off_path(G, P, x, "reference vertex lies on the path")
     verts = P.mask()
-    if bit(x) & verts:
-        raise InputError("reference vertex lies on the path")
     u = P.anchor
     key = ("reroute", G.rows, u, verts, x)
     return recall(_path_memo, key, None, _last_neighbor_reroute, G, u, verts, x)
@@ -468,8 +476,7 @@ def first_upath_to(
 def check_observation1(G: Graph, P: UPath, v: int) -> bool:
     """Non-absorbable vertices see at most (p+1)/2 of P, non-strictly-absorbable
     at most (p+2)/2; doubled-integer comparison, vacuous when absorbable."""
-    if bit(v) & P.mask():
-        raise InputError("vertex already on the path")
+    _off_path(G, P, v)
     attach2 = 2 * (G.rows[v] & P.mask()).bit_count()
     p = P.length
     if not is_absorbable(G, P, v) and attach2 > p + 1:

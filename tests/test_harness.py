@@ -14,7 +14,9 @@ from oracles import (
     reference_extensions,
 )
 
+import esos.harness as harness_mod
 from esos.cli import main
+from esos.embed import EmbedOutcome
 from esos.enumeration import (
     canonical_form,
     canonical_key,
@@ -22,12 +24,13 @@ from esos.enumeration import (
     read_graph6_stream,
 )
 from esos.errors import CapabilityError, InputError
-from esos.graphs import Graph
+from esos.graphs import Graph, HCertificate
 from esos.harness import (
     extremal_census,
     run_lemma_suite,
     verify_conjecture_spiders,
 )
+from esos.spiders import Spider
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -150,6 +153,52 @@ def test_verify_conjecture_stream_input():
     stream = io.StringIO("C~\nDhc\n")
     rep = verify_conjecture_spiders(graphs=read_graph6_stream(stream))
     assert rep.ok and rep.counts["graphs"] == 2
+
+
+# Y = {0, 1} sees all of X = {2, 3, 4, 5}: the whole graph splits as (4, 2)
+SPLIT_HOST = Graph.from_edges(
+    6, [(0, 1)] + [(y, x) for y in (0, 1) for x in range(2, 6)]
+)
+ODD = "certified a spider with an odd leg"
+SHAPE = "certificate shape mismatch"
+
+
+@pytest.mark.parametrize(
+    "legs, u, x_side, kind, reason",
+    [
+        ((2, 2), 2, {2, 3, 4}, "local", None),
+        ((2, 2), 2, {2, 3, 4, 5}, "whole-graph", None),
+        ((4,), 2, {2, 3, 4, 5}, "whole-graph", None),
+        ((4,), 2, {2, 3, 4}, "local", SHAPE),  # local, but not the all-twos spider
+        ((2, 2), 2, {2, 3}, "local", SHAPE),  # a (2, 2) split, not (3, 2)
+        ((2, 2), 5, {2, 3, 4}, "local", SHAPE),  # the split misses u
+        ((2, 2), 2, {2, 3, 4}, "whole-graph", SHAPE),  # not the whole graph
+        ((3, 1), 2, {2, 3, 4, 5}, "whole-graph", ODD),
+        ((2, 2), 2, {0, 2, 3}, "local", "certificate failed verification"),
+    ],
+)
+def test_dichotomy_certificate_check_branches(
+    monkeypatch, legs, u, x_side, kind, reason
+):
+    # every branch of _dichotomy_one's certificate check, on chosen outcomes
+    # of a spider the (stubbed) oracle does not embed at u
+    y_side = {0, 1} - x_side
+    out = EmbedOutcome(
+        certificate=HCertificate(frozenset(x_side), frozenset(y_side)),
+        kind=kind,
+        spider_is_t0=legs == (2, 2),
+    )
+    monkeypatch.setattr(harness_mod, "embed_constructive", lambda G, T, c: out)
+    monkeypatch.setattr(harness_mod, "embed_bruteforce", lambda G, T, c=None: None)
+    fail, was_cert = harness_mod._dichotomy_one(SPLIT_HOST, 4, u, Spider(legs))
+    assert was_cert
+    if reason is None:
+        assert fail is None
+    else:
+        assert fail["reason"].startswith(reason), fail
+        assert (fail["k"], fail["u"]) == (4, u)
+        if reason == SHAPE:
+            assert fail["reason"] == f"{SHAPE}: {out.to_json()}"
 
 
 def test_census_example_n5_k4():

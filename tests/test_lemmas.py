@@ -413,7 +413,10 @@ def test_warm_attachment_memo_follows_the_budget(monkeypatch):
 
 # SHA-256 of each rule's instance streams, one sorted-key JSON line of
 # to_json() per instance: sample_instances(R, 7, 25, seed=R), then
-# enumerate_instances(R, G) over every host with n <= 5.
+# enumerate_instances(R, G) over every host with n <= 5.  ENUMERATION_NODES
+# is what the enumeration's "instance enumeration" budget spends on those
+# hosts, summed; a memo hit charges the nodes of a cold search, so it does
+# not depend on what ran before.
 STREAM_DIGESTS = {
     3: (
         "1ee4f65478a262b2d4405783a5d326b866459b998e5c2873ee836c7bc18638cb",
@@ -434,6 +437,9 @@ STREAM_DIGESTS = {
 }
 
 
+ENUMERATION_NODES = {3: 4444, 4: 6954, 5: 4928, 6: 10798}
+
+
 def _stream_digest(insts) -> str:
     h = hashlib.sha256()
     for inst in insts:
@@ -441,14 +447,27 @@ def _stream_digest(insts) -> str:
     return h.hexdigest()
 
 
-def test_instance_streams_are_pinned():
+def test_instance_streams_are_pinned(monkeypatch):
+    spent = []
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, limit, label="search"):
+            super().__init__(limit, label)
+            if label == "instance enumeration":
+                spent.append(self)
+
+    monkeypatch.setattr(lemmas_mod, "Budget", Recorded)
     for lemma in LEMMA_IDS:
+        spent.clear()
         sampled, _ = sample_instances(lemma, 7, 25, seed=lemma)
         enumerated = (
             inst for G in graphs_up_to(5) for inst in enumerate_instances(lemma, G)
         )
         got = (_stream_digest(sampled), _stream_digest(enumerated))
         assert got == STREAM_DIGESTS[lemma], lemma
+        assert sum(b.used for b in spent) == ENUMERATION_NODES[lemma], lemma
 
 
 def test_sample_instances_rejects_a_negative_count():

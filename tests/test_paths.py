@@ -97,6 +97,58 @@ def test_longest_u_path_rejects_an_anchor_out_of_range(u):
         longest_u_path(K4, u)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: is_absorbable(K4, UPath((0, 1)), v),
+        lambda v: is_strictly_absorbable(K4, UPath((0, 1)), v),
+        lambda v: absorb(K4, UPath((0, 1)), v),
+        lambda v: check_observation1(K4, UPath((0, 1)), v),
+        lambda v: reroute_maximizing_last_neighbor(K4, UPath((0, 1)), v),
+        lambda v: longest_u_path(K4, 0, avoid=[v]),
+    ],
+    ids=[
+        "is_absorbable",
+        "is_strictly_absorbable",
+        "absorb",
+        "check_observation1",
+        "reroute_maximizing_last_neighbor",
+        "longest_u_path_avoid",
+    ],
+)
+@pytest.mark.parametrize("v", [-1, 9])
+def test_path_helpers_reject_a_vertex_out_of_range(call, v):
+    with pytest.raises(InputError):
+        call(v)
+
+
+def test_path_helpers_keep_the_on_path_texts():
+    P = UPath((0, 1))
+    for call in (is_absorbable, is_strictly_absorbable, absorb, check_observation1):
+        with pytest.raises(InputError, match="vertex already on the path"):
+            call(K4, P, 1)
+    with pytest.raises(InputError, match="reference vertex lies on the path"):
+        reroute_maximizing_last_neighbor(K4, P, 1)
+
+
+def test_second_ends_rejects_a_non_path():
+    for G, P in ((K4, UPath((0, 7))), (C4, UPath((0, 2)))):
+        with pytest.raises(InputError, match="P must be a path of the host"):
+            second_ends(G, P)
+
+
+def test_reroute_ends_rejects_a_non_path():
+    for G, P in ((K4, UPath((0, 7))), (C4, UPath((0, 2)))):
+        with pytest.raises(InputError, match="P must be a path of the host"):
+            reroute_ends(G, P)
+
+
+def test_lemma1_bound_rejects_a_non_path():
+    for G, P in ((K4, UPath((0, 7))), (C4, UPath((0, 2)))):
+        with pytest.raises(InputError, match="P must be a path of the host"):
+            check_lemma1_bound(G, P)
+
+
 def test_strictly_absorbable_examples():
     assert is_strictly_absorbable(K4, UPath((0, 1)), 2) == 0
     assert is_strictly_absorbable(C4, UPath((0, 1, 2)), 3) is None
