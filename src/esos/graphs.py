@@ -465,10 +465,10 @@ class HCertificate:
 
 def verify_H_certificate(G: Graph, cert: HCertificate) -> bool:
     """True iff on G[X∪Y] every X-vertex's neighbourhood is exactly Y."""
+    if not all(0 <= v < G.n for v in cert.x_side | cert.y_side):
+        return False
     xm = mask_of(cert.x_side)
     ym = mask_of(cert.y_side)
-    if (xm | ym) & ~G.full_mask:
-        return False
     if xm & ym:
         return False
     both = xm | ym

@@ -21,17 +21,14 @@ rule's surplus, so every comparison is exact integer arithmetic.
 
 An instance is validated when it is sampled, by ``analyze`` (which hands
 the analyzer its context) and again by ``verify_outcome``, and the builders
-run the same maximality search while they make it.  Two pure searches are
-therefore memoised through ``paths.recall``, each in a memo of
-``paths.MEMO_SIZE`` entries:
+run the same maximality search while they make it.  The searches this
+repeats share ``paths.recall``'s one memo with the path queries:
 
-* the maximality search (``_max_paths``), keyed by (graph, u, allowed set,
-  p), with the nodes it spent; ``paths.recall`` states how a hit is
-  charged;
-* lemma 5's attachment set, keyed by (graph, u, w, V(P), p, node budget of
-  each longest-path search).
-
-Longest paths and lemma 6's optimal reroute are memoised in ``esos.paths``.
+* "maximal", the maximality search (``_max_paths``), keyed by (graph, u,
+  allowed set, p);
+* "attachment", lemma 5's attachment set, keyed by (graph, u, w, V(P), p,
+  node budget of each longest-path search), the only key with a budget
+  limit (``_attachment_set`` says why).
 
 Neither P nor the stored surplus is part of a key, and every check of
 ``validate_instance`` still runs on every call.
@@ -167,16 +164,13 @@ def _ev(G: Graph, v: int, mask: int) -> int:
     return (G.rows[v] & mask).bit_count()
 
 
-_attachment_memo: dict[tuple, tuple] = {}
-
-
 def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     """Vertices z on P adjacent to w such that deleting {w,z} still leaves an
     anchored path of length p (lemma 5's correction set)."""
     # each longest-path search gets a fresh budget of this size, so a set
     # stored under the same limit is what the searches would return again
-    key = (G.rows, u, w, p_mask, p, search_budget(LONGEST_PATH_BUDGET))
-    return recall(_attachment_memo, key, None, _attachment, G, u, w, p_mask, p)
+    key = ("attachment", G.rows, u, w, p_mask, p, search_budget(LONGEST_PATH_BUDGET))
+    return recall(key, None, _attachment, G, u, w, p_mask, p)
 
 
 def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
@@ -185,6 +179,13 @@ def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
         if z != u and longest_u_path(G, u, avoid=bit(w) | bit(z)).length >= p:
             out |= bit(z)
     return out
+
+
+def _in_host(G: Graph, *named: Optional[int]) -> None:
+    """InputError unless each named vertex given (not None) is one of G's."""
+    for z in named:
+        if z is not None and not 0 <= z < G.n:
+            raise InputError(f"named vertex outside 0..{G.n - 1}")
 
 
 def compute_surplus2(
@@ -200,6 +201,7 @@ def compute_surplus2(
     w: Optional[int] = None,
     attachment: int = 0,
 ) -> int:
+    _in_host(G, u, x, w1, w2, v, w)
     L = p_path.mask() & ~bit(u)
     p = p_path.length
     if lemma in (3, 4):
@@ -237,6 +239,7 @@ def make_instance(
         x = q_path.vertices[-1]
     attachment = 0
     if lemma == 5:
+        _in_host(G, w)  # the attachment search reads w's row
         attachment = _attachment_set(G, u, w, p_path.mask(), p_path.length)
     s2 = compute_surplus2(
         lemma, G, u, p_path, x, w1=w1, w2=w2, v=v, w=w, attachment=attachment
@@ -280,9 +283,6 @@ def _probe_end_filter(
 MAXIMALITY_BUDGET = 500_000
 
 
-_max_memo: dict[tuple, tuple] = {}
-
-
 def _max_paths(
     G: Graph, u: int, allowed: int, p: int, budget: Budget
 ) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
@@ -291,8 +291,8 @@ def _max_paths(
     path reaching it, in lexicographic order.  Memoised with the nodes the
     search spent; ``paths.recall`` states how a hit is charged.
     """
-    key = (G.rows, u, allowed, p)
-    return recall(_max_memo, key, budget, _argmax_paths, G, u, allowed, p, budget)
+    key = ("maximal", G.rows, u, allowed, p)
+    return recall(key, budget, _argmax_paths, G, u, allowed, p, budget)
 
 
 def _argmax_paths(
@@ -343,8 +343,10 @@ _PROBE_AVOIDS = {3: "the excluded pair", 5: "the excluded edge", 6: "w"}
 
 def _excluded(inst: LemmaInstance) -> int:
     """Check the rule's own fields; return the vertices P must avoid (the
-    probe too, for rules 3, 5 and 6; rule 4's detached path)."""
+    probe too, for rules 3, 5 and 6; rule 4's detached path).  First, every
+    named vertex, x included, must be one of the host's."""
     G, u, Q = inst.graph, inst.u, inst.q_path
+    _in_host(G, inst.x, inst.w1, inst.w2, inst.v, inst.w)
     if inst.lemma == 3:
         w1, w2 = inst.w1, inst.w2
         if w1 is None or w2 is None or len({u, w1, w2}) != 3:
@@ -381,10 +383,10 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     exceeds its budget; such instances are rejected, never assumed valid).
 
     That search, lemma 5's attachment set and lemma 6's optimal reroute are
-    read from the bounded memos described in the module docstring; a
-    maximality hit is charged to this call's budget as ``paths.recall``
-    states.  The instance itself is never cached: P, Q, x and the surplus
-    are checked on every call.
+    read from the one bounded search memo described in the module
+    docstring; a maximality hit is charged to this call's budget as
+    ``paths.recall`` states.  The instance itself is never cached: P, Q, x,
+    the named vertices and the surplus are checked on every call.
     """
     G, u = inst.graph, inst.u
     P, Q = inst.p_path, inst.q_path
@@ -766,8 +768,8 @@ def verify_outcome(inst: LemmaInstance, out: CaseOutcome) -> bool:
         return (
             cert is not None
             and cert.a == cert.b == ctx.p // 2 + 1
+            and verify_H_certificate(inst.graph, cert)  # ids checked before the mask
             and cert.vertex_mask() in _split_pools(inst, ctx)
-            and verify_H_certificate(inst.graph, cert)
         )
     if out.case == "A":
         return _degenerate(inst, ctx) is not None

@@ -26,9 +26,11 @@ latest level that holds every x-neighbour of P-u and ends at one, then any
 spanning completion.  ``_leading_to`` keeps the states that reach a goal and
 ``_lex_least`` walks them in ascending neighbour order.
 
-The longest, ends and optimal-reroute results share one memo of MEMO_SIZE
-entries keyed by (query, graph, anchor, allowed set[, x]), never by a budget;
-``recall`` states how a hit is charged.  Only results are kept: at
+The searches callers repeat share one memo of MEMO_SIZE entries through
+``recall``, which states how a hit is charged.  A key starts with its query
+name: "longest", "ends" and "reroute" here, each then (graph, anchor,
+allowed set[, x]), and "maximal" and "attachment" in ``esos.lemmas``, where
+only the attachment key carries a budget limit.  Only results are kept: at
 LONGEST_PATH_CAP vertices a table holds millions of states.
 
 The three ``check_*`` predicates recast proven degree bounds as executable
@@ -51,19 +53,11 @@ LONGEST_PATH_CAP = 20
 LONGEST_PATH_BUDGET = 2_000_000
 HAM_SET_CAP = 18
 
-# Entries per search memo.  Lemma instances repeat a search within a few
+# Entries in the search memo.  Lemma instances repeat a search within a few
 # hundred calls of its first run, and a larger memo only costs memory.
-MEMO_SIZE = 256
+MEMO_SIZE = 512
+_memo: dict[tuple, tuple] = {}
 _memo_lock = threading.Lock()
-
-
-def remember(memo: dict, key, value) -> None:
-    """Store ``value`` under ``key``, first dropping the oldest entry of a
-    full memo.  Safe to call from several threads."""
-    with _memo_lock:
-        if len(memo) >= MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = value
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,9 @@ def is_valid_upath(G: Graph, vertices: tuple[int, ...]) -> bool:
 
 
 def _off_path(G: Graph, P: UPath, v: int, on_path="vertex already on the path"):
-    """InputError unless v is a vertex of G off P."""
+    """InputError unless P is a path of G and v a vertex of G off it."""
+    if not is_valid_upath(G, P.vertices):
+        raise InputError("P must be a path of the host")
     if not 0 <= v < G.n:
         raise InputError("vertex out of range")
     if bit(v) & P.mask():
@@ -166,13 +162,14 @@ def absorb(G: Graph, P: UPath, v: int) -> UPath:
 # -- the reachable-path table ----------------------------------------------------
 
 
-def recall(memo: dict, key, budget: Optional[Budget], search, *args):
+def recall(key: tuple, budget: Optional[Budget], search, *args):
     """``search(*args)``, memoised under ``key`` with the nodes it spent of
     ``budget``.  A hit never searches: it charges those nodes, capped at the
     limit's next node.  Every memoised search trips at that node (one node per
     step, or ``_reach``'s ``room + 1``), so node counts and budget errors
-    are those of a cold search under any limit."""
-    got = memo.get(key)
+    are those of a cold search under any limit.  A miss drops the oldest
+    entry of a full memo first; safe to call from several threads."""
+    got = _memo.get(key)
     if got is not None:
         value, nodes = got
         if budget is not None:
@@ -181,12 +178,11 @@ def recall(memo: dict, key, budget: Optional[Budget], search, *args):
     start = budget.used if budget is not None else 0
     value = search(*args)
     spent = budget.used - start if budget is not None else 0
-    remember(memo, key, (value, spent))
+    with _memo_lock:
+        if len(_memo) >= MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[key] = (value, spent)
     return value
-
-
-# Results of the longest-path, ends and optimal-reroute queries.
-_path_memo: dict[tuple, tuple] = {}
 
 
 def _reach(G: Graph, u: int, allowed: int, budget: Optional[Budget]) -> list[dict]:
@@ -274,7 +270,7 @@ def _ends(G: Graph, core: int, u: int, budget: Budget) -> int:
     if core.bit_count() > HAM_SET_CAP:
         raise CapabilityError(f"spanning-path scan capped at {HAM_SET_CAP} vertices")
     key = ("ends", G.rows, u, core)
-    return recall(_path_memo, key, budget, _spanning_ends, G, u, core, budget)
+    return recall(key, budget, _spanning_ends, G, u, core, budget)
 
 
 def _spanning_ends(G: Graph, u: int, core: int, budget: Budget) -> int:
@@ -321,7 +317,7 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
         )
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
     key = ("longest", G.rows, u, comp)
-    return recall(_path_memo, key, budget, _longest, G, u, comp, budget)
+    return recall(key, budget, _longest, G, u, comp, budget)
 
 
 def _longest(G: Graph, u: int, comp: int, budget: Budget) -> UPath:
@@ -381,16 +377,14 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     verts = P.mask()
     u = P.anchor
     key = ("reroute", G.rows, u, verts, x)
-    return recall(_path_memo, key, None, _last_neighbor_reroute, G, u, verts, x)
+    return recall(key, None, _last_neighbor_reroute, G, u, verts, x)
 
 
 def _last_neighbor_reroute(G: Graph, u: int, verts: int, x: int) -> UPath:
     table = _reach(G, u, verts, None)
     full = verts.bit_count() - 1
-    ends = table[full].get(verts, 0) if full < len(table) else 0
-    if not ends:
-        raise InputError("path cannot be rerouted (no spanning completion)")
-    good = _leading_to(G, table, full, {verts: ends})
+    # P itself is a spanning completion, so the whole set's state is there
+    good = _leading_to(G, table, full, {verts: table[full][verts]})
     # the last x-neighbour sits at level i when the path's state there holds
     # every x-neighbour of P-u and ends at one
     near = G.rows[x] & verts & ~bit(u)

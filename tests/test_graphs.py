@@ -167,6 +167,11 @@ def test_verify_H_certificate_examples():
     assert verify_H_certificate(C4, HCertificate(frozenset(), frozenset({1})))
 
 
+@pytest.mark.parametrize("x, y", [({-1}, {0}), ({1}, {-1})])
+def test_verify_H_certificate_rejects_a_negative_id(x, y):
+    assert not verify_H_certificate(C4, HCertificate(frozenset(x), frozenset(y)))
+
+
 def test_find_H_subgraph_examples():
     cert = find_H_subgraph(C4, 2, 2, 0)
     assert cert is not None and verify_H_certificate(C4, cert)

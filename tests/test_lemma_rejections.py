@@ -18,6 +18,7 @@ from esos.graphs import Graph, HCertificate
 from esos.lemmas import (
     CaseOutcome,
     analyze,
+    compute_surplus2,
     enumerate_instances,
     make_instance,
     validate_instance,
@@ -147,6 +148,7 @@ VERIFY_ROWS = {
     "B-wrong-size": ("3B", certificate({3}, {4, 5})),
     # 4 sees all of 2, 3, 5: a split of exactly the pool, but unbalanced
     "B-unbalanced": ("3B", certificate({4}, {2, 3, 5})),
+    "B-negative-vertex": ("3B", certificate({-1, 3}, {4, 5})),
     # E@~o at u=4, P=[4,0,5], x=1, v=2: the pool is {0,1,2,4,5}
     "B-outside-pool": ("5B", certificate({1, 3}, {4, 5})),
     # D@K at u=2, P=[2,3], x=4, surplus 0: 3-4 is a split of sides p//2 + 1
@@ -191,6 +193,7 @@ VERIFY_ROWS = {
         "3C",
         lambda inst, out: (replace(surplus2=inst.surplus2 + 2)(inst), out),
     ),
+    "named-vertex-out-of-range": ("6A", lambda inst, out: (replace(w=-1)(inst), out)),
 }
 
 
@@ -236,6 +239,8 @@ VALIDATE_ROWS = {
     ),
     "x-not-probe-end": ("3A", replace(x=3), "x must be the probe end"),
     "surplus-mismatch": ("3A", replace(surplus2=2), "stored doubled surplus"),
+    "rule3-w1-negative": ("3A", replace(w1=-1), "named vertex outside 0..4"),
+    "rule3-w2-too-large": ("3A", replace(w2=9), "named vertex outside 0..4"),
     "negative-surplus": (
         "3A",
         lambda _: make_instance(
@@ -262,6 +267,8 @@ VALIDATE_ROWS = {
         "P must avoid the detached path",
     ),
     "rule4-missing-x": ("4A", replace(x=None), "x must be a neighbour of u"),
+    "rule4-x-negative": ("4A", replace(x=-1), "named vertex outside 0..4"),
+    "rule4-x-too-large": ("4A", replace(x=9), "named vertex outside 0..4"),
     "rule4-x-on-P": ("4A", replace(x=1), "x must lie outside P and Q"),
     "rule4-x-not-seen": ("4A", k6_minus_05(x=0), "x must be a neighbour of u"),
     "rule4-Q-not-seen": (
@@ -273,9 +280,13 @@ VALIDATE_ROWS = {
     "rule5-missing-v": ("5A", replace(v=None), "lemma 5 needs distinct"),
     "rule5-v-is-w": ("5A", replace(v=2), "lemma 5 needs distinct"),
     "rule5-not-an-edge": ("5A", replace(v=1), "vw must be an edge"),
+    "rule5-v-negative": ("5A", replace(v=-1), "named vertex outside 0..4"),
+    "rule5-w-too-large": ("5A", replace(w=9), "named vertex outside 0..4"),
     # CJ at u=1, P=[1,2], Q=[1,3], w=0
     "rule6-missing-w": ("6A", replace(w=None), "lemma 6 needs w distinct from u"),
     "rule6-w-is-u": ("6A", replace(w=1), "lemma 6 needs w distinct from u"),
+    "rule6-w-negative": ("6A", replace(w=-1), "named vertex outside 0..3"),
+    "rule6-w-too-large": ("6A", replace(w=9), "named vertex outside 0..3"),
     "P-meets-excluded": ("6A", replace(w=2), "P enters an excluded vertex"),
     # the triangle 0-1-2 beats 0-4-5 at length 2
     "P-not-maximal": (
@@ -304,3 +315,22 @@ def test_validate_instance_rejects(row):
     inst = breaks(base(key)[0])
     with pytest.raises(InputError, match=message):
         validate_instance(inst)
+
+
+K4, K5 = Graph.complete(4), Graph.complete(5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_instance(3, K5, 0, UPath((0, 1)), UPath((0, 2)), w1=3, w2=9),
+        lambda: make_instance(5, K5, 0, UPath((0, 1)), UPath((0, 2)), v=3, w=-1),
+        lambda: make_instance(6, K5, 0, UPath((0, 1)), UPath((0, 2)), w=-1),
+        lambda: compute_surplus2(6, K4, 0, UPath((0, 1)), -1, w=2),
+        lambda: compute_surplus2(3, K4, 0, UPath((0, 1)), 2, w1=3, w2=-1),
+    ],
+    ids=["make-rule3", "make-rule5", "make-rule6", "surplus-x", "surplus-w2"],
+)
+def test_builders_reject_a_named_vertex_out_of_range(build):
+    with pytest.raises(InputError, match="named vertex outside"):
+        build()

@@ -15,6 +15,7 @@ from oracles import (
 )
 
 import esos.lemmas as lemmas_mod
+import esos.paths as paths_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import Budget, CapabilityError, InputError
 from esos.graphs import Graph, HCertificate, bit, bits_of, mask_of, verify_H_certificate
@@ -29,7 +30,7 @@ from esos.lemmas import (
     validate_instance,
     verify_outcome,
 )
-from esos.paths import UPath
+from esos.paths import UPath, longest_u_path, reroute_ends
 
 
 def bowtie_plus():
@@ -343,7 +344,7 @@ def test_enumerators_stop_at_the_first_length_without_a_path(monkeypatch):
 def test_max_paths_match_brute_oracle(monkeypatch):
     # building and validating instances share this search, so pin it to an
     # independent oracle; each case runs cold, then warm from the memo
-    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    monkeypatch.setattr(paths_mod, "_memo", {})
     for n in range(1, 6):
         for G in enumerate_graphs(n):
             for u in range(n):
@@ -368,7 +369,7 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
     allowed = G.full_mask & ~bit(6)
 
     # a hit charges the budget what the search spent, without searching
-    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    monkeypatch.setattr(paths_mod, "_memo", {})
     miss = Budget(10**9)
     lemmas_mod._max_paths(G, 0, allowed, 3, miss)
 
@@ -384,12 +385,12 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
     # the instance's own maximality search overflows halfway through
     limit = str(miss.used // 2)
     monkeypatch.setenv("ESOS_BUDGET", limit)
-    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    monkeypatch.setattr(paths_mod, "_memo", {})
     with pytest.raises(CapabilityError) as cold:
         validate_instance(inst)
 
     monkeypatch.delenv("ESOS_BUDGET")
-    monkeypatch.setattr(lemmas_mod, "_max_memo", {})
+    monkeypatch.setattr(paths_mod, "_memo", {})
     out = analyze(inst)
     assert verify_outcome(inst, out)
     monkeypatch.setenv("ESOS_BUDGET", limit)
@@ -404,11 +405,37 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
 
 def test_warm_attachment_memo_follows_the_budget(monkeypatch):
     G = Graph.complete(6)
-    monkeypatch.setattr(lemmas_mod, "_attachment_memo", {})
+    monkeypatch.setattr(paths_mod, "_memo", {})
     assert lemmas_mod._attachment_set(G, 0, 5, 0b111, 2) == 0b110
     monkeypatch.setenv("ESOS_BUDGET", "1")
     with pytest.raises(CapabilityError, match="longest_u_path"):
         lemmas_mod._attachment_set(G, 0, 5, 0b111, 2)
+
+
+def test_one_memo_holds_every_query_kind_within_its_size(monkeypatch):
+    # a mixed run of lemma and path queries fills the one search memo, which
+    # keys each entry by its query name and never grows past MEMO_SIZE, here
+    # shrunk so that the run evicts
+    kinds, sizes = set(), []
+
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            kinds.add(key[0])
+            sizes.append(len(self))
+
+    monkeypatch.setattr(paths_mod, "_memo", Watched())
+    monkeypatch.setattr(paths_mod, "MEMO_SIZE", 4)
+    G = Graph.complete(6)
+    for inst in (
+        make_instance(5, G, 0, UPath((0, 1, 2)), UPath((0, 5)), v=3, w=4),
+        make_instance(6, G, 0, UPath((0, 1, 2)), UPath((0, 5)), w=4),
+    ):
+        assert verify_outcome(inst, analyze(inst))
+    assert longest_u_path(G, 0).length == 5
+    assert reroute_ends(G, UPath((0, 1, 2))) == {1, 2}
+    assert kinds == {"maximal", "attachment", "longest", "ends", "reroute"}
+    assert len(sizes) > 4 and max(sizes) == len(paths_mod._memo) == 4
 
 
 # SHA-256 of each rule's instance streams, one sorted-key JSON line of

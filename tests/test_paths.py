@@ -33,7 +33,7 @@ from esos.paths import (
     is_strictly_absorbable,
     is_valid_upath,
     longest_u_path,
-    remember,
+    recall,
     reroute_ends,
     reroute_maximizing_last_neighbor,
     reroute_path_to,
@@ -129,6 +129,23 @@ def test_path_helpers_keep_the_on_path_texts():
             call(K4, P, 1)
     with pytest.raises(InputError, match="reference vertex lies on the path"):
         reroute_maximizing_last_neighbor(K4, P, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        is_absorbable,
+        is_strictly_absorbable,
+        absorb,
+        check_observation1,
+        reroute_maximizing_last_neighbor,
+    ],
+    ids=lambda call: call.__name__,
+)
+@pytest.mark.parametrize("G, P", [(K4, UPath((0, 7))), (C4, UPath((0, 2)))])
+def test_path_helpers_reject_a_non_path(call, G, P):
+    with pytest.raises(InputError, match="P must be a path of the host"):
+        call(G, P, 1)
 
 
 def test_second_ends_rejects_a_non_path():
@@ -316,12 +333,16 @@ def test_spanning_paths_and_reroutes_match_brute_oracle():
             for size in range(len(others) + 1):
                 for rest in combinations(others, size):
                     verts = (u,) + rest
+                    span = None
                     for end in verts:
                         got = spanning_path_to(G, mask_of(verts), u, end)
                         want = brute_spanning_path_to(G, verts, u, end)
                         assert (got and got.vertices) == want, (G, verts, end)
-                    # the search reads only the anchor and the vertex set of P
-                    P = UPath(verts)
+                        span = span or want
+                    # the search reads only the anchor and the vertex set of
+                    # P, so any spanning path of the set serves; a set with
+                    # none leaves P a non-path, which is rejected
+                    P = UPath(span or verts)
                     for x in others:
                         if x in rest:
                             continue
@@ -381,7 +402,7 @@ def test_warm_path_memo_follows_the_budget(monkeypatch):
         (lambda: second_ends(G, P), brute_prefix_states(G, 0, P.vertices[:-1]) - 1),
     )
     for call, nodes in searches:
-        monkeypatch.setattr(paths_mod, "_path_memo", {})
+        monkeypatch.setattr(paths_mod, "_memo", {})
         # a repeated search charges exactly what the first one spent
         first = call()
         assert call() == first
@@ -394,7 +415,7 @@ def test_warm_path_memo_follows_the_budget(monkeypatch):
             m.setattr(paths_mod, "_reach", no_search)
             with pytest.raises(CapabilityError) as warm:
                 call()
-        monkeypatch.setattr(paths_mod, "_path_memo", {})
+        monkeypatch.setattr(paths_mod, "_memo", {})
         with pytest.raises(CapabilityError) as cold:
             call()
         assert str(warm.value) == str(cold.value)
@@ -457,14 +478,15 @@ def test_bound_checkers_exhaustive_n5():
                             assert check_lemma2_bound(G, P, UPath(qseq))
 
 
-def test_memo_stays_bounded_under_threads():
-    # the search memos are shared by every thread of the process
-    memo, errors = {}, []
+def test_memo_stays_bounded_under_threads(monkeypatch):
+    # the search memo is shared by every thread of the process
+    monkeypatch.setattr(paths_mod, "_memo", {})
+    errors = []
 
     def fill(base):
         try:
             for i in range(5000):
-                remember(memo, (base, i), i)
+                assert recall(("thread", base, i), None, int, i) == i
         except Exception as exc:
             errors.append(exc)
 
@@ -479,4 +501,4 @@ def test_memo_stays_bounded_under_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert errors == [] and len(memo) == MEMO_SIZE
+    assert errors == [] and len(paths_mod._memo) == MEMO_SIZE
