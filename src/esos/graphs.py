@@ -22,9 +22,11 @@ every X-vertex's neighbourhood inside X∪Y is exactly Y (edges inside Y are
 unconstrained).  ``HCertificate`` carries such a partition.  Every split
 is read off one partition, ``twin_classes``: the vertices of a pool grouped
 by their neighbourhood inside it.  X is always a set of twins and Y their
-shared neighbourhood, so ``recognize_H`` (the maximal-X split of the whole
-graph) and ``find_H_subgraph`` (an induced split through a required vertex)
-look at classes, never at subsets.
+shared neighbourhood, so ``recognize_H`` (the maximal-X split covering a
+pool, the whole graph by default) and ``find_H_subgraph`` (an induced split
+through a required vertex) look at classes, never at subsets.  The pool of
+``recognize_H`` serves both covering splits: the whole-graph certificate of
+embed-or-certify and the balanced split of the growth rules' case B.
 
 graph6 ingestion/emission is bit-exact: 6-bit big-endian packing of the
 upper triangle in column order, each byte offset by 63.
@@ -485,23 +487,23 @@ def twin_classes(G: Graph, pool: int) -> dict[int, int]:
     return classes
 
 
-def recognize_H(G: Graph) -> Optional[HCertificate]:
-    """Maximal-X whole-graph split, or None.
+def recognize_H(
+    G: Graph, pool: Optional[VertexSetLike] = None
+) -> Optional[HCertificate]:
+    """The covering split of ``pool`` (the whole graph by default), or None.
 
-    X is a twin class of the whole graph and Y its shared neighbourhood; the
-    class qualifies when X ∪ Y covers the graph.  Output is unique: the
-    largest qualifying class wins, ties by smallest sorted X.
+    X is a twin class of G[pool] and Y its neighbourhood inside the pool;
+    the class qualifies when X ∪ Y is the pool.  Output is unique: the
+    largest qualifying class wins, ties by smallest sorted X.  Classes are
+    disjoint and met in order of first member, so that is the first of the
+    largest.
     """
-    best: Optional[tuple[int, list[int], int]] = None
-    for ymask, xmask in twin_classes(G, G.full_mask).items():
-        if (xmask | ymask) != G.full_mask:
-            continue
-        key = (-xmask.bit_count(), list(bits_of(xmask)))
-        if best is None or key < best[:2]:
-            best = (*key, ymask)
-    if best is None:
+    pool = G.full_mask if pool is None else _checked_mask(G, pool, "pool")
+    covering = [(x, y) for y, x in twin_classes(G, pool).items() if x | y == pool]
+    if not covering:
         return None
-    return HCertificate(frozenset(best[1]), set_of(best[2]))
+    xmask, ymask = max(covering, key=lambda c: c[0].bit_count())
+    return HCertificate(set_of(xmask), set_of(ymask))
 
 
 def find_H_subgraph(G: Graph, a: int, b: int, u: int) -> Optional[HCertificate]:

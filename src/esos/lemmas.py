@@ -44,23 +44,33 @@ The rules are numbered 3, 4, 5, 6 on the CLI:
 
 All four share one shape: delete an excluded set, take a maximizing P of
 length p, probe with a path ending at x, and require a nonnegative surplus.
-``enumerate_instances`` walks it in one loop for every rule: anchor u,
-excluded choice, p = 1, 2, ... up to the first p with no u-path, each
-maximizing P, then its probes.  Rule 4 differs in three places: its
-excluded set is V(Q), P must be seen by u, and its probes are the edges
-ux with x in N(u) off P and Q.  Each rule's hypotheses are stated once:
+Rule 4 differs in three places: its excluded set is V(Q), P must be seen
+by u (``_sees_all``), and its probes are the edges ux with x in N(u) off P
+and Q.  Both instance builders walk that shape once for every rule:
 
-* ``_excluded`` checks the rule's own fields and returns the excluded set;
-  ``validate_instance`` then runs the same maximality, probe and x checks
-  for every rule (rule 4's detached path is its excluded set, and x is a
-  neighbour of u rather than a probe end);
-* ``compute_surplus2`` is the only statement of each surplus;
+* ``enumerate_instances``: anchor u, each excluded choice of
+  ``_exclusions``, p = 1, 2, ... up to the first p with no u-path, each
+  maximizing P, then its probes;
+* ``sample_instances``: a random host and anchor, one excluded choice
+  drawn by ``_pick_exclusion``, then one tail for every rule that draws p,
+  P and x; only the last draw differs (rule 4 picks x in N(u), the others
+  take the first shuffled end that a probe path reaches).
+
+Each rule's hypotheses are stated once:
+
+* ``_named`` and ``_excluded`` check the rule's own fields and return the
+  excluded set; ``validate_instance`` then runs the same maximality, probe
+  and x checks for every rule (rule 4's detached path is its excluded set,
+  and x is a neighbour of u rather than a probe end);
+* ``_surplus2`` is the only statement of each surplus, and
+  ``compute_surplus2`` its checked public form;
 * ``_probe_end_filter`` decides which x the generators admit: nonnegative
   surplus, and for rule 6, x absorbable to P's optimal reroute;
 * ``_split_pools`` is case B's precondition and the vertex sets its split
-  must cover; ``_degenerate`` is case A's predicate and facts.  Each
-  analyzer ends its own case-C search in the same B-then-A tail, and
-  ``verify_outcome`` reads both statements.
+  must cover; ``graphs.recognize_H`` finds each pool's covering split,
+  which case B takes when its sides are equal; ``_degenerate`` is case A's
+  predicate and facts.  Each analyzer ends its own case-C search in the
+  same B-then-A tail, and ``verify_outcome`` reads both statements.
 """
 
 from __future__ import annotations
@@ -77,8 +87,7 @@ from .graphs import (
     bits_of,
     e_inside,
     mask_of,
-    set_of,
-    twin_classes,
+    recognize_H,
     verify_H_certificate,
 )
 from .paths import (
@@ -181,11 +190,23 @@ def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     return out
 
 
-def _in_host(G: Graph, *named: Optional[int]) -> None:
-    """InputError unless each named vertex given (not None) is one of G's."""
-    for z in named:
+def _named(G: Graph, lemma: int, u: int, *named: Optional[int]) -> None:
+    """InputError unless u and each of ``named`` (x, w1, w2, v, w) given (not
+    None) is one of G's vertices, and the rule's own named vertices are given
+    and distinct from u and from each other; rule 4's w1, w2 need only be
+    given (``_excluded`` checks that they end its detached path)."""
+    x, w1, w2, v, w = named
+    for z in (u, x, w1, w2, v, w):
         if z is not None and not 0 <= z < G.n:
             raise InputError(f"named vertex outside 0..{G.n - 1}")
+    if lemma == 3 and (w1 is None or w2 is None or len({u, w1, w2}) != 3):
+        raise InputError("lemma 3 needs distinct u, w1, w2")
+    if lemma == 4 and (w1 is None or w2 is None):
+        raise InputError("w1, w2 must be the detached path ends")
+    if lemma == 5 and (v is None or w is None or len({u, v, w}) != 3):
+        raise InputError("lemma 5 needs distinct u, v, w")
+    if lemma == 6 and (w is None or w == u):
+        raise InputError("lemma 6 needs w distinct from u")
 
 
 def compute_surplus2(
@@ -201,9 +222,26 @@ def compute_surplus2(
     w: Optional[int] = None,
     attachment: int = 0,
 ) -> int:
-    _in_host(G, u, x, w1, w2, v, w)
-    L = p_path.mask() & ~bit(u)
-    p = p_path.length
+    """Twice the rule's surplus, once ``_named`` has checked the vertices."""
+    _named(G, lemma, u, x, w1, w2, v, w)
+    return _surplus2(lemma, G, u, p_path, x, attachment, w1, w2, v, w)
+
+
+def _surplus2(
+    lemma: int,
+    G: Graph,
+    u: int,
+    P: UPath,
+    x: int,
+    attachment: int,
+    w1: Optional[int] = None,
+    w2: Optional[int] = None,
+    v: Optional[int] = None,
+    w: Optional[int] = None,
+) -> int:
+    """``compute_surplus2`` unchecked, for callers whose vertices are."""
+    L = P.mask() & ~bit(u)
+    p = P.length
     if lemma in (3, 4):
         pair = _ev(G, w1, L) + _ev(G, w2, L)
         return 2 * (2 * _ev(G, x, L) + pair - 2 * p)
@@ -237,26 +275,12 @@ def make_instance(
         w1, w2 = q_path.vertices[0], q_path.vertices[-1]
     else:
         x = q_path.vertices[-1]
+    _named(G, lemma, u, x, w1, w2, v, w)  # before any of their rows is read
     attachment = 0
     if lemma == 5:
-        _in_host(G, w)  # the attachment search reads w's row
         attachment = _attachment_set(G, u, w, p_path.mask(), p_path.length)
-    s2 = compute_surplus2(
-        lemma, G, u, p_path, x, w1=w1, w2=w2, v=v, w=w, attachment=attachment
-    )
-    return LemmaInstance(
-        lemma=lemma,
-        graph=G,
-        u=u,
-        p_path=p_path,
-        q_path=q_path,
-        x=x,
-        w1=w1,
-        w2=w2,
-        v=v,
-        w=w,
-        surplus2=s2,
-    )
+    s2 = _surplus2(lemma, G, u, p_path, x, attachment, w1, w2, v, w)
+    return LemmaInstance(lemma, G, u, p_path, q_path, x, w1, w2, v, w, s2)
 
 
 def _probe_end_filter(
@@ -269,7 +293,7 @@ def _probe_end_filter(
     S = _attachment_set(G, u, fields["w"], P.mask(), P.length) if lemma == 5 else 0
 
     def admissible(x: int) -> bool:
-        if compute_surplus2(lemma, G, u, P, x, attachment=S, **fields) < 0:
+        if _surplus2(lemma, G, u, P, x, S, **fields) < 0:
             return False
         return lemma != 6 or is_absorbable(
             G, reroute_maximizing_last_neighbor(G, P, x), x
@@ -341,17 +365,20 @@ def _argmax_paths(
 _PROBE_AVOIDS = {3: "the excluded pair", 5: "the excluded edge", 6: "w"}
 
 
+def _sees_all(G: Graph, u: int, mask: int) -> bool:
+    """Whether u sees every vertex of ``mask`` but itself (rule 4 asks it of
+    V(P) and V(Q))."""
+    return not mask & ~bit(u) & ~G.rows[u]
+
+
 def _excluded(inst: LemmaInstance) -> int:
     """Check the rule's own fields; return the vertices P must avoid (the
     probe too, for rules 3, 5 and 6; rule 4's detached path).  First, every
     named vertex, x included, must be one of the host's."""
     G, u, Q = inst.graph, inst.u, inst.q_path
-    _in_host(G, inst.x, inst.w1, inst.w2, inst.v, inst.w)
+    _named(G, inst.lemma, u, inst.x, inst.w1, inst.w2, inst.v, inst.w)
     if inst.lemma == 3:
-        w1, w2 = inst.w1, inst.w2
-        if w1 is None or w2 is None or len({u, w1, w2}) != 3:
-            raise InputError("lemma 3 needs distinct u, w1, w2")
-        return bit(w1) | bit(w2)
+        return bit(inst.w1) | bit(inst.w2)
     if inst.lemma == 4:
         if bit(u) & Q.mask():
             raise InputError("detached path must avoid u")
@@ -361,15 +388,10 @@ def _excluded(inst: LemmaInstance) -> int:
             raise InputError("P must avoid the detached path")
         return Q.mask()
     if inst.lemma == 5:
-        v, w = inst.v, inst.w
-        if v is None or w is None or len({u, v, w}) != 3:
-            raise InputError("lemma 5 needs distinct u, v, w")
-        if not G.has_edge(v, w):
+        if not G.has_edge(inst.v, inst.w):
             raise InputError("vw must be an edge")
-        return bit(v) | bit(w)
+        return bit(inst.v) | bit(inst.w)
     if inst.lemma == 6:
-        if inst.w is None or inst.w == u:
-            raise InputError("lemma 6 needs w distinct from u")
         return bit(inst.w)
     raise InputError(f"unknown lemma id {inst.lemma}")
 
@@ -412,7 +434,7 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
             raise InputError("x must be a neighbour of u")
         if bit(x) & (pmask | Q.mask()):
             raise InputError("x must lie outside P and Q")
-        if (pmask | Q.mask()) & ~bit(u) & ~G.rows[u]:
+        if not _sees_all(G, u, pmask | Q.mask()):
             raise InputError("every vertex of P and Q must be seen by u")
         ctx = _Ctx(L=L, p=p, q=len(Q.vertices))
     else:
@@ -430,18 +452,7 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
         ctx.p_prime = reroute_maximizing_last_neighbor(G, P, x)
         if not is_absorbable(G, ctx.p_prime, x):
             raise InputError("x is not absorbable to the optimal reroute")
-    s2 = compute_surplus2(
-        inst.lemma,
-        G,
-        u,
-        P,
-        x,
-        w1=inst.w1,
-        w2=inst.w2,
-        v=inst.v,
-        w=inst.w,
-        attachment=ctx.S,
-    )
+    s2 = _surplus2(inst.lemma, G, u, P, x, ctx.S, inst.w1, inst.w2, inst.v, inst.w)
     if s2 != inst.surplus2:
         raise InputError(
             f"stored doubled surplus {inst.surplus2} != recomputed {s2}"
@@ -454,22 +465,6 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
 # -- case search helpers --------------------------------------------------------
 
 CASE_SEARCH_BUDGET = 2_000_000
-
-
-def _balanced_split_on(G: Graph, vsmask: int, side: int) -> Optional[HCertificate]:
-    """The balanced uniform-neighbourhood split of exactly the given vertex
-    set, sides of the given size (at least 1), or None.
-
-    X is a twin class of G[S] whose neighbourhood is S - X, so at most two
-    classes qualify and they are each other's Y: the one holding min(S) is
-    the first by sorted X.
-    """
-    if vsmask.bit_count() != 2 * side:
-        return None
-    for ymask, xmask in twin_classes(G, vsmask).items():
-        if xmask | ymask == vsmask and xmask.bit_count() == side:
-            return HCertificate(set_of(xmask), set_of(ymask))
-    return None
 
 
 def _paths2_through(G: Graph, w: int) -> list[tuple[int, int, int]]:
@@ -565,8 +560,9 @@ def _split_or_degenerate(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
     pools, then A; a SoundnessError when neither holds."""
     G, L = inst.graph, ctx.L
     for pool in _split_pools(inst, ctx):
-        cert = _balanced_split_on(G, pool, ctx.p // 2 + 1)
-        if cert is None:
+        # a pool has p + 2 vertices, so equal sides hold p/2 + 1 each
+        cert = recognize_H(G, pool)
+        if cert is None or cert.a != cert.b:
             continue
         if inst.lemma in (3, 4):
             e1, e2 = _ev(G, inst.w1, L), _ev(G, inst.w2, L)
@@ -859,73 +855,68 @@ def _propose(
         G = Graph(n, tuple(rows))
     budget = Budget(200_000, "instance synthesis")
     try:
-        if lemma == 4:
-            qv = rng.choice((1, 2, 2, 3))
-            pool = list(bits_of(G.rows[u]))
-            if len(pool) < qv + 2:
-                return None
-            seq = [rng.choice(pool)]
-            while len(seq) < qv:
-                opts = [
-                    z
-                    for z in bits_of(G.rows[seq[-1]] & G.rows[u])
-                    if z not in seq
-                ]
-                if not opts:
-                    break
-                seq.append(rng.choice(opts))
-            if len(seq) != qv:
-                return None
-            if seq[0] > seq[-1]:
-                seq.reverse()
-            Q = UPath(tuple(seq))
-            p = rng.choice(_P_CHOICES)
-            _, cands = _max_paths(G, u, G.full_mask & ~Q.mask(), p, budget)
-            inside = [c for c in cands if mask_of(c) & ~bit(u) & ~G.rows[u] == 0]
-            if not inside:
-                return None
-            P = UPath(rng.choice(inside))
-            admissible = _probe_end_filter(4, G, u, P, w1=seq[0], w2=seq[-1])
-            xs = [
-                z
-                for z in bits_of(G.rows[u] & ~P.mask() & ~Q.mask())
-                if admissible(z)
-            ]
-            if not xs:
-                return None
-            return make_instance(4, G, u, P, Q, x=rng.choice(xs))
-        # rules 3, 5, 6: pick the excluded set, then P, then a probe end
-        if lemma == 3:
-            others = [z for z in range(n) if z != u]
-            w1, w2 = sorted(rng.sample(others, 2))
-            fields = {"w1": w1, "w2": w2}
-        elif lemma == 5:
-            edges = [(a, b) for a, b in G.edges() if a != u and b != u]
-            if not edges:
-                return None
-            v, w = rng.choice(edges)
-            if rng.random() < 0.5:
-                v, w = w, v
-            fields = {"v": v, "w": w}
-        else:
-            fields = {"w": rng.choice([z for z in range(n) if z != u])}
-        excl = mask_of(fields.values())
+        picked = _pick_exclusion(lemma, rng, G, u)
+        if picked is None:
+            return None
+        fields, Q = picked
+        excl = mask_of(fields.values()) if Q is None else Q.mask()
         p = rng.choice(_P_CHOICES)
         _, cands = _max_paths(G, u, G.full_mask & ~excl, p, budget)
+        if Q is not None:  # rule 4: u must see all of P
+            cands = [c for c in cands if _sees_all(G, u, mask_of(c))]
         if not cands:
             return None
         P = UPath(rng.choice(cands))
         admissible = _probe_end_filter(lemma, G, u, P, **fields)
+        near = G.rows[u] if Q is not None else G.full_mask
+        xs = [z for z in bits_of(near & ~(P.mask() | excl)) if admissible(z)]
+        if Q is not None:  # rule 4: the probe is the edge ux
+            return make_instance(lemma, G, u, P, Q, x=rng.choice(xs)) if xs else None
+        rng.shuffle(xs)
         q_allowed = G.full_mask & ~(P.mask() & ~bit(u) | excl)
-        good_x = [z for z in bits_of(q_allowed & ~bit(u)) if admissible(z)]
-        rng.shuffle(good_x)
-        for xz in good_x:
-            qp = first_upath_to(G, u, q_allowed, xz, budget)
+        for x in xs:
+            qp = first_upath_to(G, u, q_allowed, x, budget)
             if qp is not None:
                 return make_instance(lemma, G, u, P, UPath(qp), **fields)
         return None
     except CapabilityError:
         return None
+
+
+def _pick_exclusion(
+    lemma: int, rng: random.Random, G: Graph, u: int
+) -> Optional[tuple[dict, Optional[UPath]]]:
+    """One excluded choice at anchor u drawn at random, shaped like those of
+    ``_exclusions``, or None when the draw finds none.  Rule 4's detached
+    path has 1 to 3 vertices, all in N(u), and is written from its smaller
+    end."""
+    n = G.n
+    if lemma == 3:
+        w1, w2 = sorted(rng.sample([z for z in range(n) if z != u], 2))
+        return {"w1": w1, "w2": w2}, None
+    if lemma == 4:
+        qv = rng.choice((1, 2, 2, 3))
+        nu = G.rows[u]
+        if nu.bit_count() < qv + 2:
+            return None
+        seq = [rng.choice(list(bits_of(nu)))]
+        while len(seq) < qv:
+            opts = [z for z in bits_of(G.rows[seq[-1]] & nu) if z not in seq]
+            if not opts:
+                return None
+            seq.append(rng.choice(opts))
+        if seq[0] > seq[-1]:
+            seq.reverse()
+        return {"w1": seq[0], "w2": seq[-1]}, UPath(tuple(seq))
+    if lemma == 5:
+        edges = [(a, b) for a, b in G.edges() if u not in (a, b)]
+        if not edges:
+            return None
+        v, w = rng.choice(edges)
+        if rng.random() < 0.5:
+            v, w = w, v
+        return {"v": v, "w": w}, None
+    return {"w": rng.choice([z for z in range(n) if z != u])}, None
 
 
 def sample_instances(
@@ -969,11 +960,8 @@ def sample_instances(
 
 
 def enumerate_instances(lemma: int, G: Graph) -> Iterator[LemmaInstance]:
-    """Every valid instance on the host, desk scale only.  One loop for every
-    rule: anchor u, excluded choice (``_exclusions``), p = 1, 2, ... up to
-    the first p with no u-path, each maximizing P, its probes.  Rule 4's
-    excluded set is V(Q), it skips a P holding a vertex u does not see, and
-    its probes are the edges ux with x in N(u) off P and Q."""
+    """Every valid instance on the host, desk scale only, in the one loop
+    for every rule that the module docstring states."""
     if lemma not in LEMMA_IDS:
         raise InputError(f"unknown lemma id {lemma}")
     n = G.n
@@ -993,7 +981,7 @@ def enumerate_instances(lemma: int, G: Graph) -> Iterator[LemmaInstance]:
                     off = P.mask() & ~bit(u)
                     if Q is None:  # every u-path off V(P-u) and the excluded set
                         probes = iter_upaths(G, u, G.full_mask & ~(off | excl), budget)
-                    elif off & ~nu:  # rule 4: u must see all of P
+                    elif not _sees_all(G, u, off):  # rule 4: u must see all of P
                         continue
                     else:  # rule 4: the edges ux, x in N(u) off P and Q
                         probes = ((u, x) for x in bits_of(nu & ~(P.mask() | excl)))

@@ -130,21 +130,25 @@ def _off_path(G: Graph, P: UPath, v: int, on_path="vertex already on the path"):
         raise InputError(on_path)
 
 
-def is_strictly_absorbable(G: Graph, P: UPath, v: int) -> Optional[int]:
-    """Least edge index i with v adjacent to both P[i] and P[i+1], else None."""
-    _off_path(G, P, v)
-    row = G.rows[v]
+def _absorbing_edge(row: int, P: UPath) -> Optional[int]:
+    """Least edge index i of P with both P[i] and P[i+1] in ``row``, else
+    None; the public predicates check their input once and then call it."""
     for i in range(P.length):
         if row & bit(P.vertices[i]) and row & bit(P.vertices[i + 1]):
             return i
     return None
 
 
+def is_strictly_absorbable(G: Graph, P: UPath, v: int) -> Optional[int]:
+    """Least edge index i with v adjacent to both P[i] and P[i+1], else None."""
+    _off_path(G, P, v)
+    return _absorbing_edge(G.rows[v], P)
+
+
 def is_absorbable(G: Graph, P: UPath, v: int) -> bool:
     _off_path(G, P, v)
-    if G.rows[v] & bit(P.end):
-        return True
-    return is_strictly_absorbable(G, P, v) is not None
+    row = G.rows[v]
+    return bool(row & bit(P.end)) or _absorbing_edge(row, P) is not None
 
 
 def absorb(G: Graph, P: UPath, v: int) -> UPath:
@@ -153,7 +157,7 @@ def absorb(G: Graph, P: UPath, v: int) -> UPath:
     _off_path(G, P, v)
     if G.rows[v] & bit(P.end):
         return UPath(P.vertices + (v,))
-    i = is_strictly_absorbable(G, P, v)
+    i = _absorbing_edge(G.rows[v], P)
     if i is None:
         raise InputError("vertex is not absorbable to this path")
     return UPath(P.vertices[: i + 1] + (v,) + P.vertices[i + 1 :])
@@ -349,7 +353,11 @@ def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:
 
 def spanning_path_to(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
     """Lexicographically least path from u to ``end`` covering exactly the
-    vertex set ``verts``, or None when no such path exists."""
+    vertex set ``verts``, or None when no such path exists.  InputError when
+    u, ``end`` or a member of ``verts`` is not one of G's vertices."""
+    verts = _checked_mask(G, verts)
+    if not (0 <= u < G.n and 0 <= end < G.n):
+        raise InputError(f"path ends outside 0..{G.n - 1}")
     if not verts & bit(u) or not verts & bit(end):
         return None
     table = _reach(G, u, verts, None)
@@ -471,13 +479,13 @@ def check_observation1(G: Graph, P: UPath, v: int) -> bool:
     """Non-absorbable vertices see at most (p+1)/2 of P, non-strictly-absorbable
     at most (p+2)/2; doubled-integer comparison, vacuous when absorbable."""
     _off_path(G, P, v)
-    attach2 = 2 * (G.rows[v] & P.mask()).bit_count()
+    row = G.rows[v]
+    attach2 = 2 * (row & P.mask()).bit_count()
     p = P.length
-    if not is_absorbable(G, P, v) and attach2 > p + 1:
+    strict = _absorbing_edge(row, P) is not None
+    if not (strict or row & bit(P.end)) and attach2 > p + 1:
         return False
-    if is_strictly_absorbable(G, P, v) is None and attach2 > p + 2:
-        return False
-    return True
+    return strict or attach2 <= p + 2
 
 
 def check_lemma1_bound(G: Graph, P: UPath) -> bool:

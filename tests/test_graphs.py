@@ -159,6 +159,36 @@ def test_recognize_H_examples():
     assert recognize_H(Graph.path_graph(4)) is None
 
 
+def test_recognize_H_pool_examples():
+    # inside a pool: the path 0-1-2-3 without 3 is the star on 1
+    cert = recognize_H(Graph.path_graph(4), 0b0111)
+    assert cert.x_side == {0, 2} and cert.y_side == {1}
+    assert recognize_H(C4, 0) is None
+
+
+@pytest.mark.parametrize("pool", [[-1, 0], 1 << 4, [0, 4]])
+def test_recognize_H_rejects_a_pool_outside_the_host(pool):
+    with pytest.raises(InputError, match="pool references vertices outside"):
+        recognize_H(C4, pool)
+
+
+def test_recognize_H_on_every_pool_matches_the_induced_whole_graph_split():
+    # every pool, odd sizes included, of every class with n <= 5: the
+    # largest-X, least-X split of the induced subgraph, mapped back
+    for G in graphs_up_to(5):
+        for pool in range(1, 1 << G.n):
+            H, old = G.induced(pool)
+            splits = brute_whole_graph_splits(H)
+            cert = recognize_H(G, pool)
+            if not splits:
+                assert cert is None, (G, pool)
+                continue
+            x, y = min(splits, key=lambda s: (-len(s[0]), sorted(s[0])))
+            want = ({old[i] for i in x}, {old[i] for i in y})
+            assert (cert.x_side, cert.y_side) == want, (G, pool)
+            assert verify_H_certificate(G, cert)
+
+
 def test_verify_H_certificate_examples():
     assert verify_H_certificate(C4, HCertificate(frozenset({0, 2}), frozenset({1, 3})))
     assert not verify_H_certificate(

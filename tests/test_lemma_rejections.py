@@ -334,3 +334,34 @@ K4, K5 = Graph.complete(4), Graph.complete(5)
 def test_builders_reject_a_named_vertex_out_of_range(build):
     with pytest.raises(InputError, match="named vertex outside"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: make_instance(3, K5, 0, UPath((0, 1)), UPath((0, 2))),
+            "lemma 3 needs distinct u, w1, w2",
+        ),
+        (
+            lambda: make_instance(5, K5, 0, UPath((0, 1)), UPath((0, 2)), v=3),
+            "lemma 5 needs distinct u, v, w",
+        ),
+        (
+            lambda: make_instance(6, K5, 0, UPath((0, 1)), UPath((0, 2))),
+            "lemma 6 needs w distinct from u",
+        ),
+        (
+            lambda: compute_surplus2(3, K5, 0, UPath((0, 1)), 2, w1=3),
+            "lemma 3 needs distinct u, w1, w2",
+        ),
+        (
+            lambda: compute_surplus2(4, K5, 0, UPath((0, 1)), 2),
+            "w1, w2 must be the detached path ends",
+        ),
+    ],
+    ids=["make-rule3", "make-rule5", "make-rule6", "surplus-rule3", "surplus-rule4"],
+)
+def test_builders_reject_a_missing_named_vertex(build, message):
+    with pytest.raises(InputError, match=message):
+        build()

@@ -18,7 +18,15 @@ import esos.lemmas as lemmas_mod
 import esos.paths as paths_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import Budget, CapabilityError, InputError
-from esos.graphs import Graph, HCertificate, bit, bits_of, mask_of, verify_H_certificate
+from esos.graphs import (
+    Graph,
+    HCertificate,
+    bit,
+    bits_of,
+    mask_of,
+    recognize_H,
+    verify_H_certificate,
+)
 from esos.lemmas import (
     CaseOutcome,
     LEMMA_IDS,
@@ -104,6 +112,13 @@ def test_lemma3_case_b_balanced_square():
     assert verify_outcome(inst, out)
 
 
+def _balanced_split(G, pool, side):
+    """The covering split of the pool when both sides have ``side`` vertices,
+    as case B takes it, else None."""
+    cert = recognize_H(G, pool)
+    return cert if cert is not None and cert.a == cert.b == side else None
+
+
 def test_balanced_splits_match_the_subset_scan():
     # every class with n <= 6 and every nonempty vertex set of even size
     for G in graphs_up_to(6):
@@ -111,10 +126,10 @@ def test_balanced_splits_match_the_subset_scan():
             if vsmask.bit_count() % 2:
                 continue
             side = vsmask.bit_count() // 2
-            cert = lemmas_mod._balanced_split_on(G, vsmask, side)
+            cert = _balanced_split(G, vsmask, side)
             got = None if cert is None else (cert.x_side, cert.y_side)
             assert got == scan_balanced_split(G, bits_of(vsmask), side), (G, vsmask)
-            assert lemmas_mod._balanced_split_on(G, vsmask, side + 1) is None
+            assert _balanced_split(G, vsmask, side + 1) is None
 
 
 def test_lemma3_case_c_dense():
@@ -246,7 +261,7 @@ def _split_claims(inst):
     side = inst.p_path.length // 2 + 1
     pool = inst.p_path.mask() | bit(inst.x) | (bit(inst.v) if inst.lemma == 5 else 0)
     for verts in combinations(bits_of(pool), 2 * side):
-        cert = lemmas_mod._balanced_split_on(inst.graph, mask_of(verts), side)
+        cert = _balanced_split(inst.graph, mask_of(verts), side)
         if cert is not None:
             for sides in ((cert.x_side, cert.y_side), (cert.y_side, cert.x_side)):
                 yield CaseOutcome("B", {}, certificate=HCertificate(*sides))
@@ -495,6 +510,40 @@ def test_instance_streams_are_pinned(monkeypatch):
         got = (_stream_digest(sampled), _stream_digest(enumerated))
         assert got == STREAM_DIGESTS[lemma], lemma
         assert sum(b.used for b in spent) == ENUMERATION_NODES[lemma], lemma
+
+
+# sample_instances(R, n, 25, seed=100 * R + n) at the host sizes the pin
+# above leaves out: SHA-256 of the stream (as in STREAM_DIGESTS) and the
+# number of proposals discarded on the way.
+SAMPLE_PINS = {
+    (3, 5): ("76f095071441f66a72d2fc6e571fa28ea1fb6393922709321f5945e5367b6cae", 270),
+    (3, 6): ("623571a588f32bac3559de2ad5545c423eb82e5d862f52d42abfdd0040dfb253", 48),
+    (3, 8): ("bc293b4d70f847dac6e088c5a9ddcfc6debba226e75ad868c26afb0c8c1e6dab", 11),
+    (3, 9): ("0171b8cc97614c8916a28b7dd92f6bfbdb47f10c923d85595821e826f924cb93", 5),
+    (3, 10): ("6f5b61bb7f3ba4ef7bfb9ba3ea33e63cf758d318e187fe7e1ceefb987f4ee718", 1),
+    (4, 5): ("3a948d4bbb3e124597f674714b117bf8a4ac2c6b5dd9b69db905dfa767b4c767", 152),
+    (4, 6): ("658d93b3c1d296879ac8be3d6fcbe79a606fc9ee460c6d80cd29816d7141eb67", 23),
+    (4, 8): ("bc9a164952817e90dab86d1db685818995565e00185c17ce5651403da0c51d1e", 1),
+    (4, 9): ("00df3e4a0957a1fab20d1dbc48a6cb5327fb4bbfde55522f426e0819f7938e7f", 1),
+    (4, 10): ("a88e617f53681cafea669667632d449f5256207d8966c64384528955eedfbd10", 1),
+    (5, 5): ("cfecd3d4769b48f0c9c7eb2cb5d8475f7a6c539220c966a1462e2106d38fad2b", 313),
+    (5, 6): ("5ea2ceb32f1a5200228aefbff3fbd5c66ba06b79b949bed78d92676dc740e25c", 66),
+    (5, 8): ("0e323835a1f49af7dcfa2ace2511408124f5d7d4fce9aca803dfb5ed8a097fee", 14),
+    (5, 9): ("c9f452410d87e420da568b41decb713839b8406d69d77b1160d14dd13e934438", 3),
+    (5, 10): ("50a37ae7f205137f3383d99e7b8b47aaa325c94e12576cae30488140222bd426", 2),
+    (6, 5): ("f57451e6a8ccce601cab4e802655ef3d42888e695906c968e46cf6cf83555a1b", 85),
+    (6, 6): ("caf4346de5e364564d441405f18686064884ba7885e1ab79b52d66e3f02ae3e8", 10),
+    (6, 8): ("19ce54ab94c8aa07f31f4e9efff4b24a467e412f648580c28c6814a25c270e11", 1),
+    (6, 9): ("5e87af488bef893556da12d7af3d6e3cea4960375e3ea5685a42ffabe9c1e934", 1),
+    (6, 10): ("03c03bd50a58813bc0faaa1f56925254cd395596a1f424d17168457ca0279b45", 1),
+}
+
+
+@pytest.mark.parametrize("lemma, n", sorted(SAMPLE_PINS))
+def test_sampled_streams_are_pinned_at_every_host_size(lemma, n):
+    sampled, discarded = sample_instances(lemma, n, 25, seed=100 * lemma + n)
+    assert len(sampled) == 25
+    assert (_stream_digest(sampled), discarded) == SAMPLE_PINS[lemma, n]
 
 
 def test_sample_instances_rejects_a_negative_count():

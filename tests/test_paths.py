@@ -190,6 +190,31 @@ def test_absorb_examples():
         absorb(P4G, UPath((0, 1)), 3)
 
 
+def test_absorption_checks_its_input_once_per_call(monkeypatch):
+    # each public predicate validates P once, then scans P's edges unchecked;
+    # in the first host P's end misses v, so absorption needs a splice
+    checked = []
+    real = paths_mod.is_valid_upath
+
+    def counted(G, vertices):
+        checked.append(vertices)
+        return real(G, vertices)
+
+    monkeypatch.setattr(paths_mod, "is_valid_upath", counted)
+    splice = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    cases = [(splice, UPath((0, 1, 2)), 3), (C4, UPath((0, 1, 2)), 3)]
+    cases.append((P4G, UPath((0, 1)), 3))
+    for G, P, v in cases:
+        for call in (is_absorbable, is_strictly_absorbable, check_observation1):
+            checked.clear()
+            call(G, P, v)
+            assert len(checked) == 1, (call.__name__, G, P)
+    for G, P, v in cases[:2]:
+        checked.clear()
+        absorb(G, P, v)
+        assert len(checked) == 1, G
+
+
 @settings(max_examples=120, deadline=None)
 @given(graphs(max_n=6), st.data())
 def test_absorb_grows_by_one_with_same_anchor(G, data):
@@ -301,6 +326,32 @@ def test_reroute_path_to_and_last_neighbor():
     assert best.vertices == (0, 1, 2)
     with pytest.raises(InputError):
         reroute_maximizing_last_neighbor(G, P, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spanning_path_to(Graph.complete(5), 0b111, -1, 1),
+        lambda: spanning_path_to(Graph.complete(5), 0b111, 0, -1),
+        lambda: spanning_path_to(Graph.complete(5), 0b111, 5, 1),
+        lambda: spanning_path_to(Graph.complete(5), 0b111, 0, 9),
+        lambda: spanning_path_to(Graph.complete(5), 0b1111111, 0, 1),
+        lambda: reroute_path_to(Graph.complete(5), UPath((0, 1)), -1),
+        lambda: reroute_path_to(Graph.complete(5), UPath((0, 1)), 9),
+    ],
+    ids=[
+        "anchor-negative",
+        "end-negative",
+        "anchor-too-large",
+        "end-too-large",
+        "verts-beyond-host",
+        "reroute-end-negative",
+        "reroute-end-too-large",
+    ],
+)
+def test_spanning_path_to_rejects_a_vertex_outside_the_host(call):
+    with pytest.raises(InputError, match="outside 0..4"):
+        call()
 
 
 def small_classes():
