@@ -33,6 +33,7 @@ from .harness import (
     verify_conjecture_spiders,
 )
 from .enumeration import read_graph6_stream
+from .lemmas import LEMMA_IDS, analyze, analysis_record, sample_instances, verify_outcome
 from .spiders import Spider
 
 
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_lem = sub.add_parser("lemmas", help="case-analyzer suites")
-    p_lem.add_argument("--which", type=int, required=True, choices=(3, 4, 5, 6))
+    p_lem.add_argument("--which", type=int, required=True, choices=LEMMA_IDS)
     p_lem.add_argument("--samples", type=int, default=1000)
     p_lem.add_argument("--seed", type=int, default=0)
     p_lem.add_argument(
@@ -147,8 +148,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lemma_records(args) -> int:
-    from .lemmas import analyze, analysis_record, sample_instances, verify_outcome
-
     insts, _ = sample_instances(args.which, args.n, args.samples, args.seed)
     if not insts:
         raise InputError(f"no rule {args.which} instance sampled on {args.n} vertices")

@@ -20,11 +20,13 @@ The key does not depend on which extension produced a graph, and the
 representative of a class is built from its key, so the classes and their
 labellings are those of the unfiltered, unpruned search.  Results are
 cached per order and returned sorted by graph6 string, so enumeration
-order is stable across runs.
+order is stable across runs.  ``graphs_up_to`` checks its order range when
+it is called, before any class is built.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .errors import CapabilityError, InputError
@@ -178,8 +180,14 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 
 def graphs_up_to(n_max: int) -> Iterator[Graph]:
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
+    if n_max < 1:
+        raise InputError("n_max must be positive")
+    if n_max > ENUMERATION_CAP:
+        raise CapabilityError(
+            f"builtin enumeration stops at n={ENUMERATION_CAP}; "
+            "pipe graph6 input for larger orders"
+        )
+    return chain.from_iterable(map(enumerate_graphs, range(1, n_max + 1)))
 
 
 def read_graph6_stream(lines) -> Iterator[Graph]:

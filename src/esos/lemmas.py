@@ -191,10 +191,10 @@ def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
 
 
 def _named(G: Graph, lemma: int, u: int, *named: Optional[int]) -> None:
-    """InputError unless u and each of ``named`` (x, w1, w2, v, w) given (not
-    None) is one of G's vertices, and the rule's own named vertices are given
-    and distinct from u and from each other; rule 4's w1, w2 need only be
-    given (``_excluded`` checks that they end its detached path)."""
+    """InputError unless the rule id is known, u and each of ``named`` (x, w1,
+    w2, v, w) given (not None) is one of G's vertices, and the rule's own
+    named vertices are given and distinct from u and from each other; rule
+    4's w1, w2 need only be given (``_excluded`` checks they end its path)."""
     x, w1, w2, v, w = named
     for z in (u, x, w1, w2, v, w):
         if z is not None and not 0 <= z < G.n:
@@ -207,6 +207,8 @@ def _named(G: Graph, lemma: int, u: int, *named: Optional[int]) -> None:
         raise InputError("lemma 5 needs distinct u, v, w")
     if lemma == 6 and (w is None or w == u):
         raise InputError("lemma 6 needs w distinct from u")
+    if lemma not in LEMMA_IDS:
+        raise InputError(f"unknown lemma id {lemma}")
 
 
 def compute_surplus2(
@@ -222,7 +224,7 @@ def compute_surplus2(
     w: Optional[int] = None,
     attachment: int = 0,
 ) -> int:
-    """Twice the rule's surplus, once ``_named`` has checked the vertices."""
+    """Twice the rule's surplus, once ``_named`` has checked its input."""
     _named(G, lemma, u, x, w1, w2, v, w)
     return _surplus2(lemma, G, u, p_path, x, attachment, w1, w2, v, w)
 
@@ -239,7 +241,7 @@ def _surplus2(
     v: Optional[int] = None,
     w: Optional[int] = None,
 ) -> int:
-    """``compute_surplus2`` unchecked, for callers whose vertices are."""
+    """``compute_surplus2`` unchecked, for callers whose input is."""
     L = P.mask() & ~bit(u)
     p = P.length
     if lemma in (3, 4):
@@ -248,9 +250,7 @@ def _surplus2(
     if lemma == 5:
         pair = _ev(G, v, L) + _ev(G, w, L)
         return 4 * _ev(G, x, L) + 2 * pair - 4 * p - _ev(G, v, attachment)
-    if lemma == 6:
-        return 2 * (_ev(G, x, L) + _ev(G, w, L) - p)
-    raise InputError(f"unknown lemma id {lemma}")
+    return 2 * (_ev(G, x, L) + _ev(G, w, L) - p)  # rule 6
 
 
 def make_instance(
@@ -267,8 +267,6 @@ def make_instance(
     x: Optional[int] = None,
 ) -> LemmaInstance:
     """Assemble an instance, deriving x and the doubled surplus."""
-    if lemma not in LEMMA_IDS:
-        raise InputError(f"unknown lemma id {lemma}")
     if lemma == 4:
         if x is None:
             raise InputError("lemma 4 needs an explicit x")
@@ -391,9 +389,7 @@ def _excluded(inst: LemmaInstance) -> int:
         if not G.has_edge(inst.v, inst.w):
             raise InputError("vw must be an edge")
         return bit(inst.v) | bit(inst.w)
-    if inst.lemma == 6:
-        return bit(inst.w)
-    raise InputError(f"unknown lemma id {inst.lemma}")
+    return bit(inst.w)  # rule 6
 
 
 def validate_instance(inst: LemmaInstance) -> _Ctx:

@@ -421,7 +421,16 @@ def iter_upaths(
 ) -> Iterator[tuple[int, ...]]:
     """Every u-path inside ``allowed`` with ``shortest`` to ``longest``
     edges (no upper bound when None), in lexicographic vertex-sequence
-    order; each vertex the walk places after u costs one node."""
+    order; each vertex the walk places after u costs one node.  InputError,
+    when called, for u or ``allowed`` outside the host."""
+    if not 0 <= u < G.n or allowed >> G.n:  # a negative mask shifts to -1
+        raise InputError(f"anchor or allowed set outside 0..{G.n - 1}")
+    return _upaths(G, u, allowed, budget, shortest, longest)
+
+
+def _upaths(
+    G: Graph, u: int, allowed: int, budget: Budget, shortest: int, longest: Optional[int]
+) -> Iterator[tuple[int, ...]]:
     if not allowed & bit(u):
         return
     if shortest == 0:
@@ -464,11 +473,14 @@ def iter_upaths_exact(
 def first_upath_to(
     G: Graph, u: int, allowed: int, target: int, budget: Budget
 ) -> Optional[tuple[int, ...]]:
-    """Lexicographically first simple u-path to ``target`` inside ``allowed``."""
+    """Lexicographically first simple u-path to ``target`` inside ``allowed``;
+    InputError for u, ``target`` or ``allowed`` outside the host."""
+    if not 0 <= target < G.n:
+        raise InputError(f"target outside 0..{G.n - 1}")
+    walk = iter_upaths(G, u, allowed, budget)  # checks u and allowed
     if not (allowed & bit(u)) or not (allowed & bit(target)) or u == target:
         return None
     # the walk never passes through target before it ends there
-    walk = iter_upaths(G, u, allowed, budget)
     return next((path for path in walk if path[-1] == target), None)
 
 

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,8 @@ from oracles import (
     reference_extensions,
 )
 
+import esos
+import esos.enumeration as enumeration_mod
 import esos.harness as harness_mod
 from esos.cli import main
 from esos.embed import EmbedOutcome
@@ -26,6 +32,8 @@ from esos.enumeration import (
 from esos.errors import CapabilityError, InputError
 from esos.graphs import Graph, HCertificate
 from esos.harness import (
+    dichotomy_check,
+    exhaustive_lemma_suite,
     extremal_census,
     run_lemma_suite,
     verify_conjecture_spiders,
@@ -235,7 +243,80 @@ def test_lemma_suite_runs_clean_and_deterministic():
         run_lemma_suite(7, 10, seed=0)
 
 
+SUITES_OVER_ORDERS = {
+    "check": verify_conjecture_spiders,
+    "dichotomy": dichotomy_check,
+    "lemmas-exhaustive": lambda n_max: exhaustive_lemma_suite(3, n_max),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES_OVER_ORDERS))
+@pytest.mark.parametrize(
+    "n_max, error", [(0, InputError), (-1, InputError), (8, CapabilityError)]
+)
+def test_suites_reject_an_order_range_before_any_enumeration(
+    monkeypatch, name, n_max, error
+):
+    calls = []
+    real = enumeration_mod.enumerate_graphs
+    monkeypatch.setattr(
+        enumeration_mod, "enumerate_graphs", lambda n: calls.append(n) or real(n)
+    )
+    suite = SUITES_OVER_ORDERS[name]
+    with pytest.raises(error):
+        suite(n_max)
+    assert calls == []
+    suite(2)  # the counting patch does see a suite's enumeration
+    assert sorted(set(calls)) == [1, 2]
+
+
+def test_census_rejects_an_order_past_the_cap_before_building_a_graph(monkeypatch):
+    built = []
+    real = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda G: built.append(G) or real(G))
+    with pytest.raises(CapabilityError, match="built-in enumeration capped at n <= 7"):
+        extremal_census(8, 2)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: run_lemma_suite(9, 5, 0), lambda: exhaustive_lemma_suite(9, 3)],
+    ids=["sampled", "exhaustive"],
+)
+def test_lemma_suites_reject_an_unknown_rule_id(run):
+    with pytest.raises(InputError, match="^unknown lemma id 9$"):
+        run()
+
+
 # -- CLI ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--json", "check", "--nmax", "3"], 0),
+        (["check", "--nmax", "0"], 2),
+        (["check", "--nmax", "8"], 3),
+    ],
+    ids=["clean", "empty-range", "past-the-cap"],
+)
+def test_module_entry_point_exit_codes(argv, code):
+    # `python -m esos` on the package this suite imports
+    src = str(Path(esos.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "esos", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["counts"]["graphs"] == 7 and report["failures"] == []
 
 
 def test_cli_check_clean(capsys):

@@ -365,3 +365,18 @@ def test_builders_reject_a_named_vertex_out_of_range(build):
 def test_builders_reject_a_missing_named_vertex(build, message):
     with pytest.raises(InputError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compute_surplus2(7, K5, 0, UPath((0, 1)), 2, w=3),
+        lambda: make_instance(7, K5, 0, UPath((0, 1)), UPath((0, 2)), w=3),
+        lambda: validate_instance(replace(lemma=7)(base("6A")[0])),
+        lambda: analyze(replace(lemma=7)(base("6A")[0])),
+    ],
+    ids=["surplus", "make", "validate", "analyze"],
+)
+def test_an_unknown_rule_id_is_named(call):
+    with pytest.raises(InputError, match="^unknown lemma id 7$"):
+        call()

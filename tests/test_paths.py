@@ -29,9 +29,12 @@ from esos.paths import (
     check_lemma1_bound,
     check_lemma2_bound,
     check_observation1,
+    first_upath_to,
     is_absorbable,
     is_strictly_absorbable,
     is_valid_upath,
+    iter_upaths,
+    iter_upaths_exact,
     longest_u_path,
     recall,
     reroute_ends,
@@ -352,6 +355,45 @@ def test_reroute_path_to_and_last_neighbor():
 def test_spanning_path_to_rejects_a_vertex_outside_the_host(call):
     with pytest.raises(InputError, match="outside 0..4"):
         call()
+
+
+K5 = Graph.complete(5)
+K5_ALL = K5.full_mask
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: iter_upaths(K5, -1, K5_ALL, b),
+        lambda b: iter_upaths(K5, 9, K5_ALL | 1 << 9, b),
+        lambda b: iter_upaths(K5, 9, K5_ALL, b),
+        lambda b: iter_upaths(K5, 0, K5_ALL | 1 << 9, b),
+        lambda b: iter_upaths(K5, 0, -1, b),
+        lambda b: list(iter_upaths_exact(K5, 9, K5_ALL, 2, b)),
+        lambda b: first_upath_to(K5, 0, K5_ALL | 1 << 9, 9, b),
+        lambda b: first_upath_to(K5, -1, K5_ALL, 1, b),
+        lambda b: first_upath_to(K5, 0, K5_ALL, -1, b),
+        lambda b: first_upath_to(K5, 0, K5_ALL, 9, b),
+    ],
+    ids=[
+        "walk-anchor-negative",
+        "walk-anchor-and-mask-beyond-host",
+        "walk-anchor-beyond-host",
+        "walk-mask-beyond-host",
+        "walk-mask-negative",
+        "exact-anchor-beyond-host",
+        "first-target-and-mask-beyond-host",
+        "first-anchor-negative",
+        "first-target-negative",
+        "first-target-beyond-host",
+    ],
+)
+def test_path_walks_reject_ids_outside_the_host(call):
+    # the plain walk checks when it is called, and no call spends a node
+    budget = Budget(10**6)
+    with pytest.raises(InputError, match="outside 0..4"):
+        call(budget)
+    assert budget.used == 0
 
 
 def small_classes():
