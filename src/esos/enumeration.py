@@ -20,8 +20,8 @@ The key does not depend on which extension produced a graph, and the
 representative of a class is built from its key, so the classes and their
 labellings are those of the unfiltered, unpruned search.  Results are
 cached per order and returned sorted by graph6 string, so enumeration
-order is stable across runs.  ``graphs_up_to`` checks its order range when
-it is called, before any class is built.
+order is stable across runs.  ``graphs_up_to`` runs ``_check_order``, as
+``enumerate_graphs`` does, when it is called, before any class is built.
 """
 
 from __future__ import annotations
@@ -142,9 +142,8 @@ def _from_key(key: tuple[int, ...]) -> Graph:
     return Graph.from_edges(len(key), edges)
 
 
-def enumerate_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class on n vertices, sorted by
-    graph6 string of the canonical form."""
+def _check_order(n: int) -> None:
+    """The one order check of ``enumerate_graphs`` and ``graphs_up_to``."""
     if n < 1:
         raise InputError("n must be positive")
     if n > ENUMERATION_CAP:
@@ -152,6 +151,12 @@ def enumerate_graphs(n: int) -> list[Graph]:
             f"built-in enumeration capped at n <= {ENUMERATION_CAP}; "
             "stream graph6 input for larger orders"
         )
+
+
+def enumerate_graphs(n: int) -> list[Graph]:
+    """One representative per isomorphism class on n vertices, sorted by
+    graph6 string of the canonical form."""
+    _check_order(n)
     if n in _cache:
         return _cache[n]
     if n == 1:
@@ -180,13 +185,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 
 def graphs_up_to(n_max: int) -> Iterator[Graph]:
-    if n_max < 1:
-        raise InputError("n_max must be positive")
-    if n_max > ENUMERATION_CAP:
-        raise CapabilityError(
-            f"builtin enumeration stops at n={ENUMERATION_CAP}; "
-            "pipe graph6 input for larger orders"
-        )
+    _check_order(n_max)
     return chain.from_iterable(map(enumerate_graphs, range(1, n_max + 1)))
 
 

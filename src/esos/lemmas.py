@@ -19,10 +19,10 @@ instances exhaustively at small order to enforce exactly this).
 All half-integer bookkeeping is carried doubled: ``surplus2`` is twice the
 rule's surplus, so every comparison is exact integer arithmetic.
 
-An instance is validated when it is sampled, by ``analyze`` (which hands
-the analyzer its context) and again by ``verify_outcome``, and the builders
-run the same maximality search while they make it.  The searches this
-repeats share ``paths.recall``'s one memo with the path queries:
+An instance is validated once, when it is made, under the ESOS_BUDGET then
+in force; ``analyze`` and ``verify_outcome`` read the frozen context it
+keeps.  The builders' searches and the validation share ``paths.recall``'s
+one memo with the path queries:
 
 * "maximal", the maximality search (``_max_paths``), keyed by (graph, u,
   allowed set, p);
@@ -31,7 +31,7 @@ repeats share ``paths.recall``'s one memo with the path queries:
   limit (``_attachment_set`` says why).
 
 Neither P nor the stored surplus is part of a key, and every check of
-``validate_instance`` still runs on every call.
+``validate_instance`` runs on every call.
 
 The rules are numbered 3, 4, 5, 6 on the CLI:
 
@@ -110,7 +110,21 @@ MAX_INSTANCE_HOST = 12
 
 
 @dataclass(frozen=True)
+class _Ctx:
+    """What validation derives; frozen, as the witness check reads it too."""
+
+    L: int  # mask of V(P-u)
+    p: int
+    q: int  # probe length (lemma 4: |V(Q)|)
+    S: int = 0  # lemma 5 attachment set
+    p_prime: Optional[UPath] = None  # lemma 6 optimal reroute
+
+
+@dataclass(frozen=True)
 class LemmaInstance:
+    """Validated as it is made, by any route (``ctx`` keeps the result), so
+    an instance that breaks a hypothesis cannot exist."""
+
     lemma: int
     graph: Graph
     u: int
@@ -122,6 +136,11 @@ class LemmaInstance:
     v: Optional[int] = None
     w: Optional[int] = None
     surplus2: int = 0
+    ctx: _Ctx = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a module-global lookup, so a wrapper of validate_instance sees it
+        object.__setattr__(self, "ctx", validate_instance(self))
 
     def to_json(self) -> dict:
         return {
@@ -155,15 +174,6 @@ class CaseOutcome:
             "paths": [p.to_json() for p in self.paths],
             "detail": self.detail,
         }
-
-
-@dataclass
-class _Ctx:
-    L: int  # mask of V(P-u)
-    p: int
-    q: int  # probe length (lemma 4: |V(Q)|)
-    S: int = 0  # lemma 5 attachment set
-    p_prime: Optional[UPath] = None  # lemma 6 optimal reroute
 
 
 # -- surplus and instance construction ---------------------------------------
@@ -266,7 +276,7 @@ def make_instance(
     w: Optional[int] = None,
     x: Optional[int] = None,
 ) -> LemmaInstance:
-    """Assemble an instance, deriving x and the doubled surplus."""
+    """Assemble (so validate) an instance, deriving x and the surplus."""
     if lemma == 4:
         if x is None:
             raise InputError("lemma 4 needs an explicit x")
@@ -274,10 +284,8 @@ def make_instance(
     else:
         x = q_path.vertices[-1]
     _named(G, lemma, u, x, w1, w2, v, w)  # before any of their rows is read
-    attachment = 0
-    if lemma == 5:
-        attachment = _attachment_set(G, u, w, p_path.mask(), p_path.length)
-    s2 = _surplus2(lemma, G, u, p_path, x, attachment, w1, w2, v, w)
+    S = _attachment_set(G, u, w, p_path.mask(), p_path.length) if lemma == 5 else 0
+    s2 = _surplus2(lemma, G, u, p_path, x, S, w1, w2, v, w)
     return LemmaInstance(lemma, G, u, p_path, q_path, x, w1, w2, v, w, s2)
 
 
@@ -393,7 +401,8 @@ def _excluded(inst: LemmaInstance) -> int:
 
 
 def validate_instance(inst: LemmaInstance) -> _Ctx:
-    """Recompute every hypothesis; InputError on any violation.
+    """Recompute every hypothesis; InputError on any violation.  Runs once
+    per instance, as it is made, which keeps the result as ``inst.ctx``.
 
     Includes the expensive part: P's inner-edge count must be maximum over
     all anchored paths of the same length in the stated vertex-deleted graph,
@@ -432,7 +441,7 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
             raise InputError("x must lie outside P and Q")
         if not _sees_all(G, u, pmask | Q.mask()):
             raise InputError("every vertex of P and Q must be seen by u")
-        ctx = _Ctx(L=L, p=p, q=len(Q.vertices))
+        q = len(Q.vertices)
     else:
         if Q.anchor != u or Q.length < 1:
             raise InputError("probe must be a nontrivial anchored path")
@@ -441,21 +450,19 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
             raise InputError(f"probe must avoid V(P-u) and {avoid}")
         if x != Q.end:
             raise InputError("x must be the probe end")
-        ctx = _Ctx(L=L, p=p, q=Q.length)
-    if inst.lemma == 5:
-        ctx.S = _attachment_set(G, u, inst.w, pmask, p)
-    elif inst.lemma == 6:
-        ctx.p_prime = reroute_maximizing_last_neighbor(G, P, x)
-        if not is_absorbable(G, ctx.p_prime, x):
-            raise InputError("x is not absorbable to the optimal reroute")
-    s2 = _surplus2(inst.lemma, G, u, P, x, ctx.S, inst.w1, inst.w2, inst.v, inst.w)
+        q = Q.length
+    S = _attachment_set(G, u, inst.w, pmask, p) if inst.lemma == 5 else 0
+    p_prime = reroute_maximizing_last_neighbor(G, P, x) if inst.lemma == 6 else None
+    if inst.lemma == 6 and not is_absorbable(G, p_prime, x):
+        raise InputError("x is not absorbable to the optimal reroute")
+    s2 = _surplus2(inst.lemma, G, u, P, x, S, inst.w1, inst.w2, inst.v, inst.w)
     if s2 != inst.surplus2:
         raise InputError(
             f"stored doubled surplus {inst.surplus2} != recomputed {s2}"
         )
     if s2 < 0:
         raise InputError("surplus must be nonnegative")
-    return ctx
+    return _Ctx(L=L, p=p, q=q, S=S, p_prime=p_prime)
 
 
 # -- case search helpers --------------------------------------------------------
@@ -501,12 +508,12 @@ def _w_companion(
 # -- analyzers -------------------------------------------------------------------
 
 
-def _split_pools(inst: LemmaInstance, ctx: _Ctx) -> list[int]:
+def _split_pools(inst: LemmaInstance) -> list[int]:
     """The vertex sets a case-B split must cover exactly: V(P)+x for rules 3,
     4 and 6; for rule 5, V(P)+{x,v} less one vertex, in ascending order of
     that vertex.  Empty unless the surplus is 0, p is even and, for rules
     3, 5 and 6, the probe is one edge."""
-    if inst.surplus2 or ctx.p % 2 or (inst.lemma != 4 and ctx.q != 1):
+    if inst.surplus2 or inst.ctx.p % 2 or (inst.lemma != 4 and inst.ctx.q != 1):
         return []
     pool = inst.p_path.mask() | bit(inst.x)
     if inst.lemma != 5:
@@ -515,12 +522,12 @@ def _split_pools(inst: LemmaInstance, ctx: _Ctx) -> list[int]:
     return [pool & ~bit(omit) for omit in bits_of(pool)]
 
 
-def _degenerate(inst: LemmaInstance, ctx: _Ctx) -> Optional[dict]:
+def _degenerate(inst: LemmaInstance) -> Optional[dict]:
     """Case A's facts when the rule's degeneracy holds at surplus 0, else
     None."""
     if inst.surplus2:
         return None
-    G, L, x = inst.graph, ctx.L, inst.x
+    G, x, L = inst.graph, inst.x, inst.ctx.L
     if inst.lemma == 3:
         # the excluded pair is detached from L
         if _ev(G, inst.w1, L) + _ev(G, inst.w2, L) == 0:
@@ -528,18 +535,18 @@ def _degenerate(inst: LemmaInstance, ctx: _Ctx) -> Optional[dict]:
     elif inst.lemma == 4:
         # either x is dominated by the tied pair, or x sees all of L
         ex, e1, e2 = _ev(G, x, L), _ev(G, inst.w1, L), _ev(G, inst.w2, L)
-        if (ex < e1 and e1 == e2) or ex == ctx.p:
+        if (ex < e1 and e1 == e2) or ex == inst.ctx.p:
             return {"e_x_L": ex, "e_w1_L": e1, "e_w2_L": e2}
     elif inst.lemma == 5:
         # x sees all of L, the excluded edge sees none of it
         if G.rows[x] & L == L and (G.rows[inst.v] | G.rows[inst.w]) & L == 0:
-            return {"e_x_L": ctx.p, "e_vw_L": 0}
+            return {"e_x_L": inst.ctx.p, "e_vw_L": 0}
     else:
         # x reaches the reroute's end; w's attachments match the gap pattern
-        pp, w = ctx.p_prime, inst.w
+        pp, w = inst.ctx.p_prime, inst.w
         if not G.rows[x] & bit(pp.end):
             return None
-        matches = _pqw_gap_readings(G, ctx, x, w)
+        matches = _pqw_gap_readings(G, inst.ctx, x, w)
         ew = _ev(G, w, L)
         if matches and (ew == 0 or is_strictly_absorbable(G, pp, w) is not None):
             return {
@@ -551,11 +558,12 @@ def _degenerate(inst: LemmaInstance, ctx: _Ctx) -> Optional[dict]:
     return None
 
 
-def _split_or_degenerate(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+def _split_or_degenerate(inst: LemmaInstance) -> CaseOutcome:
     """Every analyzer's tail after its own case-C search: B over the split
     pools, then A; a SoundnessError when neither holds."""
-    G, L = inst.graph, ctx.L
-    for pool in _split_pools(inst, ctx):
+    G, ctx = inst.graph, inst.ctx
+    L = ctx.L
+    for pool in _split_pools(inst):
         # a pool has p + 2 vertices, so equal sides hold p/2 + 1 each
         cert = recognize_H(G, pool)
         if cert is None or cert.a != cert.b:
@@ -578,7 +586,7 @@ def _split_or_degenerate(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
         else:
             facts = {"e_w_L": _ev(G, inst.w, L)}
         return CaseOutcome("B", facts, certificate=cert)
-    facts = _degenerate(inst, ctx)
+    facts = _degenerate(inst)
     if facts is None:
         raise SoundnessError(
             f"no case matched a valid lemma-{inst.lemma} instance: {inst.to_json()}"
@@ -586,10 +594,10 @@ def _split_or_degenerate(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
     return CaseOutcome("A", facts)
 
 
-def analyze_xv1v2(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+def analyze_xv1v2(inst: LemmaInstance) -> CaseOutcome:
     G, u, x = inst.graph, inst.u, inst.x
     pmask = inst.p_path.mask()
-    p = ctx.p
+    p = inst.ctx.p
     # C: drop a neighbour z of one excluded vertex and replace P inside the
     # stated scope (x and the other excluded vertex), then inside the probe
     qmask = inst.q_path.mask()
@@ -607,12 +615,12 @@ def analyze_xv1v2(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
                         paths=(lp,),
                         detail={"i": i, "z": z, "scope": scope},
                     )
-    return _split_or_degenerate(inst, ctx)
+    return _split_or_degenerate(inst)
 
 
-def analyze_xPQ(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+def analyze_xPQ(inst: LemmaInstance) -> CaseOutcome:
     G, u = inst.graph, inst.u
-    p, qv = ctx.p, ctx.q
+    p, qv = inst.ctx.p, inst.ctx.q
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 4 case search")
     # C: internally disjoint anchored paths of lengths p and qv+1
     short, long_ = sorted((p, qv + 1))
@@ -626,13 +634,13 @@ def analyze_xPQ(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
             return CaseOutcome(
                 "C", {"lengths": [p, qv + 1]}, paths=(first, second)
             )
-    return _split_or_degenerate(inst, ctx)
+    return _split_or_degenerate(inst)
 
 
-def analyze_xvw(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
     G, u, x, v, w = inst.graph, inst.u, inst.x, inst.v, inst.w
     pmask = inst.p_path.mask()
-    p = ctx.p
+    p = inst.ctx.p
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 5 case search")
     narrow_scope = pmask | bit(x)
     r_ok_mask = pmask | bit(w) | bit(v)
@@ -662,13 +670,13 @@ def analyze_xvw(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
         return CaseOutcome(
             "C", {}, paths=got, detail={"scope": "wide", "reading": "w-end"}
         )
-    return _split_or_degenerate(inst, ctx)
+    return _split_or_degenerate(inst)
 
 
-def analyze_PQw(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
+def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
     G, u, x, w = inst.graph, inst.u, inst.x, inst.w
     pmask = inst.p_path.mask()
-    p = ctx.p
+    p = inst.ctx.p
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 6 case search")
     # C, two-vertex companion: an edge wz, replacement inside V(P)+x
     for z in sorted(bits_of(G.rows[w])):
@@ -688,7 +696,7 @@ def analyze_PQw(inst: LemmaInstance, ctx: _Ctx) -> CaseOutcome:
     got = _w_companion(G, u, w, p, scope, _paths2_through(G, w))
     if got is not None:
         return CaseOutcome("C", {}, paths=got, detail={"r_size": 3})
-    return _split_or_degenerate(inst, ctx)
+    return _split_or_degenerate(inst)
 
 
 def _pqw_gap_readings(G: Graph, ctx: _Ctx, x: int, w: int) -> list[str]:
@@ -724,11 +732,8 @@ _ANALYZERS = {
 
 
 def analyze(inst: LemmaInstance) -> CaseOutcome:
-    try:
-        fn = _ANALYZERS[inst.lemma]
-    except KeyError:
-        raise InputError(f"unknown lemma id {inst.lemma}")
-    return fn(inst, validate_instance(inst))
+    """The rule's case and witness; reads ``inst.ctx``, validates nothing."""
+    return _ANALYZERS[inst.lemma](inst)
 
 
 def analysis_record(inst: LemmaInstance, out: CaseOutcome, verified: bool) -> dict:
@@ -748,28 +753,25 @@ def analysis_record(inst: LemmaInstance, out: CaseOutcome, verified: bool) -> di
 
 
 def verify_outcome(inst: LemmaInstance, out: CaseOutcome) -> bool:
-    """Re-derive everything the claimed case asserts, from the graph alone."""
-    try:
-        ctx = validate_instance(inst)
-    except (InputError, CapabilityError):
-        return False
+    """Re-derive everything the claimed case asserts, from the graph and the
+    frozen ``inst.ctx`` alone; nothing is validated again."""
     if out.case == "C":
-        return _verify_case_c(inst, out, ctx)
+        return _verify_case_c(inst, out)
     if out.case == "B":
         cert = out.certificate
         return (
             cert is not None
-            and cert.a == cert.b == ctx.p // 2 + 1
+            and cert.a == cert.b == inst.ctx.p // 2 + 1
             and verify_H_certificate(inst.graph, cert)  # ids checked before the mask
-            and cert.vertex_mask() in _split_pools(inst, ctx)
+            and cert.vertex_mask() in _split_pools(inst)
         )
     if out.case == "A":
-        return _degenerate(inst, ctx) is not None
+        return _degenerate(inst) is not None
     return False
 
 
-def _verify_case_c(inst: LemmaInstance, out: CaseOutcome, ctx: _Ctx) -> bool:
-    G, u = inst.graph, inst.u
+def _verify_case_c(inst: LemmaInstance, out: CaseOutcome) -> bool:
+    G, u, ctx = inst.graph, inst.u, inst.ctx
     p = ctx.p
     if len(out.paths) != (1 if inst.lemma == 3 else 2):
         return False
@@ -875,7 +877,7 @@ def _propose(
             if qp is not None:
                 return make_instance(lemma, G, u, P, UPath(qp), **fields)
         return None
-    except CapabilityError:
+    except (InputError, CapabilityError):  # a search tripped, or validation
         return None
 
 
@@ -915,41 +917,40 @@ def _pick_exclusion(
     return {"w": rng.choice([z for z in range(n) if z != u])}, None
 
 
+def _check_scope(lemma: int, n: int) -> None:
+    """Both builders' one scope check, run before any work."""
+    if lemma not in LEMMA_IDS:
+        raise InputError(f"unknown lemma id {lemma}")
+    if n > MAX_INSTANCE_HOST:
+        raise CapabilityError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
+
+
 def sample_instances(
     lemma: int, n: int, count: int, seed: int
 ) -> tuple[list[LemmaInstance], int]:
     """Deterministic stream of valid instances on n-vertex hosts.
 
-    Proposals failing precondition synthesis are discarded; returns
+    Proposals failing precondition synthesis, or whose instance fails its
+    validation when it is made, are discarded; returns
     (instances, discarded).  May return fewer than ``count`` if the attempt
     cap (500 per requested instance) runs out, which the caller reports.
     """
-    if lemma not in LEMMA_IDS:
-        raise InputError(f"unknown lemma id {lemma}")
-    if n > MAX_INSTANCE_HOST:
-        raise InputError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
+    _check_scope(lemma, n)
+    search_budget(MAXIMALITY_BUDGET)  # fails fast on a malformed ESOS_BUDGET
     if count < 0:
         raise InputError("instance count must be nonnegative")
     if n < 3 or count == 0:
         return [], 0
     rng = random.Random(seed)
     out: list[LemmaInstance] = []
-    discarded = 0
-    attempts = 0
+    proposals = 0
     cap = max(count * 500, 1000)
-    while len(out) < count and attempts < cap:
-        attempts += 1
+    while len(out) < count and proposals < cap:
+        proposals += 1
         inst = _propose(lemma, rng, n)
-        if inst is None:
-            discarded += 1
-            continue
-        try:
-            validate_instance(inst)
-        except (InputError, CapabilityError):
-            discarded += 1
-            continue
-        out.append(inst)
-    return out, discarded
+        if inst is not None:
+            out.append(inst)
+    return out, proposals - len(out)
 
 
 # -- exhaustive enumeration on a host ----------------------------------------------
@@ -958,11 +959,8 @@ def sample_instances(
 def enumerate_instances(lemma: int, G: Graph) -> Iterator[LemmaInstance]:
     """Every valid instance on the host, desk scale only, in the one loop
     for every rule that the module docstring states."""
-    if lemma not in LEMMA_IDS:
-        raise InputError(f"unknown lemma id {lemma}")
     n = G.n
-    if n > MAX_INSTANCE_HOST:
-        raise InputError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
+    _check_scope(lemma, n)
     budget = Budget(search_budget(20_000_000), "instance enumeration")
     for u in range(n):
         nu = G.rows[u]

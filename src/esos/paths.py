@@ -422,9 +422,11 @@ def iter_upaths(
     """Every u-path inside ``allowed`` with ``shortest`` to ``longest``
     edges (no upper bound when None), in lexicographic vertex-sequence
     order; each vertex the walk places after u costs one node.  InputError,
-    when called, for u or ``allowed`` outside the host."""
+    when called, for u or ``allowed`` outside the host or a negative bound."""
     if not 0 <= u < G.n or allowed >> G.n:  # a negative mask shifts to -1
         raise InputError(f"anchor or allowed set outside 0..{G.n - 1}")
+    if shortest < 0 or (longest is not None and longest < 0):
+        raise InputError("path length bounds must be nonnegative")
     return _upaths(G, u, allowed, budget, shortest, longest)
 
 

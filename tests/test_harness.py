@@ -38,6 +38,7 @@ from esos.harness import (
     run_lemma_suite,
     verify_conjecture_spiders,
 )
+from esos.lemmas import enumerate_instances, sample_instances
 from esos.spiders import Spider
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -289,6 +290,28 @@ def test_lemma_suites_reject_an_unknown_rule_id(run):
         run()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sample_instances(3, 13, 1, seed=0),
+        lambda: next(enumerate_instances(3, Graph.empty(13))),
+    ],
+    ids=["sampled", "enumerated"],
+)
+def test_lemma_builders_reject_a_host_past_the_cap(build):
+    # a size cap, so a CapabilityError (exit 3), raised before any work
+    with pytest.raises(CapabilityError, match="^instance hosts capped at n <= 12$"):
+        build()
+
+
+def test_the_enumeration_cap_reads_the_same_from_check_and_census(capsys):
+    assert main(["check", "--nmax", "8"]) == 3
+    check_err = capsys.readouterr().err
+    assert main(["census", "--n", "8", "--k", "2"]) == 3
+    assert capsys.readouterr().err == check_err
+    assert "built-in enumeration capped at n <= 7" in check_err
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -298,8 +321,9 @@ def test_lemma_suites_reject_an_unknown_rule_id(run):
         (["--json", "check", "--nmax", "3"], 0),
         (["check", "--nmax", "0"], 2),
         (["check", "--nmax", "8"], 3),
+        (["lemmas", "--which", "3", "--records", "--n", "13", "--samples", "1"], 3),
     ],
-    ids=["clean", "empty-range", "past-the-cap"],
+    ids=["clean", "empty-range", "past-the-cap", "lemma-host-past-the-cap"],
 )
 def test_module_entry_point_exit_codes(argv, code):
     # `python -m esos` on the package this suite imports

@@ -4,8 +4,9 @@ The verifier rows start from one real outcome per (rule, case), the first
 that ``enumerate_instances`` yields on a small host, and tamper with one
 thing; each tampering must make ``verify_outcome`` return False.  The
 validation rows break one hypothesis of a real instance with
-``dataclasses.replace`` and expect the ``InputError`` that
-``validate_instance`` documents for it.
+``dataclasses.replace``, which makes the instance again, and expect the
+``InputError`` that ``validate_instance`` documents for it to come from
+that construction: a broken instance cannot be made.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from esos.errors import InputError
 from esos.graphs import Graph, HCertificate
 from esos.lemmas import (
     CaseOutcome,
+    LemmaInstance,
     analyze,
     compute_surplus2,
     enumerate_instances,
@@ -65,9 +67,7 @@ def base(key):
 
 def built(rule, name, u, p, q, **fields):
     """A valid instance made directly, for hypotheses no base meets."""
-    inst = make_instance(rule, host(name), u, UPath(p), UPath(q), **fields)
-    validate_instance(inst)
-    return inst
+    return make_instance(rule, host(name), u, UPath(p), UPath(q), **fields)
 
 
 def replace(**changes):
@@ -189,11 +189,6 @@ VERIFY_ROWS = {
         on(lambda: built(4, "C^", 2, (2, 3), (0,), x=1), claim("A")),
     ),
     "unknown-case": ("3A", claim("D")),
-    "invalid-instance": (
-        "3C",
-        lambda inst, out: (replace(surplus2=inst.surplus2 + 2)(inst), out),
-    ),
-    "named-vertex-out-of-range": ("6A", lambda inst, out: (replace(w=-1)(inst), out)),
 }
 
 
@@ -312,9 +307,23 @@ VALIDATE_ROWS = {
 @pytest.mark.parametrize("row", sorted(VALIDATE_ROWS))
 def test_validate_instance_rejects(row):
     key, breaks, message = VALIDATE_ROWS[row]
-    inst = breaks(base(key)[0])
+    inst = base(key)[0]
     with pytest.raises(InputError, match=message):
-        validate_instance(inst)
+        breaks(inst)
+
+
+def test_every_way_of_making_an_instance_validates_it():
+    # the constructor, make_instance and dataclasses.replace raise one error
+    inst = base("6A")[0]
+    given = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst) if f.init}
+    makes = [
+        lambda: LemmaInstance(**{**given, "w": -1}),
+        lambda: make_instance(6, inst.graph, inst.u, inst.p_path, inst.q_path, w=-1),
+        lambda: dataclasses.replace(inst, w=-1),
+    ]
+    for make in makes:
+        with pytest.raises(InputError, match="^named vertex outside 0..3$"):
+            make()
 
 
 K4, K5 = Graph.complete(4), Graph.complete(5)
@@ -372,6 +381,7 @@ def test_builders_reject_a_missing_named_vertex(build, message):
     [
         lambda: compute_surplus2(7, K5, 0, UPath((0, 1)), 2, w=3),
         lambda: make_instance(7, K5, 0, UPath((0, 1)), UPath((0, 2)), w=3),
+        # remaking the instance with rule 7 raises before either call
         lambda: validate_instance(replace(lemma=7)(base("6A")[0])),
         lambda: analyze(replace(lemma=7)(base("6A")[0])),
     ],

@@ -27,6 +27,7 @@ from esos.graphs import (
     recognize_H,
     verify_H_certificate,
 )
+from esos.harness import exhaustive_lemma_suite
 from esos.lemmas import (
     CaseOutcome,
     LEMMA_IDS,
@@ -62,28 +63,22 @@ def test_make_instance_computes_surplus():
 def test_validation_rejects_corrupted_surplus():
     G = Graph.complete(5)
     inst = make_instance(3, G, 0, UPath((0, 1)), UPath((0, 2)), w1=3, w2=4)
-    broken = dataclasses.replace(inst, surplus2=inst.surplus2 + 2)
     with pytest.raises(InputError):
-        validate_instance(broken)
-    with pytest.raises(InputError):
-        analyze(broken)
+        dataclasses.replace(inst, surplus2=inst.surplus2 + 2)
 
 
 def test_validation_rejects_non_maximizing_path():
     # rule 3 on the triangle 0-1-2 plus the path 0-3-4: with 5 and 6
     # excluded, the two-edge path 0-3-4 has fewer inner edges than 0-1-2
     G = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-    bad = make_instance(3, G, 0, UPath((0, 3, 4)), UPath((0, 1)), w1=5, w2=6)
     with pytest.raises(InputError, match="P does not maximize inner edges"):
-        validate_instance(bad)
+        make_instance(3, G, 0, UPath((0, 3, 4)), UPath((0, 1)), w1=5, w2=6)
 
 
 def test_validation_rejects_overlapping_probe():
     G = Graph.complete(5)
     with pytest.raises(InputError):
-        validate_instance(
-            make_instance(3, G, 0, UPath((0, 1)), UPath((0, 1)), w1=3, w2=4)
-        )
+        make_instance(3, G, 0, UPath((0, 1)), UPath((0, 1)), w1=3, w2=4)
 
 
 def test_lemma3_case_a_forced():
@@ -217,6 +212,27 @@ def test_sample_instances_deterministic_and_validated():
     assert sample_instances(5, 6, 0, seed=3) == ([], 0)
     insts, _ = sample_instances(4, 2, 5, seed=9)
     assert insts == []
+
+
+def test_each_instance_is_validated_once_when_it_is_made(monkeypatch):
+    # analyze and verify_outcome read the context stored at construction
+    calls = []
+    real = lemmas_mod.validate_instance
+    monkeypatch.setattr(
+        lemmas_mod, "validate_instance", lambda inst: calls.append(inst) or real(inst)
+    )
+    for lemma in LEMMA_IDS:
+        calls.clear()
+        report = exhaustive_lemma_suite(lemma, 5)
+        assert report.ok
+        assert len(calls) == report.counts["instances"] > 0
+        calls.clear()
+        insts, discarded = sample_instances(lemma, 7, 25, seed=lemma)
+        made = len(calls)
+        assert len(insts) <= made <= len(insts) + discarded
+        for inst in insts:
+            assert verify_outcome(inst, analyze(inst))
+        assert len(calls) == made
 
 
 def test_sampled_outcomes_verify_for_all_lemmas():
@@ -406,6 +422,7 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
 
     monkeypatch.delenv("ESOS_BUDGET")
     monkeypatch.setattr(paths_mod, "_memo", {})
+    inst = dataclasses.replace(inst)  # made again, so the memo is warm
     out = analyze(inst)
     assert verify_outcome(inst, out)
     monkeypatch.setenv("ESOS_BUDGET", limit)
@@ -413,9 +430,11 @@ def test_warm_maximality_memo_follows_the_budget(monkeypatch):
         m.setattr(lemmas_mod, "_argmax_paths", no_search)
         with pytest.raises(CapabilityError) as warm:
             validate_instance(inst)
-    assert str(warm.value) == str(cold.value)
+        # the budget in force when an instance is made governs its validation
+        with pytest.raises(CapabilityError) as remade:
+            dataclasses.replace(inst)
+    assert str(warm.value) == str(cold.value) == str(remade.value)
     assert "maximality check" in str(warm.value)
-    assert not verify_outcome(inst, out)
 
 
 def test_warm_attachment_memo_follows_the_budget(monkeypatch):
@@ -551,3 +570,21 @@ def test_sample_instances_rejects_a_negative_count():
         sample_instances(3, 7, -1, seed=0)
     assert sample_instances(3, 7, 0, seed=0) == ([], 0)
     assert sample_instances(3, 2, 5, seed=0) == ([], 0)
+
+
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_sample_instances_rejects_a_malformed_budget(monkeypatch, lemma):
+    # rules 3, 4 and 6 used to discard every proposal instead
+    monkeypatch.setenv("ESOS_BUDGET", "abc")
+    with pytest.raises(InputError, match="ESOS_BUDGET is not an integer"):
+        sample_instances(lemma, 7, 1, seed=0)
+
+
+@pytest.mark.parametrize("error", [InputError, CapabilityError])
+def test_a_proposal_whose_construction_raises_is_discarded(monkeypatch, error):
+    # no seeded proposal fails its validation today; this pins the count if one does
+    def refuse(inst):
+        raise error("refused")
+
+    monkeypatch.setattr(lemmas_mod, "validate_instance", refuse)
+    assert sample_instances(3, 6, 1, seed=0) == ([], 1000)

@@ -396,6 +396,23 @@ def test_path_walks_reject_ids_outside_the_host(call):
     assert budget.used == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: iter_upaths(K5, 0, K5_ALL, b, shortest=-1),
+        lambda b: iter_upaths(K5, 0, K5_ALL, b, longest=-1),
+        lambda b: iter_upaths_exact(K5, 0, K5_ALL, -1, b),
+    ],
+    ids=["walk-shortest-negative", "walk-longest-negative", "exact-length-negative"],
+)
+def test_path_walks_reject_a_negative_bound(call):
+    # longest=-1 used to walk every u-path, as if there were no bound
+    budget = Budget(10**6)
+    with pytest.raises(InputError, match="path length bounds must be nonnegative"):
+        list(call(budget))
+    assert budget.used == 0
+
+
 def small_classes():
     for n in range(1, 6):
         yield from enumerate_graphs(n)
