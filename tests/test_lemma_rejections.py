@@ -189,6 +189,18 @@ VERIFY_ROWS = {
         on(lambda: built(4, "C^", 2, (2, 3), (0,), x=1), claim("A")),
     ),
     "unknown-case": ("3A", claim("D")),
+    "invalid-instance": (
+        "3C",
+        lambda inst, out: (replace(surplus2=inst.surplus2 + 2)(inst), out),
+    ),
+    "named-vertex-out-of-range": ("6A", lambda inst, out: (replace(w=-1)(inst), out)),
+}
+
+# Rows whose tampering breaks a hypothesis of the instance: the claim is
+# refused where the broken instance is made, before it can reach the verifier.
+UNMADE = {
+    "invalid-instance": "^stored doubled surplus 4 != recomputed 2$",
+    "named-vertex-out-of-range": "^named vertex outside 0..3$",
 }
 
 
@@ -201,6 +213,10 @@ def test_base_outcomes_verify(key):
 @pytest.mark.parametrize("row", sorted(VERIFY_ROWS))
 def test_verify_outcome_rejects(row):
     key, tamper = VERIFY_ROWS[row]
+    if row in UNMADE:
+        with pytest.raises(InputError, match=UNMADE[row]):
+            tamper(*base(key))
+        return
     inst, out = tamper(*base(key))
     assert verify_outcome(inst, out) is False
 
