@@ -13,9 +13,11 @@ Subcommands:
 * ``census --n N --k K`` -- threshold graphs missing an all-even spider.
 
 ``--json`` prints machine-readable reports on stdout.  Exit codes:
-0 clean, 1 failures found, 2 input error (a run that would check nothing
-counts as one), 3 budget/cap exceeded.
-The ESOS_BUDGET environment variable overrides search node budgets.
+0 clean, 1 failures found, 2 input error (a run that would check nothing,
+such as a census whose threshold exceeds K_n's edge count, counts as one),
+3 budget/cap exceeded.
+The ESOS_BUDGET environment variable, a nonnegative integer, overrides
+search node budgets; any other value is an input error.
 """
 
 from __future__ import annotations

@@ -33,14 +33,18 @@ class SoundnessError(EsosError):
 
 
 def search_budget(default: int) -> int:
-    """Node budget for a bounded search; ESOS_BUDGET overrides globally."""
+    """Node budget for a bounded search; ESOS_BUDGET, a nonnegative integer,
+    overrides globally."""
     raw = os.environ.get("ESOS_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"ESOS_BUDGET is not an integer: {raw!r}")
-    return default
+    if not raw:
+        return default
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise InputError(f"ESOS_BUDGET is not an integer: {raw!r}")
+    if limit < 0:
+        raise InputError(f"ESOS_BUDGET is negative: {raw!r}")
+    return limit
 
 
 class Budget:

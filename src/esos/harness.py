@@ -155,12 +155,16 @@ def extremal_census(n: int, k: int) -> Report:
     """All graphs at the exact density threshold that miss some all-even
     spider at some high-degree centre, with certificate-shape diagnostics.
 
-    The threshold edge count is the largest one failing 2e > (k-1)n.
+    The threshold edge count is the largest one failing 2e > (k-1)n; past
+    K_n's edge count the census would scan nothing, an InputError.
     """
     start = time.monotonic()
     if k < 1 or k % 2:
         raise InputError("census needs a positive even k (all-even spiders exist)")
     threshold = ((k - 1) * n) // 2
+    most = n * (n - 1) // 2
+    if threshold > most:
+        raise InputError(f"threshold of {threshold} edges exceeds the {most} of K_{n}")
     all_twos = t0(k)
     entries = []
     scanned = 0

@@ -3,8 +3,8 @@
 Each rule takes a structured instance (host graph, anchor u, a length-p
 anchored path P whose vertex set carries the maximum number of inner edges
 among same-length anchored paths in the stated vertex-deleted graph, a probe
-path Q with end x, and named outside vertices) whose doubled surplus is
-nonnegative, and guarantees one of three disjuncts:
+path Q with end x, and named outside vertices) whose surplus, a function of
+those, is nonnegative, and guarantees one of three disjuncts:
 
 * C -- explicit replacement paths exist (the productive case);
 * B -- a balanced uniform-neighbourhood split covers the stated vertex set;
@@ -20,9 +20,10 @@ All half-integer bookkeeping is carried doubled: ``surplus2`` is twice the
 rule's surplus, so every comparison is exact integer arithmetic.
 
 An instance is validated once, when it is made, under the ESOS_BUDGET then
-in force; ``analyze`` and ``verify_outcome`` read the frozen context it
-keeps.  The builders' searches and the validation share ``paths.recall``'s
-one memo with the path queries:
+in force; validation derives the surplus, and ``analyze`` and
+``verify_outcome`` read the frozen context it keeps.  The builders'
+searches and the validation share ``paths.recall``'s one memo with the path
+queries:
 
 * "maximal", the maximality search (``_max_paths``), keyed by (graph, u,
   allowed set, p);
@@ -30,8 +31,8 @@ one memo with the path queries:
   node budget of each longest-path search), the only key with a budget
   limit (``_attachment_set`` says why).
 
-Neither P nor the stored surplus is part of a key, and every check of
-``validate_instance`` runs on every call.
+P is not part of a key, and every check of ``validate_instance`` runs on
+every call.
 
 The rules are numbered 3, 4, 5, 6 on the CLI:
 
@@ -58,12 +59,12 @@ and Q.  Both instance builders walk that shape once for every rule:
 
 Each rule's hypotheses are stated once:
 
-* ``_named`` and ``_excluded`` check the rule's own fields and return the
-  excluded set; ``validate_instance`` then runs the same maximality, probe
-  and x checks for every rule (rule 4's detached path is its excluded set,
-  and x is a neighbour of u rather than a probe end);
-* ``_surplus2`` is the only statement of each surplus, and
-  ``compute_surplus2`` its checked public form;
+* ``_excluded`` checks the rule's own fields and returns the excluded set;
+  ``validate_instance`` then runs the same maximality, probe and x checks
+  for every rule (rule 4's detached path is its excluded set, and x is a
+  neighbour of u rather than a probe end);
+* ``_surplus2`` is the only statement of each surplus, which validation
+  derives and keeps;
 * ``_probe_end_filter`` decides which x the generators admit: nonnegative
   surplus, and for rule 6, x absorbable to P's optimal reroute;
 * ``_split_pools`` is case B's precondition and the vertex sets its split
@@ -116,6 +117,7 @@ class _Ctx:
     L: int  # mask of V(P-u)
     p: int
     q: int  # probe length (lemma 4: |V(Q)|)
+    surplus2: int
     S: int = 0  # lemma 5 attachment set
     p_prime: Optional[UPath] = None  # lemma 6 optimal reroute
 
@@ -123,7 +125,8 @@ class _Ctx:
 @dataclass(frozen=True)
 class LemmaInstance:
     """Validated as it is made, by any route (``ctx`` keeps the result), so
-    an instance that breaks a hypothesis cannot exist."""
+    an instance that breaks a hypothesis cannot exist.  The surplus is not
+    an input: validation derives it, and ``surplus2`` reads it."""
 
     lemma: int
     graph: Graph
@@ -135,12 +138,15 @@ class LemmaInstance:
     w2: Optional[int] = None
     v: Optional[int] = None
     w: Optional[int] = None
-    surplus2: int = 0
     ctx: _Ctx = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a module-global lookup, so a wrapper of validate_instance sees it
         object.__setattr__(self, "ctx", validate_instance(self))
+
+    @property
+    def surplus2(self) -> int:
+        return self.ctx.surplus2
 
     def to_json(self) -> dict:
         return {
@@ -200,45 +206,6 @@ def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     return out
 
 
-def _named(G: Graph, lemma: int, u: int, *named: Optional[int]) -> None:
-    """InputError unless the rule id is known, u and each of ``named`` (x, w1,
-    w2, v, w) given (not None) is one of G's vertices, and the rule's own
-    named vertices are given and distinct from u and from each other; rule
-    4's w1, w2 need only be given (``_excluded`` checks they end its path)."""
-    x, w1, w2, v, w = named
-    for z in (u, x, w1, w2, v, w):
-        if z is not None and not 0 <= z < G.n:
-            raise InputError(f"named vertex outside 0..{G.n - 1}")
-    if lemma == 3 and (w1 is None or w2 is None or len({u, w1, w2}) != 3):
-        raise InputError("lemma 3 needs distinct u, w1, w2")
-    if lemma == 4 and (w1 is None or w2 is None):
-        raise InputError("w1, w2 must be the detached path ends")
-    if lemma == 5 and (v is None or w is None or len({u, v, w}) != 3):
-        raise InputError("lemma 5 needs distinct u, v, w")
-    if lemma == 6 and (w is None or w == u):
-        raise InputError("lemma 6 needs w distinct from u")
-    if lemma not in LEMMA_IDS:
-        raise InputError(f"unknown lemma id {lemma}")
-
-
-def compute_surplus2(
-    lemma: int,
-    G: Graph,
-    u: int,
-    p_path: UPath,
-    x: int,
-    *,
-    w1: Optional[int] = None,
-    w2: Optional[int] = None,
-    v: Optional[int] = None,
-    w: Optional[int] = None,
-    attachment: int = 0,
-) -> int:
-    """Twice the rule's surplus, once ``_named`` has checked its input."""
-    _named(G, lemma, u, x, w1, w2, v, w)
-    return _surplus2(lemma, G, u, p_path, x, attachment, w1, w2, v, w)
-
-
 def _surplus2(
     lemma: int,
     G: Graph,
@@ -251,7 +218,8 @@ def _surplus2(
     v: Optional[int] = None,
     w: Optional[int] = None,
 ) -> int:
-    """``compute_surplus2`` unchecked, for callers whose input is."""
+    """Twice the rule's surplus at probe end x; ``attachment`` is rule 5's
+    attachment set.  The caller has checked the named vertices."""
     L = P.mask() & ~bit(u)
     p = P.length
     if lemma in (3, 4):
@@ -276,17 +244,15 @@ def make_instance(
     w: Optional[int] = None,
     x: Optional[int] = None,
 ) -> LemmaInstance:
-    """Assemble (so validate) an instance, deriving x and the surplus."""
+    """Assemble (so validate) an instance, reading x off the probe Q; rule 4
+    takes x given, and w1, w2 as the ends of its detached path Q."""
     if lemma == 4:
         if x is None:
             raise InputError("lemma 4 needs an explicit x")
         w1, w2 = q_path.vertices[0], q_path.vertices[-1]
     else:
         x = q_path.vertices[-1]
-    _named(G, lemma, u, x, w1, w2, v, w)  # before any of their rows is read
-    S = _attachment_set(G, u, w, p_path.mask(), p_path.length) if lemma == 5 else 0
-    s2 = _surplus2(lemma, G, u, p_path, x, S, w1, w2, v, w)
-    return LemmaInstance(lemma, G, u, p_path, q_path, x, w1, w2, v, w, s2)
+    return LemmaInstance(lemma, G, u, p_path, q_path, x, w1, w2, v, w)
 
 
 def _probe_end_filter(
@@ -378,31 +344,44 @@ def _sees_all(G: Graph, u: int, mask: int) -> bool:
 
 
 def _excluded(inst: LemmaInstance) -> int:
-    """Check the rule's own fields; return the vertices P must avoid (the
-    probe too, for rules 3, 5 and 6; rule 4's detached path).  First, every
-    named vertex, x included, must be one of the host's."""
+    """Check the rule id and its own fields; return the vertices P must avoid
+    (the probe too, for rules 3, 5 and 6; rule 4's detached path).  First,
+    every named vertex given, x included, must be one of the host's; a
+    missing one of the rule's own is reported before anything else about it."""
     G, u, Q = inst.graph, inst.u, inst.q_path
-    _named(G, inst.lemma, u, inst.x, inst.w1, inst.w2, inst.v, inst.w)
+    w1, w2, v, w = inst.w1, inst.w2, inst.v, inst.w
+    for z in (inst.x, w1, w2, v, w):
+        if z is not None and not 0 <= z < G.n:
+            raise InputError(f"named vertex outside 0..{G.n - 1}")
     if inst.lemma == 3:
-        return bit(inst.w1) | bit(inst.w2)
+        if w1 is None or w2 is None or len({u, w1, w2}) != 3:
+            raise InputError("lemma 3 needs distinct u, w1, w2")
+        return bit(w1) | bit(w2)
     if inst.lemma == 4:
-        if bit(u) & Q.mask():
+        if w1 is not None and w2 is not None and bit(u) & Q.mask():
             raise InputError("detached path must avoid u")
-        if inst.w1 != Q.vertices[0] or inst.w2 != Q.vertices[-1]:
+        if w1 != Q.vertices[0] or w2 != Q.vertices[-1]:
             raise InputError("w1, w2 must be the detached path ends")
         if Q.mask() & inst.p_path.mask():
             raise InputError("P must avoid the detached path")
         return Q.mask()
     if inst.lemma == 5:
-        if not G.has_edge(inst.v, inst.w):
+        if v is None or w is None or len({u, v, w}) != 3:
+            raise InputError("lemma 5 needs distinct u, v, w")
+        if not G.has_edge(v, w):
             raise InputError("vw must be an edge")
-        return bit(inst.v) | bit(inst.w)
-    return bit(inst.w)  # rule 6
+        return bit(v) | bit(w)
+    if inst.lemma == 6:
+        if w is None or w == u:
+            raise InputError("lemma 6 needs w distinct from u")
+        return bit(w)
+    raise InputError(f"unknown lemma id {inst.lemma}")
 
 
 def validate_instance(inst: LemmaInstance) -> _Ctx:
-    """Recompute every hypothesis; InputError on any violation.  Runs once
-    per instance, as it is made, which keeps the result as ``inst.ctx``.
+    """Check every hypothesis and derive the doubled surplus; InputError on
+    any violation.  Runs once per instance, as it is made, which keeps the
+    result as ``inst.ctx``.
 
     Includes the expensive part: P's inner-edge count must be maximum over
     all anchored paths of the same length in the stated vertex-deleted graph,
@@ -412,8 +391,8 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     That search, lemma 5's attachment set and lemma 6's optimal reroute are
     read from the one bounded search memo described in the module
     docstring; a maximality hit is charged to this call's budget as
-    ``paths.recall`` states.  The instance itself is never cached: P, Q, x,
-    the named vertices and the surplus are checked on every call.
+    ``paths.recall`` states.  The instance itself is never cached: P, Q, x
+    and the named vertices are checked on every call.
     """
     G, u = inst.graph, inst.u
     P, Q = inst.p_path, inst.q_path
@@ -456,13 +435,9 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     if inst.lemma == 6 and not is_absorbable(G, p_prime, x):
         raise InputError("x is not absorbable to the optimal reroute")
     s2 = _surplus2(inst.lemma, G, u, P, x, S, inst.w1, inst.w2, inst.v, inst.w)
-    if s2 != inst.surplus2:
-        raise InputError(
-            f"stored doubled surplus {inst.surplus2} != recomputed {s2}"
-        )
     if s2 < 0:
         raise InputError("surplus must be nonnegative")
-    return _Ctx(L=L, p=p, q=q, S=S, p_prime=p_prime)
+    return _Ctx(L=L, p=p, q=q, surplus2=s2, S=S, p_prime=p_prime)
 
 
 # -- case search helpers --------------------------------------------------------

@@ -267,12 +267,18 @@ def _lex_least(G: Graph, u: int, good: list[dict]) -> UPath:
     return UPath(tuple(seq))
 
 
+def _cap(size: int, cap: int, search: str) -> None:
+    """CapabilityError when a search's table would span more than ``cap``
+    vertices; each exact search checks this before building its table."""
+    if size > cap:
+        raise CapabilityError(f"{search} capped at {cap} vertices")
+
+
 def _ends(G: Graph, core: int, u: int, budget: Budget) -> int:
     """Bitmask of vertices z such that G[core] has a spanning u->z path."""
     if not core & bit(u):
         raise InputError("anchor not inside the set")
-    if core.bit_count() > HAM_SET_CAP:
-        raise CapabilityError(f"spanning-path scan capped at {HAM_SET_CAP} vertices")
+    _cap(core.bit_count(), HAM_SET_CAP, "spanning-path scan")
     key = ("ends", G.rows, u, core)
     return recall(key, budget, _spanning_ends, G, u, core, budget)
 
@@ -285,10 +291,7 @@ def reroute_ends(G: Graph, P: UPath) -> frozenset[int]:
     """Ends reachable by reroutes of P (same anchor, same vertex set)."""
     if not is_valid_upath(G, P.vertices):
         raise InputError("P must be a path of the host")
-    if len(P.vertices) > EXACT_REROUTE_CAP:
-        raise CapabilityError(
-            f"exact reroute set capped at {EXACT_REROUTE_CAP} vertices"
-        )
+    _cap(len(P.vertices), EXACT_REROUTE_CAP, "exact reroute set")
     budget = Budget(search_budget(4_000_000), "reroute_ends")
     return set_of(_ends(G, P.mask(), P.anchor, budget))
 
@@ -315,10 +318,7 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
     if bit(u) & avoid_mask:
         raise InputError("anchor is in the avoid set")
     comp = _component(G, u, G.full_mask & ~avoid_mask)
-    if comp.bit_count() > LONGEST_PATH_CAP:
-        raise CapabilityError(
-            f"exact longest-path search capped at {LONGEST_PATH_CAP} vertices"
-        )
+    _cap(comp.bit_count(), LONGEST_PATH_CAP, "exact longest-path search")
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
     key = ("longest", G.rows, u, comp)
     return recall(key, budget, _longest, G, u, comp, budget)
@@ -354,12 +354,14 @@ def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:
 def spanning_path_to(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
     """Lexicographically least path from u to ``end`` covering exactly the
     vertex set ``verts``, or None when no such path exists.  InputError when
-    u, ``end`` or a member of ``verts`` is not one of G's vertices."""
+    u, ``end`` or a member of ``verts`` is not one of G's vertices;
+    CapabilityError past HAM_SET_CAP vertices, as the search has no budget."""
     verts = _checked_mask(G, verts)
     if not (0 <= u < G.n and 0 <= end < G.n):
         raise InputError(f"path ends outside 0..{G.n - 1}")
     if not verts & bit(u) or not verts & bit(end):
         return None
+    _cap(verts.bit_count(), HAM_SET_CAP, "spanning-path scan")
     table = _reach(G, u, verts, None)
     full = verts.bit_count() - 1
     if full >= len(table) or not table[full].get(verts, 0) & bit(end):
@@ -378,10 +380,12 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
 
     Positions are indices along the rerouted sequence (anchor at 0); only
     positions >= 1 count, which never changes the argmax since the anchor is
-    common to all reroutes.  The search runs under no budget; its result is
-    memoised with the other path queries (see the module docstring).
+    common to all reroutes.  The search runs under no budget, so P is capped
+    at EXACT_REROUTE_CAP vertices; its result is memoised with the other
+    path queries (see the module docstring).
     """
     _off_path(G, P, x, "reference vertex lies on the path")
+    _cap(len(P.vertices), EXACT_REROUTE_CAP, "exact reroute set")
     verts = P.mask()
     u = P.anchor
     key = ("reroute", G.rows, u, verts, x)

@@ -280,6 +280,19 @@ def test_census_rejects_an_order_past_the_cap_before_building_a_graph(monkeypatc
     assert built == []
 
 
+@pytest.mark.parametrize("n, k", [(4, 8), (3, 6)])
+def test_census_rejects_an_impossible_threshold_before_building_a_graph(
+    monkeypatch, n, k
+):
+    # (k-1)n/2 edges is more than K_n has, so the census would scan no graph
+    built = []
+    real = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda G: built.append(G) or real(G))
+    with pytest.raises(InputError, match=f"exceeds the {n * (n - 1) // 2} of K_{n}$"):
+        extremal_census(n, k)
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "run",
     [lambda: run_lemma_suite(9, 5, 0), lambda: exhaustive_lemma_suite(9, 3)],
@@ -316,22 +329,31 @@ def test_the_enumeration_cap_reads_the_same_from_check_and_census(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, env",
     [
-        (["--json", "check", "--nmax", "3"], 0),
-        (["check", "--nmax", "0"], 2),
-        (["check", "--nmax", "8"], 3),
-        (["lemmas", "--which", "3", "--records", "--n", "13", "--samples", "1"], 3),
+        (["--json", "check", "--nmax", "3"], 0, {}),
+        (["check", "--nmax", "0"], 2, {}),
+        (["check", "--nmax", "8"], 3, {}),
+        (["lemmas", "--which", "3", "--records", "--n", "13", "--samples", "1"], 3, {}),
+        (["check", "--nmax", "3"], 2, {"ESOS_BUDGET": "-5"}),
+        (["census", "--n", "4", "--k", "8"], 2, {}),
     ],
-    ids=["clean", "empty-range", "past-the-cap", "lemma-host-past-the-cap"],
+    ids=[
+        "clean",
+        "empty-range",
+        "past-the-cap",
+        "lemma-host-past-the-cap",
+        "negative-budget",
+        "impossible-census",
+    ],
 )
-def test_module_entry_point_exit_codes(argv, code):
+def test_module_entry_point_exit_codes(argv, code, env):
     # `python -m esos` on the package this suite imports
     src = str(Path(esos.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "esos", *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,

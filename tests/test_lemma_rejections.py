@@ -20,10 +20,8 @@ from esos.lemmas import (
     CaseOutcome,
     LemmaInstance,
     analyze,
-    compute_surplus2,
     enumerate_instances,
     make_instance,
-    validate_instance,
     verify_outcome,
 )
 from esos.paths import UPath
@@ -189,17 +187,14 @@ VERIFY_ROWS = {
         on(lambda: built(4, "C^", 2, (2, 3), (0,), x=1), claim("A")),
     ),
     "unknown-case": ("3A", claim("D")),
-    "invalid-instance": (
-        "3C",
-        lambda inst, out: (replace(surplus2=inst.surplus2 + 2)(inst), out),
-    ),
+    "invalid-instance": ("3C", lambda inst, out: (replace(x=4)(inst), out)),
     "named-vertex-out-of-range": ("6A", lambda inst, out: (replace(w=-1)(inst), out)),
 }
 
 # Rows whose tampering breaks a hypothesis of the instance: the claim is
 # refused where the broken instance is made, before it can reach the verifier.
 UNMADE = {
-    "invalid-instance": "^stored doubled surplus 4 != recomputed 2$",
+    "invalid-instance": "^x must be the probe end$",
     "named-vertex-out-of-range": "^named vertex outside 0..3$",
 }
 
@@ -249,7 +244,6 @@ VALIDATE_ROWS = {
         "probe must avoid V\\(P-u\\) and the excluded pair",
     ),
     "x-not-probe-end": ("3A", replace(x=3), "x must be the probe end"),
-    "surplus-mismatch": ("3A", replace(surplus2=2), "stored doubled surplus"),
     "rule3-w1-negative": ("3A", replace(w1=-1), "named vertex outside 0..4"),
     "rule3-w2-too-large": ("3A", replace(w2=9), "named vertex outside 0..4"),
     "negative-surplus": (
@@ -272,6 +266,12 @@ VALIDATE_ROWS = {
         "detached path must avoid u",
     ),
     "rule4-ends": ("4A", replace(w2=1), "w1, w2 must be the detached path ends"),
+    # a missing end is named before a detached path through u
+    "rule4-missing-w": (
+        "4A",
+        replace(q_path=UPath((0, 4)), w1=None),
+        "w1, w2 must be the detached path ends",
+    ),
     "rule4-meets-P": (
         "4A",
         replace(q_path=UPath((1,)), w1=1, w2=1),
@@ -342,7 +342,7 @@ def test_every_way_of_making_an_instance_validates_it():
             make()
 
 
-K4, K5 = Graph.complete(4), Graph.complete(5)
+K5 = Graph.complete(5)
 
 
 @pytest.mark.parametrize(
@@ -351,10 +351,8 @@ K4, K5 = Graph.complete(4), Graph.complete(5)
         lambda: make_instance(3, K5, 0, UPath((0, 1)), UPath((0, 2)), w1=3, w2=9),
         lambda: make_instance(5, K5, 0, UPath((0, 1)), UPath((0, 2)), v=3, w=-1),
         lambda: make_instance(6, K5, 0, UPath((0, 1)), UPath((0, 2)), w=-1),
-        lambda: compute_surplus2(6, K4, 0, UPath((0, 1)), -1, w=2),
-        lambda: compute_surplus2(3, K4, 0, UPath((0, 1)), 2, w1=3, w2=-1),
     ],
-    ids=["make-rule3", "make-rule5", "make-rule6", "surplus-x", "surplus-w2"],
+    ids=["make-rule3", "make-rule5", "make-rule6"],
 )
 def test_builders_reject_a_named_vertex_out_of_range(build):
     with pytest.raises(InputError, match="named vertex outside"):
@@ -376,16 +374,8 @@ def test_builders_reject_a_named_vertex_out_of_range(build):
             lambda: make_instance(6, K5, 0, UPath((0, 1)), UPath((0, 2))),
             "lemma 6 needs w distinct from u",
         ),
-        (
-            lambda: compute_surplus2(3, K5, 0, UPath((0, 1)), 2, w1=3),
-            "lemma 3 needs distinct u, w1, w2",
-        ),
-        (
-            lambda: compute_surplus2(4, K5, 0, UPath((0, 1)), 2),
-            "w1, w2 must be the detached path ends",
-        ),
     ],
-    ids=["make-rule3", "make-rule5", "make-rule6", "surplus-rule3", "surplus-rule4"],
+    ids=["make-rule3", "make-rule5", "make-rule6"],
 )
 def test_builders_reject_a_missing_named_vertex(build, message):
     with pytest.raises(InputError, match=message):
@@ -395,13 +385,10 @@ def test_builders_reject_a_missing_named_vertex(build, message):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: compute_surplus2(7, K5, 0, UPath((0, 1)), 2, w=3),
         lambda: make_instance(7, K5, 0, UPath((0, 1)), UPath((0, 2)), w=3),
-        # remaking the instance with rule 7 raises before either call
-        lambda: validate_instance(replace(lemma=7)(base("6A")[0])),
-        lambda: analyze(replace(lemma=7)(base("6A")[0])),
+        lambda: replace(lemma=7)(base("6A")[0]),
     ],
-    ids=["surplus", "make", "validate", "analyze"],
+    ids=["make", "replace"],
 )
 def test_an_unknown_rule_id_is_named(call):
     with pytest.raises(InputError, match="^unknown lemma id 7$"):

@@ -32,7 +32,6 @@ from esos.lemmas import (
     CaseOutcome,
     LEMMA_IDS,
     analyze,
-    compute_surplus2,
     enumerate_instances,
     make_instance,
     sample_instances,
@@ -51,20 +50,12 @@ def bowtie_plus():
 
 
 def test_make_instance_computes_surplus():
-    G = Graph.complete(5)
-    P = UPath((0, 1))
-    Q = UPath((0, 2))
-    inst = make_instance(3, G, 0, P, Q, w1=3, w2=4)
-    want = compute_surplus2(3, G, 0, P, 2, w1=3, w2=4)
-    assert inst.surplus2 == want and inst.x == 2
-    validate_instance(inst)
-
-
-def test_validation_rejects_corrupted_surplus():
+    # L = {1}, p = 1, and x = 2, w1 = 3, w2 = 4 each see vertex 1 of L, so
+    # lambda = 2 e(x,L) + e(w1,L) + e(w2,L) - 2p = 2 + 1 + 1 - 2 = 2
     G = Graph.complete(5)
     inst = make_instance(3, G, 0, UPath((0, 1)), UPath((0, 2)), w1=3, w2=4)
-    with pytest.raises(InputError):
-        dataclasses.replace(inst, surplus2=inst.surplus2 + 2)
+    assert inst.surplus2 == 4 and inst.x == 2
+    assert validate_instance(inst) == inst.ctx
 
 
 def test_validation_rejects_non_maximizing_path():
@@ -577,6 +568,14 @@ def test_sample_instances_rejects_a_malformed_budget(monkeypatch, lemma):
     # rules 3, 4 and 6 used to discard every proposal instead
     monkeypatch.setenv("ESOS_BUDGET", "abc")
     with pytest.raises(InputError, match="ESOS_BUDGET is not an integer"):
+        sample_instances(lemma, 7, 1, seed=0)
+
+
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_sample_instances_rejects_a_negative_budget(monkeypatch, lemma):
+    # not a budget every proposal trips, which the sampler would discard
+    monkeypatch.setenv("ESOS_BUDGET", "-5")
+    with pytest.raises(InputError, match="^ESOS_BUDGET is negative: '-5'$"):
         sample_instances(lemma, 7, 1, seed=0)
 
 

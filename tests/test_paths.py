@@ -250,6 +250,35 @@ def test_reroute_exact_cap():
         reroute_ends(G, UPath(tuple(range(18))))
 
 
+@pytest.mark.parametrize(
+    "search, cap, message",
+    [
+        (
+            lambda G, m: reroute_maximizing_last_neighbor(G, UPath(tuple(range(m))), m),
+            16,
+            "^exact reroute set capped at 16 vertices$",
+        ),
+        (
+            lambda G, m: spanning_path_to(G, range(m), 0, m - 1),
+            18,
+            "^spanning-path scan capped at 18 vertices$",
+        ),
+        (
+            lambda G, m: reroute_path_to(G, UPath(tuple(range(m))), m - 1),
+            18,
+            "^spanning-path scan capped at 18 vertices$",
+        ),
+    ],
+    ids=["last-neighbor-reroute", "spanning-path", "reroute-path"],
+)
+def test_unbudgeted_path_tables_are_capped(search, cap, message):
+    # a path graph's tables are tiny, so only the cap refuses one vertex more
+    G = Graph.path_graph(cap + 2)
+    assert search(G, cap).vertices == tuple(range(cap))
+    with pytest.raises(CapabilityError, match=message):
+        search(G, cap + 1)
+
+
 def test_reroute_ends_match_brute_exhaustive_small():
     for n in range(2, 6):
         for bits in range(1 << (n * (n - 1) // 2)):
