@@ -22,6 +22,7 @@ from esos.lemmas import (
     analyze,
     enumerate_instances,
     make_instance,
+    validate_instance,
     verify_outcome,
 )
 from esos.paths import UPath
@@ -386,9 +387,10 @@ def test_builders_reject_a_missing_named_vertex(build, message):
     "call",
     [
         lambda: make_instance(7, K5, 0, UPath((0, 1)), UPath((0, 2)), w=3),
-        lambda: replace(lemma=7)(base("6A")[0]),
+        lambda: validate_instance(replace(lemma=7)(base("6A")[0])),
+        lambda: analyze(replace(lemma=7)(base("6A")[0])),
     ],
-    ids=["make", "replace"],
+    ids=["make", "validate", "analyze"],
 )
 def test_an_unknown_rule_id_is_named(call):
     with pytest.raises(InputError, match="^unknown lemma id 7$"):
