@@ -9,7 +9,7 @@ Subcommands:
   over builtin isomorphism classes (or a stdin graph6 stream).
 * ``lemmas --which 3|4|5|6 --samples N --seed S [--records [--n N]]`` --
   analyzer suites with witness verification; ``--records`` streams one JSON
-  record per analysis on n-vertex hosts instead of a summary.
+  record per analysis on n-vertex hosts (8 by default) instead of a summary.
 * ``census --n N --k K`` -- threshold graphs missing an all-even spider.
 
 ``--json`` prints machine-readable reports on stdout.  Exit codes:
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream one JSON record per analysis instead of a summary",
     )
     p_lem.add_argument(
-        "--n", type=int, default=8, help="host order for --records sampling"
+        "--n", type=int, help="host order for --records sampling (default 8)"
     )
 
     p_census = sub.add_parser("census", help="threshold-graph census")
@@ -150,9 +150,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lemma_records(args) -> int:
-    insts, _ = sample_instances(args.which, args.n, args.samples, args.seed)
+    n = 8 if args.n is None else args.n
+    insts, _ = sample_instances(args.which, n, args.samples, args.seed)
     if not insts:
-        raise InputError(f"no rule {args.which} instance sampled on {args.n} vertices")
+        raise InputError(f"no rule {args.which} instance sampled on {n} vertices")
     failures = 0
     for inst in insts:
         out = analyze(inst)
@@ -186,6 +187,8 @@ def main(argv=None) -> int:
         if args.command == "lemmas":
             if args.records:
                 return _cmd_lemma_records(args)
+            if args.n is not None:
+                raise InputError("--n sets the host order of --records only")
             rep = run_lemma_suite(args.which, args.samples, args.seed)
             if not rep.counts["instances"]:
                 raise InputError(f"no rule {args.which} instance sampled")

@@ -15,12 +15,13 @@ the probe end x of a longest path off it, and try the extension moves on
 its first stub (a leg of the stripped length, or the bare centre), with
 the stub's least second end off the embedding and x (else its least
 inside second end) as the swap anchor.  Guided moves are verify-or-skip:
-when they all fail the bounded exhaustive oracle decides, so correctness
-never depends on the heuristic phase.  Each call decides its spider once
-and keeps no outcome memo.  A certificate is emitted only after the oracle
-has confirmed the spider does not embed at the requested centre, and every
-certificate is verified before it is returned; ``whole_split`` and
-``local_split`` state the two certificate shapes.
+when they all fail, or a search in them trips a cap or budget, the bounded
+exhaustive oracle decides, so correctness never depends on the heuristic
+phase.  Each call decides its spider once and keeps no outcome memo.  A
+certificate is emitted only after the oracle has confirmed the spider does
+not embed at the requested centre, and is verified before it is returned:
+``whole_split`` (the whole graph, for any all-even spider) or, tried first
+and for the all-twos spider T0 only, ``local_split`` through the centre.
 
 ``theorem2_check`` is the density pipeline: while some vertex set violates
 the per-subset condition, delete it (the edge identity e(G-S) =
@@ -298,10 +299,11 @@ def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     """Embedding centred at u, or (for all-even spiders only) a verified
     split certificate once the oracle has confirmed non-embeddability at u.
 
-    Requires d(u) >= k.  The per-subset condition is consulted only if
-    certification fails: a host that violates it and admits no certificate
-    is reported as an input error naming the violating set, never as a
-    silent wrong answer.
+    Requires d(u) >= k.  The guided phase hands over to the oracle only on
+    CapabilityError; its other errors surface.  The per-subset condition is
+    consulted only if certification fails: a host that violates it and
+    admits no certificate is reported as an input error naming the
+    violating set, never as a silent wrong answer.
     """
     if not 0 <= u < G.n:
         raise InputError("centre out of range")
@@ -311,15 +313,11 @@ def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
         raise InputError(
             f"centre degree {G.degree(u)} below the spider size {T.k}"
         )
-    # single-leg spiders go straight to the split-aware exhaustive oracle;
-    # a guided phase that cannot finish abstains and the oracle decides, but
-    # a SoundnessError (a broken contract) always surfaces
-    emb = None
-    if len(T.legs) >= 2:
-        try:
-            emb = _guided(G, T, u)
-        except (InputError, CapabilityError):
-            emb = None
+    # single-leg spiders go straight to the split-aware exhaustive oracle
+    try:
+        emb = _guided(G, T, u) if len(T.legs) >= 2 else None
+    except CapabilityError:
+        emb = None
     if emb is None:
         emb = embed_bruteforce(G, T, u)
     if emb is not None:
@@ -352,7 +350,7 @@ def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     k = T.k
     if in_T0_family(T):
         is_t0 = T == t0(k)
-        for kind in ("local", "whole-graph") if is_t0 else ("whole-graph", "local"):
+        for kind in ("local", "whole-graph") if is_t0 else ("whole-graph",):
             cert = local_split(G, k, u) if kind == "local" else whole_split(G, k)
             if cert is None:
                 continue

@@ -86,12 +86,10 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
     for the all-twos spider, else the whole graph splitting as
     (n-k/2, k/2)).
 
-    Where the guided phase decides, two different searches are compared.
-    A single-leg spider, or one the guided phase abstains on, takes its
-    verdict from ``embed_bruteforce`` at u itself (18,371 of the 39,191
-    cases with n <= 7), so there the check establishes only that the
-    oracle's embedding verifies, or that a spider missing at u gets a
-    verified certificate of the promised shape.
+    ``_dichotomy_one`` states the comparison.  Of the 39,191 cases with
+    n <= 7, 18,349 one-leg spiders embed through the oracle itself and are
+    only verified; the other 20,842 (20,820 decided by the guided phase)
+    are also checked against a fresh oracle call at u.
     """
     start = time.monotonic()
     tests = certified = 0
@@ -123,17 +121,18 @@ def _dichotomy_one(
     G: Graph, k: int, u: int, T: Spider
 ) -> tuple[Optional[dict], bool]:
     """One (G, k, u, T) check: the failure entry or None, and whether the
-    outcome was a certificate.  The embed_constructive verdict (its guided
-    embedding grown from the smaller spider's oracle embedding, else the
-    oracle's own) is compared with a fresh oracle call at u."""
+    outcome was a certificate.  Every embedding must verify.  Unless T has
+    one leg and embeds (then the oracle itself returned it), a fresh
+    ``embed_bruteforce`` call at u must agree on whether T embeds, and a
+    certificate must verify and have the promised shape."""
     where = {"graph6": G.to_graph6(), "k": k, "u": u, "spider": T.to_json()}
     try:
         out = embed_constructive(G, T, u)
     except (InputError, SoundnessError) as exc:
         return {**where, "reason": f"constructive raised: {exc}"}, False
-    oracle = embed_bruteforce(G, T, u)
-    if out.embedded != (oracle is not None):
-        return {**where, "reason": "verdict disagrees with the oracle"}, False
+    if not (out.embedded and len(T.legs) == 1):
+        if out.embedded != (embed_bruteforce(G, T, u) is not None):
+            return {**where, "reason": "verdict disagrees with the oracle"}, False
     if out.embedded:
         if not verify_embedding(G, T, out.embedding):
             return {**where, "reason": "embedding failed verification"}, False

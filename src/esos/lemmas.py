@@ -852,7 +852,7 @@ def _propose(
             if qp is not None:
                 return make_instance(lemma, G, u, P, UPath(qp), **fields)
         return None
-    except (InputError, CapabilityError):  # a search tripped, or validation
+    except InputError:  # the instance failed its validation
         return None
 
 
@@ -905,10 +905,10 @@ def sample_instances(
 ) -> tuple[list[LemmaInstance], int]:
     """Deterministic stream of valid instances on n-vertex hosts.
 
-    Proposals failing precondition synthesis, or whose instance fails its
-    validation when it is made, are discarded; returns
-    (instances, discarded).  May return fewer than ``count`` if the attempt
-    cap (500 per requested instance) runs out, which the caller reports.
+    Proposals failing precondition synthesis, their validation or a search
+    budget are discarded; returns (instances, discarded), with fewer than
+    ``count`` if the attempt cap (500 per requested instance) runs out.
+    When none survives and some budget tripped, the last such error raises.
     """
     _check_scope(lemma, n)
     search_budget(MAXIMALITY_BUDGET)  # fails fast on a malformed ESOS_BUDGET
@@ -920,11 +920,17 @@ def sample_instances(
     out: list[LemmaInstance] = []
     proposals = 0
     cap = max(count * 500, 1000)
+    tripped = None
     while len(out) < count and proposals < cap:
         proposals += 1
-        inst = _propose(lemma, rng, n)
+        try:
+            inst = _propose(lemma, rng, n)
+        except CapabilityError as exc:
+            inst, tripped = None, exc
         if inst is not None:
             out.append(inst)
+    if not out and tripped is not None:
+        raise tripped
     return out, proposals - len(out)
 
 

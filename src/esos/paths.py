@@ -28,9 +28,9 @@ spanning completion.  ``_leading_to`` keeps the states that reach a goal and
 
 The searches callers repeat share one memo of MEMO_SIZE entries through
 ``recall``, which states how a hit is charged.  A key starts with its query
-name: "longest", "ends" and "reroute" here, each then (graph, anchor,
-allowed set[, x]), and "maximal" and "attachment" in ``esos.lemmas``, where
-only the attachment key carries a budget limit.  Only results are kept: at
+name: "longest" and "reroute" here, each then (graph, anchor, allowed
+set[, x]), and "maximal" and "attachment" in ``esos.lemmas``, where only
+the attachment key carries a budget limit.  Only results are kept: at
 LONGEST_PATH_CAP vertices a table holds millions of states.
 
 The three ``check_*`` predicates recast proven degree bounds as executable
@@ -276,14 +276,7 @@ def _cap(size: int, cap: int, search: str) -> None:
 
 def _ends(G: Graph, core: int, u: int, budget: Budget) -> int:
     """Bitmask of vertices z such that G[core] has a spanning u->z path."""
-    if not core & bit(u):
-        raise InputError("anchor not inside the set")
     _cap(core.bit_count(), HAM_SET_CAP, "spanning-path scan")
-    key = ("ends", G.rows, u, core)
-    return recall(key, budget, _spanning_ends, G, u, core, budget)
-
-
-def _spanning_ends(G: Graph, u: int, core: int, budget: Budget) -> int:
     return _reach(G, u, core, budget)[-1].get(core, 0)
 
 

@@ -244,17 +244,43 @@ def test_oracle_budget_error():
         embed_mod.EMBED_DEFAULT_BUDGET = old
 
 
-def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch):
-    # a contract breach inside the guided phase must not be swallowed the
-    # way its InputError and CapabilityError abstentions are
+@pytest.mark.parametrize(
+    "error", [SoundnessError, InputError, CapabilityError], ids=lambda e: e.__name__
+)
+def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch, error):
+    # a contract breach or an input error inside the guided phase surfaces;
+    # only a tripped size cap or budget hands the spider to the oracle
     G, T = Graph.complete(5), Spider((2, 1))
 
-    def breach(*args):
-        raise SoundnessError("contract breach in a guided move")
+    def refuse(*args):
+        raise error("refused in a guided move")
 
-    monkeypatch.setattr(embed_mod, "_extend", breach)
-    with pytest.raises(SoundnessError, match="guided move"):
-        embed_constructive(G, T, 0)
+    monkeypatch.setattr(embed_mod, "_extend", refuse)
+    if error is CapabilityError:
+        assert embed_constructive(G, T, 0).embedding == embed_bruteforce(G, T, 0)
+    else:
+        with pytest.raises(error, match="guided move"):
+            embed_constructive(G, T, 0)
+
+
+def test_only_the_all_twos_spider_tries_a_local_certificate(monkeypatch):
+    # K_3 joined to four independent vertices: at a K_3 vertex, [4,2] and
+    # [2,2,2] both miss (each needs three more K_3 vertices), and the whole
+    # graph is their (4, 3) certificate.  Without it, the non-T0 spider gets
+    # no certificate and no local split is searched for it, although a
+    # (4, 3) split through u exists; T0 still gets that local split
+    G = Graph.from_graph6("F~zf?")
+    searched = []
+    local = embed_mod.local_split
+    monkeypatch.setattr(embed_mod, "whole_split", lambda *args: None)
+    monkeypatch.setattr(
+        embed_mod, "local_split", lambda *args: searched.append(args) or local(*args)
+    )
+    with pytest.raises(InputError, match="^spider 4,2 does not embed at 0 and no certificate"):
+        embed_constructive(G, Spider((4, 2)), 0)
+    assert searched == []
+    out = embed_constructive(G, Spider((2, 2, 2)), 0)
+    assert (out.kind, out.spider_is_t0, len(searched)) == ("local", True, 1)
 
 
 def _constructive_digest() -> tuple[int, str, str]:

@@ -337,6 +337,13 @@ def test_the_enumeration_cap_reads_the_same_from_check_and_census(capsys):
         (["lemmas", "--which", "3", "--records", "--n", "13", "--samples", "1"], 3, {}),
         (["check", "--nmax", "3"], 2, {"ESOS_BUDGET": "-5"}),
         (["census", "--n", "4", "--k", "8"], 2, {}),
+        (["lemmas", "--which", "3", "--samples", "5"], 3, {"ESOS_BUDGET": "0"}),
+        (
+            ["lemmas", "--which", "5", "--records", "--n", "7", "--samples", "5"],
+            3,
+            {"ESOS_BUDGET": "1"},
+        ),
+        (["lemmas", "--which", "3", "--samples", "6", "--n", "12"], 2, {}),
     ],
     ids=[
         "clean",
@@ -345,6 +352,9 @@ def test_the_enumeration_cap_reads_the_same_from_check_and_census(capsys):
         "lemma-host-past-the-cap",
         "negative-budget",
         "impossible-census",
+        "budget-trips-every-sample",
+        "budget-trips-every-record",
+        "n-without-records",
     ],
 )
 def test_module_entry_point_exit_codes(argv, code, env):

@@ -458,8 +458,8 @@ def test_one_memo_holds_every_query_kind_within_its_size(monkeypatch):
     ):
         assert verify_outcome(inst, analyze(inst))
     assert longest_u_path(G, 0).length == 5
-    assert reroute_ends(G, UPath((0, 1, 2))) == {1, 2}
-    assert kinds == {"maximal", "attachment", "longest", "ends", "reroute"}
+    assert reroute_ends(G, UPath((0, 1, 2))) == {1, 2}  # keeps no entry
+    assert kinds == {"maximal", "attachment", "longest", "reroute"}
     assert len(sizes) > 4 and max(sizes) == len(paths_mod._memo) == 4
 
 
@@ -581,9 +581,23 @@ def test_sample_instances_rejects_a_negative_budget(monkeypatch, lemma):
 
 @pytest.mark.parametrize("error", [InputError, CapabilityError])
 def test_a_proposal_whose_construction_raises_is_discarded(monkeypatch, error):
-    # no seeded proposal fails its validation today; this pins the count if one does
+    # no seeded proposal fails its validation today; this pins the count if
+    # one does.  When every proposal trips a budget, the sample is a budget
+    # error, not an empty one: the last CapabilityError is raised after the
+    # attempt cap runs out
+    proposals = []
+    propose = lemmas_mod._propose
+
     def refuse(inst):
         raise error("refused")
 
     monkeypatch.setattr(lemmas_mod, "validate_instance", refuse)
-    assert sample_instances(3, 6, 1, seed=0) == ([], 1000)
+    monkeypatch.setattr(
+        lemmas_mod, "_propose", lambda *args: proposals.append(1) or propose(*args)
+    )
+    if error is InputError:
+        assert sample_instances(3, 6, 1, seed=0) == ([], 1000)
+    else:
+        with pytest.raises(CapabilityError, match="^refused$"):
+            sample_instances(3, 6, 1, seed=0)
+    assert len(proposals) == 1000
