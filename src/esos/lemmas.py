@@ -28,8 +28,9 @@ queries:
 * "maximal", the maximality search (``_max_paths``), keyed by (graph, u,
   allowed set, p);
 * "attachment", lemma 5's attachment set, keyed by (graph, u, w, V(P), p,
-  node budget of each longest-path search), the only key with a budget
-  limit (``_attachment_set`` says why).
+  node budget of each of its inner searches), the only key with a budget
+  limit (``_attachment_set`` says why).  Each member z is one
+  ``paths.has_upath`` question, which keeps no entry of its own.
 
 P is not part of a key, and every check of ``validate_instance`` runs on
 every call.
@@ -100,6 +101,7 @@ from .paths import (
     iter_upaths,
     iter_upaths_exact,
     first_upath_to,
+    has_upath,
     longest_u_path,
     recall,
     reroute_maximizing_last_neighbor,
@@ -191,9 +193,11 @@ def _ev(G: Graph, v: int, mask: int) -> int:
 
 def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     """Vertices z on P adjacent to w such that deleting {w,z} still leaves an
-    anchored path of length p (lemma 5's correction set)."""
-    # each longest-path search gets a fresh budget of this size, so a set
-    # stored under the same limit is what the searches would return again
+    anchored path of length p (lemma 5's correction set).  Each z is one
+    ``paths.has_upath`` question, whose table stops at level p and which
+    keeps no memo entry; the set itself is memoised."""
+    # each inner search gets a fresh budget of this size, so a set stored
+    # under the same limit is what the searches would return again
     key = ("attachment", G.rows, u, w, p_mask, p, search_budget(LONGEST_PATH_BUDGET))
     return recall(key, None, _attachment, G, u, w, p_mask, p)
 
@@ -201,7 +205,7 @@ def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
 def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     out = 0
     for z in bits_of(G.rows[w] & p_mask):
-        if z != u and longest_u_path(G, u, avoid=bit(w) | bit(z)).length >= p:
+        if z != u and has_upath(G, u, bit(w) | bit(z), p):
             out |= bit(z)
     return out
 
@@ -296,13 +300,19 @@ def _argmax_paths(
 ) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
     """The search behind ``_max_paths``, in the order and at the node
     charge of ``paths.iter_upaths_exact``: lexicographic, one node per vertex
-    placed after u.  Each prefix carries its mask and inner-edge count, and a
-    path becomes a tuple only when it ties or beats the best so far."""
+    placed after u.  Each prefix carries its mask and inner-edge count; once
+    it holds p vertices its last steps are charged and scored in one loop,
+    and a path becomes a tuple only when it ties or beats the best so far.
+    Nodes are counted locally and charged on return; past the limit, the
+    charge is the limit's next node and the search raises, as one charge
+    per node would."""
     if not allowed & bit(u):
         return None, ()
     if p == 0:
         return 0, ((u,),)
     rows = G.rows
+    room = budget.limit - budget.used
+    nodes = 0
     best = None
     out: list[tuple[int, ...]] = []
     stack = [u]
@@ -311,6 +321,20 @@ def _argmax_paths(
     untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
     while untried:
         ext = untried[-1]
+        if len(stack) == p:  # every step left ends a path: score them all
+            nodes += ext.bit_count()
+            if nodes > room:
+                budget.spend(room + 1)  # trips at the limit's next node
+            base = inner[-1]
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                z = low.bit_length() - 1
+                e = base + (rows[z] & mask).bit_count()
+                if best is None or e > best:
+                    best, out = e, [(*stack, z)]
+                elif e == best:
+                    out.append((*stack, z))
         if not ext:
             untried.pop()
             inner.pop()
@@ -318,18 +342,15 @@ def _argmax_paths(
             continue
         low = ext & -ext
         untried[-1] = ext ^ low
-        budget.spend()
+        nodes += 1
+        if nodes > room:
+            budget.spend(room + 1)
         z = low.bit_length() - 1
-        e = inner[-1] + (rows[z] & mask).bit_count()
-        if len(stack) < p:
-            stack.append(z)
-            inner.append(e)
-            mask |= low
-            untried.append(rows[z] & allowed & ~mask)
-        elif best is None or e > best:
-            best, out = e, [(*stack, z)]
-        elif e == best:
-            out.append((*stack, z))
+        stack.append(z)
+        inner.append(inner[-1] + (rows[z] & mask).bit_count())
+        mask |= low
+        untried.append(rows[z] & allowed & ~mask)
+    budget.spend(nodes)
     return best, tuple(out)
 
 
@@ -799,14 +820,14 @@ def _verify_case_c(inst: LemmaInstance, out: CaseOutcome) -> bool:
 # -- instance generation ----------------------------------------------------------
 
 
-def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
+def _random_rows(rng: random.Random, n: int, density: float) -> list[int]:
     rows = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
                 rows[i] |= bit(j)
                 rows[j] |= bit(i)
-    return Graph(n, tuple(rows))
+    return rows
 
 
 _P_CHOICES = (1, 2, 2, 3, 3, 4)
@@ -816,16 +837,15 @@ def _propose(
     lemma: int, rng: random.Random, n: int
 ) -> Optional[LemmaInstance]:
     density = rng.uniform(0.55, 0.95)
-    G = _random_graph(rng, n, density)
+    rows = _random_rows(rng, n, density)
     u = rng.randrange(n)
     if lemma == 4:
         # the rule needs u to see everything involved; make u near-universal
-        rows = list(G.rows)
         for z in range(n):
             if z != u and rng.random() < 0.9:
                 rows[u] |= bit(z)
                 rows[z] |= bit(u)
-        G = Graph(n, tuple(rows))
+    G = Graph(n, tuple(rows))
     budget = Budget(200_000, "instance synthesis")
     try:
         picked = _pick_exclusion(lemma, rng, G, u)

@@ -20,17 +20,19 @@ recursion (``_reach``): level i maps the vertex set of each u-path with i
 edges inside an allowed set to the bitmask of its possible last vertices,
 and each (vertex set, last vertex) state after the root costs one budget
 node.  A query is a goal on the table: the whole set's state for reroute and
-second ends, the last nonempty level for the longest path, the state (verts,
-end) for ``spanning_path_to``, and for the optimal reroute a state on the
-latest level that holds every x-neighbour of P-u and ends at one, then any
-spanning completion.  ``_leading_to`` keeps the states that reach a goal and
+second ends, the last nonempty level for the longest path, level p nonempty
+for ``has_upath`` (whose table stops there), the state (verts, end) for
+``spanning_path_to``, and for the optimal reroute a state on the latest
+level that holds every x-neighbour of P-u and ends at one, then any spanning
+completion.  ``_leading_to`` keeps the states that reach a goal and
 ``_lex_least`` walks them in ascending neighbour order.
 
 The searches callers repeat share one memo of MEMO_SIZE entries through
 ``recall``, which states how a hit is charged.  A key starts with its query
 name: "longest" and "reroute" here, each then (graph, anchor, allowed
 set[, x]), and "maximal" and "attachment" in ``esos.lemmas``, where only
-the attachment key carries a budget limit.  Only results are kept: at
+the attachment key carries a budget limit.  ``has_upath`` and the reroute-end
+and second-end searches keep no entry.  Only results are kept: at
 LONGEST_PATH_CAP vertices a table holds millions of states.
 
 The three ``check_*`` predicates recast proven degree bounds as executable
@@ -170,9 +172,10 @@ def recall(key: tuple, budget: Optional[Budget], search, *args):
     """``search(*args)``, memoised under ``key`` with the nodes it spent of
     ``budget``.  A hit never searches: it charges those nodes, capped at the
     limit's next node.  Every memoised search trips at that node (one node per
-    step, or ``_reach``'s ``room + 1``), so node counts and budget errors
-    are those of a cold search under any limit.  A miss drops the oldest
-    entry of a full memo first; safe to call from several threads."""
+    step, or the ``room + 1`` of ``_reach`` and ``lemmas._argmax_paths``),
+    so node counts and budget errors are those of a cold search under any
+    limit.  A miss drops the oldest entry of a full memo first; safe to call
+    from several threads."""
     got = _memo.get(key)
     if got is not None:
         value, nodes = got
@@ -189,16 +192,20 @@ def recall(key: tuple, budget: Optional[Budget], search, *args):
     return value
 
 
-def _reach(G: Graph, u: int, allowed: int, budget: Optional[Budget]) -> list[dict]:
+def _reach(
+    G: Graph, u: int, allowed: int, budget: Optional[Budget], levels: Optional[int] = None
+) -> list[dict]:
     """The table of u-paths inside ``allowed``: level i maps the vertex set
     of each path with i edges to the bitmask of its possible last vertices.
+    It stops at the first empty level, or after level ``levels`` when given.
     Every (vertex set, last vertex) state after the root costs one node."""
     rows = G.rows
     level = {bit(u): bit(u)}
     table = [level]
     room = budget.limit - budget.used if budget is not None else 0
     spent = 0
-    for _ in range(allowed.bit_count() - 1):
+    steps = allowed.bit_count() - 1
+    for _ in range(steps if levels is None else min(steps, levels)):
         nxt: dict[int, int] = {}
         get = nxt.get
         for m, lasts in level.items():
@@ -302,9 +309,10 @@ def _component(G: Graph, u: int, allowed: int) -> int:
     return comp
 
 
-def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
-    """A maximum-length path from u in G minus ``avoid``; lexicographically
-    smallest vertex sequence among the maximum-length ones."""
+def _anchored_component(G: Graph, u: int, avoid: VertexSetLike) -> int:
+    """The component of u in G minus ``avoid``, after the checks of both
+    anchored-path queries: u and ``avoid`` in range, u not avoided, and the
+    component within LONGEST_PATH_CAP vertices."""
     if not 0 <= u < G.n:
         raise InputError("anchor out of range")
     avoid_mask = _checked_mask(G, avoid, "avoid set")
@@ -312,6 +320,13 @@ def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
         raise InputError("anchor is in the avoid set")
     comp = _component(G, u, G.full_mask & ~avoid_mask)
     _cap(comp.bit_count(), LONGEST_PATH_CAP, "exact longest-path search")
+    return comp
+
+
+def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
+    """A maximum-length path from u in G minus ``avoid``; lexicographically
+    smallest vertex sequence among the maximum-length ones."""
+    comp = _anchored_component(G, u, avoid)
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
     key = ("longest", G.rows, u, comp)
     return recall(key, budget, _longest, G, u, comp, budget)
@@ -321,6 +336,19 @@ def _longest(G: Graph, u: int, comp: int, budget: Budget) -> UPath:
     budget.spend()  # the root state
     table = _reach(G, u, comp, budget)
     return _lex_least(G, u, _leading_to(G, table, len(table) - 1, table[-1]))
+
+
+def has_upath(G: Graph, u: int, avoid: VertexSetLike, p: int) -> bool:
+    """Whether G minus ``avoid`` has a u-path with p edges: the table's level
+    p is nonempty.  Charged like ``longest_u_path``, under its budget label,
+    for the root and the states of levels 1..p only; builds no path and keeps
+    no memo entry."""
+    if p < 0:
+        raise InputError("path length must be nonnegative")
+    comp = _anchored_component(G, u, avoid)
+    budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
+    budget.spend()  # the root state
+    return len(_reach(G, u, comp, budget, p)) > p
 
 
 def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:

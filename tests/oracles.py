@@ -14,7 +14,9 @@ oracle and leg-by-leg embedding check, kept to pin the flat search (same
 embedding, same node charge) and the one-pass check, and
 ``reference_case_b_holds`` and ``reference_case_a_holds``, the witness
 check's earlier statements of the growth rules' cases B and A, kept to pin
-the statements the analyzers and the witness check now share.
+the statements the analyzers and the witness check now share, and
+``reference_attachment``, the attachment set as first written, over
+``brute_longest_path_len``, kept to pin the level-bounded question.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
 
@@ -186,6 +188,18 @@ def brute_longest_path_len(G, u, avoid=()):
     return walk([u], {u})
 
 
+def reference_attachment(G, u, w, p_vertices, p):
+    """The growth rule's attachment set as a set of ids: the vertices z of
+    ``p_vertices`` other than u, adjacent to w, such that G minus {w, z}
+    still has a u-path with p edges."""
+    nbr = adj_sets(G)
+    return {
+        z
+        for z in p_vertices
+        if z != u and z in nbr[w] and brute_longest_path_len(G, u, {w, z}) >= p
+    }
+
+
 def brute_max_inner_edges(G, u, allowed, p):
     """(most edges inside the vertex set of a u-path with p edges using only
     ``allowed`` vertices, every such path reaching it in lexicographic
@@ -349,13 +363,15 @@ def brute_reroute_last_neighbor(G, P, x):
     return best_seq
 
 
-def brute_prefix_states(G, u, allowed):
+def brute_prefix_states(G, u, allowed, longest=None):
     """Number of distinct (vertex set, last vertex) pairs over the u-paths
-    using only ``allowed`` vertices, the one-vertex path (u,) included."""
+    using only ``allowed`` vertices with at most ``longest`` edges (no bound
+    when None), the one-vertex path (u,) included."""
     nbr = adj_sets(G)
     rest = sorted(set(allowed) - {u})
     states = set()
-    for r in range(len(rest) + 1):
+    top = len(rest) if longest is None else min(len(rest), longest)
+    for r in range(top + 1):
         for tail in permutations(rest, r):
             seq = (u,) + tail
             if is_path_of(nbr, seq):

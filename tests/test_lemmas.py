@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     brute_max_inner_edges,
     brute_upath_counts,
+    reference_attachment,
     reference_case_a_holds,
     reference_case_b_holds,
     scan_balanced_split,
@@ -385,6 +386,32 @@ def test_max_paths_match_brute_oracle(monkeypatch):
                             assert again == got and warm.used == cold.used
 
 
+def test_max_paths_trip_at_the_limits_next_node(monkeypatch):
+    # each search runs cold and spends one node per vertex placed; one node
+    # short of that, it raises the per-node search's text
+    for G in graphs_up_to(5):
+        n = G.n
+        for u in range(n):
+            for size in range(3):
+                for excl in combinations(range(n), size):
+                    allowed = G.full_mask & ~mask_of(excl)
+                    counts = brute_upath_counts(G, u, bits_of(allowed))
+                    for p in range(n + 1):
+                        nodes = sum(counts[1 : p + 1])
+                        if not nodes:
+                            continue
+                        monkeypatch.setattr(paths_mod, "_memo", {})
+                        short = Budget(nodes - 1, "maximality check")
+                        with pytest.raises(CapabilityError) as tripped:
+                            lemmas_mod._max_paths(G, u, allowed, p, short)
+                        assert str(tripped.value) == (
+                            f"maximality check budget exceeded ({nodes} > {nodes - 1} nodes)"
+                        )
+                        exact = Budget(nodes, "maximality check")
+                        lemmas_mod._max_paths(G, u, allowed, p, exact)
+                        assert exact.used == nodes, (G, u, excl, p)
+
+
 def test_warm_maximality_memo_follows_the_budget(monkeypatch):
     G = Graph.complete(7)
     inst = make_instance(6, G, 0, UPath((0, 1, 2, 3)), UPath((0, 4)), w=6)
@@ -435,6 +462,29 @@ def test_warm_attachment_memo_follows_the_budget(monkeypatch):
     monkeypatch.setenv("ESOS_BUDGET", "1")
     with pytest.raises(CapabilityError, match="longest_u_path"):
         lemmas_mod._attachment_set(G, 0, 5, 0b111, 2)
+
+
+def test_attachment_sets_match_the_reference(monkeypatch):
+    # every attachment set the rule-5 enumeration asks for on a class with
+    # n <= 6, computed again cold and checked against its definition
+    asked = set()
+    real = lemmas_mod._attachment_set
+
+    def spy(G, u, w, p_mask, p):
+        asked.add((G, u, w, p_mask, p))
+        return real(G, u, w, p_mask, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(lemmas_mod, "_attachment_set", spy)
+        for G in graphs_up_to(6):
+            for _ in enumerate_instances(5, G):
+                pass
+    assert len(asked) > 1000
+    for G, u, w, p_mask, p in asked:
+        monkeypatch.setattr(paths_mod, "_memo", {})
+        got = lemmas_mod._attachment_set(G, u, w, p_mask, p)
+        want = reference_attachment(G, u, w, bits_of(p_mask), p)
+        assert set(bits_of(got)) == want, (G, u, w, p_mask, p)
 
 
 def test_one_memo_holds_every_query_kind_within_its_size(monkeypatch):

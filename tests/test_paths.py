@@ -30,6 +30,7 @@ from esos.paths import (
     check_lemma2_bound,
     check_observation1,
     first_upath_to,
+    has_upath,
     is_absorbable,
     is_strictly_absorbable,
     is_valid_upath,
@@ -463,6 +464,56 @@ def test_longest_path_matches_brute_oracle():
                 for avoid in combinations(others, size):
                     got = longest_u_path(G, u, avoid).vertices
                     assert got == brute_longest_path(G, u, avoid), (G, u, avoid)
+
+
+def test_has_upath_matches_brute_oracle(monkeypatch):
+    # the answer, and a charge of the root plus one node per (vertex set,
+    # last vertex) state of the u-paths with 1..p edges: the table stops at
+    # level p, and the search trips at the limit's next node
+    budgets = []
+    limit = 0
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(paths_mod, "Budget", Recorded)
+    monkeypatch.setattr(paths_mod, "search_budget", lambda default: limit)
+    monkeypatch.setattr(paths_mod, "_memo", {})
+    for G in small_graphs():
+        for u in range(G.n):
+            others = [v for v in range(G.n) if v != u]
+            for size in range(3):
+                for avoid in combinations(others, size):
+                    longest = brute_longest_path_len(G, u, avoid)
+                    allowed = set(range(G.n)) - set(avoid)
+                    for p in range(G.n + 1):
+                        if p <= longest:  # no state lies past the longest path
+                            nodes = brute_prefix_states(G, u, allowed, p)
+                        limit = nodes
+                        assert has_upath(G, u, avoid, p) == (longest >= p)
+                        assert budgets[-1].used == nodes, (G, u, avoid, p)
+                        limit = nodes - 1
+                        with pytest.raises(CapabilityError) as tripped:
+                            has_upath(G, u, avoid, p)
+                        assert str(tripped.value) == (
+                            f"longest_u_path budget exceeded ({nodes} > {limit} nodes)"
+                        )
+    assert paths_mod._memo == {}  # the question keeps no memo entry
+
+
+def test_has_upath_checks_its_input():
+    with pytest.raises(InputError, match="anchor out of range"):
+        has_upath(C4, 4, 0, 1)
+    with pytest.raises(InputError, match="anchor is in the avoid set"):
+        has_upath(C4, 0, {0}, 1)
+    with pytest.raises(InputError, match="path length must be nonnegative"):
+        has_upath(C4, 0, 0, -1)
+    with pytest.raises(CapabilityError, match="capped at 20 vertices"):
+        has_upath(Graph.complete(21), 0, 0, 1)
 
 
 def test_spanning_paths_and_reroutes_match_brute_oracle():
