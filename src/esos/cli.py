@@ -16,8 +16,9 @@ Subcommands:
 0 clean, 1 failures found, 2 input error (a run that would check nothing,
 such as a census whose threshold exceeds K_n's edge count, counts as one),
 3 budget/cap exceeded.
-The ESOS_BUDGET environment variable, a nonnegative integer, overrides
-search node budgets; any other value is an input error.
+The ESOS_BUDGET environment variable, a nonnegative integer, overrides every
+search node budget except instance synthesis's fixed one (the optimal-reroute
+and spanning-path searches have none); any other value is an input error.
 """
 
 from __future__ import annotations

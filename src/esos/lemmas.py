@@ -27,13 +27,12 @@ queries:
 
 * "maximal", the maximality search (``_max_paths``), keyed by (graph, u,
   allowed set, p);
-* "attachment", lemma 5's attachment set, keyed by (graph, u, w, V(P), p,
-  node budget of each of its inner searches), the only key with a budget
-  limit (``_attachment_set`` says why).  Each member z is one
-  ``paths.has_upath`` question, which keeps no entry of its own.
+* "attachment", the vertices on every u-path with p edges in G - w
+  (``paths.on_every_upath``), keyed by (graph, u, w, p); they give lemma
+  5's attachment set for every P of that length.
 
-P is not part of a key, and every check of ``validate_instance`` runs on
-every call.
+A hit on either is charged as a cold search would be.  P is not part of a
+key, and every check of ``validate_instance`` runs on every call.
 
 The rules are numbered 3, 4, 5, 6 on the CLI:
 
@@ -101,8 +100,8 @@ from .paths import (
     iter_upaths,
     iter_upaths_exact,
     first_upath_to,
-    has_upath,
     longest_u_path,
+    on_every_upath,
     recall,
     reroute_maximizing_last_neighbor,
 )
@@ -192,22 +191,17 @@ def _ev(G: Graph, v: int, mask: int) -> int:
 
 
 def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
-    """Vertices z on P adjacent to w such that deleting {w,z} still leaves an
-    anchored path of length p (lemma 5's correction set).  Each z is one
-    ``paths.has_upath`` question, whose table stops at level p and which
-    keeps no memo entry; the set itself is memoised."""
-    # each inner search gets a fresh budget of this size, so a set stored
-    # under the same limit is what the searches would return again
-    key = ("attachment", G.rows, u, w, p_mask, p, search_budget(LONGEST_PATH_BUDGET))
-    return recall(key, None, _attachment, G, u, w, p_mask, p)
-
-
-def _attachment(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
-    out = 0
-    for z in bits_of(G.rows[w] & p_mask):
-        if z != u and has_upath(G, u, bit(w) | bit(z), p):
-            out |= bit(z)
-    return out
+    """Vertices z of V(P-u) adjacent to w such that G - {w, z} still has a
+    u-path with p edges (lemma 5's correction set): the neighbours of w
+    missing from some such path in G - w, read off one
+    ``paths.on_every_upath`` answer memoised per (u, w, p)."""
+    near = G.rows[w] & p_mask & ~bit(u)
+    if not near:
+        return 0
+    budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
+    allowed = G.full_mask & ~bit(w)
+    key = ("attachment", G.rows, u, w, p)
+    return near & ~recall(key, budget, on_every_upath, G, u, allowed, p, budget)
 
 
 def _surplus2(
@@ -265,7 +259,8 @@ def _probe_end_filter(
     """Which probe ends x the rule admits with P: a nonnegative surplus, and
     for rule 6, x absorbable to P's optimal reroute.  ``fields`` are the
     rule's named vertices (rule 4: w1, w2, the detached path's ends); x must
-    lie off P.  Rule 5's attachment set is computed here, once per P."""
+    lie off P.  Rule 5's attachment set is read here, once per P, from a
+    table built once per (u, w, p)."""
     S = _attachment_set(G, u, fields["w"], P.mask(), P.length) if lemma == 5 else 0
 
     def admissible(x: int) -> bool:
@@ -411,7 +406,7 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
 
     That search, lemma 5's attachment set and lemma 6's optimal reroute are
     read from the one bounded search memo described in the module
-    docstring; a maximality hit is charged to this call's budget as
+    docstring; a maximality or attachment hit is charged to its budget as
     ``paths.recall`` states.  The instance itself is never cached: P, Q, x
     and the named vertices are checked on every call.
     """

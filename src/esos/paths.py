@@ -20,19 +20,19 @@ recursion (``_reach``): level i maps the vertex set of each u-path with i
 edges inside an allowed set to the bitmask of its possible last vertices,
 and each (vertex set, last vertex) state after the root costs one budget
 node.  A query is a goal on the table: the whole set's state for reroute and
-second ends, the last nonempty level for the longest path, level p nonempty
-for ``has_upath`` (whose table stops there), the state (verts, end) for
-``spanning_path_to``, and for the optimal reroute a state on the latest
-level that holds every x-neighbour of P-u and ends at one, then any spanning
-completion.  ``_leading_to`` keeps the states that reach a goal and
-``_lex_least`` walks them in ascending neighbour order.
+second ends, the last nonempty level for the longest path, the AND of level
+p's vertex sets for ``on_every_upath`` (whose table stops there), the state
+(verts, end) for ``spanning_path_to``, and for the optimal reroute a state on
+the latest level that holds every x-neighbour of P-u and ends at one, then
+any spanning completion.  ``_leading_to`` keeps the states that reach a goal
+and ``_lex_least`` walks them in ascending neighbour order.
 
 The searches callers repeat share one memo of MEMO_SIZE entries through
 ``recall``, which states how a hit is charged.  A key starts with its query
 name: "longest" and "reroute" here, each then (graph, anchor, allowed
-set[, x]), and "maximal" and "attachment" in ``esos.lemmas``, where only
-the attachment key carries a budget limit.  ``has_upath`` and the reroute-end
-and second-end searches keep no entry.  Only results are kept: at
+set[, x]), and "maximal" and "attachment" in ``esos.lemmas``, the latter
+holding ``on_every_upath``'s answers.  That query and the reroute-end and
+second-end searches keep no entry here.  Only results are kept: at
 LONGEST_PATH_CAP vertices a table holds millions of states.
 
 The three ``check_*`` predicates recast proven degree bounds as executable
@@ -309,10 +309,9 @@ def _component(G: Graph, u: int, allowed: int) -> int:
     return comp
 
 
-def _anchored_component(G: Graph, u: int, avoid: VertexSetLike) -> int:
-    """The component of u in G minus ``avoid``, after the checks of both
-    anchored-path queries: u and ``avoid`` in range, u not avoided, and the
-    component within LONGEST_PATH_CAP vertices."""
+def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
+    """A maximum-length path from u in G minus ``avoid``; lexicographically
+    smallest vertex sequence among the maximum-length ones."""
     if not 0 <= u < G.n:
         raise InputError("anchor out of range")
     avoid_mask = _checked_mask(G, avoid, "avoid set")
@@ -320,13 +319,6 @@ def _anchored_component(G: Graph, u: int, avoid: VertexSetLike) -> int:
         raise InputError("anchor is in the avoid set")
     comp = _component(G, u, G.full_mask & ~avoid_mask)
     _cap(comp.bit_count(), LONGEST_PATH_CAP, "exact longest-path search")
-    return comp
-
-
-def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
-    """A maximum-length path from u in G minus ``avoid``; lexicographically
-    smallest vertex sequence among the maximum-length ones."""
-    comp = _anchored_component(G, u, avoid)
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
     key = ("longest", G.rows, u, comp)
     return recall(key, budget, _longest, G, u, comp, budget)
@@ -338,17 +330,25 @@ def _longest(G: Graph, u: int, comp: int, budget: Budget) -> UPath:
     return _lex_least(G, u, _leading_to(G, table, len(table) - 1, table[-1]))
 
 
-def has_upath(G: Graph, u: int, avoid: VertexSetLike, p: int) -> bool:
-    """Whether G minus ``avoid`` has a u-path with p edges: the table's level
-    p is nonempty.  Charged like ``longest_u_path``, under its budget label,
-    for the root and the states of levels 1..p only; builds no path and keeps
-    no memo entry."""
+def on_every_upath(G: Graph, u: int, allowed: int, p: int, budget: Budget) -> int:
+    """The vertices on every u-path with p edges inside ``allowed`` (the AND
+    of level p's vertex sets), or ``allowed`` when there is none.  The root
+    and each state of levels 1..p cost one node.  InputError for u or
+    ``allowed`` outside the host or a negative p; CapabilityError past
+    LONGEST_PATH_CAP allowed vertices."""
+    if not 0 <= u < G.n or allowed >> G.n:  # a negative mask shifts to -1
+        raise InputError(f"anchor or allowed set outside 0..{G.n - 1}")
     if p < 0:
         raise InputError("path length must be nonnegative")
-    comp = _anchored_component(G, u, avoid)
-    budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
+    _cap(allowed.bit_count(), LONGEST_PATH_CAP, "exact longest-path search")
+    if not allowed & bit(u):
+        return allowed
     budget.spend()  # the root state
-    return len(_reach(G, u, comp, budget, p)) > p
+    table = _reach(G, u, allowed, budget, p)
+    common = allowed
+    for m in table[p] if p < len(table) else ():
+        common &= m
+    return common
 
 
 def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:

@@ -200,6 +200,21 @@ def reference_attachment(G, u, w, p_vertices, p):
     }
 
 
+def brute_on_every_upath(G, u, allowed, p):
+    """The ids on every u-path with p edges using only ``allowed`` vertices,
+    or the ``allowed`` set itself when there is no such path; by trying
+    every ordering."""
+    nbr = adj_sets(G)
+    allowed = set(allowed)
+    common = set(allowed)
+    if u in allowed:
+        for tail in permutations(sorted(allowed - {u}), p):
+            seq = (u,) + tail
+            if is_path_of(nbr, seq):
+                common &= set(seq)
+    return common
+
+
 def brute_max_inner_edges(G, u, allowed, p):
     """(most edges inside the vertex set of a u-path with p edges using only
     ``allowed`` vertices, every such path reaching it in lexicographic

@@ -460,8 +460,48 @@ def test_warm_attachment_memo_follows_the_budget(monkeypatch):
     monkeypatch.setattr(paths_mod, "_memo", {})
     assert lemmas_mod._attachment_set(G, 0, 5, 0b111, 2) == 0b110
     monkeypatch.setenv("ESOS_BUDGET", "1")
-    with pytest.raises(CapabilityError, match="longest_u_path"):
+
+    def no_search(*args):
+        raise AssertionError("a memo hit must not search")
+
+    with monkeypatch.context() as m:
+        m.setattr(lemmas_mod, "on_every_upath", no_search)
+        with pytest.raises(CapabilityError, match="longest_u_path") as warm:
+            lemmas_mod._attachment_set(G, 0, 5, 0b111, 2)
+    monkeypatch.setattr(paths_mod, "_memo", {})
+    with pytest.raises(CapabilityError) as cold:
         lemmas_mod._attachment_set(G, 0, 5, 0b111, 2)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_node_tallies_do_not_depend_on_the_memo(monkeypatch):
+    # every budgeted memo hit charges what its cold search spent, so the
+    # nodes summed per budget label are the same whether the memo keeps
+    # every entry or evicts at once
+    def tallies(size):
+        budgets = []
+        made = Budget.__init__
+
+        def init(budget, *args):
+            made(budget, *args)
+            budgets.append(budget)
+
+        with monkeypatch.context() as m:
+            m.setattr(Budget, "__init__", init)
+            m.setattr(paths_mod, "_memo", {})
+            m.setattr(paths_mod, "MEMO_SIZE", size)
+            for n in (7, 9):
+                insts, _ = sample_instances(5, n, 60, seed=3)
+                for inst in insts:
+                    assert verify_outcome(inst, analyze(inst))
+        out = {}
+        for budget in budgets:
+            out[budget.label] = out.get(budget.label, 0) + budget.used
+        return out
+
+    warm = tallies(512)
+    assert warm["longest_u_path"] > 0
+    assert warm == tallies(1)
 
 
 def test_attachment_sets_match_the_reference(monkeypatch):

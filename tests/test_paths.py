@@ -10,6 +10,7 @@ from conftest import graph_from_bits, graphs
 from oracles import (
     brute_longest_path,
     brute_longest_path_len,
+    brute_on_every_upath,
     brute_prefix_states,
     brute_reroute_ends,
     brute_reroute_last_neighbor,
@@ -30,13 +31,13 @@ from esos.paths import (
     check_lemma2_bound,
     check_observation1,
     first_upath_to,
-    has_upath,
     is_absorbable,
     is_strictly_absorbable,
     is_valid_upath,
     iter_upaths,
     iter_upaths_exact,
     longest_u_path,
+    on_every_upath,
     recall,
     reroute_ends,
     reroute_maximizing_last_neighbor,
@@ -466,22 +467,10 @@ def test_longest_path_matches_brute_oracle():
                     assert got == brute_longest_path(G, u, avoid), (G, u, avoid)
 
 
-def test_has_upath_matches_brute_oracle(monkeypatch):
+def test_on_every_upath_matches_brute_oracle(monkeypatch):
     # the answer, and a charge of the root plus one node per (vertex set,
     # last vertex) state of the u-paths with 1..p edges: the table stops at
     # level p, and the search trips at the limit's next node
-    budgets = []
-    limit = 0
-
-    class Recorded(Budget):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            budgets.append(self)
-
-    monkeypatch.setattr(paths_mod, "Budget", Recorded)
-    monkeypatch.setattr(paths_mod, "search_budget", lambda default: limit)
     monkeypatch.setattr(paths_mod, "_memo", {})
     for G in small_graphs():
         for u in range(G.n):
@@ -493,27 +482,36 @@ def test_has_upath_matches_brute_oracle(monkeypatch):
                     for p in range(G.n + 1):
                         if p <= longest:  # no state lies past the longest path
                             nodes = brute_prefix_states(G, u, allowed, p)
-                        limit = nodes
-                        assert has_upath(G, u, avoid, p) == (longest >= p)
-                        assert budgets[-1].used == nodes, (G, u, avoid, p)
-                        limit = nodes - 1
+                        exact = Budget(nodes, "longest_u_path")
+                        got = on_every_upath(G, u, mask_of(allowed), p, exact)
+                        want = brute_on_every_upath(G, u, allowed, p)
+                        assert set(bits_of(got)) == want, (G, u, avoid, p)
+                        assert exact.used == nodes, (G, u, avoid, p)
+                        short = Budget(nodes - 1, "longest_u_path")
                         with pytest.raises(CapabilityError) as tripped:
-                            has_upath(G, u, avoid, p)
+                            on_every_upath(G, u, mask_of(allowed), p, short)
                         assert str(tripped.value) == (
-                            f"longest_u_path budget exceeded ({nodes} > {limit} nodes)"
+                            f"longest_u_path budget exceeded ({nodes} > {nodes - 1} nodes)"
                         )
     assert paths_mod._memo == {}  # the question keeps no memo entry
 
 
-def test_has_upath_checks_its_input():
-    with pytest.raises(InputError, match="anchor out of range"):
-        has_upath(C4, 4, 0, 1)
-    with pytest.raises(InputError, match="anchor is in the avoid set"):
-        has_upath(C4, 0, {0}, 1)
+def test_on_every_upath_checks_its_input():
+    budget = Budget(10**6)
+    for u, allowed in ((4, 0b1111), (-1, 0b1111), (0, 0b11111), (0, -1)):
+        with pytest.raises(InputError, match=r"anchor or allowed set outside 0\.\.3"):
+            on_every_upath(C4, u, allowed, 1, budget)
     with pytest.raises(InputError, match="path length must be nonnegative"):
-        has_upath(C4, 0, 0, -1)
+        on_every_upath(C4, 0, 0b1111, -1, budget)
+    K21 = Graph.complete(21)
     with pytest.raises(CapabilityError, match="capped at 20 vertices"):
-        has_upath(Graph.complete(21), 0, 0, 1)
+        on_every_upath(K21, 0, K21.full_mask, 1, budget)
+    # no path leaves an anchor outside the allowed set, and nothing is searched
+    assert on_every_upath(C4, 0, 0b1110, 1, budget) == 0b1110
+    assert budget.used == 0
+    # vertices 0..19 are within the cap: the root and 19 one-edge paths
+    assert on_every_upath(K21, 0, K21.full_mask >> 1, 1, budget) == 0b1
+    assert budget.used == 20
 
 
 def test_spanning_paths_and_reroutes_match_brute_oracle():
