@@ -1,20 +1,30 @@
 """Canonical enumeration of small graphs, one per isomorphism class.
 
 Built-in enumeration is capped at 7 vertices; larger populations come from
-external graph6 streams.  Classes are produced incrementally: every class on
-m vertices is extended by a new vertex with each neighbourhood that leaves
-the new vertex at minimum degree, and the results are deduplicated by a
-canonical key.  Both shortcuts are exact:
+external graph6 streams.  Classes are produced incrementally: every class H
+on m vertices is extended by a new vertex with each neighbourhood that
+leaves the new vertex at minimum degree and meets each twin class of H in a
+lowest-id-first prefix, and the results are deduplicated by a canonical
+key.  All three shortcuts are exact:
 
 * every graph is a smaller graph plus a vertex of minimum degree (delete a
   vertex of minimum degree and read off its class), so the extensions
   that keep the new vertex at minimum degree still reach every class;
+* permuting a twin class of H (twins u, v have N(u) - v = N(v) - u) is an
+  automorphism of H that carries any neighbourhood to its prefix form, so
+  both extensions are isomorphic; twins share a degree, so the
+  minimum-degree filter keeps or drops the two forms together;
 * the key is colour refinement to an invariant ordered partition, then the
   lexicographically least row-by-row adjacency encoding over
-  partition-respecting orderings, with prefix pruning.  Twins u, v (with
-  N(u) - v = N(v) - u) lie in one cell, and swapping two unplaced twins is
-  an automorphism fixing every placed vertex, so the two subtrees give the
-  same encodings and the search tries one twin of each class per position.
+  partition-respecting orderings, with prefix pruning.  Twins u, v lie in
+  one cell, and swapping two unplaced twins is an automorphism fixing
+  every placed vertex, so the two subtrees give the same encodings and the
+  search tries one twin of each class per position.
+
+Colour refinement stops at the first round that splits no class, or once
+every class is a single vertex: a signature starts with the vertex's colour,
+so the next round would read the same counts off the same classes and
+split nothing either, and a single vertex cannot be split.
 
 The key does not depend on which extension produced a graph, and the
 representative of a class is built from its key, so the classes and their
@@ -26,7 +36,7 @@ order is stable across runs.  ``graphs_up_to`` runs ``_check_order``, as
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator
 
 from .errors import CapabilityError, InputError
@@ -40,30 +50,39 @@ _cache: dict[int, list[Graph]] = {}
 def refined_cells(G: Graph) -> list[list[int]]:
     """Stable colour refinement from degrees; cells in invariant order.
 
-    A vertex's signature is its colour and the sorted tuple of its
-    neighbours' colours, read off one popcount per colour class."""
+    A vertex's signature is its colour, then its negated neighbour count
+    in each colour class: one colour has one degree, so these sort as the
+    sorted tuples of neighbour colours would."""
     rows = G.rows
     color = [row.bit_count() for row in rows]
     while True:
         classes: dict[int, int] = {}
         for v, c in enumerate(color):
             classes[c] = classes.get(c, 0) | 1 << v
-        by_color = sorted(classes.items())
-        sigs = []
-        for v, row in enumerate(rows):
-            nbr_colors: list[int] = []
-            for c, members in by_color:
-                nbr_colors += (c,) * (row & members).bit_count()
-            sigs.append((color[v], tuple(nbr_colors)))
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == color:
+        if len(classes) == G.n:
             break
-        color = new
+        counts = [[-(row & classes[c]).bit_count() for row in rows] for c in sorted(classes)]
+        sigs = list(zip(color, *counts))
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(palette) == len(classes):
+            break
+        color = [palette[s] for s in sigs]
     cells: dict[int, list[int]] = {}
     for v in range(G.n):
         cells.setdefault(color[v], []).append(v)
     return [cells[c] for c in sorted(cells)]
+
+
+def _twin_before(rows: tuple[int, ...]) -> list[int]:
+    """Each vertex's nearest lower-id twin, else -1.  An open row never
+    equals another vertex's closed row, so one dict finds both kinds."""
+    last: dict[int, int] = {}
+    before = []
+    for v, row in enumerate(rows):
+        closed = row | 1 << v
+        before.append(last.get(row, last.get(closed, -1)))
+        last[row] = last[closed] = v
+    return before
 
 
 def canonical_key(G: Graph) -> tuple[int, ...]:
@@ -74,16 +93,9 @@ def canonical_key(G: Graph) -> tuple[int, ...]:
     n = G.n
     rows = G.rows
     cell_at: list[list[int]] = []
-    twin_before = [-1] * n  # v's nearest earlier twin in its cell, else -1
     for cell in refined_cells(G):
         cell_at += [cell] * len(cell)
-        # An open row never equals another vertex's closed row, so one
-        # dict finds both kinds of twin.
-        last: dict[int, int] = {}
-        for v in cell:
-            row, closed = rows[v], rows[v] | 1 << v
-            twin_before[v] = last.get(row, last.get(closed, -1))
-            last[row] = last[closed] = v
+    twin_before = _twin_before(rows)  # twins share a cell
     adj = [0] * n  # adj[v]: positions of v's placed neighbours
     rowbits = [0] * n
     best: list[int] = []
@@ -135,11 +147,11 @@ def canonical_form(G: Graph) -> Graph:
 def _from_key(key: tuple[int, ...]) -> Graph:
     """The graph a canonical key encodes: row j lists the earlier
     neighbours of vertex j."""
-    edges = []
+    rows = list(key)
     for j, row in enumerate(key):
         for i in bits_of(row):
-            edges.append((i, j))
-    return Graph.from_edges(len(key), edges)
+            rows[i] |= 1 << j
+    return Graph(len(key), tuple(rows))
 
 
 def _check_order(n: int) -> None:
@@ -169,7 +181,13 @@ def enumerate_graphs(n: int) -> list[Graph]:
             degs = [r.bit_count() for r in H.rows]
             max_d = min(degs) + 1
             below = [mask_of(v for v, dv in enumerate(degs) if dv < d) for d in range(n)]
-            for nbrs in range(1 << (n - 1)):
+            # The new vertex meets each twin class of H in a lowest-id-first
+            # prefix; prefixes maps a class's highest vertex to those masks.
+            prefixes: dict[int, list[int]] = {}
+            for v, twin in enumerate(_twin_before(H.rows)):
+                grown = prefixes.pop(twin, [0])
+                prefixes[v] = grown + [grown[-1] | 1 << v]
+            for nbrs in map(sum, product(*prefixes.values())):
                 d = nbrs.bit_count()
                 if d > max_d or below[d] & ~nbrs:
                     continue

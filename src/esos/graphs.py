@@ -75,6 +75,8 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.rows) is not tuple:  # e.g. list rows: keep G hashable
+            object.__setattr__(self, "rows", tuple(self.rows))
         if not 1 <= self.n <= MAX_VERTICES:
             raise InputError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.rows) != self.n:

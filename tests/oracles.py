@@ -17,10 +17,13 @@ check's earlier statements of the growth rules' cases B and A, kept to pin
 the statements the analyzers and the witness check now share, and
 ``reference_attachment``, the attachment set as first written, over
 ``brute_longest_path_len``, kept to pin the level-bounded question.
+``polya_counts`` counts the classes per edge count with no canonical form.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
+from math import factorial, gcd, lcm
 
 from esos.embed import Embedding
 from esos.graphs import Graph, bit, bits_of
@@ -330,6 +333,45 @@ def brute_canonical_classes(n):
         )
         seen.add(key)
     return len(seen)
+
+
+def _partitions(n, cap):
+    """The partitions of n into parts of at most ``cap``, descending."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def polya_counts(n):
+    """Isomorphism classes of n-vertex graphs by edge count (index e), by
+    Polya's theorem over the cycle index of the pair group: a graph fixed
+    by a permutation is a union of its cycles on vertex pairs, so the
+    classes with e edges are the average over S_n of the coefficient of x^e
+    in prod (1 + x^len) over those cycles.  No canonical form is used."""
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for parts in _partitions(n, n):
+        # the permutations of S_n with this cycle type
+        count = factorial(n)
+        for k, m in Counter(parts).items():
+            count //= k**m * factorial(m)
+        lengths = []
+        for i, a in enumerate(parts):
+            # pairs inside one a-cycle, then pairs across two cycles
+            lengths += [a] * ((a - 1) // 2) + [a // 2] * (1 - a % 2)
+            for b in parts[i + 1:]:
+                lengths += [lcm(a, b)] * gcd(a, b)
+        poly = [1]
+        for length in lengths:
+            poly = [
+                c + (poly[e - length] if e >= length else 0)
+                for e, c in enumerate(poly + [0] * length)
+            ]
+        for e, c in enumerate(poly):
+            total[e] += count * c
+    return [t // factorial(n) for t in total]
 
 
 def brute_longest_path(G, u, avoid=()):

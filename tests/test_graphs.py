@@ -36,6 +36,7 @@ from esos.graphs import (
     satisfies_local_condition,
     verify_H_certificate,
 )
+from esos.paths import longest_u_path
 
 C4 = Graph.cycle(4)
 K13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -66,6 +67,14 @@ def test_construction_rejects_bad_rows():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(InputError):
         Graph.from_edges(3, [(1, 1)])
+
+
+def test_list_rows_make_the_same_hashable_graph():
+    listed, tupled = Graph(3, [6, 5, 3]), Graph(3, (6, 5, 3))
+    assert listed.rows == (6, 5, 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert longest_u_path(listed, 0) == longest_u_path(tupled, 0)
+    assert longest_u_path(listed, 0).vertices == (0, 1, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 import os
 import random
 import subprocess
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from conftest import graph_from_bits, graphs
 from oracles import (
     brute_canonical_classes,
+    polya_counts,
     reference_canonical_key,
     reference_enumerate_graphs,
     reference_extensions,
+    reference_refined_cells,
 )
 
 import esos
@@ -28,6 +31,7 @@ from esos.enumeration import (
     canonical_key,
     enumerate_graphs,
     read_graph6_stream,
+    refined_cells,
 )
 from esos.errors import CapabilityError, InputError
 from esos.graphs import Graph, HCertificate
@@ -53,6 +57,31 @@ def test_enumeration_matches_reference_graph6():
     for n in range(1, 8):
         got = [G.to_graph6() for G in enumerate_graphs(n)]
         assert got == [G.to_graph6() for G in reference_enumerate_graphs(n)], n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_counts_every_edge_layer_as_polya_does(n):
+    # a pruning bug that drops a class in one layer and duplicates one in
+    # another keeps the total per n, but not the count per edge layer
+    expected = polya_counts(n)
+    assert sum(expected) == KNOWN_CLASS_COUNTS[n]
+    layers = Counter(G.edge_count() for G in enumerate_graphs(n))
+    assert [layers[e] for e in range(len(expected))] == expected
+
+
+def test_cold_enumeration_keys_only_twin_prefix_extensions(monkeypatch):
+    warm = [enumerate_graphs(n) for n in range(1, 8)]
+    keyed = Counter()
+
+    def counting(G):
+        keyed[G.n] += 1
+        return canonical_key(G)
+
+    monkeypatch.setattr(enumeration_mod, "_cache", {})
+    monkeypatch.setattr(enumeration_mod, "canonical_key", counting)
+    assert [enumerate_graphs(n) for n in range(1, 8)] == warm
+    # 3,131 keys in all without the twin-prefix extensions
+    assert keyed == {2: 2, 3: 4, 4: 11, 5: 42, 6: 221, 7: 1808}
 
 
 def test_canonical_key_matches_reference_on_every_small_extension():
@@ -92,6 +121,26 @@ TWIN_HEAVY_HOSTS = (
 @pytest.mark.parametrize("G", TWIN_HEAVY_HOSTS, ids=lambda G: G.to_graph6())
 def test_canonical_key_matches_reference_on_twin_heavy_hosts(G):
     assert canonical_key(G) == reference_canonical_key(G)
+
+
+@pytest.mark.parametrize("G", TWIN_HEAVY_HOSTS, ids=lambda G: G.to_graph6())
+def test_refined_cells_match_reference_on_twin_heavy_hosts(G):
+    assert refined_cells(G) == reference_refined_cells(G)
+
+
+@pytest.mark.parametrize("n, count", [(7, 300), (8, 150)])
+def test_refined_cells_match_reference_on_seeded_samples(n, count):
+    rng = random.Random(20260 + n)
+    for _ in range(count):
+        G = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2))
+        assert refined_cells(G) == reference_refined_cells(G), G
+
+
+def test_refined_cells_match_reference_on_every_small_extension():
+    for n in range(2, 7):
+        for H in enumerate_graphs(n - 1):
+            for G in reference_extensions(H):
+                assert refined_cells(G) == reference_refined_cells(G), G
 
 
 @settings(max_examples=150, deadline=None)
