@@ -10,18 +10,20 @@ legs are not tried in both orders.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
 suggests: strip a leaf off the longest leg, take the oracle's embedding of
-the smaller spider at the centre (none: the guided phase abstains), find
-the probe end x of a longest path off it, and try the extension moves on
-its first stub (a leg of the stripped length, or the bare centre), with
-the stub's least second end off the embedding and x (else its least
-inside second end) as the swap anchor.  Guided moves are verify-or-skip:
-when they all fail, or a search in them trips a cap or budget, the bounded
-exhaustive oracle decides, so correctness never depends on the heuristic
-phase.  Each call decides its spider once and keeps no outcome memo.  A
-certificate is emitted only after the oracle has confirmed the spider does
-not embed at the requested centre, and is verified before it is returned:
-``whole_split`` (the whole graph, for any all-even spider) or, tried first
-and for the all-twos spider T0 only, ``local_split`` through the centre.
+the smaller spider at the centre (none: the guided phase abstains), and
+try the extension moves on its first stub (a leg of the stripped length,
+or the bare centre) in turn.  The probe end x of a longest path off the
+embedding is searched for once the direct extension has failed, and the
+stub's least second end off the embedding and x (else its least inside
+second end), a swap anchor, only when the swap is tried.  Guided moves
+are verify-or-skip: when they all fail, or a search in them trips a cap or
+budget, the bounded exhaustive oracle decides, so correctness never
+depends on the heuristic phase.  Each call decides its spider once and
+keeps no outcome memo.  A certificate is emitted only after the oracle has
+confirmed the spider does not embed at the requested centre, and is
+verified before it is returned: ``whole_split`` (the whole graph, for any
+all-even spider) or, tried first and for the all-twos spider T0 only,
+``local_split`` through the centre.
 
 ``theorem2_check`` is the density pipeline: while some vertex set violates
 the per-subset condition, delete it (the edge identity e(G-S) =
@@ -163,15 +165,12 @@ def _embed_search(
     ``legs`` order, each leg vertex by vertex from the centre, candidates
     ascending.  Each placed vertex costs one node of ``budget``: nodes are
     counted locally and charged once on return, or at once at the node that
-    crosses the limit, which raises CapabilityError as ``spend`` does.  The
-    free-vertex prune needs no node: every placed vertex is a fresh vertex
-    of G, so k vertices fit beside the centre exactly when k + 1 <= n.  A leg
+    crosses the limit, which raises CapabilityError as ``spend`` does.  A leg
     as long as the one before it starts above that leg's first vertex,
-    which breaks the swap symmetry of equal legs.
+    which breaks the swap symmetry of equal legs.  The caller checks that
+    the k placed vertices fit beside the centre (k + 1 <= n).
     """
     k = sum(legs)
-    if k + 1 > G.n:
-        return None
     rows = G.rows
     # floor[j]: None inside a leg; at a leg start, the position of the
     # previous leg's first vertex when the two legs are equally long, else -1
@@ -239,12 +238,15 @@ def embed_bruteforce(
     One loop: centres (u, else every vertex), then leg splits.  A one-leg
     spider at a given u embeds as a k-edge path through u (the centre of a
     path is any of its vertices), so each split of it at u is tried in turn.
+    The free-vertex prune (k + 1 <= n) comes before any split is listed.
     """
     if u is not None and not 0 <= u < G.n:
         raise InputError("centre out of range")
     if T.k < 1:
         raise InputError("spider must have at least one edge")
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
+    if T.k + 1 > G.n:
+        return None
     splits = _path_splits(T.k) if u is not None and len(T.legs) == 1 else [T.legs]
     for c in range(G.n) if u is None else (u,):
         for legs in splits:
@@ -374,38 +376,16 @@ def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
 
 
 def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
-    # The oracle's embedding of the smaller spider, then one extension of its
-    # first stub (a leg of the stripped length, or the bare centre) with the
-    # probe end x off the embedding and, on a stub, its least second end w.
+    # The oracle's embedding of the smaller spider, then the moves on its
+    # first stub in order; x is asked for once the direct move has failed,
+    # w just before the swap.  x is never u: d(u) >= k, and the stripped
+    # spider uses at most k - 1 neighbours of u.
     Tp = strip_leaf(T, 0)
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
-    emb = _embed_search(G, Tp.legs, u, budget)
-    if emb is None:
+    e = _embed_search(G, Tp.legs, u, budget)
+    if e is None:
         return None
-    vmask = emb.vertex_mask()
-    Q = longest_u_path(G, u, avoid=vmask & ~bit(u))
-    if Q.length < 1:
-        return None
-    x = Q.end
-    if T.legs[0] == 1:
-        return _extend(G, T, u, emb, None, x, None)
-    idx = Tp.legs.index(T.legs[0] - 1)
-    stub = emb.legs[idx]
-    outside, inside = second_ends(G, stub)
-    wmask = mask_of(outside) & ~(vmask | bit(x)) or mask_of(inside)
-    w = (wmask & -wmask).bit_length() - 1
-    return _extend(G, T, u, emb, idx, x, w)
-
-
-def _extend(
-    G: Graph,
-    T: Spider,
-    u: int,
-    e: Embedding,
-    idx: Optional[int],
-    x: int,
-    w: Optional[int],
-) -> Optional[Embedding]:
+    idx = Tp.legs.index(T.legs[0] - 1) if T.legs[0] > 1 else None
     stub = e.legs[idx] if idx is not None else UPath((u,))
     others = [leg for j, leg in enumerate(e.legs) if j != idx]
     emb_mask = e.vertex_mask()
@@ -423,35 +403,38 @@ def _extend(
         got = assemble(others + [UPath(stub.vertices + (z,))])
         if got:
             return got
+    x = longest_u_path(G, u, avoid=emb_mask & ~bit(u)).end
     # absorb the probe end
     if stub.length >= 1 and is_absorbable(G, stub, x):
         got = assemble(others + [absorb(G, stub, x)])
         if got:
             return got
-    # reroute the stub, then extend
+    # reroute the stub, then extend (each reroute end has a spanning path)
     if 1 <= stub.length and len(stub.vertices) <= EXACT_REROUTE_CAP:
         for v2 in sorted(reroute_ends(G, stub)):
             if not G.rows[v2] & free:
                 continue
             rerouted = reroute_path_to(G, stub, v2)
-            if rerouted is None:
-                continue
             z = (G.rows[v2] & free & -(G.rows[v2] & free)).bit_length() - 1
             got = assemble(others + [UPath(rerouted.vertices + (z,))])
             if got:
                 return got
     # swap a sibling leg through x (and w if it sits off the embedding),
     # freeing a neighbour z of the stub's reachable ends
-    w_out = w is not None and not bit(w) & emb_mask
-    anchors: list[tuple[int, Optional[UPath]]] = [(stub.end, None)]
-    if w_out and stub.length >= 1:
-        core = (stub.mask() & ~bit(stub.end)) | bit(w)
-        wpath = spanning_path_to(G, core, u, w)
-        if wpath is not None:
-            anchors.append((w, wpath))
-    extra = bit(x) | (bit(w) if w_out else 0)
+    anchors = [(stub.end, stub)]  # (an end z may hang from, the path to it)
+    extra = bit(x)
+    if stub.length >= 1:
+        outside, inside = second_ends(G, stub)
+        wmask = mask_of(outside) & ~(emb_mask | bit(x)) or mask_of(inside)
+        w = (wmask & -wmask).bit_length() - 1
+        if not bit(w) & emb_mask:
+            extra |= bit(w)
+            core = (stub.mask() & ~bit(stub.end)) | bit(w)
+            wpath = spanning_path_to(G, core, u, w)
+            if wpath is not None:
+                anchors.append((w, wpath))
     for j, leg in enumerate(others):
-        for y, repath in anchors:
+        for y, base in anchors:
             for z in sorted(bits_of(G.rows[y] & leg.mask() & ~bit(u))):
                 allowed = (leg.mask() | extra) & ~bit(z)
                 try:
@@ -461,7 +444,6 @@ def _extend(
                 if lp.length < leg.length:
                     continue
                 newleg = UPath(lp.vertices[: leg.length + 1])
-                base = repath if repath is not None else stub
                 newstub = UPath(base.vertices + (z,))
                 rest = [o for t, o in enumerate(others) if t != j]
                 got = assemble(rest + [newleg, newstub])

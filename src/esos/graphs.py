@@ -152,7 +152,7 @@ class Graph:
 
     def induced(self, keep: VertexSetLike) -> tuple["Graph", list[int]]:
         """Relabelled induced subgraph plus the new->old vertex map."""
-        m = mask_of(keep)
+        m = _checked_mask(self, keep)
         old = list(bits_of(m))
         if not old:
             raise InputError("induced subgraph needs at least one vertex")
@@ -234,13 +234,15 @@ class Graph:
 
 
 def _checked_mask(G: Graph, S: VertexSetLike, what: str = "vertex set") -> int:
-    try:
-        m = mask_of(S)
-    except ValueError:  # mask_of meets a negative id
-        m = -1
-    if m & ~G.full_mask:
+    # each id is checked before it becomes a bit, so a huge id costs nothing
+    if isinstance(S, int):
+        ok = not S & ~G.full_mask
+    else:
+        S = list(S)
+        ok = all(0 <= v < G.n for v in S)
+    if not ok:
         raise InputError(f"{what} references vertices outside 0..{G.n - 1}")
-    return m
+    return mask_of(S)
 
 
 def e_inside(G: Graph, S: VertexSetLike) -> int:

@@ -295,12 +295,11 @@ def _argmax_paths(
 ) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
     """The search behind ``_max_paths``, in the order and at the node
     charge of ``paths.iter_upaths_exact``: lexicographic, one node per vertex
-    placed after u.  Each prefix carries its mask and inner-edge count; once
-    it holds p vertices its last steps are charged and scored in one loop,
-    and a path becomes a tuple only when it ties or beats the best so far.
-    Nodes are counted locally and charged on return; past the limit, the
-    charge is the limit's next node and the search raises, as one charge
-    per node would."""
+    placed after u.  Each prefix carries its mask and inner-edge count, a
+    path is scored as its last vertex is placed, and it becomes a tuple only
+    when it ties or beats the best so far.  Nodes are counted locally and
+    charged on return; past the limit, the charge is the limit's next node
+    and the search raises, as one charge per node would."""
     if not allowed & bit(u):
         return None, ()
     if p == 0:
@@ -316,20 +315,6 @@ def _argmax_paths(
     untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
     while untried:
         ext = untried[-1]
-        if len(stack) == p:  # every step left ends a path: score them all
-            nodes += ext.bit_count()
-            if nodes > room:
-                budget.spend(room + 1)  # trips at the limit's next node
-            base = inner[-1]
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                z = low.bit_length() - 1
-                e = base + (rows[z] & mask).bit_count()
-                if best is None or e > best:
-                    best, out = e, [(*stack, z)]
-                elif e == best:
-                    out.append((*stack, z))
         if not ext:
             untried.pop()
             inner.pop()
@@ -339,12 +324,18 @@ def _argmax_paths(
         untried[-1] = ext ^ low
         nodes += 1
         if nodes > room:
-            budget.spend(room + 1)
+            budget.spend(room + 1)  # trips at the limit's next node
         z = low.bit_length() - 1
-        stack.append(z)
-        inner.append(inner[-1] + (rows[z] & mask).bit_count())
-        mask |= low
-        untried.append(rows[z] & allowed & ~mask)
+        e = inner[-1] + (rows[z] & mask).bit_count()
+        if len(stack) < p:
+            stack.append(z)
+            inner.append(e)
+            mask |= low
+            untried.append(rows[z] & allowed & ~mask)
+        elif best is None or e > best:
+            best, out = e, [(*stack, z)]
+        elif e == best:
+            out.append((*stack, z))
     budget.spend(nodes)
     return best, tuple(out)
 
@@ -826,6 +817,7 @@ def _random_rows(rng: random.Random, n: int, density: float) -> list[int]:
 
 
 _P_CHOICES = (1, 2, 2, 3, 3, 4)
+MIN_ATTEMPTS = 1000  # the sampler's least attempt cap, and its trip limit
 
 
 def _propose(
@@ -922,8 +914,10 @@ def sample_instances(
 
     Proposals failing precondition synthesis, their validation or a search
     budget are discarded; returns (instances, discarded), with fewer than
-    ``count`` if the attempt cap (500 per requested instance) runs out.
-    When none survives and some budget tripped, the last such error raises.
+    ``count`` if the attempt cap (500 per requested instance, at least
+    ``MIN_ATTEMPTS``) runs out.  Once ``MIN_ATTEMPTS`` proposals have
+    tripped a budget with none kept, or when none survives and some budget
+    tripped, the last such error raises.
     """
     _check_scope(lemma, n)
     search_budget(MAXIMALITY_BUDGET)  # fails fast on a malformed ESOS_BUDGET
@@ -933,15 +927,17 @@ def sample_instances(
         return [], 0
     rng = random.Random(seed)
     out: list[LemmaInstance] = []
-    proposals = 0
-    cap = max(count * 500, 1000)
+    proposals = trips = 0
+    cap = max(count * 500, MIN_ATTEMPTS)
     tripped = None
     while len(out) < count and proposals < cap:
         proposals += 1
         try:
             inst = _propose(lemma, rng, n)
         except CapabilityError as exc:
-            inst, tripped = None, exc
+            inst, tripped, trips = None, exc, trips + 1
+            if trips == MIN_ATTEMPTS and not out:
+                break
         if inst is not None:
             out.append(inst)
     if not out and tripped is not None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,18 @@ def test_oracle_examples():
     assert embed_bruteforce(h32_host(), Spider((2, 2)), 4) is None
     for x in (0, 1, 2):
         assert embed_bruteforce(h32_host(), Spider((2, 2)), x) is not None
+
+
+def test_oracle_checks_the_spider_fits_before_listing_splits():
+    # a one-leg spider at a centre has k/2 + 1 path splits; a spider with
+    # k + 1 > n is refused before they are built
+    tracemalloc.start()
+    try:
+        assert embed_bruteforce(Graph.complete(4), Spider((3_000_000,)), 0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_oracle_rejects_out_of_range_centres():
@@ -255,12 +268,30 @@ def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch, er
     def refuse(*args):
         raise error("refused in a guided move")
 
-    monkeypatch.setattr(embed_mod, "_extend", refuse)
+    monkeypatch.setattr(embed_mod, "strip_leaf", refuse)
     if error is CapabilityError:
         assert embed_constructive(G, T, 0).embedding == embed_bruteforce(G, T, 0)
     else:
         with pytest.raises(error, match="guided move"):
             embed_constructive(G, T, 0)
+
+
+def test_constructive_raises_on_an_unverified_embedding(monkeypatch):
+    # a guided embedding that fails verification is a breach, not a miss
+    G = Graph.complete(5)
+    bent = Embedding(0, (UPath((0, 1, 2)), UPath((0, 1))))  # legs share 1
+    monkeypatch.setattr(embed_mod, "_guided", lambda *args: bent)
+    with pytest.raises(SoundnessError, match="^embedding failed verification: "):
+        embed_constructive(G, Spider((2, 1)), 0)
+
+
+def test_constructive_raises_on_a_breached_dichotomy(monkeypatch):
+    # no embedding, no certificate and no violating set: the dichotomy fails
+    G = Graph.complete(5)
+    monkeypatch.setattr(embed_mod, "_guided", lambda *args: None)
+    monkeypatch.setattr(embed_mod, "embed_bruteforce", lambda *args: None)
+    with pytest.raises(SoundnessError, match="^dichotomy breached: 2,1 not embeddable at 0 on D~{"):
+        embed_constructive(G, Spider((2, 1)), 0)
 
 
 def test_only_the_all_twos_spider_tries_a_local_certificate(monkeypatch):
@@ -337,14 +368,20 @@ def test_constructive_outcomes_are_pinned(monkeypatch, budget, full, verdicts):
 
 
 @pytest.mark.parametrize(
-    "G, legs",
-    [(Graph.complete(5), (3, 1)), (Graph.complete(16), (2, 1, 1))],
-    ids=["K5-3,1", "K16-2,1,1"],
+    "G, u, legs, asked",
+    [
+        (Graph.complete(5), 0, (3, 1), (0, 0)),
+        (Graph.complete(16), 0, (2, 1, 1), (0, 0)),
+        (Graph.from_graph6("D]{"), 4, (3, 1), (1, 0)),
+        (Graph.from_graph6("DQ{"), 4, (2, 1, 1), (2, 1)),
+    ],
+    ids=["K5-3,1", "K16-2,1,1", "D]{-3,1", "DQ{-2,1,1"],
 )
-def test_guided_searches_each_path_question_once(monkeypatch, G, legs):
-    # one probe end for the stripped spider's embedding, one second-end
-    # search for its stub
-    T, u = Spider(legs), 0
+def test_guided_searches_each_path_question_once(monkeypatch, G, u, legs, asked):
+    # the direct extension asks no path question; past it, one probe end
+    # for the stripped spider's embedding, and before the swap one
+    # second-end search for its stub and one longest path per swap try
+    T = Spider(legs)
     calls = {"longest_u_path": 0, "second_ends": 0}
 
     def counted(name):
@@ -360,7 +397,7 @@ def test_guided_searches_each_path_question_once(monkeypatch, G, legs):
         monkeypatch.setattr(embed_mod, name, counted(name))
     emb = embed_mod._guided(G, T, u)
     assert emb is not None and verify_embedding(G, T, emb)
-    assert calls == {"longest_u_path": 1, "second_ends": 1}
+    assert (calls["longest_u_path"], calls["second_ends"]) == asked
 
 
 def _oracle_agrees_with_itertools(G) -> int:

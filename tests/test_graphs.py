@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -86,15 +87,32 @@ def test_list_rows_make_the_same_hashable_graph():
         (lambda G: heavy_vertex(G, [-1], 2), "vertex set"),
         (lambda G: edges_between(G, [-1], [0]), "first set"),
         (lambda G: edges_between(G, [1], [0, -3]), "second set"),
+        (lambda G: G.induced([5]), "vertex set"),
+        (lambda G: G.induced([-1]), "vertex set"),
+        (lambda G: G.induced(1 << 9), "vertex set"),
     ],
     ids=["e_inside", "e_inside-high", "edge_counts", "heavy_vertex",
-         "edges_between-first", "edges_between-second"],
+         "edges_between-first", "edges_between-second", "induced-high",
+         "induced-negative", "induced-mask"],
 )
 def test_vertex_sets_out_of_range_are_input_errors(call, message):
-    # a negative id is out of range like a large one, not a ValueError
+    # a negative id is out of range like a large one, not a ValueError or
+    # an IndexError
     with pytest.raises(InputError) as exc:
         call(Graph.complete(4))
     assert str(exc.value) == f"{message} references vertices outside 0..3"
+
+
+def test_huge_vertex_id_is_rejected_before_it_becomes_a_bit():
+    # 1 << 400_000_000 alone would take 50 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="outside 0..3"):
+            e_inside(Graph.complete(4), [400_000_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_edge_counts_examples():

@@ -23,9 +23,10 @@ from oracles import (
 
 import esos
 import esos.enumeration as enumeration_mod
+import esos.cli as cli_mod
 import esos.harness as harness_mod
 from esos.cli import main
-from esos.embed import EmbedOutcome
+from esos.embed import EmbedOutcome, Embedding
 from esos.enumeration import (
     canonical_form,
     canonical_key,
@@ -33,7 +34,7 @@ from esos.enumeration import (
     read_graph6_stream,
     refined_cells,
 )
-from esos.errors import CapabilityError, InputError
+from esos.errors import CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate
 from esos.harness import (
     dichotomy_check,
@@ -43,6 +44,7 @@ from esos.harness import (
     verify_conjecture_spiders,
 )
 from esos.lemmas import enumerate_instances, sample_instances
+from esos.paths import UPath
 from esos.spiders import Spider
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -257,6 +259,103 @@ def test_dichotomy_certificate_check_branches(
         assert (fail["k"], fail["u"]) == (4, u)
         if reason == SHAPE:
             assert fail["reason"] == f"{SHAPE}: {out.to_json()}"
+
+
+def _stub_outcome(monkeypatch, outcome, oracle):
+    def constructive(G, T, c):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(harness_mod, "embed_constructive", constructive)
+    monkeypatch.setattr(harness_mod, "embed_bruteforce", lambda G, T, c=None: oracle)
+
+
+STAR = Embedding(2, (UPath((2, 0)), UPath((2, 1))))  # a (1, 1) spider at 2
+BENT = Embedding(2, (UPath((2, 3, 0)),))  # 2-3 is no edge of SPLIT_HOST
+
+
+@pytest.mark.parametrize(
+    "legs, outcome, oracle, reason",
+    [
+        ((1, 1), SoundnessError("breach"), None, "constructive raised: breach"),
+        ((1, 1), InputError("bad"), None, "constructive raised: bad"),
+        ((1, 1), EmbedOutcome(embedding=STAR), None, "verdict disagrees with the oracle"),
+        ((2,), EmbedOutcome(embedding=BENT), None, "embedding failed verification"),
+        ((1, 1), EmbedOutcome(embedding=STAR), STAR, None),
+    ],
+    ids=["soundness", "input", "disagrees", "unverified", "agrees"],
+)
+def test_dichotomy_embedding_check_branches(monkeypatch, legs, outcome, oracle, reason):
+    # every failure branch of _dichotomy_one before the certificate check,
+    # on stubbed outcomes; a one-leg embedding is not compared with the oracle
+    _stub_outcome(monkeypatch, outcome, oracle)
+    fail, was_cert = harness_mod._dichotomy_one(SPLIT_HOST, 2, 2, Spider(legs))
+    assert not was_cert
+    if reason is None:
+        assert fail is None
+    else:
+        assert fail == {
+            "graph6": SPLIT_HOST.to_graph6(),
+            "k": 2,
+            "u": 2,
+            "spider": list(legs),
+            "reason": reason,
+        }
+
+
+def test_lemma_cases_report_unmatched_and_unverified_instances(monkeypatch):
+    # analyze's SoundnessError and a witness that fails verification are
+    # failure entries, and the run goes on past them
+    class Instance:
+        def __init__(self, name):
+            self.name = name
+
+        def to_json(self):
+            return {"name": self.name}
+
+    class Outcome:
+        case = "B"
+
+    def analyze(inst):
+        if inst.name == "unmatched":
+            raise SoundnessError("no case")
+        return Outcome()
+
+    monkeypatch.setattr(harness_mod, "analyze", analyze)
+    monkeypatch.setattr(harness_mod, "verify_outcome", lambda inst, out: inst.name == "fine")
+    names = ["unmatched", "unverified", "fine"]
+    total, cases, failures = harness_mod._run_lemma_cases(map(Instance, names))
+    assert (total, cases) == (3, {"A": 0, "B": 2, "C": 0})
+    assert failures == [
+        {"instance": {"name": "unmatched"}, "reason": "no case matched"},
+        {"instance": {"name": "unverified"}, "case": "B", "reason": "witness failed verification"},
+    ]
+
+
+def test_density_check_reports_a_missing_spider(monkeypatch):
+    # a spider the (stubbed) oracle misses is a failure entry, sorted by
+    # graph6, k and legs
+    monkeypatch.setattr(harness_mod, "embed_bruteforce", lambda G, T, u=None: None)
+    rep = verify_conjecture_spiders(graphs=[Graph.complete(3)])
+    assert not rep.ok and rep.exit_code == 1
+    assert rep.counts == {"graphs": 1, "spider_tests": 3, "embedded": 0}
+    assert rep.failures == [
+        {"graph6": "Bw", "k": 1, "spider": [1]},
+        {"graph6": "Bw", "k": 2, "spider": [1, 1]},
+        {"graph6": "Bw", "k": 2, "spider": [2]},
+    ]
+
+
+def test_cli_exits_1_on_a_soundness_failure(monkeypatch, capsys):
+    def breach(G, T, u):
+        raise SoundnessError("dichotomy breached")
+
+    monkeypatch.setattr(cli_mod, "embed_constructive", breach)
+    assert main(["embed", "Bw", "--spider", "1,1", "--at", "0", "--constructive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "soundness failure: dichotomy breached\n"
+    assert captured.out == ""
 
 
 def test_census_example_n5_k4():

@@ -669,6 +669,28 @@ def test_sample_instances_rejects_a_negative_budget(monkeypatch, lemma):
         sample_instances(lemma, 7, 1, seed=0)
 
 
+def test_a_sample_whose_every_proposal_trips_stops_at_the_floor(monkeypatch):
+    # 1,000 tripped proposals with none kept end the sample, not the attempt
+    # cap of 500 per requested instance; once one is kept, trips go on
+    calls = []
+
+    def tripping(*args):
+        calls.append(1)
+        if len(calls) == 1 and keep_first:
+            return "kept"
+        raise CapabilityError("tripped")
+
+    monkeypatch.setattr(lemmas_mod, "_propose", tripping)
+    keep_first = False
+    with pytest.raises(CapabilityError, match="^tripped$"):
+        sample_instances(5, 7, 1000, seed=0)
+    assert len(calls) == lemmas_mod.MIN_ATTEMPTS == 1000
+    calls.clear()
+    keep_first = True
+    assert sample_instances(5, 7, 3, seed=0) == (["kept"], 1499)
+    assert len(calls) == 1500
+
+
 @pytest.mark.parametrize("error", [InputError, CapabilityError])
 def test_a_proposal_whose_construction_raises_is_discarded(monkeypatch, error):
     # no seeded proposal fails its validation today; this pins the count if
