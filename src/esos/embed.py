@@ -9,14 +9,18 @@ as long as the one before it starts above that leg's first vertex, so equal
 legs are not tried in both orders.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
-suggests: strip a leaf off the longest leg, take the oracle's embedding of
+suggests: strip a leaf off the longest leg, take the oracle's placement of
 the smaller spider at the centre (none: the guided phase abstains), and
 try the extension moves on its first stub (a leg of the stripped length,
-or the bare centre) in turn.  The probe end x of a longest path off the
-embedding is searched for once the direct extension has failed, and the
-stub's least second end off the embedding and x (else its least inside
-second end), a swap anchor, only when the swap is tried.  Guided moves
-are verify-or-skip: when they all fail, or a search in them trips a cap or
+or the bare centre) in turn.  The direct move extends the placement
+itself: the stub's end gains its least free neighbour, and the one
+embedding built is checked once, by ``embed_constructive``'s own
+verification, so a broken direct move is a SoundnessError.  Only when it
+has no free neighbour are the stripped spider's embedding and the probe
+end x of a longest path off it built; the stub's least second end off the
+embedding and x (else its least inside second end), a swap anchor, is
+searched for only when the swap is tried.  Absorb, reroute and swap are
+verify-or-skip: when they all fail, or a search in them trips a cap or
 budget, the bounded exhaustive oracle decides, so correctness never
 depends on the heuristic phase.  Each call decides its spider once and
 keeps no outcome memo.  A certificate is emitted only after the oracle has
@@ -35,11 +39,14 @@ inside the certified split.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     HCertificate,
     bit,
@@ -75,12 +82,6 @@ EMBED_DEFAULT_BUDGET = 2_000_000
 class Embedding:
     center: int
     legs: tuple[UPath, ...]
-
-    def vertex_mask(self) -> int:
-        m = bit(self.center)
-        for leg in self.legs:
-            m |= leg.mask()
-        return m
 
     def to_json(self) -> dict:
         return {"center": self.center, "legs": [l.to_json() for l in self.legs]}
@@ -128,10 +129,10 @@ def verify_embedding(G: Graph, T: Spider, emb: Embedding) -> bool:
     if not 0 <= center < n:
         return False
     if len(T.legs) == 1:
-        lengths = [l.length for l in emb.legs]
+        lengths = [len(l.vertices) - 1 for l in emb.legs]
         if not 1 <= len(lengths) <= 2 or sum(lengths) != T.k or min(lengths) < 1:
             return False
-    elif tuple(l.length for l in emb.legs) != T.legs:
+    elif [len(l.vertices) - 1 for l in emb.legs] != list(T.legs):
         return False
     seen = 1 << center
     for leg in emb.legs:
@@ -153,13 +154,13 @@ def verify_embedding(G: Graph, T: Spider, emb: Embedding) -> bool:
 # -- oracle -------------------------------------------------------------------
 
 
-def _embed_search(
+def _placement_search(
     G: Graph,
     legs: tuple[int, ...],
     center: int,
     budget: Budget,
-) -> Optional[Embedding]:
-    """The first embedding, legs in ``legs`` order, or None.
+) -> Optional[list[int]]:
+    """The k vertices of the first embedding in placement order, or None.
 
     One depth-first search over the k placement positions: leg by leg in
     ``legs`` order, each leg vertex by vertex from the centre, candidates
@@ -172,14 +173,7 @@ def _embed_search(
     """
     k = sum(legs)
     rows = G.rows
-    # floor[j]: None inside a leg; at a leg start, the position of the
-    # previous leg's first vertex when the two legs are equally long, else -1
-    floor: list[Optional[int]] = [None] * k
-    j = prev = 0
-    for ell in legs:
-        floor[j] = j - prev if ell == prev else -1
-        j += ell
-        prev = ell
+    floor = _floors(legs)
     seq = [0] * k
     cand = [0] * k
     free = G.full_mask ^ (1 << center)
@@ -206,11 +200,7 @@ def _embed_search(
         j += 1
         if j == k:
             budget.spend(nodes)
-            paths, s = [], 0
-            for ell in legs:
-                paths.append(UPath((center, *seq[s : s + ell])))
-                s += ell
-            return Embedding(center, tuple(paths))
+            return seq
         f = floor[j]
         if f is None:
             cand[j] = rows[z] & free
@@ -220,13 +210,50 @@ def _embed_search(
             cand[j] = rows[center] & free & -(2 << seq[f])
 
 
-def _path_splits(k: int) -> list[tuple[int, ...]]:
-    """Leg multisets realizing a k-edge path through a designated vertex:
-    the vertex at an end first, then successively more central splits."""
-    out: list[tuple[int, ...]] = [(k,)]
-    for a in range(1, k // 2 + 1):
-        out.append((k - a, a))
+@lru_cache(maxsize=512)
+def _floors(legs: tuple[int, ...]) -> tuple[Optional[int], ...]:
+    """Per placement position: None inside a leg; at a leg start, the
+    position of the previous leg's first vertex when the two legs are
+    equally long, else -1.  Cached per leg tuple: the 372 spiders with
+    k <= 13 fit, and every path split is one of them."""
+    floor: list[Optional[int]] = [None] * sum(legs)
+    j = prev = 0
+    for ell in legs:
+        floor[j] = j - prev if ell == prev else -1
+        j += ell
+        prev = ell
+    return tuple(floor)
+
+
+def _cut(center: int, legs: tuple[int, ...], seq: list[int]) -> list[tuple[int, ...]]:
+    """A placement cut into its legs, each written from the centre."""
+    out, s = [], 0
+    for ell in legs:
+        out.append((center, *seq[s : s + ell]))
+        s += ell
     return out
+
+
+def _embed_search(
+    G: Graph,
+    legs: tuple[int, ...],
+    center: int,
+    budget: Budget,
+) -> Optional[Embedding]:
+    """The first embedding, legs in ``legs`` order, or None: the placement
+    search's vertices cut into legs."""
+    seq = _placement_search(G, legs, center, budget)
+    if seq is None:
+        return None
+    return Embedding(center, tuple(map(UPath, _cut(center, legs, seq))))
+
+
+@lru_cache(maxsize=MAX_VERTICES)
+def _path_splits(k: int) -> tuple[tuple[int, ...], ...]:
+    """Leg multisets realizing a k-edge path through a designated vertex:
+    the vertex at an end first, then successively more central splits.
+    Cached per k; a path has fewer than MAX_VERTICES edges."""
+    return ((k,), *((k - a, a) for a in range(1, k // 2 + 1)))
 
 
 def embed_bruteforce(
@@ -248,9 +275,10 @@ def embed_bruteforce(
     if T.k + 1 > G.n:
         return None
     splits = _path_splits(T.k) if u is not None and len(T.legs) == 1 else [T.legs]
+    rows = G.rows
     for c in range(G.n) if u is None else (u,):
         for legs in splits:
-            if G.degree(c) < len(legs):
+            if rows[c].bit_count() < len(legs):
                 continue
             got = _embed_search(G, legs, c, budget)
             if got is not None:
@@ -376,33 +404,42 @@ def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
 
 
 def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
-    # The oracle's embedding of the smaller spider, then the moves on its
+    # The oracle's placement of the smaller spider, then the moves on its
     # first stub in order; x is asked for once the direct move has failed,
     # w just before the swap.  x is never u: d(u) >= k, and the stripped
     # spider uses at most k - 1 neighbours of u.
     Tp = strip_leaf(T, 0)
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
-    e = _embed_search(G, Tp.legs, u, budget)
-    if e is None:
+    seq = _placement_search(G, Tp.legs, u, budget)
+    if seq is None:
         return None
+    legs = _cut(u, Tp.legs, seq)
     idx = Tp.legs.index(T.legs[0] - 1) if T.legs[0] > 1 else None
-    stub = e.legs[idx] if idx is not None else UPath((u,))
-    others = [leg for j, leg in enumerate(e.legs) if j != idx]
-    emb_mask = e.vertex_mask()
+    stub = legs[idx] if idx is not None else (u,)
+    emb_mask = mask_of(seq) | bit(u)
     free = G.full_mask & ~emb_mask
+
+    # direct end extension, on the placement itself: valid by construction,
+    # so its one check is embed_constructive's.  The legs before the stub
+    # are as long as the grown stub (all legs, for a star) and start in
+    # ascending order, so inserting it among them keeps the legs sorted
+    ext = G.rows[stub[-1]] & free
+    if ext:
+        grown = stub + ((ext & -ext).bit_length() - 1,)
+        if idx is None:
+            idx = len(legs)
+        else:
+            del legs[idx]
+        insort(legs, grown, 0, idx)
+        return Embedding(u, tuple(map(UPath, legs)))
+    stub = UPath(stub)
+    others = [UPath(leg) for j, leg in enumerate(legs) if j != idx]
 
     def assemble(new_legs: list[UPath]) -> Optional[Embedding]:
         ordered = sorted(new_legs, key=lambda l: (-l.length, l.vertices))
         cand = Embedding(u, tuple(ordered))
         return cand if verify_embedding(G, T, cand) else None
 
-    # direct end extension
-    ext = G.rows[stub.end] & free
-    if ext:
-        z = (ext & -ext).bit_length() - 1
-        got = assemble(others + [UPath(stub.vertices + (z,))])
-        if got:
-            return got
     x = longest_u_path(G, u, avoid=emb_mask & ~bit(u)).end
     # absorb the probe end
     if stub.length >= 1 and is_absorbable(G, stub, x):

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, search_budget
-from .graphs import Graph, VertexSetLike, _checked_mask, bit, mask_of, set_of
+from .graphs import MAX_VERTICES, Graph, VertexSetLike, _checked_mask, bit, mask_of, set_of
 
 EXACT_REROUTE_CAP = 16
 LONGEST_PATH_CAP = 20
@@ -62,23 +62,33 @@ _memo: dict[tuple, tuple] = {}
 _memo_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UPath:
     """A simple path written from its anchor.  Its vertex mask is computed
-    once, at construction; equality, hash and repr see only ``vertices``."""
+    once, at construction; equality, hash and repr see only ``vertices``,
+    kept as a tuple whatever iterable is given."""
 
     vertices: tuple[int, ...]
     _mask: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        vertices = self.vertices
+    def __init__(self, vertices: Iterable[int]):
+        if type(vertices) is not tuple:  # e.g. a list: keep the path hashable
+            vertices = tuple(vertices)
         if not vertices:
             raise InputError("a path needs at least one vertex")
-        if min(vertices) < 0:
-            raise InputError("path vertices must be nonnegative ids")
-        m = mask_of(vertices)
+        # ids are checked before they become bits, so a huge id costs
+        # nothing; a negative one fails its shift
+        if max(vertices) >= MAX_VERTICES:
+            raise InputError(f"path vertices must be ids below {MAX_VERTICES}")
+        m = 0
+        try:
+            for v in vertices:
+                m |= 1 << v
+        except ValueError:
+            raise InputError("path vertices must be nonnegative ids") from None
         if m.bit_count() != len(vertices):
             raise InputError("path vertices must be distinct")
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_mask", m)
 
     @property

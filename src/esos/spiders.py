@@ -23,11 +23,15 @@ class Spider:
     k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(l < 1 for l in self.legs):
+        legs = self.legs
+        if type(legs) is not tuple:  # e.g. list legs: keep T hashable
+            legs = tuple(legs)
+            object.__setattr__(self, "legs", legs)
+        if legs and min(legs) < 1:
             raise InputError("leg lengths must be positive")
-        if any(self.legs[i] < self.legs[i + 1] for i in range(len(self.legs) - 1)):
+        if sorted(legs, reverse=True) != list(legs):
             raise InputError("legs must be non-increasing (canonical form)")
-        object.__setattr__(self, "k", sum(self.legs))
+        object.__setattr__(self, "k", sum(legs))
 
     @classmethod
     def from_lengths(cls, lengths: Iterable[int]) -> "Spider":

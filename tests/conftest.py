@@ -1,6 +1,14 @@
+import pytest
 from hypothesis import strategies as st
 
 from esos.graphs import Graph
+
+
+@pytest.fixture(autouse=True)
+def _no_shell_budget(monkeypatch):
+    # an ESOS_BUDGET exported in the shell would trip searches that tests
+    # expect to finish; a test that wants a budget sets its own
+    monkeypatch.delenv("ESOS_BUDGET", raising=False)
 
 
 def graph_from_bits(n: int, bits: int) -> Graph:

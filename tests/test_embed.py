@@ -99,6 +99,15 @@ def test_verify_embedding_negatives():
     assert not verify_embedding(G, T, wrong_len)
 
 
+def test_list_legged_spider_verifies_and_certifies_as_its_tuple_form():
+    # Spider([2, 2]) is t0(4): its embedding verifies, and at a centre of
+    # the extremal host it gets the all-twos spider's local certificate
+    G, T = Graph.complete(5), Spider([2, 2])
+    assert verify_embedding(G, T, embed_bruteforce(G, Spider((2, 2)), 0))
+    out = embed_constructive(h32_host(), T, 3)
+    assert (out.kind, out.spider_is_t0) == ("local", True)
+
+
 def test_embed_into_H_examples():
     cert = HCertificate(frozenset({0, 1, 2}), frozenset({3, 4}))
     emb = embed_into_H(cert, Spider((2, 2)), 0)
@@ -285,6 +294,15 @@ def test_constructive_raises_on_an_unverified_embedding(monkeypatch):
         embed_constructive(G, Spider((2, 1)), 0)
 
 
+def test_constructive_raises_on_an_overlapping_direct_move(monkeypatch):
+    # the direct move trusts the placement it extends; a placement whose
+    # legs overlap reaches embed_constructive's check and is a breach
+    G = Graph.complete(5)
+    monkeypatch.setattr(embed_mod, "_placement_search", lambda *args: [1, 1])
+    with pytest.raises(SoundnessError, match="^embedding failed verification: "):
+        embed_constructive(G, Spider((2, 1)), 0)
+
+
 def test_constructive_raises_on_a_breached_dichotomy(monkeypatch):
     # no embedding, no certificate and no violating set: the dichotomy fails
     G = Graph.complete(5)
@@ -367,6 +385,24 @@ def test_constructive_outcomes_are_pinned(monkeypatch, budget, full, verdicts):
     assert _constructive_digest() == (5913, full, verdicts)
 
 
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Patch each named function of esos.embed to count its calls there."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        inner = getattr(embed_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(embed_mod, name, counted(name))
+    return calls
+
+
 @pytest.mark.parametrize(
     "G, u, legs, asked",
     [
@@ -382,22 +418,23 @@ def test_guided_searches_each_path_question_once(monkeypatch, G, u, legs, asked)
     # for the stripped spider's embedding, and before the swap one
     # second-end search for its stub and one longest path per swap try
     T = Spider(legs)
-    calls = {"longest_u_path": 0, "second_ends": 0}
-
-    def counted(name):
-        inner = getattr(embed_mod, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(embed_mod, name, counted(name))
+    calls = _count_calls(monkeypatch, "longest_u_path", "second_ends")
     emb = embed_mod._guided(G, T, u)
     assert emb is not None and verify_embedding(G, T, emb)
     assert (calls["longest_u_path"], calls["second_ends"]) == asked
+
+
+@pytest.mark.parametrize(
+    "G, u, legs",
+    [(Graph.complete(5), 0, (3, 1)), (Graph.complete(16), 0, (2, 1, 1))],
+    ids=["K5-3,1", "K16-2,1,1"],
+)
+def test_direct_move_searches_and_verifies_once(monkeypatch, G, u, legs):
+    # where the direct extension decides, embed_constructive runs one
+    # placement search and checks the embedding it returns once
+    calls = _count_calls(monkeypatch, "_placement_search", "verify_embedding")
+    assert embed_constructive(G, Spider(legs), u).embedded
+    assert calls == {"_placement_search": 1, "verify_embedding": 1}
 
 
 def _oracle_agrees_with_itertools(G) -> int:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -78,12 +79,26 @@ def test_upath_basics():
         UPath((0, 1, 0))
     with pytest.raises(InputError, match="nonnegative"):
         UPath((-1, 0))
+    # list vertices are taken as a tuple, so the path stays hashable
+    assert UPath([0, 1]) == UPath((0, 1)) and hash(UPath([0, 1])) == hash(UPath((0, 1)))
     # the mask built at construction stays out of equality, hash and repr
     assert UPath((0, 1)) == UPath((0, 1)) and UPath((0, 1)) != UPath((1, 0))
     assert hash(UPath((0, 1))) == hash(UPath((0, 1)))
     assert P.mask() == 0b111 and UPath((2, 0)).mask() == 0b101
     assert repr(P) == "UPath(vertices=(0, 1, 2))"
     assert P.to_json() == [0, 1, 2]
+
+
+def test_huge_path_vertex_is_rejected_before_it_becomes_a_bit():
+    # 1 << 400_000_000 alone would take 50 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="below 128"):
+            UPath((0, 400_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_valid_upath_matches_reference_on_small_classes():

@@ -52,6 +52,18 @@ def test_canonical_form_enforced():
         Spider.parse("a,b")
 
 
+def test_list_legs_make_the_same_hashable_spider():
+    # list legs are taken as a tuple, so the spider hashes and equals t0(4);
+    # the positivity message still comes before the ordering one
+    T = Spider([2, 2])
+    assert T.legs == (2, 2) and T == t0(4) and hash(T) == hash(t0(4))
+    assert {T: 1}[t0(4)] == 1
+    with pytest.raises(InputError, match="positive"):
+        Spider([0, 1])
+    with pytest.raises(InputError, match="non-increasing"):
+        Spider([1, 2])
+
+
 def test_T0_family_examples():
     assert in_T0_family(Spider((2, 2)))
     assert not in_T0_family(Spider((2, 1, 1)))
