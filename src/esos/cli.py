@@ -18,7 +18,7 @@ such as a census whose threshold exceeds K_n's edge count, counts as one),
 3 budget/cap exceeded.
 The ESOS_BUDGET environment variable, a nonnegative integer, overrides every
 search node budget except instance synthesis's fixed one (the optimal-reroute
-and spanning-path searches have none); any other value is an input error.
+and spanning-path searches only count); any other value is an input error.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Spider embedding: oracle, embed-or-certify, and the density pipeline.
 
 ``embed_bruteforce`` is the independent oracle: one deterministic
-depth-first search over the k vertices a spider places beside its centre,
-leg by leg (longest leg first), each leg from the centre outward, and
-candidates in ascending order.  Every placed vertex is one node of the
-search budget.  The free-vertex prune (k + 1 <= n) costs no node, and a leg
-as long as the one before it starts above that leg's first vertex, so equal
-legs are not tried in both orders.
+depth-first search (``place_legs``) over the k vertices a spider places
+beside its centre, leg by leg (longest leg first), each leg from the centre
+outward, and candidates in ascending order.  Every placed vertex is one node
+of the search budget.  The free-vertex prune (k + 1 <= n) costs no node, and
+a leg as long as the one before it starts above that leg's first vertex, so
+equal legs are not tried in both orders.  Growth rules 4 and 6 ask the same
+search for their first disjoint paths inside an allowed vertex set.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
 suggests: strip a leaf off the longest leg, take the oracle's placement of
@@ -68,7 +69,6 @@ from .paths import (
     is_absorbable,
     longest_u_path,
     reroute_ends,
-    reroute_path_to,
     second_ends,
     spanning_path_to,
 )
@@ -82,6 +82,10 @@ EMBED_DEFAULT_BUDGET = 2_000_000
 class Embedding:
     center: int
     legs: tuple[UPath, ...]
+
+    def __post_init__(self):
+        if type(self.legs) is not tuple:  # e.g. list legs: keep it hashable
+            object.__setattr__(self, "legs", tuple(self.legs))
 
     def to_json(self) -> dict:
         return {"center": self.center, "legs": [l.to_json() for l in self.legs]}
@@ -154,13 +158,11 @@ def verify_embedding(G: Graph, T: Spider, emb: Embedding) -> bool:
 # -- oracle -------------------------------------------------------------------
 
 
-def _placement_search(
-    G: Graph,
-    legs: tuple[int, ...],
-    center: int,
-    budget: Budget,
+def place_legs(
+    G: Graph, legs: tuple[int, ...], center: int, allowed: int, budget: Budget
 ) -> Optional[list[int]]:
-    """The k vertices of the first embedding in placement order, or None.
+    """The k > 0 vertices of the first placement of ``legs`` at ``center``
+    inside ``allowed`` (the centre need not be in it), or None.
 
     One depth-first search over the k placement positions: leg by leg in
     ``legs`` order, each leg vertex by vertex from the centre, candidates
@@ -168,7 +170,7 @@ def _placement_search(
     counted locally and charged once on return, or at once at the node that
     crosses the limit, which raises CapabilityError as ``spend`` does.  A leg
     as long as the one before it starts above that leg's first vertex,
-    which breaks the swap symmetry of equal legs.  The caller checks that
+    which breaks the swap symmetry of equal legs.  The oracle checks that
     the k placed vertices fit beside the centre (k + 1 <= n).
     """
     k = sum(legs)
@@ -176,7 +178,7 @@ def _placement_search(
     floor = _floors(legs)
     seq = [0] * k
     cand = [0] * k
-    free = G.full_mask ^ (1 << center)
+    free = allowed & ~(1 << center)
     cand[0] = rows[center] & free
     room = budget.limit - budget.used
     nodes = 0
@@ -235,14 +237,11 @@ def _cut(center: int, legs: tuple[int, ...], seq: list[int]) -> list[tuple[int, 
 
 
 def _embed_search(
-    G: Graph,
-    legs: tuple[int, ...],
-    center: int,
-    budget: Budget,
+    G: Graph, legs: tuple[int, ...], center: int, budget: Budget
 ) -> Optional[Embedding]:
     """The first embedding, legs in ``legs`` order, or None: the placement
     search's vertices cut into legs."""
-    seq = _placement_search(G, legs, center, budget)
+    seq = place_legs(G, legs, center, G.full_mask, budget)
     if seq is None:
         return None
     return Embedding(center, tuple(map(UPath, _cut(center, legs, seq))))
@@ -410,7 +409,7 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     # spider uses at most k - 1 neighbours of u.
     Tp = strip_leaf(T, 0)
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
-    seq = _placement_search(G, Tp.legs, u, budget)
+    seq = place_legs(G, Tp.legs, u, G.full_mask, budget)
     if seq is None:
         return None
     legs = _cut(u, Tp.legs, seq)
@@ -451,7 +450,7 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
         for v2 in sorted(reroute_ends(G, stub)):
             if not G.rows[v2] & free:
                 continue
-            rerouted = reroute_path_to(G, stub, v2)
+            rerouted = spanning_path_to(G, stub.mask(), u, v2)
             z = (G.rows[v2] & free & -(G.rows[v2] & free)).bit_length() - 1
             got = assemble(others + [UPath(rerouted.vertices + (z,))])
             if got:

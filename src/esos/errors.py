@@ -36,7 +36,7 @@ def search_budget(default: int) -> int:
     """Node budget for a bounded search; ESOS_BUDGET, a nonnegative integer,
     overrides ``default`` wherever a search asks here.  Instance synthesis
     keeps a fixed Budget(200_000); the optimal-reroute and spanning-path
-    searches have no budget, as vertex-count caps bound them."""
+    searches' budgets only count, as vertex-count caps bound them."""
     raw = os.environ.get("ESOS_BUDGET")
     if not raw:
         return default

@@ -69,6 +69,11 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise InputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -77,8 +82,7 @@ class Graph:
     def __post_init__(self):
         if type(self.rows) is not tuple:  # e.g. list rows: keep G hashable
             object.__setattr__(self, "rows", tuple(self.rows))
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise InputError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        _check_order(self.n)
         if len(self.rows) != self.n:
             raise InputError("adjacency row count does not match n")
         rows = self.rows
@@ -97,9 +101,11 @@ class Graph:
                 row ^= low
 
     # -- constructors ------------------------------------------------------
+    # each checks n before it builds a row, so a huge n costs nothing
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for a, b in edges:
             if a == b:
@@ -112,20 +118,21 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls(n, (0,) * n)
+        return cls.from_edges(n, ())
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_order(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ bit(v) for v in range(n)))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return cls.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
     @classmethod
     def path_graph(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return cls.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
     # -- basic queries -----------------------------------------------------
 
@@ -453,6 +460,10 @@ def heavy_vertex(G: Graph, S: VertexSetLike, k: int) -> int:
 class HCertificate:
     x_side: frozenset[int]
     y_side: frozenset[int]
+
+    def __post_init__(self):  # e.g. set sides: keep the certificate hashable
+        object.__setattr__(self, "x_side", frozenset(self.x_side))
+        object.__setattr__(self, "y_side", frozenset(self.y_side))
 
     @property
     def a(self) -> int:

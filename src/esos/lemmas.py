@@ -80,6 +80,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from .embed import place_legs
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
 from .graphs import (
     Graph,
@@ -467,10 +468,6 @@ def _paths2_through(G: Graph, w: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _longest_within(G: Graph, u: int, allowed: int) -> UPath:
-    return longest_u_path(G, u, avoid=G.full_mask & ~allowed)
-
-
 def _w_companion(
     G: Graph, u: int, w: int, p: int, scope: int, candidates: list[tuple[int, ...]]
 ) -> Optional[tuple[UPath, UPath]]:
@@ -481,7 +478,7 @@ def _w_companion(
         rmask = mask_of(r)
         if r[0] != w or rmask & bit(u):
             continue
-        lp = _longest_within(G, u, scope & ~rmask)
+        lp = longest_u_path(G, u, avoid=(G.full_mask & ~scope) | rmask)
         if lp.length >= p:
             return UPath(lp.vertices[: p + 1]), UPath(r)
     return None
@@ -589,7 +586,7 @@ def analyze_xv1v2(inst: LemmaInstance) -> CaseOutcome:
             for z in bits_of(G.rows[wi] & pmask):
                 if z == u:
                     continue
-                lp = _longest_within(G, u, keep & ~bit(z))
+                lp = longest_u_path(G, u, avoid=(G.full_mask & ~keep) | bit(z))
                 if lp.length >= p:
                     return CaseOutcome(
                         "C",
@@ -604,18 +601,13 @@ def analyze_xPQ(inst: LemmaInstance) -> CaseOutcome:
     G, u = inst.graph, inst.u
     p, qv = inst.ctx.p, inst.ctx.q
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 4 case search")
-    # C: internally disjoint anchored paths of lengths p and qv+1
-    short, long_ = sorted((p, qv + 1))
-    for pa in iter_upaths_exact(G, u, G.full_mask, short, budget):
-        rest = G.full_mask & ~(mask_of(pa) & ~bit(u))
-        pb = next(iter_upaths_exact(G, u, rest, long_, budget), None)
-        if pb is not None:
-            first, second = UPath(pa), UPath(pb)
-            if first.length != p:
-                first, second = second, first
-            return CaseOutcome(
-                "C", {"lengths": [p, qv + 1]}, paths=(first, second)
-            )
+    # C: internally disjoint u-paths of lengths p and qv+1, shorter first
+    a, b = sorted((p, qv + 1))
+    seq = place_legs(G, (a, b), u, G.full_mask, budget)
+    if seq is not None:
+        pair = UPath((u, *seq[:a])), UPath((u, *seq[a:]))
+        pair = pair if a == p else pair[::-1]
+        return CaseOutcome("C", {"lengths": [p, qv + 1]}, paths=pair)
     return _split_or_degenerate(inst)
 
 
@@ -665,14 +657,10 @@ def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
         if z == u:
             continue
         allowed = (pmask | bit(x)) & ~bit(z)
-        got = next(iter_upaths_exact(G, u, allowed, p, budget), None)
+        got = place_legs(G, (p,), u, allowed, budget)
         if got is not None:
-            return CaseOutcome(
-                "C",
-                {},
-                paths=(UPath(got), UPath((w, z))),
-                detail={"r_size": 2},
-            )
+            pair = UPath((u, *got)), UPath((w, z))
+            return CaseOutcome("C", {}, paths=pair, detail={"r_size": 2})
     # C, three-vertex companion: w-ended, replacement inside V(P)+V(Q)
     scope = pmask | inst.q_path.mask()
     got = _w_companion(G, u, w, p, scope, _paths2_through(G, w))

@@ -25,7 +25,9 @@ p's vertex sets for ``on_every_upath`` (whose table stops there), the state
 (verts, end) for ``spanning_path_to``, and for the optimal reroute a state on
 the latest level that holds every x-neighbour of P-u and ends at one, then
 any spanning completion.  ``_leading_to`` keeps the states that reach a goal
-and ``_lex_least`` walks them in ascending neighbour order.
+and ``_lex_least`` walks them in ascending neighbour order.  Every table is
+charged to a Budget; the optimal reroute's and ``spanning_path_to``'s only
+count, as vertex caps bound them.
 
 The searches callers repeat share one memo of MEMO_SIZE entries through
 ``recall``, which states how a hit is charged.  A key starts with its query
@@ -43,6 +45,7 @@ at small order.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -178,7 +181,7 @@ def absorb(G: Graph, P: UPath, v: int) -> UPath:
 # -- the reachable-path table ----------------------------------------------------
 
 
-def recall(key: tuple, budget: Optional[Budget], search, *args):
+def recall(key: tuple, budget: Budget, search, *args):
     """``search(*args)``, memoised under ``key`` with the nodes it spent of
     ``budget``.  A hit never searches: it charges those nodes, capped at the
     limit's next node.  Every memoised search trips at that node (one node per
@@ -189,12 +192,11 @@ def recall(key: tuple, budget: Optional[Budget], search, *args):
     got = _memo.get(key)
     if got is not None:
         value, nodes = got
-        if budget is not None:
-            budget.spend(min(nodes, budget.limit - budget.used + 1))
+        budget.spend(min(nodes, budget.limit - budget.used + 1))
         return value
-    start = budget.used if budget is not None else 0
+    start = budget.used
     value = search(*args)
-    spent = budget.used - start if budget is not None else 0
+    spent = budget.used - start
     with _memo_lock:
         if len(_memo) >= MEMO_SIZE:
             del _memo[next(iter(_memo))]
@@ -203,7 +205,7 @@ def recall(key: tuple, budget: Optional[Budget], search, *args):
 
 
 def _reach(
-    G: Graph, u: int, allowed: int, budget: Optional[Budget], levels: Optional[int] = None
+    G: Graph, u: int, allowed: int, budget: Budget, levels: Optional[int] = None
 ) -> list[dict]:
     """The table of u-paths inside ``allowed``: level i maps the vertex set
     of each path with i edges to the bitmask of its possible last vertices.
@@ -212,7 +214,7 @@ def _reach(
     rows = G.rows
     level = {bit(u): bit(u)}
     table = [level]
-    room = budget.limit - budget.used if budget is not None else 0
+    room = budget.limit - budget.used
     spent = 0
     steps = allowed.bit_count() - 1
     for _ in range(steps if levels is None else min(steps, levels)):
@@ -231,10 +233,9 @@ def _reach(
                     nxt[nm] = get(nm, 0) | z
         if not nxt:
             break
-        if budget is not None:
-            spent += sum(map(int.bit_count, nxt.values()))
-            if spent > room:
-                budget.spend(room + 1)  # trips at the limit's next node
+        spent += sum(map(int.bit_count, nxt.values()))
+        if spent > room:
+            budget.spend(room + 1)  # trips at the limit's next node
         table.append(nxt)
         level = nxt
     if spent:
@@ -386,23 +387,18 @@ def spanning_path_to(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
     """Lexicographically least path from u to ``end`` covering exactly the
     vertex set ``verts``, or None when no such path exists.  InputError when
     u, ``end`` or a member of ``verts`` is not one of G's vertices;
-    CapabilityError past HAM_SET_CAP vertices, as the search has no budget."""
+    CapabilityError past HAM_SET_CAP vertices, as its budget only counts."""
     verts = _checked_mask(G, verts)
     if not (0 <= u < G.n and 0 <= end < G.n):
         raise InputError(f"path ends outside 0..{G.n - 1}")
     if not verts & bit(u) or not verts & bit(end):
         return None
     _cap(verts.bit_count(), HAM_SET_CAP, "spanning-path scan")
-    table = _reach(G, u, verts, None)
+    table = _reach(G, u, verts, Budget(math.inf, "spanning path"))
     full = verts.bit_count() - 1
     if full >= len(table) or not table[full].get(verts, 0) & bit(end):
         return None
     return _lex_least(G, u, _leading_to(G, table, full, {verts: bit(end)}))
-
-
-def reroute_path_to(G: Graph, P: UPath, end: int) -> Optional[UPath]:
-    """Lexicographically least reroute of P ending at ``end``, or None."""
-    return spanning_path_to(G, P.mask(), P.anchor, end)
 
 
 def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
@@ -411,7 +407,7 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
 
     Positions are indices along the rerouted sequence (anchor at 0); only
     positions >= 1 count, which never changes the argmax since the anchor is
-    common to all reroutes.  The search runs under no budget, so P is capped
+    common to all reroutes.  The search's budget only counts, so P is capped
     at EXACT_REROUTE_CAP vertices; its result is memoised with the other
     path queries (see the module docstring).
     """
@@ -420,11 +416,14 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     verts = P.mask()
     u = P.anchor
     key = ("reroute", G.rows, u, verts, x)
-    return recall(key, None, _last_neighbor_reroute, G, u, verts, x)
+    budget = Budget(math.inf, "optimal reroute")
+    return recall(key, budget, _last_neighbor_reroute, G, u, verts, x, budget)
 
 
-def _last_neighbor_reroute(G: Graph, u: int, verts: int, x: int) -> UPath:
-    table = _reach(G, u, verts, None)
+def _last_neighbor_reroute(
+    G: Graph, u: int, verts: int, x: int, budget: Budget
+) -> UPath:
+    table = _reach(G, u, verts, budget)
     full = verts.bit_count() - 1
     # P itself is a spanning completion, so the whole set's state is there
     good = _leading_to(G, table, full, {verts: table[full][verts]})

@@ -16,7 +16,10 @@ embedding, same node charge) and the one-pass check, and
 check's earlier statements of the growth rules' cases B and A, kept to pin
 the statements the analyzers and the witness check now share, and
 ``reference_attachment``, the attachment set as first written, over
-``brute_longest_path_len``, kept to pin the level-bounded question.
+``brute_longest_path_len``, kept to pin the level-bounded question, and
+``reference_path_pair`` and ``reference_first_upath``, the nested and
+first-of path walks of growth rules 4 and 6 before they asked the placement
+search, kept to pin its witnesses and node charges.
 ``polya_counts`` counts the classes per edge count with no canonical form.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
@@ -664,3 +667,36 @@ def reference_case_a_holds(inst):
     return e(w) == 0 or any(
         vs[i] in nbr[w] and vs[i + 1] in nbr[w] for i in range(p)
     )
+
+
+def _upath_walk(nbr, path, left, allowed, used, budget):
+    """Every extension of ``path`` by ``left`` vertices of ``allowed`` off
+    ``used``, in lexicographic order; one node of ``budget`` per vertex
+    placed, as ``paths.iter_upaths`` charges."""
+    if not left:
+        yield tuple(path)
+        return
+    for z in sorted(nbr[path[-1]] & allowed - used):
+        budget.spend()
+        path.append(z)
+        yield from _upath_walk(nbr, path, left - 1, allowed, used | {z}, budget)
+        path.pop()
+
+
+def reference_first_upath(G, u, allowed, p, budget):
+    """The first u-path with p edges inside ``allowed`` in lexicographic
+    order, or None: rule 6's two-vertex companion search."""
+    return next(_upath_walk(adj_sets(G), [u], p, set(allowed), {u}, budget), None)
+
+
+def reference_path_pair(G, u, short, long_, budget):
+    """Rule 4's case-C search by nested walks: the first u-path a with
+    ``short`` edges, in lexicographic order, beside which some u-path b
+    with ``long_`` edges shares only u, then the first such b; (a, b), or
+    None when there is no pair."""
+    nbr, everything = adj_sets(G), set(range(G.n))
+    for a in _upath_walk(nbr, [u], short, everything, {u}, budget):
+        b = next(_upath_walk(nbr, [u], long_, everything, set(a), budget), None)
+        if b is not None:
+            return a, b
+    return None

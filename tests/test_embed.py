@@ -108,6 +108,15 @@ def test_list_legged_spider_verifies_and_certifies_as_its_tuple_form():
     assert (out.kind, out.spider_is_t0) == ("local", True)
 
 
+def test_list_legged_embedding_is_hashable_and_verifies():
+    G, T = Graph.complete(3), Spider((1, 1))
+    listed = Embedding(0, [UPath((0, 1)), UPath((0, 2))])
+    canonical = Embedding(0, (UPath((0, 1)), UPath((0, 2))))
+    assert listed == canonical and hash(listed) == hash(canonical)
+    assert type(listed.legs) is tuple
+    assert verify_embedding(G, T, listed)
+
+
 def test_embed_into_H_examples():
     cert = HCertificate(frozenset({0, 1, 2}), frozenset({3, 4}))
     emb = embed_into_H(cert, Spider((2, 2)), 0)
@@ -298,7 +307,7 @@ def test_constructive_raises_on_an_overlapping_direct_move(monkeypatch):
     # the direct move trusts the placement it extends; a placement whose
     # legs overlap reaches embed_constructive's check and is a breach
     G = Graph.complete(5)
-    monkeypatch.setattr(embed_mod, "_placement_search", lambda *args: [1, 1])
+    monkeypatch.setattr(embed_mod, "place_legs", lambda *args: [1, 1])
     with pytest.raises(SoundnessError, match="^embedding failed verification: "):
         embed_constructive(G, Spider((2, 1)), 0)
 
@@ -432,9 +441,9 @@ def test_guided_searches_each_path_question_once(monkeypatch, G, u, legs, asked)
 def test_direct_move_searches_and_verifies_once(monkeypatch, G, u, legs):
     # where the direct extension decides, embed_constructive runs one
     # placement search and checks the embedding it returns once
-    calls = _count_calls(monkeypatch, "_placement_search", "verify_embedding")
+    calls = _count_calls(monkeypatch, "place_legs", "verify_embedding")
     assert embed_constructive(G, Spider(legs), u).embedded
-    assert calls == {"_placement_search": 1, "verify_embedding": 1}
+    assert calls == {"place_legs": 1, "verify_embedding": 1}
 
 
 def _oracle_agrees_with_itertools(G) -> int:

@@ -115,6 +115,39 @@ def test_huge_vertex_id_is_rejected_before_it_becomes_a_bit():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        # rows of 10**4 vertices already take megabytes; at 10**5 the cycle
+        # and path took hundreds, at 10**6 they would take gigabytes
+        (Graph.path_graph, 10**4),
+        (Graph.cycle, 10**4),
+        (Graph.complete, 10**4),
+        (lambda n: Graph.from_edges(n, []), 10**6),
+        (Graph.empty, 10**6),
+    ],
+    ids=["path_graph", "cycle", "complete", "from_edges", "empty"],
+)
+def test_constructors_check_the_vertex_count_before_building_rows(build, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"^vertex count {n} outside 1..128$"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_set_sided_certificate_is_hashable_and_verifies():
+    H32 = Graph.from_edges(5, [(x, y) for x in (0, 1, 2) for y in (3, 4)] + [(3, 4)])
+    cert = HCertificate({0, 1, 2}, [3, 4])
+    canonical = HCertificate(frozenset({0, 1, 2}), frozenset({3, 4}))
+    assert cert == canonical and hash(cert) == hash(canonical)
+    assert type(cert.x_side) is type(cert.y_side) is frozenset
+    assert verify_H_certificate(H32, cert)
+
+
 def test_edge_counts_examples():
     assert edge_counts(Graph.complete(3), [0, 1, 2]) == (3, 0)
     assert edge_counts(K13, [0]) == (0, 3)

@@ -12,6 +12,8 @@ from oracles import (
     reference_attachment,
     reference_case_a_holds,
     reference_case_b_holds,
+    reference_first_upath,
+    reference_path_pair,
     scan_balanced_split,
 )
 
@@ -525,6 +527,82 @@ def test_attachment_sets_match_the_reference(monkeypatch):
         got = lemmas_mod._attachment_set(G, u, w, p_mask, p)
         want = reference_attachment(G, u, w, bits_of(p_mask), p)
         assert set(bits_of(got)) == want, (G, u, w, p_mask, p)
+
+
+def _case_searches(monkeypatch, lemma):
+    """The rule's instances on the classes with n <= 6, one per distinct
+    (host, u, P, x, w, q), each with the analyzer's outcome and the nodes
+    its case search spent."""
+    spent = []
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, limit, label="search"):
+            super().__init__(limit, label)
+            if label == f"lemma {lemma} case search":
+                spent.append(self)
+
+    monkeypatch.setattr(lemmas_mod, "Budget", Recorded)
+    seen = set()
+    for G in graphs_up_to(6):
+        for inst in enumerate_instances(lemma, G):
+            key = (G.rows, inst.u, inst.p_path.mask(), inst.x, inst.w, inst.ctx.q)
+            if key not in seen:
+                seen.add(key)
+                out = analyze(inst)
+                yield inst, out, spent[-1].used
+
+
+def test_rule4_pair_search_matches_the_nested_walks(monkeypatch):
+    # case C asks for two u-paths of lengths p and q+1 sharing only u; the
+    # placement search finds the nested walks' pair and charges their
+    # nodes, or no more when the lengths are equal: its equal-leg floor
+    # skips only mirror images of pairs the walks reject
+    counts = {"C": 0, "equal": 0, "fewer": 0}
+    for inst, out, used in _case_searches(monkeypatch, 4):
+        p, q = inst.ctx.p, inst.ctx.q
+        walked = Budget(10**9)
+        pair = reference_path_pair(inst.graph, inst.u, *sorted((p, q + 1)), walked)
+        if pair is None:
+            assert out.case != "C"
+        else:
+            counts["C"] += 1
+            if p > q + 1:
+                pair = pair[::-1]
+            assert out.case == "C" and tuple(P.vertices for P in out.paths) == pair
+        if p != q + 1:
+            assert used == walked.used
+        else:
+            counts["equal"] += 1
+            assert used <= walked.used
+            counts["fewer"] += used < walked.used
+    assert min(counts.values()) > 0, counts
+
+
+def test_rule6_companion_search_matches_the_first_of_walks(monkeypatch):
+    # the two-vertex companion: for each edge wz in ascending z (z != u),
+    # the first u-path with p edges inside (V(P) + x) - z; the placement
+    # search finds the walk's path and charges exactly its nodes
+    found = 0
+    for inst, out, used in _case_searches(monkeypatch, 6):
+        G, u, w, p = inst.graph, inst.u, inst.w, inst.ctx.p
+        walked = Budget(10**9)
+        want = None
+        for z in bits_of(G.rows[w] & ~bit(u)):
+            allowed = bits_of((inst.p_path.mask() | bit(inst.x)) & ~bit(z))
+            got = reference_first_upath(G, u, allowed, p, walked)
+            if got is not None:
+                want = (got, (w, z))
+                break
+        if want is None:
+            assert out.detail.get("r_size") != 2
+        else:
+            found += 1
+            assert out.detail == {"r_size": 2}
+            assert tuple(P.vertices for P in out.paths) == want
+        assert used == walked.used
+    assert found > 0
 
 
 def test_one_memo_holds_every_query_kind_within_its_size(monkeypatch):

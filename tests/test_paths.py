@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -42,7 +43,6 @@ from esos.paths import (
     recall,
     reroute_ends,
     reroute_maximizing_last_neighbor,
-    reroute_path_to,
     second_ends,
     spanning_path_to,
 )
@@ -280,13 +280,8 @@ def test_reroute_exact_cap():
             18,
             "^spanning-path scan capped at 18 vertices$",
         ),
-        (
-            lambda G, m: reroute_path_to(G, UPath(tuple(range(m))), m - 1),
-            18,
-            "^spanning-path scan capped at 18 vertices$",
-        ),
     ],
-    ids=["last-neighbor-reroute", "spanning-path", "reroute-path"],
+    ids=["last-neighbor-reroute", "spanning-path"],
 )
 def test_unbudgeted_path_tables_are_capped(search, cap, message):
     # a path graph's tables are tiny, so only the cap refuses one vertex more
@@ -365,11 +360,12 @@ def test_inside_second_end_neighbourhood_property():
                         assert set(bits_of(G.rows[w])) <= set(P.vertices)
 
 
-def test_reroute_path_to_and_last_neighbor():
+def test_reroute_by_spanning_path_and_last_neighbor():
+    # a reroute of P ending at a given vertex is a spanning path of V(P)
     G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     P = UPath((0, 1, 2))
-    assert reroute_path_to(G, P, 1).vertices == (0, 2, 1)
-    assert reroute_path_to(G, P, 0) is None
+    assert spanning_path_to(G, P.mask(), P.anchor, 1).vertices == (0, 2, 1)
+    assert spanning_path_to(G, P.mask(), P.anchor, 0) is None
     best = reroute_maximizing_last_neighbor(G, P, 3)
     # 3 sees 0 and 2; ordering 0-1-2 puts a neighbour of 3 last
     assert best.vertices == (0, 1, 2)
@@ -385,8 +381,8 @@ def test_reroute_path_to_and_last_neighbor():
         lambda: spanning_path_to(Graph.complete(5), 0b111, 5, 1),
         lambda: spanning_path_to(Graph.complete(5), 0b111, 0, 9),
         lambda: spanning_path_to(Graph.complete(5), 0b1111111, 0, 1),
-        lambda: reroute_path_to(Graph.complete(5), UPath((0, 1)), -1),
-        lambda: reroute_path_to(Graph.complete(5), UPath((0, 1)), 9),
+        lambda: spanning_path_to(Graph.complete(5), UPath((0, 1)).mask(), 0, -1),
+        lambda: spanning_path_to(Graph.complete(5), UPath((0, 1)).mask(), 0, 9),
     ],
     ids=[
         "anchor-negative",
@@ -599,9 +595,10 @@ def test_warm_path_memo_follows_the_budget(monkeypatch):
         raise AssertionError("a memo hit must not search")
 
     monkeypatch.setattr(paths_mod, "Budget", Recorded)
-    # the one memoised path search with a budget (the last-neighbour reroute
-    # has none); the reroute-end and second-end searches keep no memo entry,
-    # and test_path_search_budgets_trip_at_the_state_count checks their nodes
+    # the one memoised path search with a limit (the last-neighbour reroute
+    # only counts); the reroute-end and second-end searches keep no memo
+    # entry, and test_path_search_budgets_trip_at_the_state_count checks
+    # their nodes
     searches = ((lambda: longest_u_path(G, 0), brute_prefix_states(G, 0, range(5))),)
     for call, nodes in searches:
         monkeypatch.setattr(paths_mod, "_memo", {})
@@ -623,6 +620,32 @@ def test_warm_path_memo_follows_the_budget(monkeypatch):
         assert str(warm.value) == str(cold.value)
         assert f"({nodes} > {nodes - 1} nodes)" in str(cold.value)
         monkeypatch.delenv("ESOS_BUDGET")
+
+
+def test_counting_path_tables_answer_under_a_zero_esos_budget(monkeypatch):
+    # the spanning-path and optimal-reroute tables count one node per state
+    # after the root under no limit, which ESOS_BUDGET does not reach; a
+    # memo hit charges what the cold table spent
+    budgets = []
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(paths_mod, "Budget", Recorded)
+    monkeypatch.setattr(paths_mod, "_memo", {})
+    monkeypatch.setenv("ESOS_BUDGET", "0")
+    G, P = Graph.complete(5), UPath((0, 1, 2, 3))
+    states = brute_prefix_states(G, 0, P.vertices) - 1
+    assert spanning_path_to(G, P.mask(), 0, 1) == UPath((0, 2, 3, 1))
+    assert (budgets[-1].label, budgets[-1].used) == ("spanning path", states)
+    for _ in range(2):  # cold, then from the memo
+        assert reroute_maximizing_last_neighbor(G, P, 4) == P
+        assert (budgets[-1].label, budgets[-1].used) == ("optimal reroute", states)
+    assert len(budgets) == 3
 
 
 # -- bound checkers -----------------------------------------------------------
@@ -688,7 +711,9 @@ def test_memo_stays_bounded_under_threads(monkeypatch):
     def fill(base):
         try:
             for i in range(5000):
-                assert recall(("thread", base, i), None, int, i) == i
+                budget = Budget(math.inf, "thread")
+                assert recall(("thread", base, i), budget, int, i) == i
+                assert budget.used == 0
         except Exception as exc:
             errors.append(exc)
 
