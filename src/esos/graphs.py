@@ -34,7 +34,7 @@ upper triangle in column order, each byte offset by 63.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import InputError
@@ -70,14 +70,19 @@ def set_of(mask: int) -> frozenset[int]:
 
 
 def _check_order(n: int) -> None:
-    if not 1 <= n <= MAX_VERTICES:
+    # the integers 1..128 only: a float or a bool is no vertex count
+    if type(n) is not int or not 1 <= n <= MAX_VERTICES:
         raise InputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
 class Graph:
+    """``full_mask``, the set of all n vertices, is computed once, at
+    construction; equality, hash and repr see only ``n`` and ``rows``."""
+
     n: int
     rows: tuple[int, ...]
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.rows) is not tuple:  # e.g. list rows: keep G hashable
@@ -87,6 +92,7 @@ class Graph:
             raise InputError("adjacency row count does not match n")
         rows = self.rows
         full = (1 << self.n) - 1
+        object.__setattr__(self, "full_mask", full)
         for v, row in enumerate(rows):
             if row & ~full:
                 raise InputError(f"row {v} references vertices >= n")
@@ -128,17 +134,15 @@ class Graph:
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
+        _check_order(n)  # before range(n), which a float n fails
         return cls.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
     @classmethod
     def path_graph(cls, n: int) -> "Graph":
+        _check_order(n)
         return cls.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -254,8 +258,11 @@ def _checked_mask(G: Graph, S: VertexSetLike, what: str = "vertex set") -> int:
 
 def e_inside(G: Graph, S: VertexSetLike) -> int:
     """Edges with both ends in S."""
-    m = _checked_mask(G, S)
-    rows = G.rows
+    return _inner_edges(G.rows, _checked_mask(G, S))
+
+
+def _inner_edges(rows: tuple[int, ...], m: int) -> int:
+    """``e_inside`` once m is known to be a vertex set of the host."""
     twice = 0
     rest = m
     while rest:

@@ -51,7 +51,9 @@ and Q.  Both instance builders walk that shape once for every rule:
 
 * ``enumerate_instances``: anchor u, each excluded choice of
   ``_exclusions``, p = 1, 2, ... up to the first p with no u-path, each
-  maximizing P, then its probes;
+  maximizing P, then its probes.  P becomes a UPath, with its filter, only
+  when its first probe arrives, and the filter's verdict is kept per probe
+  end x, so each (P, x) is judged once however many probes end at x;
 * ``sample_instances``: a random host and anchor, one excluded choice
   drawn by ``_pick_exclusion``, then one tail for every rule that draws p,
   P and x; only the last draw differs (rule 4 picks x in N(u), the others
@@ -63,10 +65,14 @@ Each rule's hypotheses are stated once:
   ``validate_instance`` then runs the same maximality, probe and x checks
   for every rule (rule 4's detached path is its excluded set, and x is a
   neighbour of u rather than a probe end);
-* ``_surplus2`` is the only statement of each surplus, which validation
-  derives and keeps;
+* ``_surplus2`` is the only statement of each surplus, linear in
+  e(x, V(P-u)), which validation derives and keeps;
 * ``_probe_end_filter`` decides which x the generators admit: nonnegative
-  surplus, and for rule 6, x absorbable to P's optimal reroute;
+  surplus, and for rule 6, x absorbable to P's optimal reroute.  It asks
+  ``paths``' unchecked cores for both, as P comes from the builder's own
+  maximality search and x lies off it; ``validate_instance`` still asks the
+  public, checked ``reroute_maximizing_last_neighbor`` and
+  ``is_absorbable`` of every instance, so each is validated from scratch;
 * ``_split_pools`` is case B's precondition and the vertex sets its split
   must cover; ``graphs.recognize_H`` finds each pool's covering split,
   which case B takes when its sides are equal; ``_degenerate`` is case A's
@@ -78,16 +84,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .embed import place_legs
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
 from .graphs import (
     Graph,
     HCertificate,
-    bit,
+    _inner_edges,
     bits_of,
-    e_inside,
     mask_of,
     recognize_H,
     verify_H_certificate,
@@ -95,6 +100,8 @@ from .graphs import (
 from .paths import (
     LONGEST_PATH_BUDGET,
     UPath,
+    _absorbs,
+    _optimal_reroute,
     is_absorbable,
     is_strictly_absorbable,
     is_valid_upath,
@@ -112,9 +119,9 @@ LEMMA_IDS = (3, 4, 5, 6)
 MAX_INSTANCE_HOST = 12
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    """What validation derives; frozen, as the witness check reads it too."""
+class _Ctx(NamedTuple):
+    """What validation derives; a tuple, so unchanged when the witness check
+    reads it too."""
 
     L: int  # mask of V(P-u)
     p: int
@@ -196,11 +203,11 @@ def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
     u-path with p edges (lemma 5's correction set): the neighbours of w
     missing from some such path in G - w, read off one
     ``paths.on_every_upath`` answer memoised per (u, w, p)."""
-    near = G.rows[w] & p_mask & ~bit(u)
+    near = G.rows[w] & p_mask & ~(1 << u)
     if not near:
         return 0
     budget = Budget(search_budget(LONGEST_PATH_BUDGET), "longest_u_path")
-    allowed = G.full_mask & ~bit(w)
+    allowed = G.full_mask & ~(1 << w)
     key = ("attachment", G.rows, u, w, p)
     return near & ~recall(key, budget, on_every_upath, G, u, allowed, p, budget)
 
@@ -208,26 +215,26 @@ def _attachment_set(G: Graph, u: int, w: int, p_mask: int, p: int) -> int:
 def _surplus2(
     lemma: int,
     G: Graph,
-    u: int,
-    P: UPath,
-    x: int,
+    L: int,
+    p: int,
     attachment: int,
     w1: Optional[int] = None,
     w2: Optional[int] = None,
     v: Optional[int] = None,
     w: Optional[int] = None,
-) -> int:
-    """Twice the rule's surplus at probe end x; ``attachment`` is rule 5's
-    attachment set.  The caller has checked the named vertices."""
-    L = P.mask() & ~bit(u)
-    p = P.length
+) -> tuple[int, int]:
+    """Twice the rule's surplus, which is linear in e(x, L) at probe end x:
+    (slope, base) with surplus2 = slope * e(x, L) + base, for L = V(P-u)
+    and p = |L|.  ``attachment`` is rule 5's attachment set.  The caller
+    has checked the named vertices."""
     if lemma in (3, 4):
         pair = _ev(G, w1, L) + _ev(G, w2, L)
-        return 2 * (2 * _ev(G, x, L) + pair - 2 * p)
+        return 4, 2 * pair - 4 * p  # 2 * (2 e(x, L) + pair - 2p)
     if lemma == 5:
         pair = _ev(G, v, L) + _ev(G, w, L)
-        return 4 * _ev(G, x, L) + 2 * pair - 4 * p - _ev(G, v, attachment)
-    return 2 * (_ev(G, x, L) + _ev(G, w, L) - p)  # rule 6
+        # 4 e(x, L) + 2 pair - 4p - e(v, S), S the attachment set
+        return 4, 2 * pair - 4 * p - _ev(G, v, attachment)
+    return 2, 2 * (_ev(G, w, L) - p)  # rule 6: 2 * (e(x, L) + e(w, L) - p)
 
 
 def make_instance(
@@ -260,16 +267,26 @@ def _probe_end_filter(
     """Which probe ends x the rule admits with P: a nonnegative surplus, and
     for rule 6, x absorbable to P's optimal reroute.  ``fields`` are the
     rule's named vertices (rule 4: w1, w2, the detached path's ends); x must
-    lie off P.  Rule 5's attachment set is read here, once per P, from a
-    table built once per (u, w, p)."""
-    S = _attachment_set(G, u, fields["w"], P.mask(), P.length) if lemma == 5 else 0
+    lie off P.  The surplus's part that does not depend on x, with rule 5's
+    attachment set from a table built once per (u, w, p), is computed here
+    once per P.
+
+    P is a path of G that the caller's own maximality search found, and x a
+    vertex of G off P, so rule 6 asks ``paths``' unchecked cores for the
+    optimal reroute and for absorbability.  A caller asks once per (P, x)
+    and keeps the verdict.  ``validate_instance`` still calls the public,
+    checked queries on every instance this admits."""
+    rows = G.rows
+    pmask = P.mask()
+    L = pmask & ~(1 << u)
+    p = P.length
+    S = _attachment_set(G, u, fields["w"], pmask, p) if lemma == 5 else 0
+    slope, base = _surplus2(lemma, G, L, p, S, **fields)
 
     def admissible(x: int) -> bool:
-        if _surplus2(lemma, G, u, P, x, S, **fields) < 0:
+        if slope * (rows[x] & L).bit_count() + base < 0:
             return False
-        return lemma != 6 or is_absorbable(
-            G, reroute_maximizing_last_neighbor(G, P, x), x
-        )
+        return lemma != 6 or _absorbs(rows[x], _optimal_reroute(G, P, x))
 
     return admissible
 
@@ -301,7 +318,7 @@ def _argmax_paths(
     when it ties or beats the best so far.  Nodes are counted locally and
     charged on return; past the limit, the charge is the limit's next node
     and the search raises, as one charge per node would."""
-    if not allowed & bit(u):
+    if not allowed & (1 << u):
         return None, ()
     if p == 0:
         return 0, ((u,),)
@@ -311,7 +328,7 @@ def _argmax_paths(
     best = None
     out: list[tuple[int, ...]] = []
     stack = [u]
-    mask = bit(u)
+    mask = 1 << u
     inner = [0]  # per depth, the inner edges of the prefix
     untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
     while untried:
@@ -319,7 +336,7 @@ def _argmax_paths(
         if not ext:
             untried.pop()
             inner.pop()
-            mask ^= bit(stack.pop())
+            mask ^= 1 << stack.pop()
             continue
         low = ext & -ext
         untried[-1] = ext ^ low
@@ -348,7 +365,7 @@ _PROBE_AVOIDS = {3: "the excluded pair", 5: "the excluded edge", 6: "w"}
 def _sees_all(G: Graph, u: int, mask: int) -> bool:
     """Whether u sees every vertex of ``mask`` but itself (rule 4 asks it of
     V(P) and V(Q))."""
-    return not mask & ~bit(u) & ~G.rows[u]
+    return not mask & ~(1 << u) & ~G.rows[u]
 
 
 def _excluded(inst: LemmaInstance) -> int:
@@ -364,9 +381,9 @@ def _excluded(inst: LemmaInstance) -> int:
     if inst.lemma == 3:
         if w1 is None or w2 is None or len({u, w1, w2}) != 3:
             raise InputError("lemma 3 needs distinct u, w1, w2")
-        return bit(w1) | bit(w2)
+        return (1 << w1) | (1 << w2)
     if inst.lemma == 4:
-        if w1 is not None and w2 is not None and bit(u) & Q.mask():
+        if w1 is not None and w2 is not None and (1 << u) & Q.mask():
             raise InputError("detached path must avoid u")
         if w1 != Q.vertices[0] or w2 != Q.vertices[-1]:
             raise InputError("w1, w2 must be the detached path ends")
@@ -378,11 +395,11 @@ def _excluded(inst: LemmaInstance) -> int:
             raise InputError("lemma 5 needs distinct u, v, w")
         if not G.has_edge(v, w):
             raise InputError("vw must be an edge")
-        return bit(v) | bit(w)
+        return (1 << v) | (1 << w)
     if inst.lemma == 6:
         if w is None or w == u:
             raise InputError("lemma 6 needs w distinct from u")
-        return bit(w)
+        return 1 << w
     raise InputError(f"unknown lemma id {inst.lemma}")
 
 
@@ -402,47 +419,51 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     ``paths.recall`` states.  The instance itself is never cached: P, Q, x
     and the named vertices are checked on every call.
     """
-    G, u = inst.graph, inst.u
+    G, u, lemma = inst.graph, inst.u, inst.lemma
     P, Q = inst.p_path, inst.q_path
+    pv, qv = P.vertices, Q.vertices  # read once: each UPath property is a call
     if not 0 <= u < G.n:
         raise InputError("anchor out of range")
-    if not is_valid_upath(G, P.vertices) or P.anchor != u or P.length < 1:
+    if not is_valid_upath(G, pv) or pv[0] != u or len(pv) < 2:
         raise InputError("P must be a nontrivial anchored path of the host")
-    if not is_valid_upath(G, Q.vertices):
+    if not is_valid_upath(G, qv):
         raise InputError("Q must be a path of the host")
-    p = P.length
-    pmask = P.mask()
-    L = pmask & ~bit(u)
+    rows = G.rows
+    p = len(pv) - 1
+    pmask, qmask = P.mask(), Q.mask()
+    L = pmask & ~(1 << u)
     budget = Budget(search_budget(MAXIMALITY_BUDGET), "maximality check")
     excluded = _excluded(inst)
     if pmask & excluded:
         raise InputError("P enters an excluded vertex")
     best, _ = _max_paths(G, u, G.full_mask & ~excluded, p, budget)
-    if best is None or e_inside(G, pmask) != best:
+    # P is a path of G, so its mask needs no check before its edges count
+    if best is None or _inner_edges(rows, pmask) != best:
         raise InputError("P does not maximize inner edges at its length")
     x = inst.x
-    if inst.lemma == 4:
-        if x is None or not G.rows[u] & bit(x):
+    if lemma == 4:
+        if x is None or not rows[u] & (1 << x):
             raise InputError("x must be a neighbour of u")
-        if bit(x) & (pmask | Q.mask()):
+        if (1 << x) & (pmask | qmask):
             raise InputError("x must lie outside P and Q")
-        if not _sees_all(G, u, pmask | Q.mask()):
+        if not _sees_all(G, u, pmask | qmask):
             raise InputError("every vertex of P and Q must be seen by u")
-        q = len(Q.vertices)
+        q = len(qv)
     else:
-        if Q.anchor != u or Q.length < 1:
+        if qv[0] != u or len(qv) < 2:
             raise InputError("probe must be a nontrivial anchored path")
-        if Q.mask() & (L | excluded):
-            avoid = _PROBE_AVOIDS[inst.lemma]
+        if qmask & (L | excluded):
+            avoid = _PROBE_AVOIDS[lemma]
             raise InputError(f"probe must avoid V(P-u) and {avoid}")
-        if x != Q.end:
+        if x != qv[-1]:
             raise InputError("x must be the probe end")
-        q = Q.length
-    S = _attachment_set(G, u, inst.w, pmask, p) if inst.lemma == 5 else 0
-    p_prime = reroute_maximizing_last_neighbor(G, P, x) if inst.lemma == 6 else None
-    if inst.lemma == 6 and not is_absorbable(G, p_prime, x):
+        q = len(qv) - 1
+    S = _attachment_set(G, u, inst.w, pmask, p) if lemma == 5 else 0
+    p_prime = reroute_maximizing_last_neighbor(G, P, x) if lemma == 6 else None
+    if lemma == 6 and not is_absorbable(G, p_prime, x):
         raise InputError("x is not absorbable to the optimal reroute")
-    s2 = _surplus2(inst.lemma, G, u, P, x, S, inst.w1, inst.w2, inst.v, inst.w)
+    slope, base = _surplus2(lemma, G, L, p, S, inst.w1, inst.w2, inst.v, inst.w)
+    s2 = slope * _ev(G, x, L) + base
     if s2 < 0:
         raise InputError("surplus must be nonnegative")
     return _Ctx(L=L, p=p, q=q, surplus2=s2, S=S, p_prime=p_prime)
@@ -455,30 +476,33 @@ CASE_SEARCH_BUDGET = 2_000_000
 
 def _paths2_through(G: Graph, w: int) -> list[tuple[int, int, int]]:
     """All 3-vertex paths containing w, each once, sorted; w-ended ones are
-    oriented from w, w-middle ones with smaller first endpoint."""
-    out = set()
-    for b in bits_of(G.rows[w]):
-        for c in bits_of(G.rows[b]):
-            if c != w:
-                out.add((w, b, c))
+    oriented from w, w-middle ones with smaller first endpoint.  Built in
+    that order: the w-middle paths whose first end is below w, then the
+    w-ended paths, then the other w-middle paths."""
     nw = list(bits_of(G.rows[w]))
-    for i, a in enumerate(nw):
-        for c in nw[i + 1 :]:
-            out.add((a, w, c))
-    return sorted(out)
+    middle = [(a, w, c) for i, a in enumerate(nw) for c in nw[i + 1 :]]
+    below = sum(len(nw) - 1 - i for i, a in enumerate(nw) if a < w)
+    return middle[:below] + _w_ended(G, w) + middle[below:]
+
+
+def _w_ended(G: Graph, w: int) -> list[tuple[int, int, int]]:
+    """The 3-vertex paths (w, b, c), in ascending order."""
+    rows = G.rows
+    return [(w, b, c) for b in bits_of(rows[w]) for c in bits_of(rows[b] & ~(1 << w))]
 
 
 def _w_companion(
-    G: Graph, u: int, w: int, p: int, scope: int, candidates: list[tuple[int, ...]]
+    G: Graph, u: int, w: int, p: int, scope: int
 ) -> Optional[tuple[UPath, UPath]]:
     """(The first p edges of a longest u-path in ``scope`` minus V(r), r) for
-    the first w-ended r of ``_paths2_through(G, w)`` that misses u and leaves
-    a u-path with p edges there; None when no r does."""
-    for r in candidates:
+    the first r of ``_w_ended(G, w)`` that misses u and leaves a u-path with
+    p edges there; None when no r does."""
+    outside = G.full_mask & ~scope
+    for r in _w_ended(G, w):
         rmask = mask_of(r)
-        if r[0] != w or rmask & bit(u):
+        if rmask & (1 << u):
             continue
-        lp = longest_u_path(G, u, avoid=(G.full_mask & ~scope) | rmask)
+        lp = longest_u_path(G, u, avoid=outside | rmask)
         if lp.length >= p:
             return UPath(lp.vertices[: p + 1]), UPath(r)
     return None
@@ -494,11 +518,11 @@ def _split_pools(inst: LemmaInstance) -> list[int]:
     3, 5 and 6, the probe is one edge."""
     if inst.surplus2 or inst.ctx.p % 2 or (inst.lemma != 4 and inst.ctx.q != 1):
         return []
-    pool = inst.p_path.mask() | bit(inst.x)
+    pool = inst.p_path.mask() | (1 << inst.x)
     if inst.lemma != 5:
         return [pool]
-    pool |= bit(inst.v)
-    return [pool & ~bit(omit) for omit in bits_of(pool)]
+    pool |= 1 << inst.v
+    return [pool & ~(1 << omit) for omit in bits_of(pool)]
 
 
 def _degenerate(inst: LemmaInstance) -> Optional[dict]:
@@ -523,7 +547,7 @@ def _degenerate(inst: LemmaInstance) -> Optional[dict]:
     else:
         # x reaches the reroute's end; w's attachments match the gap pattern
         pp, w = inst.ctx.p_prime, inst.w
-        if not G.rows[x] & bit(pp.end):
+        if not G.rows[x] & (1 << pp.end):
             return None
         matches = _pqw_gap_readings(G, inst.ctx, x, w)
         ew = _ev(G, w, L)
@@ -556,7 +580,7 @@ def _split_or_degenerate(inst: LemmaInstance) -> CaseOutcome:
                 "p_half_matches": [i for i, e in ((1, e1), (2, e2)) if 2 * e == ctx.p],
             }
         elif inst.lemma == 5:
-            left_out = (inst.p_path.mask() | bit(inst.x) | bit(inst.v)) & ~pool
+            left_out = (inst.p_path.mask() | (1 << inst.x) | (1 << inst.v)) & ~pool
             facts = {
                 "e_w_L": _ev(G, inst.w, L),
                 "e_v_L": _ev(G, inst.v, L),
@@ -582,11 +606,11 @@ def analyze_xv1v2(inst: LemmaInstance) -> CaseOutcome:
     qmask = inst.q_path.mask()
     for scope in ("stated", "with-probe"):
         for i, wi, other in ((1, inst.w1, inst.w2), (2, inst.w2, inst.w1)):
-            keep = pmask | (bit(x) | bit(other) if scope == "stated" else qmask)
+            keep = pmask | ((1 << x) | (1 << other) if scope == "stated" else qmask)
             for z in bits_of(G.rows[wi] & pmask):
                 if z == u:
                     continue
-                lp = longest_u_path(G, u, avoid=(G.full_mask & ~keep) | bit(z))
+                lp = longest_u_path(G, u, avoid=(G.full_mask & ~keep) | (1 << z))
                 if lp.length >= p:
                     return CaseOutcome(
                         "C",
@@ -616,8 +640,8 @@ def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
     pmask = inst.p_path.mask()
     p = inst.ctx.p
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 5 case search")
-    narrow_scope = pmask | bit(x)
-    r_ok_mask = pmask | bit(w) | bit(v)
+    narrow_scope = pmask | (1 << x)
+    r_ok_mask = pmask | (1 << w) | (1 << v)
     r_candidates = _paths2_through(G, w)
     # C, narrow: replacement path inside V(P)+x, companion through w nearby
     for pp in iter_upaths_exact(G, u, narrow_scope, p, budget):
@@ -639,7 +663,7 @@ def analyze_xvw(inst: LemmaInstance) -> CaseOutcome:
                     },
                 )
     # C, wide: w-ended companion anywhere, replacement path avoiding it
-    got = _w_companion(G, u, w, p, G.full_mask, r_candidates)
+    got = _w_companion(G, u, w, p, G.full_mask)
     if got is not None:
         return CaseOutcome(
             "C", {}, paths=got, detail={"scope": "wide", "reading": "w-end"}
@@ -653,17 +677,17 @@ def analyze_PQw(inst: LemmaInstance) -> CaseOutcome:
     p = inst.ctx.p
     budget = Budget(search_budget(CASE_SEARCH_BUDGET), "lemma 6 case search")
     # C, two-vertex companion: an edge wz, replacement inside V(P)+x
-    for z in sorted(bits_of(G.rows[w])):
+    for z in bits_of(G.rows[w]):
         if z == u:
             continue
-        allowed = (pmask | bit(x)) & ~bit(z)
+        allowed = (pmask | (1 << x)) & ~(1 << z)
         got = place_legs(G, (p,), u, allowed, budget)
         if got is not None:
             pair = UPath((u, *got)), UPath((w, z))
             return CaseOutcome("C", {}, paths=pair, detail={"r_size": 2})
     # C, three-vertex companion: w-ended, replacement inside V(P)+V(Q)
     scope = pmask | inst.q_path.mask()
-    got = _w_companion(G, u, w, p, scope, _paths2_through(G, w))
+    got = _w_companion(G, u, w, p, scope)
     if got is not None:
         return CaseOutcome("C", {}, paths=got, detail={"r_size": 3})
     return _split_or_degenerate(inst)
@@ -679,12 +703,12 @@ def _pqw_gap_readings(G: Graph, ctx: _Ctx, x: int, w: int) -> list[str]:
     wl = G.rows[w] & ctx.L
     down = 0
     for i in range(1, p + 1):
-        if i <= min(ctx.q, p) or xrow & bit(vs[i - 1]):
-            down |= bit(vs[i])
+        if i <= min(ctx.q, p) or xrow & (1 << vs[i - 1]):
+            down |= 1 << vs[i]
     up = 0
     for i in range(1, p):
-        if not xrow & bit(vs[i + 1]):
-            up |= bit(vs[i])
+        if not xrow & (1 << vs[i + 1]):
+            up |= 1 << vs[i]
     matches = []
     if wl == ctx.L & ~down:
         matches.append("shift-down")
@@ -757,10 +781,10 @@ def _verify_case_c(inst: LemmaInstance, out: CaseOutcome) -> bool:
         if i not in (1, 2) or z is None:
             return False
         wi, other = (inst.w1, inst.w2) if i == 1 else (inst.w2, inst.w1)
-        if not G.rows[wi] & pmask & bit(z):
+        if not G.rows[wi] & pmask & (1 << z):
             return False
-        stated = (pmask | bit(inst.x) | bit(other)) & ~bit(z)
-        with_probe = (pmask | inst.q_path.mask()) & ~bit(z)
+        stated = (pmask | (1 << inst.x) | (1 << other)) & ~(1 << z)
+        with_probe = (pmask | inst.q_path.mask()) & ~(1 << z)
         return first.mask() & ~stated == 0 or first.mask() & ~with_probe == 0
     second = out.paths[1]
     if first.length != p:
@@ -769,23 +793,23 @@ def _verify_case_c(inst: LemmaInstance, out: CaseOutcome) -> bool:
         return (
             second.anchor == u
             and second.length == ctx.q + 1
-            and first.mask() & second.mask() == bit(u)
+            and first.mask() & second.mask() == (1 << u)
         )
     if first.mask() & second.mask():
         return False
     if inst.lemma == 5:
-        if second.length != 2 or not second.mask() & bit(inst.w):
+        if second.length != 2 or not second.mask() & (1 << inst.w):
             return False
         w_end = inst.w in (second.anchor, second.end)
         narrow = (
-            first.mask() & ~(pmask | bit(inst.x)) == 0
-            and second.mask() & ~(pmask | bit(inst.w) | bit(inst.v)) == 0
+            first.mask() & ~(pmask | (1 << inst.x)) == 0
+            and second.mask() & ~(pmask | (1 << inst.w) | (1 << inst.v)) == 0
         )
         return w_end or narrow
     if second.anchor != inst.w:
         return False
     if second.length == 1:
-        return first.mask() & ~(pmask | bit(inst.x)) == 0
+        return first.mask() & ~(pmask | (1 << inst.x)) == 0
     if second.length == 2:
         return first.mask() & ~(pmask | inst.q_path.mask()) == 0
     return False
@@ -799,8 +823,8 @@ def _random_rows(rng: random.Random, n: int, density: float) -> list[int]:
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                rows[i] |= bit(j)
-                rows[j] |= bit(i)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return rows
 
 
@@ -818,8 +842,8 @@ def _propose(
         # the rule needs u to see everything involved; make u near-universal
         for z in range(n):
             if z != u and rng.random() < 0.9:
-                rows[u] |= bit(z)
-                rows[z] |= bit(u)
+                rows[u] |= 1 << z
+                rows[z] |= 1 << u
     G = Graph(n, tuple(rows))
     budget = Budget(200_000, "instance synthesis")
     try:
@@ -841,7 +865,7 @@ def _propose(
         if Q is not None:  # rule 4: the probe is the edge ux
             return make_instance(lemma, G, u, P, Q, x=rng.choice(xs)) if xs else None
         rng.shuffle(xs)
-        q_allowed = G.full_mask & ~(P.mask() & ~bit(u) | excl)
+        q_allowed = G.full_mask & ~(P.mask() & ~(1 << u) | excl)
         for x in xs:
             qp = first_upath_to(G, u, q_allowed, x, budget)
             if qp is not None:
@@ -907,6 +931,9 @@ def sample_instances(
     tripped a budget with none kept, or when none survives and some budget
     tripped, the last such error raises.
     """
+    for what, size in (("host size", n), ("instance count", count)):
+        if type(size) is not int:  # a float or a bool is no size
+            raise InputError(f"{what} must be an integer")
     _check_scope(lemma, n)
     search_budget(MAXIMALITY_BUDGET)  # fails fast on a malformed ESOS_BUDGET
     if count < 0:
@@ -951,22 +978,28 @@ def enumerate_instances(lemma: int, G: Graph) -> Iterator[LemmaInstance]:
                 if not cands:
                     break  # every longer u-path has one with p edges as its prefix
                 for pseq in cands:
-                    P = UPath(pseq)
-                    off = P.mask() & ~bit(u)
+                    pmask = mask_of(pseq)
                     if Q is None:  # every u-path off V(P-u) and the excluded set
+                        off = pmask & ~(1 << u)
                         probes = iter_upaths(G, u, G.full_mask & ~(off | excl), budget)
-                    elif not _sees_all(G, u, off):  # rule 4: u must see all of P
+                    elif not _sees_all(G, u, pmask):  # rule 4: u must see all of P
                         continue
                     else:  # rule 4: the edges ux, x in N(u) off P and Q
-                        probes = ((u, x) for x in bits_of(nu & ~(P.mask() | excl)))
-                    # built at the first probe, so rule 5's attachment set (and
-                    # any budget error in it) comes no earlier than an instance
-                    admissible = None
+                        probes = ((u, x) for x in bits_of(nu & ~(pmask | excl)))
+                    # P and its filter are built at the first probe, so rule
+                    # 5's attachment set (and any budget error in it) comes no
+                    # earlier than an instance; one verdict is kept per x
+                    P = admissible = None
+                    verdicts: dict[int, bool] = {}
                     for q in probes:
-                        if admissible is None:
-                            admissible = _probe_end_filter(lemma, G, u, P, **fields)
                         x = q[-1]
-                        if admissible(x):
+                        ok = verdicts.get(x)
+                        if ok is None:
+                            if P is None:
+                                P = UPath(pseq)
+                                admissible = _probe_end_filter(lemma, G, u, P, **fields)
+                            ok = verdicts[x] = admissible(x)
+                        if ok:
                             probe = UPath(q) if Q is None else Q
                             yield make_instance(lemma, G, u, P, probe, x=x, **fields)
 

@@ -79,6 +79,9 @@ class UPath:
             vertices = tuple(vertices)
         if not vertices:
             raise InputError("a path needs at least one vertex")
+        for v in vertices:  # a float or a bool is no vertex id
+            if type(v) is not int:
+                raise InputError("path vertices must be integer ids")
         # ids are checked before they become bits, so a huge id costs
         # nothing; a negative one fails its shift
         if max(vertices) >= MAX_VERTICES:
@@ -141,7 +144,7 @@ def _off_path(G: Graph, P: UPath, v: int, on_path="vertex already on the path"):
         raise InputError("P must be a path of the host")
     if not 0 <= v < G.n:
         raise InputError("vertex out of range")
-    if bit(v) & P.mask():
+    if (1 << v) & P.mask():
         raise InputError(on_path)
 
 
@@ -149,7 +152,7 @@ def _absorbing_edge(row: int, P: UPath) -> Optional[int]:
     """Least edge index i of P with both P[i] and P[i+1] in ``row``, else
     None; the public predicates check their input once and then call it."""
     for i in range(P.length):
-        if row & bit(P.vertices[i]) and row & bit(P.vertices[i + 1]):
+        if row & (1 << P.vertices[i]) and row & (1 << P.vertices[i + 1]):
             return i
     return None
 
@@ -162,8 +165,13 @@ def is_strictly_absorbable(G: Graph, P: UPath, v: int) -> Optional[int]:
 
 def is_absorbable(G: Graph, P: UPath, v: int) -> bool:
     _off_path(G, P, v)
-    row = G.rows[v]
-    return bool(row & bit(P.end)) or _absorbing_edge(row, P) is not None
+    return _absorbs(G.rows[v], P)
+
+
+def _absorbs(row: int, P: UPath) -> bool:
+    """Whether a vertex with neighbourhood ``row`` off P is absorbable to P;
+    ``is_absorbable`` checks its input once and then calls it."""
+    return bool(row & (1 << P.end)) or _absorbing_edge(row, P) is not None
 
 
 def absorb(G: Graph, P: UPath, v: int) -> UPath:
@@ -192,7 +200,10 @@ def recall(key: tuple, budget: Budget, search, *args):
     got = _memo.get(key)
     if got is not None:
         value, nodes = got
-        budget.spend(min(nodes, budget.limit - budget.used + 1))
+        if budget.used + nodes <= budget.limit:
+            budget.used += nodes
+        else:
+            budget.spend(min(nodes, budget.limit - budget.used + 1))
         return value
     start = budget.used
     value = search(*args)
@@ -412,6 +423,12 @@ def reroute_maximizing_last_neighbor(G: Graph, P: UPath, x: int) -> UPath:
     path queries (see the module docstring).
     """
     _off_path(G, P, x, "reference vertex lies on the path")
+    return _optimal_reroute(G, P, x)
+
+
+def _optimal_reroute(G: Graph, P: UPath, x: int) -> UPath:
+    """``reroute_maximizing_last_neighbor`` once P is known to be a path of
+    G and x a vertex of G off it."""
     _cap(len(P.vertices), EXACT_REROUTE_CAP, "exact reroute set")
     verts = P.mask()
     u = P.anchor
@@ -467,7 +484,7 @@ def iter_upaths(
 def _upaths(
     G: Graph, u: int, allowed: int, budget: Budget, shortest: int, longest: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
-    if not allowed & bit(u):
+    if not allowed & (1 << u):
         return
     if shortest == 0:
         yield (u,)
@@ -476,13 +493,13 @@ def _upaths(
         return
     rows = G.rows
     stack = [u]
-    mask = bit(u)
+    mask = 1 << u
     untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
     while untried:
         ext = untried[-1]
         if not ext:
             untried.pop()
-            mask ^= bit(stack.pop())
+            mask ^= 1 << stack.pop()
             continue
         low = ext & -ext
         untried[-1] = ext ^ low

@@ -27,6 +27,9 @@ class Spider:
         if type(legs) is not tuple:  # e.g. list legs: keep T hashable
             legs = tuple(legs)
             object.__setattr__(self, "legs", legs)
+        for leg in legs:  # a float or a bool is no leg length
+            if type(leg) is not int:
+                raise InputError("leg lengths must be integers")
         if legs and min(legs) < 1:
             raise InputError("leg lengths must be positive")
         if sorted(legs, reverse=True) != list(legs):

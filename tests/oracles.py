@@ -19,7 +19,9 @@ the statements the analyzers and the witness check now share, and
 ``brute_longest_path_len``, kept to pin the level-bounded question, and
 ``reference_path_pair`` and ``reference_first_upath``, the nested and
 first-of path walks of growth rules 4 and 6 before they asked the placement
-search, kept to pin its witnesses and node charges.
+search, kept to pin its witnesses and node charges, and
+``reference_paths2_through``, the 3-vertex paths through w collected in a
+set and then sorted, kept to pin the list built already in order.
 ``polya_counts`` counts the classes per edge count with no canonical form.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
@@ -700,3 +702,12 @@ def reference_path_pair(G, u, short, long_, budget):
         if b is not None:
             return a, b
     return None
+
+
+def reference_paths2_through(G, w):
+    """Every 3-vertex path through w, each once and sorted: w-ended ones
+    written from w, w-middle ones from their smaller end."""
+    nbr = adj_sets(G)
+    out = {(w, b, c) for b in nbr[w] for c in nbr[b] if c != w}
+    out |= {(a, w, c) for a, c in combinations(sorted(nbr[w]), 2)}
+    return sorted(out)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -125,8 +126,15 @@ def test_huge_vertex_id_is_rejected_before_it_becomes_a_bit():
         (Graph.complete, 10**4),
         (lambda n: Graph.from_edges(n, []), 10**6),
         (Graph.empty, 10**6),
+        # a vertex count that is not an int is outside the integers 1..128
+        (lambda n: Graph(n, (2, 1)), 2.0),
+        (Graph.empty, 2.5),
+        (Graph.complete, 3.0),
+        (Graph.cycle, 4.0),
+        (lambda n: Graph.from_edges(n, []), True),
     ],
-    ids=["path_graph", "cycle", "complete", "from_edges", "empty"],
+    ids=["path_graph", "cycle", "complete", "from_edges", "empty", "init-float",
+         "empty-float", "complete-float", "cycle-float", "from_edges-bool"],
 )
 def test_constructors_check_the_vertex_count_before_building_rows(build, n):
     tracemalloc.start()
@@ -137,6 +145,24 @@ def test_constructors_check_the_vertex_count_before_building_rows(build, n):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_stored_full_mask_keeps_equality_hash_repr_and_replace():
+    # full_mask is computed once, at construction, and stays out of
+    # equality, hash and repr; dataclasses.replace computes it again
+    G, same = Graph.complete(4), Graph(4, (14, 13, 11, 7))
+    assert G.full_mask == same.full_mask == 0b1111
+    assert G == same and hash(G) == hash(same) and {G: 1}[same] == 1
+    assert repr(G) == "Graph(n=4, rows=(14, 13, 11, 7))"
+    assert G != Graph.empty(4) and G != Graph.complete(5)
+    emptied = dataclasses.replace(G, rows=(0, 0, 0, 0))
+    assert emptied == Graph.empty(4) and emptied.full_mask == 0b1111
+    grown = dataclasses.replace(G, n=5, rows=Graph.complete(5).rows)
+    assert grown == Graph.complete(5) and grown.full_mask == 0b11111
+    with pytest.raises(InputError, match="row count"):
+        dataclasses.replace(G, n=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.full_mask = 0
 
 
 def test_set_sided_certificate_is_hashable_and_verifies():

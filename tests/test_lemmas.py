@@ -14,6 +14,7 @@ from oracles import (
     reference_case_b_holds,
     reference_first_upath,
     reference_path_pair,
+    reference_paths2_through,
     scan_balanced_split,
 )
 
@@ -605,6 +606,66 @@ def test_rule6_companion_search_matches_the_first_of_walks(monkeypatch):
     assert found > 0
 
 
+def test_paths2_through_matches_the_sorted_reference():
+    # the list is built in sorted order rather than collected and sorted:
+    # every w of every class with n <= 6, and of seeded hosts at n = 10..12
+    rng = random.Random(30)
+    hosts = list(graphs_up_to(6))
+    for n in (10, 11, 12):
+        for density in (0.2, 0.5, 0.8):
+            for _ in range(5):
+                edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+                hosts.append(Graph.from_edges(n, edges))
+    for G in hosts:
+        for w in range(G.n):
+            assert lemmas_mod._paths2_through(G, w) == reference_paths2_through(G, w)
+
+
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_enumeration_asks_each_probe_end_once_and_builds_each_P_once(monkeypatch, lemma):
+    # P's UPath and admissibility filter are built when its first probe
+    # arrives, and the filter is asked once per probe end x; so one UPath
+    # per P with a probe, shared by every instance it yields, and besides
+    # it one UPath per probe (rule 4: per detached path)
+    built, filters, exclusions = [], [], []
+    real_upath, real_filter = lemmas_mod.UPath, lemmas_mod._probe_end_filter
+    real_exclusions = lemmas_mod._exclusions
+
+    def counted_upath(vertices):
+        built.append(real_upath(vertices))
+        return built[-1]
+
+    def counted_filter(lemma, G, u, P, **fields):
+        admissible, asked = real_filter(lemma, G, u, P, **fields), []
+        filters.append((P, asked))
+
+        def ask(x):
+            asked.append((x, admissible(x)))
+            return asked[-1][1]
+
+        return ask
+
+    def counted_exclusions(*args):
+        for got in real_exclusions(*args):
+            exclusions.append(got)
+            yield got
+
+    monkeypatch.setattr(lemmas_mod, "UPath", counted_upath)
+    monkeypatch.setattr(lemmas_mod, "_probe_end_filter", counted_filter)
+    monkeypatch.setattr(lemmas_mod, "_exclusions", counted_exclusions)
+    insts = [inst for G in graphs_up_to(5) for inst in enumerate_instances(lemma, G)]
+    assert insts and filters
+    for P, asked in filters:
+        ends = [x for x, _ in asked]
+        assert ends and len(ends) == len(set(ends))  # one verdict per (P, x)
+    filtered = {id(P) for P, _ in filters}
+    assert len(filtered) == len(filters) and filtered <= {id(P) for P in built}
+    yielding = {id(P) for P, asked in filters if any(ok for _, ok in asked)}
+    assert {id(inst.p_path) for inst in insts} == yielding
+    probes = len(exclusions) if lemma == 4 else len(insts)
+    assert len(built) == len(filters) + probes
+
+
 def test_one_memo_holds_every_query_kind_within_its_size(monkeypatch):
     # a mixed run of lemma and path queries fills the one search memo, which
     # keys each entry by its query name and never grows past MEMO_SIZE, here
@@ -729,6 +790,21 @@ def test_sample_instances_rejects_a_negative_count():
         sample_instances(3, 7, -1, seed=0)
     assert sample_instances(3, 7, 0, seed=0) == ([], 0)
     assert sample_instances(3, 2, 5, seed=0) == ([], 0)
+
+
+@pytest.mark.parametrize(
+    "n, count, what",
+    [(7.5, 2, "host size"), (7, 2.5, "instance count"), (True, 2, "host size"),
+     (7, False, "instance count")],
+)
+def test_sample_instances_rejects_non_integer_sizes(monkeypatch, n, count, what):
+    # 7.5 raised a bare TypeError and a count of 2.5 returned 3 instances;
+    # both are refused before the first draw
+    drawn = []
+    monkeypatch.setattr(lemmas_mod, "_propose", lambda *args: drawn.append(args))
+    with pytest.raises(InputError, match=f"^{what} must be an integer$"):
+        sample_instances(3, n, count, seed=1)
+    assert not drawn
 
 
 @pytest.mark.parametrize("lemma", LEMMA_IDS)

@@ -101,6 +101,14 @@ def test_huge_path_vertex_is_rejected_before_it_becomes_a_bit():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("vertices", [(0, True), (0, 1.0), (True,), (0.0, 1), (0, "1")])
+def test_non_integer_path_vertices_are_input_errors(vertices):
+    # a bool vertex printed as JSON true, a float one failed its shift; the
+    # type is checked before any other check
+    with pytest.raises(InputError, match="^path vertices must be integer ids$"):
+        UPath(vertices)
+
+
 def test_valid_upath_matches_reference_on_small_classes():
     for n in range(1, 5):
         for G in enumerate_graphs(n):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import brute_partition_count
 
+from esos.embed import embed_bruteforce
 from esos.errors import InputError
+from esos.graphs import Graph
 from esos.spiders import Spider, enumerate_spiders, in_T0_family, strip_leaf, t0
 
 
@@ -62,6 +64,20 @@ def test_list_legs_make_the_same_hashable_spider():
         Spider([0, 1])
     with pytest.raises(InputError, match="non-increasing"):
         Spider([1, 2])
+
+
+@pytest.mark.parametrize("legs", [(2.5, 1), (2, 1.0), (True,), (2, True), ("2",)])
+def test_non_integer_legs_are_input_errors(legs):
+    # a float leg summed to k = 3.5, and a bool leg printed as JSON true;
+    # the type is checked before any other check
+    with pytest.raises(InputError, match="^leg lengths must be integers$"):
+        Spider(legs)
+
+
+def test_embedding_a_float_legged_spider_fails_at_the_spider():
+    # the spider is refused before the oracle sees a leg it cannot place
+    with pytest.raises(InputError, match="integers"):
+        embed_bruteforce(Graph.complete(6), Spider((2.5, 1)))
 
 
 def test_T0_family_examples():
