@@ -156,6 +156,8 @@ def _from_key(key: tuple[int, ...]) -> Graph:
 
 def _check_order(n: int) -> None:
     """The one order check of ``enumerate_graphs`` and ``graphs_up_to``."""
+    if type(n) is not int:  # a float or a bool is no order
+        raise InputError(f"order {n!r} is not an integer")
     if n < 1:
         raise InputError("n must be positive")
     if n > ENUMERATION_CAP:

@@ -6,6 +6,8 @@ Reports are deterministic for fixed inputs and seed (timing excluded from
 serialization), and graph-keyed results are ordered by graph6 string.
 Scope errors (orders outside 1..ENUMERATION_CAP, unknown rule ids) come from
 their owners, ``graphs_up_to`` and ``esos.lemmas``, before any work.
+Every suite is a unit stream plus a per-unit check, run by ``_suite``,
+which owns the loop, the timing, the failure order and the Report.
 """
 
 from __future__ import annotations
@@ -28,11 +30,23 @@ from .report import Report
 from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 
 SAMPLE_SIZES = (5, 6, 7, 8, 9, 10)  # host orders of the sampled lemma suite
+_CASES = {"case_A": 0, "case_B": 0, "case_C": 0}  # a lemma suite's zero case counts
 
 
 def _dense_ks(G: Graph) -> range:
     """k = 1 ... ceil(2e/n): exactly the k with 2e(G) > (k-1)n."""
     return range(1, -(-2 * G.edge_count() // G.n) + 1)
+
+
+def _suite(scope: dict, counts: dict, units: Iterable, check, order=None) -> Report:
+    """Run ``check(counts, unit)`` on each unit in turn.  A check adds to
+    ``counts`` and yields the unit's failure entries, which keep their run
+    order unless ``order`` gives a sort key."""
+    start = time.monotonic()
+    failures = [f for unit in units for f in check(counts, unit)]
+    if order is not None:
+        failures.sort(key=order)
+    return Report(scope, counts, failures, timing=time.monotonic() - start)
 
 
 def verify_conjecture_spiders(
@@ -44,36 +58,30 @@ def verify_conjecture_spiders(
     stream), every k with 2e > (k-1)n, and every spider with k edges, an
     embedding must exist somewhere in the graph.
     """
-    start = time.monotonic()
     if graphs is None:
-        population: Iterable[Graph] = graphs_up_to(n_max)
+        graphs = graphs_up_to(n_max)
         scope = {"n_max": n_max, "source": "builtin"}
     else:
-        population = graphs
         scope = {"n_max": None, "source": "stream"}
-    graphs_scanned = 0
-    tests = 0
-    failures = []
-    for G in population:
-        graphs_scanned += 1
-        for k in _dense_ks(G):
-            for T in enumerate_spiders(k):
-                tests += 1
-                if embed_bruteforce(G, T) is None:
-                    failures.append(
-                        {"graph6": G.to_graph6(), "k": k, "spider": T.to_json()}
-                    )
-    failures.sort(key=lambda f: (f["graph6"], f["k"], f["spider"]))
-    return Report(
-        scope=scope,
-        counts={
-            "graphs": graphs_scanned,
-            "spider_tests": tests,
-            "embedded": tests - len(failures),
-        },
-        failures=failures,
-        timing=time.monotonic() - start,
+    return _suite(
+        scope,
+        {"graphs": 0, "spider_tests": 0, "embedded": 0},
+        graphs,
+        _density_host,
+        lambda f: (f["graph6"], f["k"], f["spider"]),
     )
+
+
+def _density_host(counts: dict, G: Graph) -> Iterator[dict]:
+    """Every spider with k edges, for every k with 2e > (k-1)n, at any centre."""
+    counts["graphs"] += 1
+    for k in _dense_ks(G):
+        for T in enumerate_spiders(k):
+            counts["spider_tests"] += 1
+            if embed_bruteforce(G, T) is None:
+                yield {"graph6": G.to_graph6(), "k": k, "spider": T.to_json()}
+            else:
+                counts["embedded"] += 1
 
 
 def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
@@ -91,30 +99,26 @@ def dichotomy_check(n_max: int = ENUMERATION_CAP) -> Report:
     only verified; the other 20,842 (20,820 decided by the guided phase)
     are also checked against a fresh oracle call at u.
     """
-    start = time.monotonic()
-    tests = certified = 0
-    failures = []
-    for G in graphs_up_to(n_max):
-        for k in _dense_ks(G):
-            if satisfies_local_condition(G, k) is not None:
+    counts = {"tests": 0, "certified": 0}
+    return _suite({"n_max": n_max}, counts, graphs_up_to(n_max), _dichotomy_host)
+
+
+def _dichotomy_host(counts: dict, G: Graph) -> Iterator[dict]:
+    """``_dichotomy_one`` on every (k, u, T) of G that ``dichotomy_check`` scans."""
+    for k in _dense_ks(G):
+        if satisfies_local_condition(G, k) is not None:
+            continue
+        spiders = list(enumerate_spiders(k))
+        for u in range(G.n):
+            if G.degree(u) < k:
                 continue
-            spiders = list(enumerate_spiders(k))
-            for u in range(G.n):
-                if G.degree(u) < k:
-                    continue
-                for T in spiders:
-                    tests += 1
-                    fail, was_cert = _dichotomy_one(G, k, u, T)
-                    if fail is not None:
-                        failures.append(fail)
-                    elif was_cert:
-                        certified += 1
-    return Report(
-        scope={"n_max": n_max},
-        counts={"tests": tests, "certified": certified},
-        failures=failures,
-        timing=time.monotonic() - start,
-    )
+            for T in spiders:
+                counts["tests"] += 1
+                fail, was_cert = _dichotomy_one(G, k, u, T)
+                if fail is not None:
+                    yield fail
+                elif was_cert:
+                    counts["certified"] += 1
 
 
 def _dichotomy_one(
@@ -155,129 +159,92 @@ def extremal_census(n: int, k: int) -> Report:
     spider at some high-degree centre, with certificate-shape diagnostics.
 
     The threshold edge count is the largest one failing 2e > (k-1)n; past
-    K_n's edge count the census would scan nothing, an InputError.
+    K_n's edge count the census would scan nothing, an InputError.  The
+    entries are notes, not failures.
     """
-    start = time.monotonic()
-    if k < 1 or k % 2:
+    if type(k) is not int or k < 1 or k % 2:  # a float or a bool is no k
         raise InputError("census needs a positive even k (all-even spiders exist)")
     threshold = ((k - 1) * n) // 2
     most = n * (n - 1) // 2
     if threshold > most:
         raise InputError(f"threshold of {threshold} edges exceeds the {most} of K_{n}")
     all_twos = t0(k)
-    entries = []
-    scanned = 0
-    for G in enumerate_graphs(n):
-        if G.edge_count() != threshold:
-            continue
-        scanned += 1
+    even = [T for T in enumerate_spiders(k) if in_T0_family(T)]
+
+    def check(counts: dict, G: Graph) -> Iterator[dict]:
+        counts["graphs_at_threshold"] += 1
         whole = whole_split(G, k)
         for u in range(G.n):
             if G.degree(u) < k:
                 continue
-            for T in enumerate_spiders(k):
-                if not in_T0_family(T):
-                    continue
+            for T in even:
                 if embed_bruteforce(G, T, u) is not None:
                     continue
                 local = local_split(G, k, u)
-                entries.append(
-                    {
-                        "graph6": G.to_graph6(),
-                        "u": u,
-                        "spider": list(T.legs),
-                        "is_t0": T == all_twos,
-                        "whole_graph_split": whole.to_json() if whole else None,
-                        "local_split": local.to_json() if local else None,
-                    }
-                )
-    entries.sort(key=lambda r: (r["graph6"], r["u"], r["spider"]))
-    return Report(
-        scope={"n": n, "k": k, "threshold_edges": threshold},
-        counts={
-            "graphs_at_threshold": scanned,
-            "missed_embeddings": len(entries),
-            "with_certificate": sum(
-                1
-                for r in entries
-                if r["whole_graph_split"] or r["local_split"]
-            ),
-        },
-        failures=[],
-        timing=time.monotonic() - start,
-        notes={"census": entries},
-    )
-
-
-def _run_lemma_cases(instances: Iterable) -> tuple[int, dict, list]:
-    """Analyze each instance, count its case and verify its witness; returns
-    the number of instances, the case counts and the failures."""
-    total = 0
-    cases = {"A": 0, "B": 0, "C": 0}
-    failures = []
-    for inst in instances:
-        total += 1
-        try:
-            out = analyze(inst)
-        except SoundnessError:
-            failures.append({"instance": inst.to_json(), "reason": "no case matched"})
-            continue
-        cases[out.case] += 1
-        if not verify_outcome(inst, out):
-            failures.append(
-                {
-                    "instance": inst.to_json(),
-                    "case": out.case,
-                    "reason": "witness failed verification",
+                counts["missed_embeddings"] += 1
+                counts["with_certificate"] += bool(whole or local)
+                yield {
+                    "graph6": G.to_graph6(),
+                    "u": u,
+                    "spider": list(T.legs),
+                    "is_t0": T == all_twos,
+                    "whole_graph_split": whole.to_json() if whole else None,
+                    "local_split": local.to_json() if local else None,
                 }
-            )
-    return total, cases, failures
+
+    report = _suite(
+        {"n": n, "k": k, "threshold_edges": threshold},
+        {"graphs_at_threshold": 0, "missed_embeddings": 0, "with_certificate": 0},
+        (G for G in enumerate_graphs(n) if G.edge_count() == threshold),
+        check,
+        lambda r: (r["graph6"], r["u"], r["spider"]),
+    )
+    report.notes["census"], report.failures = report.failures, []
+    return report
+
+
+def _lemma_case(counts: dict, inst) -> Iterator[dict]:
+    """Analyze one instance, count it and its case, and verify its witness."""
+    counts["instances"] += 1
+    try:
+        out = analyze(inst)
+    except SoundnessError:
+        yield {"instance": inst.to_json(), "reason": "no case matched"}
+        return
+    counts[f"case_{out.case}"] += 1
+    if not verify_outcome(inst, out):
+        yield {
+            "instance": inst.to_json(),
+            "case": out.case,
+            "reason": "witness failed verification",
+        }
 
 
 def run_lemma_suite(lemma: int, samples: int, seed: int) -> Report:
     """Sampled analyzer run over hosts of the ``SAMPLE_SIZES`` orders: every
     instance must resolve to a case and every witness must survive
     independent verification."""
-    start = time.monotonic()
-    discarded_total = 0
     per_size = [samples // len(SAMPLE_SIZES)] * len(SAMPLE_SIZES)
     for i in range(samples - sum(per_size)):
         per_size[i % len(SAMPLE_SIZES)] += 1
+    counts = {"instances": 0, "discarded_proposals": 0, **_CASES}
 
     def sampled() -> Iterator:
-        nonlocal discarded_total
         for n, want in zip(SAMPLE_SIZES, per_size):
             insts, discarded = sample_instances(lemma, n, want, seed + n)
-            discarded_total += discarded
+            counts["discarded_proposals"] += discarded
             yield from insts
 
-    produced, cases, failures = _run_lemma_cases(sampled())
-    return Report(
-        scope={
-            "lemma": lemma,
-            "samples": samples,
-            "seed": seed,
-            "sizes": list(SAMPLE_SIZES),
-        },
-        counts={
-            "instances": produced,
-            "discarded_proposals": discarded_total,
-            **{f"case_{c}": v for c, v in cases.items()},
-        },
-        failures=failures,
-        timing=time.monotonic() - start,
-    )
+    sizes = list(SAMPLE_SIZES)
+    scope = {"lemma": lemma, "samples": samples, "seed": seed, "sizes": sizes}
+    return _suite(scope, counts, sampled(), _lemma_case)
 
 
 def exhaustive_lemma_suite(lemma: int, n_max: int = 6) -> Report:
     """Exhaustive analyzer run over all hosts with at most n_max vertices."""
-    start = time.monotonic()
-    total, cases, failures = _run_lemma_cases(
-        inst for G in graphs_up_to(n_max) for inst in enumerate_instances(lemma, G)
-    )
-    return Report(
-        scope={"lemma": lemma, "n_max": n_max, "mode": "exhaustive"},
-        counts={"instances": total, **{f"case_{c}": v for c, v in cases.items()}},
-        failures=failures,
-        timing=time.monotonic() - start,
+    return _suite(
+        {"lemma": lemma, "n_max": n_max, "mode": "exhaustive"},
+        {"instances": 0, **_CASES},
+        (inst for G in graphs_up_to(n_max) for inst in enumerate_instances(lemma, G)),
+        _lemma_case,
     )

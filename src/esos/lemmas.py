@@ -378,6 +378,8 @@ def _excluded(inst: LemmaInstance) -> int:
     for z in (inst.x, w1, w2, v, w):
         if z is not None and not 0 <= z < G.n:
             raise InputError(f"named vertex outside 0..{G.n - 1}")
+    if type(inst.lemma) is not int:  # 3.0 == 3 and True == 1
+        raise InputError(f"unknown lemma id {inst.lemma}")
     if inst.lemma == 3:
         if w1 is None or w2 is None or len({u, w1, w2}) != 3:
             raise InputError("lemma 3 needs distinct u, w1, w2")
@@ -913,7 +915,7 @@ def _pick_exclusion(
 
 def _check_scope(lemma: int, n: int) -> None:
     """Both builders' one scope check, run before any work."""
-    if lemma not in LEMMA_IDS:
+    if type(lemma) is not int or lemma not in LEMMA_IDS:  # 3.0 == 3 and True == 1
         raise InputError(f"unknown lemma id {lemma}")
     if n > MAX_INSTANCE_HOST:
         raise CapabilityError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")

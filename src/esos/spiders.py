@@ -68,6 +68,8 @@ def _partitions_desc(total: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_spiders(k: int) -> Iterator[Spider]:
     """All spiders with k edges: the partitions of k, largest-part-first order."""
+    if type(k) is not int:  # a float or a bool is no edge count
+        raise InputError(f"k {k!r} is not an integer")
     if k < 1:
         raise InputError("k must be positive")
     for part in _partitions_desc(k, k):
@@ -81,7 +83,7 @@ def in_T0_family(T: Spider) -> bool:
 
 def t0(k: int) -> Spider:
     """The spider with k/2 legs of length exactly 2."""
-    if k < 1 or k % 2:
+    if type(k) is not int or k < 1 or k % 2:  # a float or a bool is no k
         raise InputError("t0 needs a positive even k")
     return Spider((2,) * (k // 2))
 

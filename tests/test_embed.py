@@ -201,6 +201,8 @@ def test_theorem2_examples():
     assert rep.ok and rep.counts["spiders"] == 3 and rep.counts["embedded"] == 3
     with pytest.raises(InputError):
         theorem2_check(Graph.path_graph(4), 3)
+    with pytest.raises(InputError, match="^k 4.0 is not an integer$"):
+        theorem2_check(Graph.complete(6), 4.0)
 
 
 def test_theorem2_reduction_and_oracle_cross_check():

@@ -306,7 +306,7 @@ def test_dichotomy_embedding_check_branches(monkeypatch, legs, outcome, oracle, 
 
 def test_lemma_cases_report_unmatched_and_unverified_instances(monkeypatch):
     # analyze's SoundnessError and a witness that fails verification are
-    # failure entries, and the run goes on past them
+    # failure entries of the per-instance check, and the run goes on past them
     class Instance:
         def __init__(self, name):
             self.name = name
@@ -325,12 +325,38 @@ def test_lemma_cases_report_unmatched_and_unverified_instances(monkeypatch):
     monkeypatch.setattr(harness_mod, "analyze", analyze)
     monkeypatch.setattr(harness_mod, "verify_outcome", lambda inst, out: inst.name == "fine")
     names = ["unmatched", "unverified", "fine"]
-    total, cases, failures = harness_mod._run_lemma_cases(map(Instance, names))
-    assert (total, cases) == (3, {"A": 0, "B": 2, "C": 0})
+    counts = {"instances": 0, "case_A": 0, "case_B": 0, "case_C": 0}
+    check = harness_mod._lemma_case
+    failures = [f for name in names for f in check(counts, Instance(name))]
+    assert counts == {"instances": 3, "case_A": 0, "case_B": 2, "case_C": 0}
     assert failures == [
         {"instance": {"name": "unmatched"}, "reason": "no case matched"},
         {"instance": {"name": "unverified"}, "case": "B", "reason": "witness failed verification"},
     ]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_conjecture_spiders(4),
+        lambda: dichotomy_check(4),
+        lambda: extremal_census(5, 2),
+        lambda: run_lemma_suite(3, 6, seed=1),
+        lambda: exhaustive_lemma_suite(3, 4),
+    ],
+    ids=["check", "dichotomy", "census", "sampled", "exhaustive"],
+)
+def test_each_suite_runs_once_through_the_suite_driver(monkeypatch, run):
+    calls = []
+    suite = harness_mod._suite
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "_suite", counted)
+    report = run()
+    assert calls == [report.scope]
 
 
 def test_density_check_reports_a_missing_spider(monkeypatch):
@@ -401,7 +427,14 @@ SUITES_OVER_ORDERS = {
 
 @pytest.mark.parametrize("name", sorted(SUITES_OVER_ORDERS))
 @pytest.mark.parametrize(
-    "n_max, error", [(0, InputError), (-1, InputError), (8, CapabilityError)]
+    "n_max, error",
+    [
+        (0, InputError),
+        (-1, InputError),
+        (8, CapabilityError),
+        (3.0, InputError),
+        (True, InputError),
+    ],
 )
 def test_suites_reject_an_order_range_before_any_enumeration(
     monkeypatch, name, n_max, error
@@ -419,12 +452,39 @@ def test_suites_reject_an_order_range_before_any_enumeration(
     assert sorted(set(calls)) == [1, 2]
 
 
+@pytest.mark.parametrize("n", [3.0, True], ids=["float", "bool"])
+def test_enumeration_refuses_a_non_integer_order(n):
+    # True == 1 and 3.0 == 3 would otherwise hit the cache of the int order
+    enumerate_graphs(3)
+    with pytest.raises(InputError, match=f"^order {n} is not an integer$"):
+        enumerate_graphs(n)
+
+
 def test_census_rejects_an_order_past_the_cap_before_building_a_graph(monkeypatch):
     built = []
     real = Graph.__post_init__
     monkeypatch.setattr(Graph, "__post_init__", lambda G: built.append(G) or real(G))
     with pytest.raises(CapabilityError, match="built-in enumeration capped at n <= 7"):
         extremal_census(8, 2)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (6.0, 4, "^order 6.0 is not an integer$"),
+        (6, 4.0, "^census needs a positive even k"),
+        (6, True, "^census needs a positive even k"),
+    ],
+)
+def test_census_rejects_a_non_integer_order_or_k_before_building_a_graph(
+    monkeypatch, n, k, message
+):
+    built = []
+    real = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda G: built.append(G) or real(G))
+    with pytest.raises(InputError, match=message):
+        extremal_census(n, k)
     assert built == []
 
 
@@ -449,6 +509,17 @@ def test_census_rejects_an_impossible_threshold_before_building_a_graph(
 def test_lemma_suites_reject_an_unknown_rule_id(run):
     with pytest.raises(InputError, match="^unknown lemma id 9$"):
         run()
+
+
+@pytest.mark.parametrize("rule", [3.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "run",
+    [lambda r: run_lemma_suite(r, 5, 0), lambda r: exhaustive_lemma_suite(r, 5)],
+    ids=["sampled", "exhaustive"],
+)
+def test_lemma_suites_reject_a_rule_id_that_is_no_int(run, rule):
+    with pytest.raises(InputError, match=f"^unknown lemma id {rule}$"):
+        run(rule)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from esos.lemmas import (
     analyze,
     enumerate_instances,
     make_instance,
+    sample_instances,
     validate_instance,
     verify_outcome,
 )
@@ -395,3 +396,22 @@ def test_builders_reject_a_missing_named_vertex(build, message):
 def test_an_unknown_rule_id_is_named(call):
     with pytest.raises(InputError, match="^unknown lemma id 7$"):
         call()
+
+
+@pytest.mark.parametrize("rule", [3.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rule: sample_instances(rule, 6, 1, 1),
+        lambda rule: list(enumerate_instances(rule, K5)),
+        lambda rule: make_instance(
+            rule, K5, 0, UPath((0, 1)), UPath((0, 2)), w1=3, w2=4
+        ),
+        lambda rule: validate_instance(replace(lemma=rule)(base("3A")[0])),
+    ],
+    ids=["sample", "enumerate", "make", "validate"],
+)
+def test_a_rule_id_that_is_no_int_is_unknown(call, rule):
+    # 3.0 == 3 and True == 1, so only the type tells them from rule ids
+    with pytest.raises(InputError, match=f"^unknown lemma id {rule}$"):
+        call(rule)

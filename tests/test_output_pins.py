@@ -7,7 +7,13 @@ byte for byte.
   ESOS_BUDGET unset and set to 300; the enumerated rows cover every instance
   on every host with n <= 5, so each analyzer's witnesses are pinned over a
   whole population, not only the instance streams.
-* Reports: ``dichotomy_check(6).dumps()`` and ``extremal_census(6, 4).dumps()``.
+* Reports: the ``dumps()`` of every harness suite at a small scope.  The
+  density check runs once over the builtin classes and once over a fixed
+  graph6 stream.
+* CLI text: the stdout of ``esos check`` and ``esos lemmas`` without
+  ``--json``.  Text mode prints ``counts`` in insertion order, while
+  ``Report.dumps`` sorts its keys, so only these rows notice a reordered
+  counts dict.
 """
 
 import hashlib
@@ -15,8 +21,16 @@ import json
 
 import pytest
 
+from esos.cli import main
 from esos.enumeration import graphs_up_to
-from esos.harness import dichotomy_check, extremal_census
+from esos.graphs import Graph
+from esos.harness import (
+    dichotomy_check,
+    exhaustive_lemma_suite,
+    extremal_census,
+    run_lemma_suite,
+    verify_conjecture_spiders,
+)
 from esos.lemmas import (
     analysis_record,
     analyze,
@@ -45,6 +59,9 @@ ENUMERATED_RECORDS = {
     6: (1610, "99e0565de17abfdcd7bf5e0a20b21baca3117a7114ec405dcf03f989415f6e73"),
 }
 
+# a fixed graph6 stream: K1, K3, C6, P7, K6, three seeded G(n, 1/2) and Petersen
+STREAM = ["@", "Bw", "EhEG", "FhCGG", "E~~w", "FtjdW", "GAZGo[", "HW~peiT", "IheA@GUAo"]
+
 REPORTS = {
     "dichotomy-6": (
         lambda: dichotomy_check(6),
@@ -53,6 +70,48 @@ REPORTS = {
     "census-6-4": (
         lambda: extremal_census(6, 4),
         "71f445fe858a367be07792c9f84f81387411f1f97ec41db0a4ed53b31e259db0",
+    ),
+    "check-6": (
+        lambda: verify_conjecture_spiders(6),
+        "0794b4510dd1c9f248ebca2f33b0fc8f2529d0d2220aabe717e59dda38acae41",
+    ),
+    "check-stream": (
+        lambda: verify_conjecture_spiders(graphs=map(Graph.from_graph6, STREAM)),
+        "a2905e340ee3b2a385f2be1960eeab5eb6cec8ce81c94813f85bd8cd18f47e81",
+    ),
+    **{
+        f"exhaustive-{rule}-5": (
+            lambda rule=rule: exhaustive_lemma_suite(rule, 5),
+            digest,
+        )
+        for rule, digest in {
+            3: "a65f11257f3681528024ebea6ed1ee062408d0256dc730769e5b846b2330ffe2",
+            4: "af5aea3c1ca7be70fb7c4c78ee6e686b446a02739b578ae30ab96eab3c5e2d9b",
+            5: "a962e7105b8279f271a486faad96a6ece4837595e0f4f36095bc22bf6be0ab57",
+            6: "c5a357253d5d9b53585ed994ec4480992d5e6b07cffb915762d5d70d1e9f8d3e",
+        }.items()
+    },
+    **{
+        f"sampled-{rule}-60-9": (
+            lambda rule=rule: run_lemma_suite(rule, 60, seed=9),
+            digest,
+        )
+        for rule, digest in {
+            3: "393ae0b4f5bf0ef5c3dbc51023487af653c43c36c1f3dc087fbbcb68e19bccee",
+            4: "f1d99ae5454ce41de139d32f0c510cb42b6ab306a61c2d7f086a9263c2cccd55",
+            5: "c74f43f830a33bb5a9179cd495718e4bbc17d774d57320035dfcd47bd82ed610",
+            6: "fc0e1fbe6faf6a318451c25bf4a2b9aab934631c55239d0edfaf36362b6cefe1",
+        }.items()
+    },
+}
+
+# argv -> digest of the text-mode stdout
+CLI_STDOUT = {
+    ("check", "--nmax", "5"): (
+        "d81054f5c82d8347f926c645a2d595ac122005d7e92ac7923ec0503d6bac53a5"
+    ),
+    ("lemmas", "--which", "4", "--samples", "60", "--seed", "9"): (
+        "57601713a53a93f9dfef8996f9cbeb46f1daec1dce07e29f6fbe8a2d125497d9"
     ),
 }
 
@@ -92,3 +151,11 @@ def test_suite_reports_are_pinned(monkeypatch, name):
     monkeypatch.delenv("ESOS_BUDGET", raising=False)
     run, digest = REPORTS[name]
     assert hashlib.sha256(run().dumps().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_STDOUT))
+def test_cli_text_stdout_is_pinned(monkeypatch, capsys, argv):
+    monkeypatch.delenv("ESOS_BUDGET", raising=False)
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT[argv]

@@ -74,6 +74,14 @@ def test_non_integer_legs_are_input_errors(legs):
         Spider(legs)
 
 
+@pytest.mark.parametrize("k", [4.0, True], ids=["float", "bool"])
+def test_a_non_integer_k_is_an_input_error(k):
+    with pytest.raises(InputError, match=f"^k {k} is not an integer$"):
+        list(enumerate_spiders(k))
+    with pytest.raises(InputError, match="^t0 needs a positive even k$"):
+        t0(k)
+
+
 def test_embedding_a_float_legged_spider_fails_at_the_spider():
     # the spider is refused before the oracle sees a leg it cannot place
     with pytest.raises(InputError, match="integers"):
