@@ -29,13 +29,23 @@ through a required vertex) look at classes, never at subsets.  The pool of
 embed-or-certify and the balanced split of the growth rules' case B.
 
 graph6 ingestion/emission is bit-exact: 6-bit big-endian packing of the
-upper triangle in column order, each byte offset by 63.
+upper triangle in column order, each byte offset by 63 (McKay's graph6
+format notes).  Both directions hold that bit stream as one int, stream
+bit p at bit p, and pass each character through one table of its 6 bits
+reversed.
+Column j of the upper triangle is row j below the diagonal, so decoding
+packs those rows into one width x width bit matrix (row v at bit
+v * width, width the least power of two >= n) and ORs in its transpose.
+The same packing checks a graph's symmetry: rows are symmetric exactly
+when the packed matrix equals its transpose, which log2(width) delta
+swaps compute (Warren, Hacker's Delight, 2nd ed., section 7-3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError
 
@@ -75,10 +85,58 @@ def _check_order(n: int) -> None:
         raise InputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
 
 
+# -- packed bit matrices: row r of a width x width matrix at bit r * width ---
+
+# graph6 character -> its 6 bits, least significant first, as a bit string
+_BITS6 = {63 + x: f"{x:06b}"[::-1] for x in range(64)}
+_CHAR6 = {bits: chr(code) for code, bits in _BITS6.items()}
+
+
+def _width(n: int) -> int:
+    """The least power of two >= n: 1, 2, 4, ..., 128."""
+    return 1 << (n - 1).bit_length()
+
+
+def _packed(rows: Sequence[int], width: int) -> int:
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << width | row
+    return packed
+
+
+@lru_cache(maxsize=8)
+def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per delta swap of ``_transpose``.  The swap of block
+    size j moves bit (r, c) to (r + j, c - j) and back wherever bit j of r
+    is clear and bit j of c is set, so it exchanges bit j of the row and
+    column indices; the log2(width) swaps together transpose (Warren,
+    Hacker's Delight, 2nd ed., 7-3).  Cached per width: at most 8."""
+    swaps = []
+    j = width >> 1
+    while j:
+        cols = sum(1 << c for c in range(width) if c & j)
+        mask = sum(cols << r * width for r in range(width) if not r & j)
+        swaps.append((j * (width - 1), mask))
+        j >>= 1
+    return tuple(swaps)
+
+
+def _transpose(packed: int, width: int) -> int:
+    for shift, mask in _swap_masks(width):
+        t = (packed ^ packed >> shift) & mask
+        packed ^= t ^ t << shift
+    return packed
+
+
 @dataclass(frozen=True)
 class Graph:
     """``full_mask``, the set of all n vertices, is computed once, at
-    construction; equality, hash and repr see only ``n`` and ``rows``."""
+    construction; equality, hash and repr see only ``n`` and ``rows``.
+
+    Construction checks each row in turn for vertices >= n and for a loop,
+    then the symmetry of all rows at once: the packed rows must equal their
+    transpose.  Only when they do not are the rows walked edge by edge, to
+    name the first asymmetric pair in row order."""
 
     n: int
     rows: tuple[int, ...]
@@ -98,7 +156,11 @@ class Graph:
                 raise InputError(f"row {v} references vertices >= n")
             if row >> v & 1:
                 raise InputError(f"loop at vertex {v}")
-        for v, row in enumerate(rows):
+        width = _width(self.n)
+        packed = _packed(rows, width)
+        if _transpose(packed, width) == packed:
+            return
+        for v, row in enumerate(rows):  # name the first asymmetric pair
             while row:
                 low = row & -row
                 w = low.bit_length() - 1
@@ -179,46 +241,37 @@ class Graph:
     # -- graph6 ------------------------------------------------------------
 
     def to_graph6(self) -> str:
-        chunks = []
-        if self.n <= 62:
-            chunks.append(chr(self.n + 63))
-        else:
-            chunks.append(chr(126))
-            for shift in (12, 6, 0):
-                chunks.append(chr(((self.n >> shift) & 63) + 63))
-        acc = 0
-        nbits = 0
-        for j in range(1, self.n):
-            for i in range(j):
-                acc = (acc << 1) | ((self.rows[i] >> j) & 1)
-                nbits += 1
-                if nbits == 6:
-                    chunks.append(chr(acc + 63))
-                    acc = 0
-                    nbits = 0
-        if nbits:
-            acc <<= 6 - nbits
-            chunks.append(chr(acc + 63))
-        return "".join(chunks)
+        n = self.n
+        head = chr(n + 63) if n <= 62 else "~" + "".join(
+            chr((n >> shift & 63) + 63) for shift in (12, 6, 0)
+        )
+        acc = 0  # bit j(j-1)/2 + i is edge (i, j), i < j: the column order
+        for j in range(n - 1, 0, -1):
+            acc = acc << j | self.rows[j] & ((1 << j) - 1)
+        size = 6 * ((n * (n - 1) // 2 + 5) // 6)
+        bits = f"{acc:0{size}b}"  # the last character's bits, reversed, first
+        chunks = [bits[i:i + 6] for i in range(0, size, 6)]
+        return head + "".join(map(_CHAR6.__getitem__, chunks))[::-1]
 
     @classmethod
     def from_graph6(cls, text: str) -> "Graph":
+        if not isinstance(text, str):
+            raise InputError(f"graph6 input must be a str, not {type(text).__name__}")
         s = text.strip()
         if s.startswith(">>graph6<<"):
             s = s[len(">>graph6<<"):]
         if not s:
             raise InputError("empty graph6 string")
-        data = [ord(c) - 63 for c in s]
-        if any(x < 0 or x > 63 for x in data):
+        if min(s) < "?" or max(s) > "~":
             raise InputError("graph6 characters must be in range 63..126")
-        if data[0] == 63:
-            if len(data) < 4:
+        if s[0] == "~":
+            if len(s) < 4:
                 raise InputError("truncated graph6 vertex count")
-            n = (data[1] << 12) | (data[2] << 6) | data[3]
-            body = data[4:]
+            n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+            body = s[4:]
         else:
-            n = data[0]
-            body = data[1:]
+            n = ord(s[0]) - 63
+            body = s[1:]
         if not 1 <= n <= MAX_VERTICES:
             raise InputError(f"graph6 vertex count {n} outside 1..{MAX_VERTICES}")
         need = (n * (n - 1) // 2 + 5) // 6
@@ -226,19 +279,17 @@ class Graph:
             raise InputError(
                 f"graph6 body length {len(body)} does not match n={n} (need {need})"
             )
-        rows = [0] * n
-        pos = 0
-        for j in range(1, n):
-            for i in range(j):
-                byte = body[pos // 6]
-                if (byte >> (5 - pos % 6)) & 1:
-                    rows[i] |= bit(j)
-                    rows[j] |= bit(i)
-                pos += 1
-        tail = need * 6 - pos
-        if tail and body and body[-1] & ((1 << tail) - 1):
+        acc = int(body[::-1].translate(_BITS6) or "0", 2)  # bit p: the p-th body bit
+        if acc >> n * (n - 1) // 2:
             raise InputError("graph6 padding bits must be zero")
-        return cls(n, tuple(rows))
+        width = _width(n)
+        packed = 0  # row j below the diagonal is column j of the upper triangle
+        for j in range(n - 1, 0, -1):
+            packed = packed << width | acc >> j * (j - 1) // 2 & ((1 << j) - 1)
+        packed <<= width  # row 0 has nothing below the diagonal
+        packed |= _transpose(packed, width)
+        mask = (1 << width) - 1
+        return cls(n, tuple(packed >> v * width & mask for v in range(n)))
 
 
 # -- counting functionals ---------------------------------------------------

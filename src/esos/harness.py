@@ -224,6 +224,9 @@ def run_lemma_suite(lemma: int, samples: int, seed: int) -> Report:
     """Sampled analyzer run over hosts of the ``SAMPLE_SIZES`` orders: every
     instance must resolve to a case and every witness must survive
     independent verification."""
+    for what, value in (("sample count", samples), ("seed", seed)):
+        if type(value) is not int:  # a float or a bool is no count or seed
+            raise InputError(f"{what} {value} is not an integer")
     per_size = [samples // len(SAMPLE_SIZES)] * len(SAMPLE_SIZES)
     for i in range(samples - sum(per_size)):
         per_size[i % len(SAMPLE_SIZES)] += 1

@@ -21,7 +21,11 @@ the statements the analyzers and the witness check now share, and
 first-of path walks of growth rules 4 and 6 before they asked the placement
 search, kept to pin its witnesses and node charges, and
 ``reference_paths2_through``, the 3-vertex paths through w collected in a
-set and then sorted, kept to pin the list built already in order.
+set and then sorted, kept to pin the list built already in order, and
+``reference_to_graph6``, ``reference_from_graph6`` and
+``reference_is_symmetric``, the library's earlier bit-by-bit graph6 codec
+and edge-by-edge symmetry check, kept to pin the packed-matrix codec and
+transpose test byte for byte and text for text.
 ``polya_counts`` counts the classes per edge count with no canonical form.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
@@ -31,6 +35,7 @@ from itertools import combinations, permutations
 from math import factorial, gcd, lcm
 
 from esos.embed import Embedding
+from esos.errors import InputError
 from esos.graphs import Graph, bit, bits_of
 from esos.paths import UPath, is_valid_upath
 
@@ -711,3 +716,72 @@ def reference_paths2_through(G, w):
     out = {(w, b, c) for b in nbr[w] for c in nbr[b] if c != w}
     out |= {(a, w, c) for a, c in combinations(sorted(nbr[w]), 2)}
     return sorted(out)
+
+
+def reference_to_graph6(n, rows):
+    """graph6 of the rows, one upper-triangle bit at a time in column order."""
+    chunks = [chr(n + 63)] if n <= 62 else ["~"] + [
+        chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
+    ]
+    acc = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | ((rows[i] >> j) & 1)
+            nbits += 1
+            if nbits == 6:
+                chunks.append(chr(acc + 63))
+                acc = nbits = 0
+    if nbits:
+        chunks.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(chunks)
+
+
+def reference_from_graph6(text):
+    """(n, rows) of a graph6 string, read one bit at a time, with the
+    library's checks and error texts in the library's order."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise InputError("empty graph6 string")
+    data = [ord(c) - 63 for c in s]
+    if any(x < 0 or x > 63 for x in data):
+        raise InputError("graph6 characters must be in range 63..126")
+    if data[0] == 63:
+        if len(data) < 4:
+            raise InputError("truncated graph6 vertex count")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    if not 1 <= n <= 128:
+        raise InputError(f"graph6 vertex count {n} outside 1..128")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise InputError(
+            f"graph6 body length {len(body)} does not match n={n} (need {need})"
+        )
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (body[pos // 6] >> (5 - pos % 6)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    tail = need * 6 - pos
+    if tail and body[-1] & ((1 << tail) - 1):
+        raise InputError("graph6 padding bits must be zero")
+    return n, tuple(rows)
+
+
+def reference_is_symmetric(rows):
+    """None when every edge (v, w) of the rows has its mirror (w, v), else
+    the first (v, w) without one, in row order: the pair the constructor's
+    error text names."""
+    for v, row in enumerate(rows):
+        for w in range(row.bit_length()):
+            if row >> w & 1 and not rows[w] >> v & 1:
+                return v, w
+    return None

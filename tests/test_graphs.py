@@ -16,6 +16,9 @@ from oracles import (
     brute_edges_between,
     brute_local_condition,
     brute_whole_graph_splits,
+    reference_from_graph6,
+    reference_is_symmetric,
+    reference_to_graph6,
     scan_find_H_subgraph,
     scan_local_condition,
 )
@@ -362,7 +365,104 @@ def test_graph6_rejects_garbage():
     with pytest.raises(InputError):
         Graph.from_graph6("C~~")  # wrong body length
     with pytest.raises(InputError):
-        Graph.from_graph6("C\x1f")  # character below 63
+        Graph.from_graph6("C\x1f")  # \x1f is whitespace to strip(): an empty body
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("C>", "graph6 characters must be in range 63..126"),  # '>' is 62
+        ("C\x7f", "graph6 characters must be in range 63..126"),
+        ("~??", "truncated graph6 vertex count"),
+        ("?", "graph6 vertex count 0 outside 1..128"),
+        ("~?A@", "graph6 vertex count 129 outside 1..128"),  # long form, 2*64+1
+        ("D?", "graph6 body length 1 does not match n=5 (need 2)"),
+        ("C~~", "graph6 body length 2 does not match n=4 (need 1)"),
+        ("Bx", "graph6 padding bits must be zero"),  # 'x' is 111001
+    ],
+    ids=[
+        "empty",
+        "header-only",
+        "below-63",
+        "above-126",
+        "truncated-count",
+        "n=0",
+        "n=129",
+        "body-short",
+        "body-long",
+        "padding",
+    ],
+)
+def test_graph6_error_texts(text, message):
+    with pytest.raises(InputError) as exc:
+        Graph.from_graph6(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [b"C~", None, 4], ids=["bytes", "None", "int"])
+def test_graph6_refuses_a_non_str(text):
+    with pytest.raises(InputError) as exc:
+        Graph.from_graph6(text)
+    assert str(exc.value) == f"graph6 input must be a str, not {type(text).__name__}"
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def _reference_row_error(n, rows):
+    """The constructor's verdict on rows, from the reference symmetry check."""
+    for v, row in enumerate(rows):
+        if row >> n:
+            return f"row {v} references vertices >= n"
+        if row >> v & 1:
+            return f"loop at vertex {v}"
+    pair = reference_is_symmetric(rows)
+    return None if pair is None else "asymmetric adjacency at ({},{})".format(*pair)
+
+
+def test_graph6_codec_and_symmetry_check_match_the_reference_for_every_order():
+    rng = random.Random(2024)
+    for n in range(1, 129):
+        for density in (0, 0.5, 1):
+            rows = [0] * n
+            edges = set()
+            for a, b in combinations(range(n), 2):
+                if rng.random() < density:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+                    edges.add((a, b))
+            rows = tuple(rows)
+            text = reference_to_graph6(n, rows)
+            G = Graph(n, rows)
+            assert G.to_graph6() == text
+            assert Graph.from_graph6(text) == G
+            assert reference_from_graph6(text) == (n, rows)
+            H = nx.from_graph6_bytes(text.encode())
+            assert {tuple(sorted(e)) for e in H.edges} == edges
+            assert nx.to_graph6_bytes(H, header=False).decode().strip() == text
+            # one bit set past n, on a loop, or flipped on one side only
+            v = rng.randrange(n)
+            w = rng.choice([x for x in range(n) if x != v] or [v])
+            for flip in (1 << n + rng.randrange(4), 1 << v, 1 << w):
+                bad = list(rows)
+                bad[v] ^= flip
+                expected = _reference_row_error(n, bad)
+                assert expected is not None
+                assert _outcome(Graph, n, bad) == expected
+            # one character replaced, dropped or added
+            chars = list(text)
+            i = rng.randrange(len(chars))
+            chars[i] = chr(rng.randrange(60, 130))
+            for broken in ("".join(chars), text[:-1], text + "?", text + "~"):
+                got = _outcome(lambda t: Graph.from_graph6(t).rows, broken)
+                want = _outcome(lambda t: reference_from_graph6(t)[1], broken)
+                assert got == want
 
 
 def test_graph6_large_order_round_trip():

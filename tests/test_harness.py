@@ -523,6 +523,26 @@ def test_lemma_suites_reject_a_rule_id_that_is_no_int(run, rule):
 
 
 @pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (6.0, 1, "sample count 6.0 is not an integer"),
+        (True, 1, "sample count True is not an integer"),
+        (6, 1.5, "seed 1.5 is not an integer"),
+        (6, False, "seed False is not an integer"),
+    ],
+    ids=["float-samples", "bool-samples", "float-seed", "bool-seed"],
+)
+def test_sampled_lemma_suite_rejects_a_count_or_seed_that_is_no_int(
+    monkeypatch, samples, seed, message
+):
+    # refused in the suite itself, before any instance is sampled
+    monkeypatch.setattr("esos.harness.sample_instances", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(InputError) as exc:
+        run_lemma_suite(3, samples, seed)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: sample_instances(3, 13, 1, seed=0),
