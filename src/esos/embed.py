@@ -1,13 +1,14 @@
 """Spider embedding: oracle, embed-or-certify, and the density pipeline.
 
-``embed_bruteforce`` is the independent oracle: one deterministic
-depth-first search (``place_legs``) over the k vertices a spider places
-beside its centre, leg by leg (longest leg first), each leg from the centre
-outward, and candidates in ascending order.  Every placed vertex is one node
-of the search budget.  The free-vertex prune (k + 1 <= n) costs no node, and
-a leg as long as the one before it starts above that leg's first vertex, so
-equal legs are not tried in both orders.  Growth rules 4 and 6 ask the same
-search for their first disjoint paths inside an allowed vertex set.
+``embed_bruteforce`` is the independent oracle: one deterministic depth-first
+search (``place_legs``) over the k vertices a spider places beside its
+centre, leg by leg (longest leg first), each leg from the centre outward, and
+candidates in ascending order.  Every placed vertex is one node of the search
+budget.  The free-vertex prune (k + 1 <= n) costs no node, and a leg as long
+as the one before it starts above that leg's first vertex, so equal legs are
+not tried in both orders.  Its legs are cut from the placement in one pass,
+unchecked; consumers verify each embedding.  Growth rules 4 and 6 ask the
+same search for their first disjoint paths inside an allowed vertex set.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
 suggests: strip a leaf off the longest leg, take the oracle's placement of
@@ -86,6 +87,13 @@ class Embedding:
     def __post_init__(self):
         if type(self.legs) is not tuple:  # e.g. list legs: keep it hashable
             object.__setattr__(self, "legs", tuple(self.legs))
+
+    @classmethod
+    def _of(cls, center: int, legs: tuple[UPath, ...]) -> "Embedding":  # unchecked
+        emb = object.__new__(cls)
+        object.__setattr__(emb, "center", center)
+        object.__setattr__(emb, "legs", legs)
+        return emb
 
     def to_json(self) -> dict:
         return {"center": self.center, "legs": [l.to_json() for l in self.legs]}
@@ -227,11 +235,16 @@ def _floors(legs: tuple[int, ...]) -> tuple[Optional[int], ...]:
     return tuple(floor)
 
 
-def _cut(center: int, legs: tuple[int, ...], seq: list[int]) -> list[tuple[int, ...]]:
-    """A placement cut into its legs, each written from the centre."""
+def _placed_legs(center: int, legs: tuple[int, ...], seq: list[int]) -> list[UPath]:
+    """A placement cut into its legs, each written from the centre, in one
+    pass and unchecked: ``place_legs`` places distinct free vertices."""
     out, s = [], 0
     for ell in legs:
-        out.append((center, *seq[s : s + ell]))
+        part = seq[s : s + ell]
+        m = 1 << center
+        for v in part:
+            m |= 1 << v
+        out.append(UPath._of((center, *part), m))
         s += ell
     return out
 
@@ -244,7 +257,7 @@ def _embed_search(
     seq = place_legs(G, legs, center, G.full_mask, budget)
     if seq is None:
         return None
-    return Embedding(center, tuple(map(UPath, _cut(center, legs, seq))))
+    return Embedding._of(center, tuple(_placed_legs(center, legs, seq)))
 
 
 @lru_cache(maxsize=MAX_VERTICES)
@@ -412,9 +425,9 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     seq = place_legs(G, Tp.legs, u, G.full_mask, budget)
     if seq is None:
         return None
-    legs = _cut(u, Tp.legs, seq)
+    legs = _placed_legs(u, Tp.legs, seq)
     idx = Tp.legs.index(T.legs[0] - 1) if T.legs[0] > 1 else None
-    stub = legs[idx] if idx is not None else (u,)
+    stub = legs[idx] if idx is not None else UPath._of((u,), bit(u))
     emb_mask = mask_of(seq) | bit(u)
     free = G.full_mask & ~emb_mask
 
@@ -422,17 +435,17 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     # so its one check is embed_constructive's.  The legs before the stub
     # are as long as the grown stub (all legs, for a star) and start in
     # ascending order, so inserting it among them keeps the legs sorted
-    ext = G.rows[stub[-1]] & free
+    ext = G.rows[stub.end] & free
     if ext:
-        grown = stub + ((ext & -ext).bit_length() - 1,)
+        low = ext & -ext
+        grown = UPath._of(stub.vertices + (low.bit_length() - 1,), stub.mask() | low)
         if idx is None:
             idx = len(legs)
         else:
             del legs[idx]
-        insort(legs, grown, 0, idx)
-        return Embedding(u, tuple(map(UPath, legs)))
-    stub = UPath(stub)
-    others = [UPath(leg) for j, leg in enumerate(legs) if j != idx]
+        insort(legs, grown, 0, idx, key=lambda leg: leg.vertices)
+        return Embedding._of(u, tuple(legs))
+    others = [leg for j, leg in enumerate(legs) if j != idx]
 
     def assemble(new_legs: list[UPath]) -> Optional[Embedding]:
         ordered = sorted(new_legs, key=lambda l: (-l.length, l.vertices))

@@ -289,7 +289,11 @@ class Graph:
         packed <<= width  # row 0 has nothing below the diagonal
         packed |= _transpose(packed, width)
         mask = (1 << width) - 1
-        return cls(n, tuple(packed >> v * width & mask for v in range(n)))
+        G = object.__new__(cls)  # a triangle ORed with its transpose: no check
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "rows", tuple(packed >> v * width & mask for v in range(n)))
+        object.__setattr__(G, "full_mask", (1 << n) - 1)
+        return G
 
 
 # -- counting functionals ---------------------------------------------------
@@ -365,11 +369,13 @@ def satisfies_local_condition(G: Graph, k: int) -> Optional[frozenset[int]]:
        still fits, else it is forced in.
 
     A violator already in hand answers a step without a cut whenever it
-    fits the tighter constraint, so a graph meeting the condition costs one
-    cut and a violating one at most n + ceil(log2 n) + 1.
+    fits the tighter constraint.  No cut when every degree is >= k, else one
+    when the condition holds and at most n + ceil(log2 n) + 1 when it fails.
     """
     if k < 1:
         raise InputError("k must be positive")
+    if min(map(int.bit_count, G.rows)) >= k:  # every h(S) >= |S| > 0
+        return None
     violator = _violator_search(G, k)
     found = violator(0, 0)
     if found is None:
@@ -408,7 +414,7 @@ def _violator_search(G: Graph, k: int) -> Callable[[int, int], Optional[int]]:
     value plus ``limit``, the sum of the s->v capacities, so the minimum is
     negative exactly when the maximum flow stays below ``limit``.  Forced
     vertices get an s->v (in) or v->t (out) arc of capacity ``limit``,
-    which no cut below ``limit`` contains.
+    which no cut below ``limit`` contains; a degree below k makes it > 0.
     """
     n = G.n
     s, t = n, n + 1
@@ -430,8 +436,6 @@ def _violator_search(G: Graph, k: int) -> Callable[[int, int], Optional[int]]:
     adj += [list(range(n)), []]
 
     def violator(inside: int, outside: int) -> Optional[int]:
-        if not limit:
-            return None
         cap = [row[:] for row in base]
         for v in bits_of(inside):
             cap[s][v] += limit

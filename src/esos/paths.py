@@ -69,7 +69,8 @@ _memo_lock = threading.Lock()
 class UPath:
     """A simple path written from its anchor.  Its vertex mask is computed
     once, at construction; equality, hash and repr see only ``vertices``,
-    kept as a tuple whatever iterable is given."""
+    kept as a tuple whatever iterable is given.  ``UPath._of(vertices, mask)``
+    skips the checks, only for sequences the library took from free-bit masks."""
 
     vertices: tuple[int, ...]
     _mask: int = field(init=False, repr=False, compare=False)
@@ -96,6 +97,13 @@ class UPath:
             raise InputError("path vertices must be distinct")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_mask", m)
+
+    @classmethod
+    def _of(cls, vertices: tuple[int, ...], mask: int) -> "UPath":
+        path = object.__new__(cls)
+        object.__setattr__(path, "vertices", vertices)
+        object.__setattr__(path, "_mask", mask)
+        return path
 
     @property
     def anchor(self) -> int:

@@ -19,6 +19,7 @@ import esos.embed as embed_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import Budget, CapabilityError, InputError, SoundnessError
 from esos.graphs import Graph, HCertificate, satisfies_local_condition
+from esos.harness import _dense_ks
 from esos.embed import (
     Embedding,
     embed_bruteforce,
@@ -518,6 +519,64 @@ def test_oracle_search_matches_reference_sampled_n7_n8():
         _search_agrees_with_reference(G)
     for _ in range(12):
         _search_agrees_with_reference(graph_from_bits(8, rng.getrandbits(28)))
+
+
+def _assert_built_as_checked(emb: Embedding) -> None:
+    """Each leg of emb against ``UPath`` of its vertices (equality, hash,
+    repr, mask), and emb against the embedding of those checked legs
+    (equality, hash, JSON)."""
+    checked = Embedding(emb.center, tuple(UPath(l.vertices) for l in emb.legs))
+    for leg, want in zip(emb.legs, checked.legs):
+        assert (leg, hash(leg), repr(leg), leg.mask()) == (
+            want, hash(want), repr(want), want.mask()
+        )
+    assert (emb, hash(emb), emb.to_json()) == (checked, hash(checked), checked.to_json())
+
+
+def test_oracle_legs_match_checked_legs_exhaustive_n6():
+    # the oracle builds its legs unchecked, from the placement; every class
+    # with n <= 6, spider with k < n, path split and centre
+    found = 0
+    for G in graphs_up_to(6):
+        for k in range(1, G.n):
+            for T in enumerate_spiders(k):
+                splits = embed_mod._path_splits(k) if len(T.legs) == 1 else [T.legs]
+                for legs in splits:
+                    for c in range(G.n):
+                        budget = Budget(10**9, "embedding oracle")
+                        emb = embed_mod._embed_search(G, legs, c, budget)
+                        if emb is not None:
+                            _assert_built_as_checked(emb)
+                            found += 1
+    assert found == 14131
+
+
+def test_guided_legs_match_checked_legs_on_the_dichotomy_cases(monkeypatch):
+    # every guided embedding of dichotomy_check(6)'s cases; the direct move
+    # (no probe path asked for) decides all but a few of them
+    calls = _count_calls(monkeypatch, "longest_u_path")
+    direct = other = 0
+    for G in graphs_up_to(6):
+        for k in _dense_ks(G):
+            if satisfies_local_condition(G, k) is not None:
+                continue
+            for u in range(G.n):
+                if G.degree(u) < k:
+                    continue
+                for T in enumerate_spiders(k):
+                    if len(T.legs) < 2:
+                        continue
+                    before = calls["longest_u_path"]
+                    emb = embed_mod._guided(G, T, u)
+                    if emb is None:
+                        continue
+                    assert verify_embedding(G, T, emb)
+                    _assert_built_as_checked(emb)
+                    if calls["longest_u_path"] == before:
+                        direct += 1
+                    else:
+                        other += 1
+    assert (direct, other) == (1831, 31)
 
 
 def _forged(vertices) -> UPath:

@@ -23,6 +23,7 @@ from oracles import (
     scan_local_condition,
 )
 
+import esos.graphs as graphs_mod
 from esos.cli import main
 from esos.embed import theorem2_check
 from esos.enumeration import graphs_up_to
@@ -211,6 +212,52 @@ def test_local_condition_examples():
     viol = satisfies_local_condition(K13, 3)
     assert viol is not None and viol <= {1, 2, 3} and len(viol) == 1
     assert satisfies_local_condition(Graph.empty(1), 1) == {0}
+
+
+@pytest.mark.parametrize(
+    "G, k",
+    [
+        (Graph.complete(5), 4),
+        (C4, 2),
+        (Graph.cycle(7), 1),
+        (Graph.from_edges(10, nx.petersen_graph().edges), 3),
+        (Graph.complete(16), 15),
+    ],
+    ids=["K5", "C4", "C7-k1", "petersen", "K16"],
+)
+def test_local_condition_builds_no_network_when_every_degree_reaches_k(
+    monkeypatch, G, k
+):
+    # each d(v) - (k-1) >= 1, so every set meets the condition
+    def refuse(*args):
+        raise AssertionError("flow network built")
+
+    monkeypatch.setattr(graphs_mod, "_violator_search", refuse)
+    assert satisfies_local_condition(G, k) is None
+
+
+def test_local_condition_runs_the_flow_when_one_degree_is_k_minus_1(monkeypatch):
+    # every class with n <= 6 and a k that one vertex misses by one while
+    # the others reach it: one network, and the brute oracle's answer (an
+    # isolated vertex violates at k = 1)
+    built = []
+    search = graphs_mod._violator_search
+    monkeypatch.setattr(
+        graphs_mod, "_violator_search", lambda G, k: built.append(k) or search(G, k)
+    )
+    cases = violated = 0
+    for G in graphs_up_to(6):
+        degrees = sorted(map(G.degree, range(G.n)))
+        k = degrees[0] + 1
+        if G.n > 1 and degrees[1] < k:
+            continue
+        got = satisfies_local_condition(G, k)
+        assert got == brute_local_condition(G, k)
+        assert built == [k]
+        built.clear()
+        cases += 1
+        violated += got is not None
+    assert (cases, violated) == (85, 34)
 
 
 def test_local_condition_has_no_size_cap(capsys, monkeypatch):
@@ -463,6 +510,26 @@ def test_graph6_codec_and_symmetry_check_match_the_reference_for_every_order():
                 got = _outcome(lambda t: Graph.from_graph6(t).rows, broken)
                 want = _outcome(lambda t: reference_from_graph6(t)[1], broken)
                 assert got == want
+
+
+def test_decoded_graph_skips_the_constructor_checks(monkeypatch):
+    # a decoded graph is symmetric by construction: one transpose builds it,
+    # none checks it, and it equals the checked graph of its rows
+    rng = random.Random(33)
+    transposes = []
+    transpose = graphs_mod._transpose
+    monkeypatch.setattr(
+        graphs_mod, "_transpose", lambda *args: transposes.append(1) or transpose(*args)
+    )
+    for n in range(1, 129):
+        edges = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.5]
+        text = reference_to_graph6(n, Graph.from_edges(n, edges).rows)
+        transposes.clear()
+        G = Graph.from_graph6(text)
+        assert len(transposes) == 1
+        checked = Graph(n, G.rows)
+        assert type(G.rows) is tuple and G.full_mask == checked.full_mask
+        assert (G, hash(G), repr(G)) == (checked, hash(checked), repr(checked))
 
 
 def test_graph6_large_order_round_trip():
