@@ -66,15 +66,15 @@ from .graphs import (
 from .paths import (
     EXACT_REROUTE_CAP,
     UPath,
-    absorb,
+    _absorbing_edge,
+    _spanning_path,
     is_absorbable,
     longest_u_path,
     reroute_ends,
     second_ends,
-    spanning_path_to,
 )
 from .report import Report
-from .spiders import Spider, enumerate_spiders, in_T0_family, strip_leaf, t0
+from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 
 EMBED_DEFAULT_BUDGET = 2_000_000
 
@@ -85,8 +85,11 @@ class Embedding:
     legs: tuple[UPath, ...]
 
     def __post_init__(self):
-        if type(self.legs) is not tuple:  # e.g. list legs: keep it hashable
-            object.__setattr__(self, "legs", tuple(self.legs))
+        if type(self.center) is not int:  # a float or a bool is no vertex id
+            raise InputError("embedding centre must be an integer id")
+        # e.g. list legs or vertex lists: keep it hashable and verifiable
+        legs = tuple(l if isinstance(l, UPath) else UPath(l) for l in self.legs)
+        object.__setattr__(self, "legs", legs)
 
     @classmethod
     def _of(cls, center: int, legs: tuple[UPath, ...]) -> "Embedding":  # unchecked
@@ -420,13 +423,14 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     # first stub in order; x is asked for once the direct move has failed,
     # w just before the swap.  x is never u: d(u) >= k, and the stripped
     # spider uses at most k - 1 neighbours of u.
-    Tp = strip_leaf(T, 0)
+    top = T.legs[0] - 1  # a leaf off the longest leg; a one-edge leg goes
+    Tp = tuple(sorted((top, *T.legs[1:]) if top else T.legs[1:], reverse=True))
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
-    seq = place_legs(G, Tp.legs, u, G.full_mask, budget)
+    seq = place_legs(G, Tp, u, G.full_mask, budget)
     if seq is None:
         return None
-    legs = _placed_legs(u, Tp.legs, seq)
-    idx = Tp.legs.index(T.legs[0] - 1) if T.legs[0] > 1 else None
+    legs = _placed_legs(u, Tp, seq)
+    idx = Tp.index(top) if top else None
     stub = legs[idx] if idx is not None else UPath._of((u,), bit(u))
     emb_mask = mask_of(seq) | bit(u)
     free = G.full_mask & ~emb_mask
@@ -453,9 +457,12 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
         return cand if verify_embedding(G, T, cand) else None
 
     x = longest_u_path(G, u, avoid=emb_mask & ~bit(u)).end
-    # absorb the probe end
+    # absorb the probe end: x is off the embedding and the stub's end has
+    # no free neighbour (the direct move failed), so x is absorbable only
+    # by a splice into the stub's least absorbing edge
     if stub.length >= 1 and is_absorbable(G, stub, x):
-        got = assemble(others + [absorb(G, stub, x)])
+        i = _absorbing_edge(G.rows[x], stub) + 1
+        got = assemble(others + [UPath(stub.vertices[:i] + (x,) + stub.vertices[i:])])
         if got:
             return got
     # reroute the stub, then extend (each reroute end has a spanning path)
@@ -463,7 +470,7 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
         for v2 in sorted(reroute_ends(G, stub)):
             if not G.rows[v2] & free:
                 continue
-            rerouted = spanning_path_to(G, stub.mask(), u, v2)
+            rerouted = _spanning_path(G, stub.mask(), u, v2)
             z = (G.rows[v2] & free & -(G.rows[v2] & free)).bit_length() - 1
             got = assemble(others + [UPath(rerouted.vertices + (z,))])
             if got:
@@ -479,7 +486,7 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
         if not bit(w) & emb_mask:
             extra |= bit(w)
             core = (stub.mask() & ~bit(stub.end)) | bit(w)
-            wpath = spanning_path_to(G, core, u, w)
+            wpath = _spanning_path(G, core, u, w)
             if wpath is not None:
                 anchors.append((w, wpath))
     for j, leg in enumerate(others):

@@ -524,8 +524,12 @@ class HCertificate:
     y_side: frozenset[int]
 
     def __post_init__(self):  # e.g. set sides: keep the certificate hashable
-        object.__setattr__(self, "x_side", frozenset(self.x_side))
-        object.__setattr__(self, "y_side", frozenset(self.y_side))
+        x_side, y_side = frozenset(self.x_side), frozenset(self.y_side)
+        for v in x_side | y_side:  # a float or a bool is no vertex id
+            if type(v) is not int:
+                raise InputError("certificate sides must hold integer ids")
+        object.__setattr__(self, "x_side", x_side)
+        object.__setattr__(self, "y_side", y_side)
 
     @property
     def a(self) -> int:

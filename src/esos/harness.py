@@ -129,28 +129,32 @@ def _dichotomy_one(
     one leg and embeds (then the oracle itself returned it), a fresh
     ``embed_bruteforce`` call at u must agree on whether T embeds, and a
     certificate must verify and have the promised shape."""
-    where = {"graph6": G.to_graph6(), "k": k, "u": u, "spider": T.to_json()}
+
+    def fail(reason: str) -> dict:  # the entry is built only on a failure
+        where = {"graph6": G.to_graph6(), "k": k, "u": u, "spider": T.to_json()}
+        return {**where, "reason": reason}
+
     try:
         out = embed_constructive(G, T, u)
     except (InputError, SoundnessError) as exc:
-        return {**where, "reason": f"constructive raised: {exc}"}, False
+        return fail(f"constructive raised: {exc}"), False
     if not (out.embedded and len(T.legs) == 1):
         if out.embedded != (embed_bruteforce(G, T, u) is not None):
-            return {**where, "reason": "verdict disagrees with the oracle"}, False
+            return fail("verdict disagrees with the oracle"), False
     if out.embedded:
         if not verify_embedding(G, T, out.embedding):
-            return {**where, "reason": "embedding failed verification"}, False
+            return fail("embedding failed verification"), False
         return None, False
     cert = out.certificate
     if not in_T0_family(T):
-        return {**where, "reason": "certified a spider with an odd leg"}, True
+        return fail("certified a spider with an odd leg"), True
     if not verify_H_certificate(G, cert):
-        return {**where, "reason": "certificate failed verification"}, True
+        return fail("certificate failed verification"), True
     half, shape = k // 2, (out.kind, cert.a, cert.b)
     whole = shape == ("whole-graph", G.n - half, half)
     local = shape == ("local", half + 1, half) and u in cert.x_side | cert.y_side
     if not (whole or (local and T == t0(k))):
-        return {**where, "reason": f"certificate shape mismatch: {out.to_json()}"}, True
+        return fail(f"certificate shape mismatch: {out.to_json()}"), True
     return None, True
 
 

@@ -22,12 +22,12 @@ and each (vertex set, last vertex) state after the root costs one budget
 node.  A query is a goal on the table: the whole set's state for reroute and
 second ends, the last nonempty level for the longest path, the AND of level
 p's vertex sets for ``on_every_upath`` (whose table stops there), the state
-(verts, end) for ``spanning_path_to``, and for the optimal reroute a state on
-the latest level that holds every x-neighbour of P-u and ends at one, then
-any spanning completion.  ``_leading_to`` keeps the states that reach a goal
-and ``_lex_least`` walks them in ascending neighbour order.  Every table is
-charged to a Budget; the optimal reroute's and ``spanning_path_to``'s only
-count, as vertex caps bound them.
+(verts, end) for the guided phase's private ``_spanning_path``, and for the
+optimal reroute a state on the latest level that holds every x-neighbour of
+P-u and ends at one, then any spanning completion.  ``_leading_to`` keeps the
+states that reach a goal and ``_lex_least`` walks them in ascending neighbour
+order.  Every table is charged to a Budget; the optimal reroute's and
+``_spanning_path``'s only count, as vertex caps bound them.
 
 The searches callers repeat share one memo of MEMO_SIZE entries through
 ``recall``, which states how a hit is charged.  A key starts with its query
@@ -158,7 +158,7 @@ def _off_path(G: Graph, P: UPath, v: int, on_path="vertex already on the path"):
 
 def _absorbing_edge(row: int, P: UPath) -> Optional[int]:
     """Least edge index i of P with both P[i] and P[i+1] in ``row``, else
-    None; the public predicates check their input once and then call it."""
+    None; its callers check their input once and then call it."""
     for i in range(P.length):
         if row & (1 << P.vertices[i]) and row & (1 << P.vertices[i + 1]):
             return i
@@ -180,18 +180,6 @@ def _absorbs(row: int, P: UPath) -> bool:
     """Whether a vertex with neighbourhood ``row`` off P is absorbable to P;
     ``is_absorbable`` checks its input once and then calls it."""
     return bool(row & (1 << P.end)) or _absorbing_edge(row, P) is not None
-
-
-def absorb(G: Graph, P: UPath, v: int) -> UPath:
-    """P extended by v: end-extension when possible, else splice into the
-    least absorbing edge.  Length grows by exactly 1, anchor unchanged."""
-    _off_path(G, P, v)
-    if G.rows[v] & bit(P.end):
-        return UPath(P.vertices + (v,))
-    i = _absorbing_edge(G.rows[v], P)
-    if i is None:
-        raise InputError("vertex is not absorbable to this path")
-    return UPath(P.vertices[: i + 1] + (v,) + P.vertices[i + 1 :])
 
 
 # -- the reachable-path table ----------------------------------------------------
@@ -402,16 +390,11 @@ def second_ends(G: Graph, P: UPath) -> tuple[frozenset[int], frozenset[int]]:
     return outside, set_of(ends_core)
 
 
-def spanning_path_to(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
+def _spanning_path(G: Graph, verts: int, u: int, end: int) -> Optional[UPath]:
     """Lexicographically least path from u to ``end`` covering exactly the
-    vertex set ``verts``, or None when no such path exists.  InputError when
-    u, ``end`` or a member of ``verts`` is not one of G's vertices;
-    CapabilityError past HAM_SET_CAP vertices, as its budget only counts."""
-    verts = _checked_mask(G, verts)
-    if not (0 <= u < G.n and 0 <= end < G.n):
-        raise InputError(f"path ends outside 0..{G.n - 1}")
-    if not verts & bit(u) or not verts & bit(end):
-        return None
+    vertex mask ``verts``, which holds both, or None when no such path
+    exists.  CapabilityError past HAM_SET_CAP vertices, as its budget only
+    counts."""
     _cap(verts.bit_count(), HAM_SET_CAP, "spanning-path scan")
     table = _reach(G, u, verts, Budget(math.inf, "spanning path"))
     full = verts.bit_count() - 1

@@ -87,15 +87,3 @@ def t0(k: int) -> Spider:
         raise InputError("t0 needs a positive even k")
     return Spider((2,) * (k // 2))
 
-
-def strip_leaf(T: Spider, leg_index: int) -> Spider:
-    """Shorten one leg by a leaf; a length-1 leg disappears.
-
-    The result is re-canonicalized; k drops by exactly 1.  Stripping the last
-    edge yields the empty spider sentinel (no legs, k=0).
-    """
-    if not 0 <= leg_index < len(T.legs):
-        raise InputError(f"leg index {leg_index} out of range")
-    lengths = list(T.legs)
-    lengths[leg_index] -= 1
-    return Spider(tuple(sorted((l for l in lengths if l > 0), reverse=True)))

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,16 @@ from oracles import (
 import esos.embed as embed_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
 from esos.errors import Budget, CapabilityError, InputError, SoundnessError
-from esos.graphs import Graph, HCertificate, satisfies_local_condition
+from esos.graphs import (
+    Graph,
+    HCertificate,
+    find_H_subgraph,
+    heavy_vertex,
+    satisfies_local_condition,
+    verify_H_certificate,
+)
 from esos.harness import _dense_ks
+from esos.lemmas import make_instance
 from esos.embed import (
     Embedding,
     embed_bruteforce,
@@ -28,8 +38,10 @@ from esos.embed import (
     theorem2_check,
     verify_embedding,
 )
-from esos.paths import UPath
+from esos.paths import UPath, check_lemma2_bound, first_upath_to
 from esos.spiders import Spider, enumerate_spiders
+
+K4 = Graph.complete(4)
 
 
 def h32_host():
@@ -111,11 +123,36 @@ def test_list_legged_spider_verifies_and_certifies_as_its_tuple_form():
 
 def test_list_legged_embedding_is_hashable_and_verifies():
     G, T = Graph.complete(3), Spider((1, 1))
-    listed = Embedding(0, [UPath((0, 1)), UPath((0, 2))])
     canonical = Embedding(0, (UPath((0, 1)), UPath((0, 2))))
-    assert listed == canonical and hash(listed) == hash(canonical)
-    assert type(listed.legs) is tuple
-    assert verify_embedding(G, T, listed)
+    forms = (
+        Embedding(0, [UPath((0, 1)), UPath((0, 2))]),
+        Embedding(0, [[0, 1], [0, 2]]),  # vertex lists become paths
+    )
+    for listed in forms:
+        assert listed == canonical and hash(listed) == hash(canonical)
+        assert type(listed.legs) is tuple
+        assert verify_embedding(G, T, listed)
+
+
+SIDE_IDS = "certificate sides must hold integer ids"
+CENTRE_ID = "embedding centre must be an integer id"
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: verify_H_certificate(K4, HCertificate({1.5}, {0})), SIDE_IDS),
+        (lambda: HCertificate({"a"}, {0}), SIDE_IDS),
+        (lambda: HCertificate({0}, {True}), SIDE_IDS),
+        (lambda: verify_embedding(K4, Spider((1,)), Embedding(1.0, [(1, 0)])), CENTRE_ID),
+        (lambda: Embedding(True, [(1, 0)]), CENTRE_ID),
+        (lambda: Embedding(0, [[0, 1], [0, 1.5]]), "path vertices must be integer ids"),
+    ],
+    ids=["cert-float", "cert-str", "cert-bool", "emb-float", "emb-bool", "emb-list-leg"],
+)
+def test_witness_types_refuse_ids_their_verifiers_cannot_read(call, text):
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 def test_embed_into_H_examples():
@@ -289,7 +326,7 @@ def test_constructive_surfaces_soundness_error_from_guided_phase(monkeypatch, er
     def refuse(*args):
         raise error("refused in a guided move")
 
-    monkeypatch.setattr(embed_mod, "strip_leaf", refuse)
+    monkeypatch.setattr(embed_mod, "_guided", refuse)
     if error is CapabilityError:
         assert embed_constructive(G, T, 0).embedding == embed_bruteforce(G, T, 0)
     else:
@@ -395,6 +432,38 @@ def test_constructive_outcomes_are_pinned(monkeypatch, budget, full, verdicts):
     else:
         monkeypatch.setenv("ESOS_BUDGET", budget)
     assert _constructive_digest() == (5913, full, verdicts)
+
+
+def _multi_leg_cases(n_max: int) -> Iterator[tuple[Graph, Spider, int]]:
+    """The (G, T, u) cases of dichotomy_check(n_max) whose spider has two
+    or more legs: the ones the guided phase sees."""
+    for G in graphs_up_to(n_max):
+        for k in _dense_ks(G):
+            if satisfies_local_condition(G, k) is not None:
+                continue
+            for u in range(G.n):
+                if G.degree(u) < k:
+                    continue
+                for T in enumerate_spiders(k):
+                    if len(T.legs) >= 2:
+                        yield G, T, u
+
+
+def test_guided_moves_are_pinned_on_the_dichotomy_cases(monkeypatch):
+    # every outcome on dichotomy_check(7)'s multi-leg cases, where the
+    # guided moves decide 20,433 (direct), 35 (absorb), 2 (reroute) and
+    # 350 (swap), and the oracle the other 22
+    monkeypatch.delenv("ESOS_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    cases = 0
+    for G, T, u in _multi_leg_cases(7):
+        out = embed_constructive(G, T, u)
+        digest.update(json.dumps(out.to_json(), sort_keys=True).encode() + b"\n")
+        cases += 1
+    assert (cases, digest.hexdigest()) == (
+        20842,
+        "71a21da28386fdce8ad34531f8eec06ad31a2255edf29181daae4f0ab4c7fd1a",
+    )
 
 
 def _count_calls(monkeypatch, *names) -> dict[str, int]:
@@ -556,26 +625,17 @@ def test_guided_legs_match_checked_legs_on_the_dichotomy_cases(monkeypatch):
     # (no probe path asked for) decides all but a few of them
     calls = _count_calls(monkeypatch, "longest_u_path")
     direct = other = 0
-    for G in graphs_up_to(6):
-        for k in _dense_ks(G):
-            if satisfies_local_condition(G, k) is not None:
-                continue
-            for u in range(G.n):
-                if G.degree(u) < k:
-                    continue
-                for T in enumerate_spiders(k):
-                    if len(T.legs) < 2:
-                        continue
-                    before = calls["longest_u_path"]
-                    emb = embed_mod._guided(G, T, u)
-                    if emb is None:
-                        continue
-                    assert verify_embedding(G, T, emb)
-                    _assert_built_as_checked(emb)
-                    if calls["longest_u_path"] == before:
-                        direct += 1
-                    else:
-                        other += 1
+    for G, T, u in _multi_leg_cases(6):
+        before = calls["longest_u_path"]
+        emb = embed_mod._guided(G, T, u)
+        if emb is None:
+            continue
+        assert verify_embedding(G, T, emb)
+        _assert_built_as_checked(emb)
+        if calls["longest_u_path"] == before:
+            direct += 1
+        else:
+            other += 1
     assert (direct, other) == (1831, 31)
 
 
@@ -660,3 +720,74 @@ def test_verify_embedding_matches_reference():
     assert {kind for kind, verdicts in seen.items() if True in verdicts} <= {
         "path split", "path one leg", "non-edge", "legs reversed",
     }
+
+
+NO_EDGE = "spider must have at least one edge"
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: embed_bruteforce(K4, Spider(()), 0), NO_EDGE),
+        (lambda: embed_constructive(K4, Spider(()), 0), NO_EDGE),
+        (lambda: embed_constructive(K4, Spider((1,)), -1), "centre out of range"),
+        (lambda: embed_constructive(K4, Spider((1,)), 4), "centre out of range"),
+        (
+            lambda: embed_into_H(HCertificate({0, 1}, {1, 2}), Spider((2,)), 0),
+            "malformed certificate: overlapping sides",
+        ),
+        (
+            lambda: embed_into_H(HCertificate({0}, {1}), Spider((2,)), 3),
+            "centre lies outside the certified split",
+        ),
+        (lambda: K4.induced(0), "induced subgraph needs at least one vertex"),
+        (lambda: satisfies_local_condition(K4, 0), "k must be positive"),
+        (lambda: heavy_vertex(K4, K4.full_mask, 0), "k must be positive"),
+        (lambda: find_H_subgraph(K4, 0, 1, 0), "need a >= 1 and b >= 0"),
+        (lambda: find_H_subgraph(K4, 1, 1, 4), "u out of range"),
+        (
+            lambda: make_instance(4, Graph.complete(5), 0, UPath((0, 1)), UPath((2, 3))),
+            "lemma 4 needs an explicit x",
+        ),
+        (
+            lambda: check_lemma2_bound(K4, UPath((0, 1)), UPath((1, 2))),
+            "paths must share the anchor",
+        ),
+        (
+            lambda: check_lemma2_bound(Graph.cycle(4), UPath((0, 2)), UPath((0, 1))),
+            "arguments must be paths of the graph",
+        ),
+        (
+            lambda: check_lemma2_bound(K4, UPath((0, 1, 2)), UPath((0, 1))),
+            "probe path must avoid V(P-u)",
+        ),
+        (lambda: Spider.parse(","), "empty spider literal"),
+        (lambda: first_upath_to(K4, 0, K4.full_mask, 0, Budget(10, "walk")), None),
+    ],
+    ids=[
+        "bruteforce-empty-spider",
+        "constructive-empty-spider",
+        "constructive-centre-negative",
+        "constructive-centre-too-large",
+        "into-H-overlapping-sides",
+        "into-H-centre-outside",
+        "induced-empty",
+        "local-condition-k0",
+        "heavy-vertex-k0",
+        "find-H-a0",
+        "find-H-u-out-of-range",
+        "lemma4-without-x",
+        "lemma2-anchors-differ",
+        "lemma2-non-path",
+        "lemma2-probe-meets-P",
+        "parse-empty",
+        "first-upath-to-itself",
+    ],
+)
+def test_rejection_branches_keep_their_texts(call, text):
+    # a text of None: the call answers None instead of raising
+    if text is None:
+        assert call() is None
+        return
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+        call()

@@ -28,7 +28,7 @@ from esos.graphs import Graph, bits_of, mask_of
 from esos.paths import (
     MEMO_SIZE,
     UPath,
-    absorb,
+    _spanning_path,
     check_lemma1_bound,
     check_lemma2_bound,
     check_observation1,
@@ -44,7 +44,6 @@ from esos.paths import (
     reroute_ends,
     reroute_maximizing_last_neighbor,
     second_ends,
-    spanning_path_to,
 )
 
 C4 = Graph.cycle(4)
@@ -130,7 +129,6 @@ def test_longest_u_path_rejects_an_anchor_out_of_range(u):
     [
         lambda v: is_absorbable(K4, UPath((0, 1)), v),
         lambda v: is_strictly_absorbable(K4, UPath((0, 1)), v),
-        lambda v: absorb(K4, UPath((0, 1)), v),
         lambda v: check_observation1(K4, UPath((0, 1)), v),
         lambda v: reroute_maximizing_last_neighbor(K4, UPath((0, 1)), v),
         lambda v: longest_u_path(K4, 0, avoid=[v]),
@@ -138,7 +136,6 @@ def test_longest_u_path_rejects_an_anchor_out_of_range(u):
     ids=[
         "is_absorbable",
         "is_strictly_absorbable",
-        "absorb",
         "check_observation1",
         "reroute_maximizing_last_neighbor",
         "longest_u_path_avoid",
@@ -152,7 +149,7 @@ def test_path_helpers_reject_a_vertex_out_of_range(call, v):
 
 def test_path_helpers_keep_the_on_path_texts():
     P = UPath((0, 1))
-    for call in (is_absorbable, is_strictly_absorbable, absorb, check_observation1):
+    for call in (is_absorbable, is_strictly_absorbable, check_observation1):
         with pytest.raises(InputError, match="vertex already on the path"):
             call(K4, P, 1)
     with pytest.raises(InputError, match="reference vertex lies on the path"):
@@ -164,7 +161,6 @@ def test_path_helpers_keep_the_on_path_texts():
     [
         is_absorbable,
         is_strictly_absorbable,
-        absorb,
         check_observation1,
         reroute_maximizing_last_neighbor,
     ],
@@ -209,15 +205,6 @@ def test_absorbable_examples():
     assert is_absorbable(K4, UPath((0, 1, 2)), 3)
 
 
-def test_absorb_examples():
-    assert absorb(C4, UPath((0, 1, 2)), 3).vertices == (0, 1, 2, 3)
-    # end rule beats insertion
-    assert absorb(K4, UPath((0, 1)), 2).vertices == (0, 1, 2)
-    assert absorb(Graph.complete(3), UPath((0,)), 1).vertices == (0, 1)
-    with pytest.raises(InputError):
-        absorb(P4G, UPath((0, 1)), 3)
-
-
 def test_absorption_checks_its_input_once_per_call(monkeypatch):
     # each public predicate validates P once, then scans P's edges unchecked;
     # in the first host P's end misses v, so absorption needs a splice
@@ -230,37 +217,16 @@ def test_absorption_checks_its_input_once_per_call(monkeypatch):
 
     monkeypatch.setattr(paths_mod, "is_valid_upath", counted)
     splice = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    cases = [(splice, UPath((0, 1, 2)), 3), (C4, UPath((0, 1, 2)), 3)]
-    cases.append((P4G, UPath((0, 1)), 3))
+    cases = [
+        (splice, UPath((0, 1, 2)), 3),
+        (C4, UPath((0, 1, 2)), 3),
+        (P4G, UPath((0, 1)), 3),
+    ]
     for G, P, v in cases:
         for call in (is_absorbable, is_strictly_absorbable, check_observation1):
             checked.clear()
             call(G, P, v)
             assert len(checked) == 1, (call.__name__, G, P)
-    for G, P, v in cases[:2]:
-        checked.clear()
-        absorb(G, P, v)
-        assert len(checked) == 1, G
-
-
-@settings(max_examples=120, deadline=None)
-@given(graphs(max_n=6), st.data())
-def test_absorb_grows_by_one_with_same_anchor(G, data):
-    paths = [p for u in range(G.n) for p in all_upaths(G, u)]
-    if not paths:
-        return
-    P = UPath(data.draw(st.sampled_from(paths)))
-    outside = [v for v in range(G.n) if v not in P.vertices]
-    if not outside:
-        return
-    v = data.draw(st.sampled_from(outside))
-    if not is_absorbable(G, P, v):
-        return
-    Q = absorb(G, P, v)
-    assert is_valid_upath(G, Q.vertices)
-    assert Q.length == P.length + 1
-    assert Q.anchor == P.anchor
-    assert set(Q.vertices) == set(P.vertices) | {v}
 
 
 def test_reroute_ends_examples():
@@ -284,7 +250,7 @@ def test_reroute_exact_cap():
             "^exact reroute set capped at 16 vertices$",
         ),
         (
-            lambda G, m: spanning_path_to(G, range(m), 0, m - 1),
+            lambda G, m: _spanning_path(G, (1 << m) - 1, 0, m - 1),
             18,
             "^spanning-path scan capped at 18 vertices$",
         ),
@@ -372,39 +338,13 @@ def test_reroute_by_spanning_path_and_last_neighbor():
     # a reroute of P ending at a given vertex is a spanning path of V(P)
     G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     P = UPath((0, 1, 2))
-    assert spanning_path_to(G, P.mask(), P.anchor, 1).vertices == (0, 2, 1)
-    assert spanning_path_to(G, P.mask(), P.anchor, 0) is None
+    assert _spanning_path(G, P.mask(), P.anchor, 1).vertices == (0, 2, 1)
+    assert _spanning_path(G, P.mask(), P.anchor, 0) is None
     best = reroute_maximizing_last_neighbor(G, P, 3)
     # 3 sees 0 and 2; ordering 0-1-2 puts a neighbour of 3 last
     assert best.vertices == (0, 1, 2)
     with pytest.raises(InputError):
         reroute_maximizing_last_neighbor(G, P, 1)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: spanning_path_to(Graph.complete(5), 0b111, -1, 1),
-        lambda: spanning_path_to(Graph.complete(5), 0b111, 0, -1),
-        lambda: spanning_path_to(Graph.complete(5), 0b111, 5, 1),
-        lambda: spanning_path_to(Graph.complete(5), 0b111, 0, 9),
-        lambda: spanning_path_to(Graph.complete(5), 0b1111111, 0, 1),
-        lambda: spanning_path_to(Graph.complete(5), UPath((0, 1)).mask(), 0, -1),
-        lambda: spanning_path_to(Graph.complete(5), UPath((0, 1)).mask(), 0, 9),
-    ],
-    ids=[
-        "anchor-negative",
-        "end-negative",
-        "anchor-too-large",
-        "end-too-large",
-        "verts-beyond-host",
-        "reroute-end-negative",
-        "reroute-end-too-large",
-    ],
-)
-def test_spanning_path_to_rejects_a_vertex_outside_the_host(call):
-    with pytest.raises(InputError, match="outside 0..4"):
-        call()
 
 
 K5 = Graph.complete(5)
@@ -542,7 +482,7 @@ def test_spanning_paths_and_reroutes_match_brute_oracle():
                     verts = (u,) + rest
                     span = None
                     for end in verts:
-                        got = spanning_path_to(G, mask_of(verts), u, end)
+                        got = _spanning_path(G, mask_of(verts), u, end)
                         want = brute_spanning_path_to(G, verts, u, end)
                         assert (got and got.vertices) == want, (G, verts, end)
                         span = span or want
@@ -648,7 +588,7 @@ def test_counting_path_tables_answer_under_a_zero_esos_budget(monkeypatch):
     monkeypatch.setenv("ESOS_BUDGET", "0")
     G, P = Graph.complete(5), UPath((0, 1, 2, 3))
     states = brute_prefix_states(G, 0, P.vertices) - 1
-    assert spanning_path_to(G, P.mask(), 0, 1) == UPath((0, 2, 3, 1))
+    assert _spanning_path(G, P.mask(), 0, 1) == UPath((0, 2, 3, 1))
     assert (budgets[-1].label, budgets[-1].used) == ("spanning path", states)
     for _ in range(2):  # cold, then from the memo
         assert reroute_maximizing_last_neighbor(G, P, 4) == P

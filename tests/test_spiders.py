@@ -9,7 +9,7 @@ from oracles import brute_partition_count
 from esos.embed import embed_bruteforce
 from esos.errors import InputError
 from esos.graphs import Graph
-from esos.spiders import Spider, enumerate_spiders, in_T0_family, strip_leaf, t0
+from esos.spiders import Spider, enumerate_spiders, in_T0_family, t0
 
 
 def test_enumeration_examples():
@@ -105,22 +105,3 @@ def test_t0_examples():
 def test_t0_lies_in_the_family(half):
     assert in_T0_family(t0(2 * half))
 
-
-def test_strip_leaf_examples():
-    assert strip_leaf(Spider((3, 2)), 0).legs == (2, 2)
-    assert strip_leaf(Spider((1,)), 0).legs == ()
-    assert strip_leaf(Spider((2, 2)), 1).legs == (2, 1)
-    with pytest.raises(InputError):
-        strip_leaf(Spider((2,)), 1)
-
-
-@given(st.integers(1, 12), st.data())
-def test_strip_then_regrow_is_identity(k, data):
-    T = data.draw(st.sampled_from(list(enumerate_spiders(k))))
-    idx = data.draw(st.integers(0, len(T.legs) - 1))
-    shrunk = strip_leaf(T, idx)
-    regrown = sorted(shrunk.legs)
-    target = list(T.legs)
-    target[idx] -= 1
-    assert sorted(l for l in target if l) == regrown
-    assert shrunk.k == T.k - 1
