@@ -88,7 +88,10 @@ class Embedding:
         if type(self.center) is not int:  # a float or a bool is no vertex id
             raise InputError("embedding centre must be an integer id")
         # e.g. list legs or vertex lists: keep it hashable and verifiable
-        legs = tuple(l if isinstance(l, UPath) else UPath(l) for l in self.legs)
+        try:
+            legs = tuple(l if isinstance(l, UPath) else UPath(l) for l in self.legs)
+        except TypeError:  # e.g. a bare path in place of the legs
+            raise InputError("embedding legs must be an iterable of paths") from None
         object.__setattr__(self, "legs", legs)
 
     @classmethod

@@ -11,11 +11,12 @@ Counting functionals follow the usual boundary conventions:
 * ``d_out`` of S counts edges with exactly one end in S,
 * ``edges_between(S1, S2)`` counts edges with one end in each (disjoint sets).
 
-Density comparisons are done in doubled integers (2*e > (k-1)*n) so no
-fractions ever appear.  The per-subset condition lists no subsets: a
-minimum s-t cut on the adjacency rows minimises its defect over all sets
-(a selection problem, Picard & Queyranne 1982), and a few more cuts fix
-the violating set with the least mask bit by bit.
+Density comparisons are done in doubled integers (2*e > (k-1)*n), so no
+fractions ever appear.  The per-subset condition lists no subsets: one
+minimum s-t cut minimises its defect over all sets (a selection problem,
+Picard & Queyranne 1982), and a few more fix the violating set with the
+least mask bit by bit.  Dinic's flow keeps one residual bit row per node:
+levels OR the rows of the level before, and steps mask a row with the next.
 
 An H(a,b) split of a vertex set is a partition X, Y with |X|=a, |Y|=b where
 every X-vertex's neighbourhood inside X∪Y is exactly Y (edges inside Y are
@@ -230,12 +231,7 @@ class Graph:
         if not old:
             raise InputError("induced subgraph needs at least one vertex")
         index = {v: i for i, v in enumerate(old)}
-        rows = []
-        for v in old:
-            r = 0
-            for w in bits_of(self.rows[v] & m):
-                r |= bit(index[w])
-            rows.append(r)
+        rows = [sum(1 << index[w] for w in bits_of(self.rows[v] & m)) for v in old]
         return Graph(len(old), tuple(rows)), old
 
     # -- graph6 ------------------------------------------------------------
@@ -330,12 +326,8 @@ def _inner_edges(rows: tuple[int, ...], m: int) -> int:
 def edge_counts(G: Graph, S: VertexSetLike) -> tuple[int, int]:
     """(edges inside S, edges leaving S)."""
     m = _checked_mask(G, S)
-    inside2 = 0
-    out = 0
-    for v in bits_of(m):
-        inside2 += (G.rows[v] & m).bit_count()
-        out += (G.rows[v] & ~m).bit_count()
-    return inside2 // 2, out
+    inside = _inner_edges(G.rows, m)  # d(S) is the degree sum less 2*e(S)
+    return inside, sum(G.rows[v].bit_count() for v in bits_of(m)) - 2 * inside
 
 
 def edges_between(G: Graph, S1: VertexSetLike, S2: VertexSetLike) -> int:
@@ -346,10 +338,16 @@ def edges_between(G: Graph, S1: VertexSetLike, S2: VertexSetLike) -> int:
     return sum((G.rows[v] & m2).bit_count() for v in bits_of(m1))
 
 
-def satisfies_density(G: Graph, k: int) -> bool:
-    """2*e(G) > (k-1)*n, in exact integer arithmetic."""
+def _check_k(k: int) -> None:
+    if type(k) is not int:  # a float or a bool is no edge count
+        raise InputError(f"k {k!r} is not an integer")
     if k < 1:
         raise InputError("k must be positive")
+
+
+def satisfies_density(G: Graph, k: int) -> bool:
+    """2*e(G) > (k-1)*n, in exact integer arithmetic."""
+    _check_k(k)
     return 2 * G.edge_count() > (k - 1) * G.n
 
 
@@ -372,8 +370,7 @@ def satisfies_local_condition(G: Graph, k: int) -> Optional[frozenset[int]]:
     fits the tighter constraint.  No cut when every degree is >= k, else one
     when the condition holds and at most n + ceil(log2 n) + 1 when it fails.
     """
-    if k < 1:
-        raise InputError("k must be positive")
+    _check_k(k)
     if min(map(int.bit_count, G.rows)) >= k:  # every h(S) >= |S| > 0
         return None
     violator = _violator_search(G, k)
@@ -415,82 +412,95 @@ def _violator_search(G: Graph, k: int) -> Callable[[int, int], Optional[int]]:
     negative exactly when the maximum flow stays below ``limit``.  Forced
     vertices get an s->v (in) or v->t (out) arc of capacity ``limit``,
     which no cut below ``limit`` contains; a degree below k makes it > 0.
+    The capacities and their bit rows are built once; each call copies both.
     """
     n = G.n
     s, t = n, n + 1
     base = [[0] * (n + 2) for _ in range(n + 2)]
-    adj: list[list[int]] = []
+    res = list(G.rows) + [0, 0]  # bit v of res[u] <=> base[u][v] > 0
     limit = 0
     for v, row in enumerate(G.rows):
         arcs = base[v]
-        nbrs = list(bits_of(row))
-        for w in nbrs:
-            arcs[w] = n + 1
-        adj.append(nbrs + [t])
-        weight = (n + 1) * (row.bit_count() - (k - 1)) - 1
+        while row:
+            low = row & -row
+            arcs[low.bit_length() - 1] = n + 1
+            row ^= low
+        weight = (n + 1) * (res[v].bit_count() - (k - 1)) - 1
         if weight > 0:
             arcs[t] = weight
+            res[v] |= 1 << t
         else:
             base[s][v] = -weight
+            res[s] |= 1 << v
             limit -= weight
-    adj += [list(range(n)), []]
 
     def violator(inside: int, outside: int) -> Optional[int]:
         cap = [row[:] for row in base]
+        rows = res[:]
+        rows[s] |= inside
         for v in bits_of(inside):
             cap[s][v] += limit
         for v in bits_of(outside):
             cap[v][t] += limit
-        reached = _max_flow(cap, adj, s, t, limit)
+            rows[v] |= 1 << t
+        reached = _max_flow(cap, rows, s, t, limit)
         return None if reached is None else reached & ~bit(s)
 
     return violator
 
 
 def _max_flow(
-    cap: list[list[int]], adj: list[list[int]], s: int, t: int, limit: int
+    cap: list[list[int]], res: list[int], s: int, t: int, limit: int
 ) -> Optional[int]:
-    """Dinic's maximum flow on the dense residual matrix ``cap``, changed in
-    place; ``adj[u]`` lists every node u may have an arc to, and every arc
-    that does not touch s or t has its reverse.  None once the flow reaches
-    ``limit``, else the mask of the nodes the last residual search reaches
-    from s: the source side of the smallest minimum cut."""
-    size = len(cap)
+    """Dinic's maximum flow on the dense residual matrix ``cap`` and its bit
+    rows ``res`` (bit v of ``res[u]`` set exactly when ``cap[u][v] > 0``),
+    both changed in place.  Each level mask is the union of the previous
+    level's rows minus the nodes seen; the blocking flow steps from u to
+    ``res[u] & alive[level + 1]`` and drops u from ``alive`` once it is
+    blocked.  None once the flow reaches ``limit``, else the mask of the
+    nodes the last level search reaches from s: the source side of the
+    smallest minimum cut."""
     flow = 0
+
+    def push(u: int, level: int, room: int) -> int:
+        if u == t:
+            return room
+        row = cap[u]
+        sent = 0
+        ahead = res[u] & alive[level + 1]
+        while ahead:
+            low = ahead & -ahead
+            v = low.bit_length() - 1
+            got = push(v, level + 1, min(room - sent, row[v]))
+            if got:
+                row[v] -= got
+                if not row[v]:
+                    res[u] ^= low
+                cap[v][u] += got
+                res[v] |= 1 << u
+                sent += got
+                if sent == room:
+                    return sent
+            ahead ^= low  # v's arc is full or v is blocked
+        alive[level] &= ~(1 << u)
+        return sent
+
     while True:
-        level = [-1] * size
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for v in adj[u]:
-                if level[v] < 0 and cap[u][v]:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
-            return sum(1 << u for u in queue)
-        nxt = [0] * size
-
-        def push(u: int, room: int) -> int:
-            if u == t:
-                return room
-            arcs = adj[u]
-            row = cap[u]
-            step = level[u] + 1
-            sent = 0
-            while nxt[u] < len(arcs):
-                v = arcs[nxt[u]]
-                if row[v] and level[v] == step:
-                    got = push(v, min(room - sent, row[v]))
-                    if got:
-                        row[v] -= got
-                        cap[v][u] += got
-                        sent += got
-                        if sent == room:
-                            return sent
-                nxt[u] += 1
-            return sent
-
-        flow += push(s, limit - flow)
+        seen = frontier = 1 << s
+        alive = [frontier]
+        while not seen >> t & 1:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= res[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return seen
+            seen |= frontier
+            alive.append(frontier)
+        alive[-1] = 1 << t  # no other node of t's level reaches t
+        flow += push(s, 0, limit - flow)
         if flow >= limit:
             return None
 
@@ -504,15 +514,11 @@ def heavy_vertex(G: Graph, S: VertexSetLike, k: int) -> int:
     m = _checked_mask(G, S)
     if not m:
         raise InputError("heavy_vertex needs a nonempty set")
-    if k < 1:
-        raise InputError("k must be positive")
-    best_v = -1
-    best_score = None
-    for v in bits_of(m):
-        score = 2 * G.rows[v].bit_count() - (G.rows[v] & m).bit_count()
-        if best_score is None or score > best_score:
-            best_v, best_score = v, score
-    return best_v
+    _check_k(k)
+    rows = G.rows  # max keeps the first maximiser: the smallest id
+    return max(
+        bits_of(m), key=lambda v: 2 * rows[v].bit_count() - (rows[v] & m).bit_count()
+    )
 
 
 # -- H(a,b) splits -----------------------------------------------------------
@@ -524,7 +530,10 @@ class HCertificate:
     y_side: frozenset[int]
 
     def __post_init__(self):  # e.g. set sides: keep the certificate hashable
-        x_side, y_side = frozenset(self.x_side), frozenset(self.y_side)
+        try:
+            x_side, y_side = frozenset(self.x_side), frozenset(self.y_side)
+        except TypeError:  # a side that is no iterable, or holds a list
+            raise InputError("certificate sides must be iterables of vertex ids") from None
         for v in x_side | y_side:  # a float or a bool is no vertex id
             if type(v) is not int:
                 raise InputError("certificate sides must hold integer ids")

@@ -77,7 +77,10 @@ class UPath:
 
     def __init__(self, vertices: Iterable[int]):
         if type(vertices) is not tuple:  # e.g. a list: keep the path hashable
-            vertices = tuple(vertices)
+            try:
+                vertices = tuple(vertices)
+            except TypeError:  # e.g. a bare id
+                raise InputError("a path must be an iterable of vertex ids") from None
         if not vertices:
             raise InputError("a path needs at least one vertex")
         for v in vertices:  # a float or a bool is no vertex id

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import InputError
+from .graphs import _check_k
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,7 @@ def _partitions_desc(total: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_spiders(k: int) -> Iterator[Spider]:
     """All spiders with k edges: the partitions of k, largest-part-first order."""
-    if type(k) is not int:  # a float or a bool is no edge count
-        raise InputError(f"k {k!r} is not an integer")
-    if k < 1:
-        raise InputError("k must be positive")
+    _check_k(k)
     for part in _partitions_desc(k, k):
         yield Spider(part)
 

@@ -785,3 +785,95 @@ def reference_is_symmetric(rows):
             if row >> w & 1 and not rows[w] >> v & 1:
                 return v, w
     return None
+
+
+def reference_violator_search(G, k):
+    """A function of (inside, outside) returning, as a mask, the smallest
+    minimiser of (n+1)*h(S) - |S| over inside ⊆ S ⊆ V - outside when that
+    minimum is negative, else None.  Negative means h(S) <= 0 with S
+    nonempty (h(S) >= 1 makes the value positive), so the empty set needs
+    no special case.
+
+    Nodes s = n and t = n+1, source side S: each edge is two arcs of
+    capacity n+1, and v of weight w = (n+1)*(d(v)-(k-1)) - 1 (never 0) gets
+    v->t of capacity w if w > 0, else s->v of capacity -w.  A cut costs the
+    value plus ``limit``, the sum of the s->v capacities, so the minimum is
+    negative exactly when the maximum flow stays below ``limit``.  Forced
+    vertices get an s->v (in) or v->t (out) arc of capacity ``limit``,
+    which no cut below ``limit`` contains; a degree below k makes it > 0.
+    """
+    n = G.n
+    s, t = n, n + 1
+    base = [[0] * (n + 2) for _ in range(n + 2)]
+    adj = []
+    limit = 0
+    for v, row in enumerate(G.rows):
+        arcs = base[v]
+        nbrs = list(bits_of(row))
+        for w in nbrs:
+            arcs[w] = n + 1
+        adj.append(nbrs + [t])
+        weight = (n + 1) * (row.bit_count() - (k - 1)) - 1
+        if weight > 0:
+            arcs[t] = weight
+        else:
+            base[s][v] = -weight
+            limit -= weight
+    adj += [list(range(n)), []]
+
+    def violator(inside, outside):
+        cap = [row[:] for row in base]
+        for v in bits_of(inside):
+            cap[s][v] += limit
+        for v in bits_of(outside):
+            cap[v][t] += limit
+        reached = _reference_max_flow(cap, adj, s, t, limit)
+        return None if reached is None else reached & ~bit(s)
+
+    return violator
+
+
+def _reference_max_flow(cap, adj, s, t, limit):
+    """Dinic's maximum flow on the dense residual matrix ``cap``, changed in
+    place; ``adj[u]`` lists every node u may have an arc to, and every arc
+    that does not touch s or t has its reverse.  None once the flow reaches
+    ``limit``, else the mask of the nodes the last residual search reaches
+    from s: the source side of the smallest minimum cut."""
+    size = len(cap)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for v in adj[u]:
+                if level[v] < 0 and cap[u][v]:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return sum(1 << u for u in queue)
+        nxt = [0] * size
+
+        def push(u, room):
+            if u == t:
+                return room
+            arcs = adj[u]
+            row = cap[u]
+            step = level[u] + 1
+            sent = 0
+            while nxt[u] < len(arcs):
+                v = arcs[nxt[u]]
+                if row[v] and level[v] == step:
+                    got = push(v, min(room - sent, row[v]))
+                    if got:
+                        row[v] -= got
+                        cap[v][u] += got
+                        sent += got
+                        if sent == room:
+                            return sent
+                nxt[u] += 1
+            return sent
+
+        flow += push(s, limit - flow)
+        if flow >= limit:
+            return None

@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import esos.graphs as graphs_mod
 import esos.paths as paths_mod
 from esos.graphs import Graph, mask_of, satisfies_local_condition
 
@@ -56,6 +58,35 @@ def test_local_condition_reproduces_the_pinned_stream_witnesses():
         k, line = key.split(":", 1)
         witness = satisfies_local_condition(Graph.from_graph6(line), int(k))
         assert (-1 if witness is None else mask_of(witness)) == want, key
+
+
+def test_local_condition_cut_counts_on_the_pinned_stream_requests(monkeypatch):
+    # one network per request with a degree below k, one cut when the
+    # condition holds and at most n + ceil(log2 n) + 1 when it fails
+    search = graphs_mod._violator_search
+    cuts = []
+
+    def counted(G, k):
+        violator = search(G, k)
+        cuts.append(0)
+
+        def counted_violator(inside, outside):
+            cuts[-1] += 1
+            return violator(inside, outside)
+
+        return counted_violator
+
+    monkeypatch.setattr(graphs_mod, "_violator_search", counted)
+    pins = json.loads((PERFBENCH / "pins.json").read_text())["stream"]
+    for key, (want,) in pins.items():
+        k, line = key.split(":", 1)
+        G = Graph.from_graph6(line)
+        built = len(cuts)
+        satisfies_local_condition(G, int(k))
+        for count in cuts[built:]:
+            assert 1 <= count <= G.n + math.ceil(math.log2(G.n)) + 1, key
+            assert count == 1 or want != -1, key
+    assert (len(cuts), sum(cuts)) == (396, 568)
 
 
 @pytest.mark.parametrize("workload", sorted(GUARD_QUOTA))

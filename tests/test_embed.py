@@ -136,6 +136,8 @@ def test_list_legged_embedding_is_hashable_and_verifies():
 
 SIDE_IDS = "certificate sides must hold integer ids"
 CENTRE_ID = "embedding centre must be an integer id"
+PATH_ITERABLE = "a path must be an iterable of vertex ids"
+SIDES_ITERABLE = "certificate sides must be iterables of vertex ids"
 
 
 @pytest.mark.parametrize(
@@ -147,8 +149,25 @@ CENTRE_ID = "embedding centre must be an integer id"
         (lambda: verify_embedding(K4, Spider((1,)), Embedding(1.0, [(1, 0)])), CENTRE_ID),
         (lambda: Embedding(True, [(1, 0)]), CENTRE_ID),
         (lambda: Embedding(0, [[0, 1], [0, 1.5]]), "path vertices must be integer ids"),
+        (lambda: UPath(5), PATH_ITERABLE),
+        (lambda: Embedding(0, [5]), PATH_ITERABLE),
+        (lambda: Embedding(0, 5), "embedding legs must be an iterable of paths"),
+        (lambda: HCertificate(5, {0}), SIDES_ITERABLE),
+        (lambda: HCertificate({0}, 5), SIDES_ITERABLE),
     ],
-    ids=["cert-float", "cert-str", "cert-bool", "emb-float", "emb-bool", "emb-list-leg"],
+    ids=[
+        "cert-float",
+        "cert-str",
+        "cert-bool",
+        "emb-float",
+        "emb-bool",
+        "emb-list-leg",
+        "path-int",
+        "emb-int-leg",
+        "emb-int-legs",
+        "cert-int-x",
+        "cert-int-y",
+    ],
 )
 def test_witness_types_refuse_ids_their_verifiers_cannot_read(call, text):
     with pytest.raises(InputError, match=f"^{re.escape(text)}$"):

@@ -2,8 +2,10 @@ import dataclasses
 import io
 import json
 import random
+import re
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -19,6 +21,7 @@ from oracles import (
     reference_from_graph6,
     reference_is_symmetric,
     reference_to_graph6,
+    reference_violator_search,
     scan_find_H_subgraph,
     scan_local_condition,
 )
@@ -258,6 +261,18 @@ def test_local_condition_runs_the_flow_when_one_degree_is_k_minus_1(monkeypatch)
         cases += 1
         violated += got is not None
     assert (cases, violated) == (85, 34)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True], ids=["float", "whole-float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [satisfies_density, satisfies_local_condition, lambda G, k: heavy_vertex(G, 1, k)],
+    ids=["density", "local-condition", "heavy-vertex"],
+)
+def test_k_must_be_an_integer(call, k):
+    # the cuts test residuals for exact zeros: no float capacity is built
+    with pytest.raises(InputError, match=f"^k {re.escape(repr(k))} is not an integer$"):
+        call(K13, k)
 
 
 def test_local_condition_has_no_size_cap(capsys, monkeypatch):
@@ -728,3 +743,72 @@ def test_induced_preserves_symmetry(G, pick):
             assert H.has_edge(j, i) and G.has_edge(old[i], old[j])
     inside, _ = edge_counts(G, keep)
     assert H.edge_count() == inside
+
+
+def _small_networks():
+    # every class with n <= 6 at each k that builds a network, up to the
+    # k past which every singleton violates
+    for G in graphs_up_to(6):
+        degrees = list(map(G.degree, range(G.n)))
+        for k in range(min(degrees) + 1, 2 * max(degrees) + 3):
+            yield G, k
+
+
+def _stream_networks():
+    # the benchmark's `stream` requests whose condition builds a network
+    pins = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+    for key in json.loads(pins.read_text())["stream"]:
+        k, line = key.split(":", 1)
+        G = Graph.from_graph6(line)
+        if min(map(G.degree, range(G.n))) < int(k):
+            yield G, int(k)
+
+
+def _planted_networks():
+    for n in (30, 64, 128):
+        for k in (5, 6, 7, 8):
+            yield _planted_host(n, n), k
+
+
+@pytest.mark.parametrize(
+    "networks, count",
+    [(_small_networks, 1551), (_stream_networks, 396), (_planted_networks, 12)],
+    ids=["small-classes", "stream", "planted"],
+)
+def test_violator_search_matches_the_reference_cut_for_cut(networks, count):
+    # one network per (G, k), asked the unconstrained question and seeded
+    # (inside, outside) pairs: the least-mask search's suffix and bit
+    # constraints, and random forced sets
+    rng = random.Random(35)
+    built = asked = found = 0
+    for G, k in networks():
+        got, want = graphs_mod._violator_search(G, k), reference_violator_search(G, k)
+        pairs = [(0, 0)]
+        for j in rng.sample(range(G.n), min(G.n, 3)):
+            suffix = G.full_mask & -(2 << j)
+            below = rng.getrandbits(j + 1) & ((1 << j) - 1)
+            drawn = [rng.choice("..io") for _ in range(G.n)]
+            inside = sum(1 << v for v, c in enumerate(drawn) if c == "i")
+            outside = sum(1 << v for v, c in enumerate(drawn) if c == "o")
+            pairs += [(0, suffix), (1 << j, suffix | below), (inside, outside)]
+        for pair in pairs:
+            answer = got(*pair)
+            assert answer == want(*pair), (G.to_graph6(), k, pair)
+            found += answer is not None
+        built += 1
+        asked += len(pairs)
+    assert built == count, built
+    assert 0 < found < asked
+
+
+@pytest.mark.parametrize(
+    "line, k, outside, want",
+    [("IHGh`Wa{O", 5, 1 << 9, 511), ("JFD[`aPEAe?", 5, 1 << 10, 1023)],
+)
+def test_violator_search_reopens_an_emptied_edge_arc(line, k, outside, want):
+    # hosts found by a seeded search: a later phase pushes flow back along
+    # an edge whose arc an earlier phase emptied, and the last level search
+    # must cross that arc again to reach the whole source side
+    G = Graph.from_graph6(line)
+    assert reference_violator_search(G, k)(0, outside) == want
+    assert graphs_mod._violator_search(G, k)(0, outside) == want
