@@ -6,30 +6,31 @@ centre, leg by leg (longest leg first), each leg from the centre outward, and
 candidates in ascending order.  Every placed vertex is one node of the search
 budget.  The free-vertex prune (k + 1 <= n) costs no node, and a leg as long
 as the one before it starts above that leg's first vertex, so equal legs are
-not tried in both orders.  Its legs are cut from the placement in one pass,
-unchecked; consumers verify each embedding.  Growth rules 4 and 6 ask the
-same search for their first disjoint paths inside an allowed vertex set.
+not tried in both orders.  The placement is the embedding: its centre, leg
+lengths and one flat tuple of the placed vertices, unchecked; its legs are
+cut into ``UPath``s only when read, and ``verify_embedding`` checks the flat
+placement itself.  Growth rules 4 and 6 ask the same search for their first
+disjoint paths inside an allowed vertex set.
 
 ``embed_constructive`` grows the spider the way the supporting machinery
 suggests: strip a leaf off the longest leg, take the oracle's placement of
-the smaller spider at the centre (none: the guided phase abstains), and
-try the extension moves on its first stub (a leg of the stripped length,
-or the bare centre) in turn.  The direct move extends the placement
-itself: the stub's end gains its least free neighbour, and the one
-embedding built is checked once, by ``embed_constructive``'s own
-verification, so a broken direct move is a SoundnessError.  Only when it
-has no free neighbour are the stripped spider's embedding and the probe
-end x of a longest path off it built; the stub's least second end off the
-embedding and x (else its least inside second end), a swap anchor, is
-searched for only when the swap is tried.  Absorb, reroute and swap are
-verify-or-skip: when they all fail, or a search in them trips a cap or
-budget, the bounded exhaustive oracle decides, so correctness never
-depends on the heuristic phase.  Each call decides its spider once and
-keeps no outcome memo.  A certificate is emitted only after the oracle has
-confirmed the spider does not embed at the requested centre, and is
-verified before it is returned: ``whole_split`` (the whole graph, for any
-all-even spider) or, tried first and for the all-twos spider T0 only,
-``local_split`` through the centre.
+the smaller spider at the centre (none: the guided phase abstains), and try
+the extension moves on its first stub (a leg of the stripped length, or the
+bare centre) in turn.  The direct move extends the placement itself: the
+stub's end gains its least free neighbour, and the flat placement built is
+checked once, by ``embed_constructive``'s own verification, so a broken
+direct move is a SoundnessError.  Only when it has no free neighbour are the
+stripped spider's legs cut from its placement and the probe end x of a
+longest path off them found; the stub's least second end off the embedding
+and x (else its least inside second end), a swap anchor, is searched for
+only when the swap is tried.  Absorb, reroute and swap are verify-or-skip:
+when they all fail, or a search in them trips a cap or budget, the bounded
+exhaustive oracle decides, so correctness never depends on the heuristic
+phase.  Each call decides its spider once and keeps no outcome memo.  A
+certificate is emitted only after the oracle has confirmed the spider does
+not embed at the requested centre, and is verified before it is returned:
+``whole_split`` (the whole graph, for any all-even spider) or, tried first
+and for the all-twos spider T0 only, ``local_split`` through the centre.
 
 ``theorem2_check`` is the density pipeline: while some vertex set violates
 the per-subset condition, delete it (the edge identity e(G-S) =
@@ -41,10 +42,10 @@ inside the certified split.
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
 from .graphs import (
@@ -79,27 +80,56 @@ from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 EMBED_DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Embedding:
-    center: int
-    legs: tuple[UPath, ...]
+    """A spider embedding as a placement: the centre, each leg's first
+    vertex, the leg lengths and one flat tuple of the vertices after each
+    leg's first, leg by leg.  Equality reads these; ``legs``, as ``UPath``s
+    (which hash and repr read), is cut from them on first read and kept.
+    ``Embedding._placed`` skips the checks, only for the library's own
+    placements."""
 
-    def __post_init__(self):
-        if type(self.center) is not int:  # a float or a bool is no vertex id
+    center: int
+    _firsts: tuple[int, ...]
+    _lengths: tuple[int, ...]
+    _flat: tuple[int, ...]
+    _legs = None  # the cut legs once read: every cut is equal, so no lock
+
+    def __init__(self, center: int, legs: Iterable):
+        if type(center) is not int:  # a float or a bool is no vertex id
             raise InputError("embedding centre must be an integer id")
         # e.g. list legs or vertex lists: keep it hashable and verifiable
         try:
-            legs = tuple(l if isinstance(l, UPath) else UPath(l) for l in self.legs)
+            legs = tuple(l if isinstance(l, UPath) else UPath(l) for l in legs)
         except TypeError:  # e.g. a bare path in place of the legs
             raise InputError("embedding legs must be an iterable of paths") from None
-        object.__setattr__(self, "legs", legs)
+        self.__dict__.update(  # frozen: the fields are written directly
+            center=center,
+            _firsts=tuple(l.vertices[0] for l in legs),
+            _lengths=tuple(l.length for l in legs),
+            _flat=tuple(v for l in legs for v in l.vertices[1:]),
+            _legs=legs,
+        )
 
     @classmethod
-    def _of(cls, center: int, legs: tuple[UPath, ...]) -> "Embedding":  # unchecked
+    def _placed(cls, center: int, firsts: tuple, lengths: tuple, flat: tuple) -> Embedding:
         emb = object.__new__(cls)
-        object.__setattr__(emb, "center", center)
-        object.__setattr__(emb, "legs", legs)
+        emb.__dict__.update(center=center, _firsts=firsts, _lengths=lengths, _flat=flat)
         return emb
+
+    @property
+    def legs(self) -> tuple[UPath, ...]:
+        legs = self._legs
+        if legs is None:
+            legs = tuple(_placed_legs(self._firsts, self._lengths, self._flat))
+            self.__dict__["_legs"] = legs
+        return legs
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.legs))
+
+    def __repr__(self) -> str:
+        return f"Embedding(center={self.center!r}, legs={self.legs!r})"
 
     def to_json(self) -> dict:
         return {"center": self.center, "legs": [l.to_json() for l in self.legs]}
@@ -139,26 +169,28 @@ def verify_embedding(G: Graph, T: Spider, emb: Embedding) -> bool:
     A single-leg spider is a path and its centre designation is ambiguous,
     so the centre may sit anywhere on the realized path: one or two legs
     with positive lengths summing to k are accepted in that case.  After
-    the lengths, one pass over the legs checks each vertex past the centre
-    for range, for repeats (against every vertex seen so far) and for an
-    edge to its predecessor.
+    the lengths, one pass over the placement reads each leg's first vertex
+    (the centre) and then its stretch of the flat tuple, checking each
+    vertex for range, for repeats (against every vertex seen so far) and
+    for an edge to its predecessor; no ``UPath`` is read.
     """
     n, rows, center = G.n, G.rows, emb.center
     if not 0 <= center < n:
         return False
+    lengths = emb._lengths
     if len(T.legs) == 1:
-        lengths = [len(l.vertices) - 1 for l in emb.legs]
         if not 1 <= len(lengths) <= 2 or sum(lengths) != T.k or min(lengths) < 1:
             return False
-    elif [len(l.vertices) - 1 for l in emb.legs] != list(T.legs):
+    elif lengths != T.legs:
         return False
+    flat = emb._flat
     seen = 1 << center
-    for leg in emb.legs:
-        vertices = iter(leg.vertices)
-        if next(vertices) != center:
+    s = 0
+    for first, ell in zip(emb._firsts, lengths):
+        if first != center:
             return False
         prev = rows[center]
-        for v in vertices:
+        for v in flat[s : s + ell]:
             if not 0 <= v < n:
                 return False
             b = 1 << v
@@ -166,6 +198,7 @@ def verify_embedding(G: Graph, T: Spider, emb: Embedding) -> bool:
                 return False
             seen |= b
             prev = rows[v]
+        s += ell
     return seen.bit_count() == T.k + 1
 
 
@@ -241,16 +274,16 @@ def _floors(legs: tuple[int, ...]) -> tuple[Optional[int], ...]:
     return tuple(floor)
 
 
-def _placed_legs(center: int, legs: tuple[int, ...], seq: list[int]) -> list[UPath]:
-    """A placement cut into its legs, each written from the centre, in one
-    pass and unchecked: ``place_legs`` places distinct free vertices."""
+def _placed_legs(firsts: tuple, lengths: tuple, flat: Sequence[int]) -> list[UPath]:
+    """A placement cut into its legs, each written from its first vertex,
+    in one pass and unchecked: placements hold distinct vertices."""
     out, s = [], 0
-    for ell in legs:
-        part = seq[s : s + ell]
-        m = 1 << center
+    for first, ell in zip(firsts, lengths):
+        part = flat[s : s + ell]
+        m = 1 << first
         for v in part:
             m |= 1 << v
-        out.append(UPath._of((center, *part), m))
+        out.append(UPath._of((first, *part), m))
         s += ell
     return out
 
@@ -259,11 +292,11 @@ def _embed_search(
     G: Graph, legs: tuple[int, ...], center: int, budget: Budget
 ) -> Optional[Embedding]:
     """The first embedding, legs in ``legs`` order, or None: the placement
-    search's vertices cut into legs."""
+    search's vertices as one flat placement."""
     seq = place_legs(G, legs, center, G.full_mask, budget)
     if seq is None:
         return None
-    return Embedding._of(center, tuple(_placed_legs(center, legs, seq)))
+    return Embedding._placed(center, (center,) * len(legs), legs, tuple(seq))
 
 
 @lru_cache(maxsize=MAX_VERTICES)
@@ -272,6 +305,13 @@ def _path_splits(k: int) -> tuple[tuple[int, ...], ...]:
     the vertex at an end first, then successively more central splits.
     Cached per k; a path has fewer than MAX_VERTICES edges."""
     return ((k,), *((k - a, a) for a in range(1, k // 2 + 1)))
+
+
+def _check_centre(G: Graph, u: int) -> None:
+    if type(u) is not int:  # a float or a bool is no vertex id
+        raise InputError("centre must be an integer id")
+    if not 0 <= u < G.n:
+        raise InputError("centre out of range")
 
 
 def embed_bruteforce(
@@ -285,8 +325,8 @@ def embed_bruteforce(
     path is any of its vertices), so each split of it at u is tried in turn.
     The free-vertex prune (k + 1 <= n) comes before any split is listed.
     """
-    if u is not None and not 0 <= u < G.n:
-        raise InputError("centre out of range")
+    if u is not None:
+        _check_centre(G, u)
     if T.k < 1:
         raise InputError("spider must have at least one edge")
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
@@ -353,8 +393,7 @@ def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     admits no certificate is reported as an input error naming the
     violating set, never as a silent wrong answer.
     """
-    if not 0 <= u < G.n:
-        raise InputError("centre out of range")
+    _check_centre(G, u)
     if T.k < 1:
         raise InputError("spider must have at least one edge")
     if G.degree(u) < T.k:
@@ -432,26 +471,26 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     seq = place_legs(G, Tp, u, G.full_mask, budget)
     if seq is None:
         return None
-    legs = _placed_legs(u, Tp, seq)
-    idx = Tp.index(top) if top else None
-    stub = legs[idx] if idx is not None else UPath._of((u,), bit(u))
+    # the stub is the first leg of the stripped length, or the bare centre
+    # after every leg; the legs before it are as long as the grown stub
+    idx = Tp.index(top) if top else len(Tp)
+    s = idx * (top + 1)
     emb_mask = mask_of(seq) | bit(u)
     free = G.full_mask & ~emb_mask
 
     # direct end extension, on the placement itself: valid by construction,
     # so its one check is embed_constructive's.  The legs before the stub
-    # are as long as the grown stub (all legs, for a star) and start in
-    # ascending order, so inserting it among them keeps the legs sorted
-    ext = G.rows[stub.end] & free
+    # start in ascending order, so the grown stub goes among them by its
+    # first vertex and the legs stay sorted
+    ext = G.rows[seq[s + top - 1] if top else u] & free
     if ext:
-        low = ext & -ext
-        grown = UPath._of(stub.vertices + (low.bit_length() - 1,), stub.mask() | low)
-        if idx is None:
-            idx = len(legs)
-        else:
-            del legs[idx]
-        insort(legs, grown, 0, idx, key=lambda leg: leg.vertices)
-        return Embedding._of(u, tuple(legs))
+        grown = seq[s : s + top] + [(ext & -ext).bit_length() - 1]
+        at = bisect_left(seq[: s : top + 1], grown[0]) * (top + 1)
+        del seq[s : s + top]
+        seq[at:at] = grown
+        return Embedding._placed(u, (u,) * len(T.legs), T.legs, tuple(seq))
+    legs = _placed_legs((u,) * len(Tp), Tp, seq)
+    stub = legs[idx] if top else UPath._of((u,), bit(u))
     others = [leg for j, leg in enumerate(legs) if j != idx]
 
     def assemble(new_legs: list[UPath]) -> Optional[Embedding]:

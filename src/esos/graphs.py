@@ -609,6 +609,8 @@ def find_H_subgraph(G: Graph, a: int, b: int, u: int) -> Optional[HCertificate]:
     """
     if a < 1 or b < 0:
         raise InputError("need a >= 1 and b >= 0")
+    if type(u) is not int:  # a float or a bool is no vertex id
+        raise InputError("u must be an integer id")
     if not 0 <= u < G.n:
         raise InputError("u out of range")
     classes = {

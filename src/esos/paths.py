@@ -333,6 +333,8 @@ def _component(G: Graph, u: int, allowed: int) -> int:
 def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
     """A maximum-length path from u in G minus ``avoid``; lexicographically
     smallest vertex sequence among the maximum-length ones."""
+    if type(u) is not int:  # a float or a bool is no vertex id
+        raise InputError("anchor must be an integer id")
     if not 0 <= u < G.n:
         raise InputError("anchor out of range")
     avoid_mask = _checked_mask(G, avoid, "avoid set")

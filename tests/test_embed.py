@@ -3,6 +3,7 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from typing import Iterator
 
 import pytest
@@ -38,7 +39,7 @@ from esos.embed import (
     theorem2_check,
     verify_embedding,
 )
-from esos.paths import UPath, check_lemma2_bound, first_upath_to
+from esos.paths import UPath, check_lemma2_bound, first_upath_to, longest_u_path
 from esos.spiders import Spider, enumerate_spiders
 
 K4 = Graph.complete(4)
@@ -138,6 +139,7 @@ SIDE_IDS = "certificate sides must hold integer ids"
 CENTRE_ID = "embedding centre must be an integer id"
 PATH_ITERABLE = "a path must be an iterable of vertex ids"
 SIDES_ITERABLE = "certificate sides must be iterables of vertex ids"
+CENTRE_INT = "centre must be an integer id"
 
 
 @pytest.mark.parametrize(
@@ -154,6 +156,11 @@ SIDES_ITERABLE = "certificate sides must be iterables of vertex ids"
         (lambda: Embedding(0, 5), "embedding legs must be an iterable of paths"),
         (lambda: HCertificate(5, {0}), SIDES_ITERABLE),
         (lambda: HCertificate({0}, 5), SIDES_ITERABLE),
+        (lambda: embed_bruteforce(Graph.complete(5), Spider((2, 1)), True), CENTRE_INT),
+        (lambda: embed_bruteforce(K4, Spider((1,)), 1.0), CENTRE_INT),
+        (lambda: embed_constructive(K4, Spider((1,)), 1.0), CENTRE_INT),
+        (lambda: find_H_subgraph(K4, 1, 1, 1.0), "u must be an integer id"),
+        (lambda: longest_u_path(K4, 1.0), "anchor must be an integer id"),
     ],
     ids=[
         "cert-float",
@@ -167,6 +174,11 @@ SIDES_ITERABLE = "certificate sides must be iterables of vertex ids"
         "emb-int-legs",
         "cert-int-x",
         "cert-int-y",
+        "bruteforce-bool-centre",
+        "bruteforce-float-centre",
+        "constructive-float-centre",
+        "find-H-float-u",
+        "longest-path-float-anchor",
     ],
 )
 def test_witness_types_refuse_ids_their_verifiers_cannot_read(call, text):
@@ -400,27 +412,33 @@ def test_only_the_all_twos_spider_tries_a_local_certificate(monkeypatch):
     assert (out.kind, out.spider_is_t0, len(searched)) == ("local", True, 1)
 
 
-def _constructive_digest() -> tuple[int, str, str]:
-    """Call count and two SHA-256 digests over the classes with n <= 6, every
-    centre, k <= d(u) and spider: of every embed_constructive outcome or
-    error text, and of the verdicts alone ("embedded" for an embedding, the
-    certificate outcome, or the error text)."""
-    full = hashlib.sha256()
-    verdicts = hashlib.sha256()
-    calls = 0
+def _constructive_cases() -> Iterator[tuple[Graph, Spider, int]]:
+    """The classes with n <= 6, every centre u, k <= d(u) and spider."""
     for G in graphs_up_to(6):
         for u in range(G.n):
             for k in range(1, G.degree(u) + 1):
                 for T in enumerate_spiders(k):
-                    try:
-                        out = embed_constructive(G, T, u)
-                        line = json.dumps(out.to_json(), sort_keys=True)
-                        verdict = "embedded" if out.embedded else line
-                    except (InputError, CapabilityError) as exc:
-                        line = verdict = f"{type(exc).__name__}: {exc}"
-                    full.update(line.encode() + b"\n")
-                    verdicts.update(verdict.encode() + b"\n")
-                    calls += 1
+                    yield G, T, u
+
+
+def _constructive_digest() -> tuple[int, str, str]:
+    """Call count and two SHA-256 digests over ``_constructive_cases``: of
+    every embed_constructive outcome or error text, and of the verdicts
+    alone ("embedded" for an embedding, the certificate outcome, or the
+    error text)."""
+    full = hashlib.sha256()
+    verdicts = hashlib.sha256()
+    calls = 0
+    for G, T, u in _constructive_cases():
+        try:
+            out = embed_constructive(G, T, u)
+            line = json.dumps(out.to_json(), sort_keys=True)
+            verdict = "embedded" if out.embedded else line
+        except (InputError, CapabilityError) as exc:
+            line = verdict = f"{type(exc).__name__}: {exc}"
+        full.update(line.encode() + b"\n")
+        verdicts.update(verdict.encode() + b"\n")
+        calls += 1
     return calls, full.hexdigest(), verdicts.hexdigest()
 
 
@@ -656,6 +674,62 @@ def test_guided_legs_match_checked_legs_on_the_dichotomy_cases(monkeypatch):
         else:
             other += 1
     assert (direct, other) == (1831, 31)
+
+
+def _assert_read_as_checked(G: Graph, T: Spider, emb: Embedding) -> None:
+    """The verdict on emb is the same before and after its legs are first
+    read, every read gives one tuple, assignment is refused, and
+    ``_assert_built_as_checked`` holds."""
+    verdict = verify_embedding(G, T, emb)
+    legs = emb.legs
+    assert emb.legs is legs and verify_embedding(G, T, emb) == verdict
+    for name in ("center", "legs"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(emb, name, legs)
+    _assert_built_as_checked(emb)
+
+
+def test_constructive_embeddings_match_checked_legs_exhaustive_n6(monkeypatch):
+    # the oracle's placements, the direct move's grown placements and the
+    # legs the other moves assemble, as embed_constructive returns them
+    monkeypatch.delenv("ESOS_BUDGET", raising=False)
+    found = 0
+    for G, T, u in _constructive_cases():
+        try:
+            out = embed_constructive(G, T, u)
+        except InputError:
+            continue
+        if out.embedded:
+            _assert_read_as_checked(G, T, out.embedding)
+            found += 1
+    assert found == 5807
+
+
+def test_only_a_failed_direct_move_cuts_legs(monkeypatch):
+    # the oracle and the verifier read placements flat; embed_constructive
+    # cuts the stripped spider's placement into legs once per case whose
+    # direct move fails, which is the case that asks for a probe path (303
+    # of the 5,913 cases)
+    monkeypatch.delenv("ESOS_BUDGET", raising=False)
+    calls = _count_calls(monkeypatch, "_placed_legs", "longest_u_path")
+    for G in graphs_up_to(6):
+        for k in range(1, G.n):
+            for T in enumerate_spiders(k):
+                for u in (None, *range(G.n)):
+                    emb = embed_bruteforce(G, T, u)
+                    assert emb is None or verify_embedding(G, T, emb)
+    assert calls["_placed_legs"] == 0
+    failed = 0
+    for G, T, u in _constructive_cases():
+        before = dict(calls)
+        try:
+            embed_constructive(G, T, u)
+        except InputError:
+            pass
+        probed = calls["longest_u_path"] > before["longest_u_path"]
+        assert calls["_placed_legs"] - before["_placed_legs"] == probed, (G, T, u)
+        failed += probed
+    assert failed == 303
 
 
 def _forged(vertices) -> UPath:
