@@ -52,6 +52,7 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     HCertificate,
+    _checked_vertex,
     bit,
     bits_of,
     edge_counts,
@@ -307,13 +308,6 @@ def _path_splits(k: int) -> tuple[tuple[int, ...], ...]:
     return ((k,), *((k - a, a) for a in range(1, k // 2 + 1)))
 
 
-def _check_centre(G: Graph, u: int) -> None:
-    if type(u) is not int:  # a float or a bool is no vertex id
-        raise InputError("centre must be an integer id")
-    if not 0 <= u < G.n:
-        raise InputError("centre out of range")
-
-
 def embed_bruteforce(
     G: Graph, T: Spider, u: Optional[int] = None
 ) -> Optional[Embedding]:
@@ -326,7 +320,7 @@ def embed_bruteforce(
     The free-vertex prune (k + 1 <= n) comes before any split is listed.
     """
     if u is not None:
-        _check_centre(G, u)
+        _checked_vertex(G, u, "centre")
     if T.k < 1:
         raise InputError("spider must have at least one edge")
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
@@ -393,7 +387,7 @@ def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
     admits no certificate is reported as an input error naming the
     violating set, never as a silent wrong answer.
     """
-    _check_centre(G, u)
+    _checked_vertex(G, u, "centre")
     if T.k < 1:
         raise InputError("spider must have at least one edge")
     if G.degree(u) < T.k:
@@ -463,8 +457,8 @@ def _certify(G: Graph, T: Spider, u: int) -> EmbedOutcome:
 def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     # The oracle's placement of the smaller spider, then the moves on its
     # first stub in order; x is asked for once the direct move has failed,
-    # w just before the swap.  x is never u: d(u) >= k, and the stripped
-    # spider uses at most k - 1 neighbours of u.
+    # w just before the swap.  The stripped spider uses at most k - 1 <
+    # d(u) neighbours of u, so x is never u and a bare-centre stub extends.
     top = T.legs[0] - 1  # a leaf off the longest leg; a one-edge leg goes
     Tp = tuple(sorted((top, *T.legs[1:]) if top else T.legs[1:], reverse=True))
     budget = Budget(search_budget(EMBED_DEFAULT_BUDGET), "embedding oracle")
@@ -489,9 +483,8 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
         del seq[s : s + top]
         seq[at:at] = grown
         return Embedding._placed(u, (u,) * len(T.legs), T.legs, tuple(seq))
-    legs = _placed_legs((u,) * len(Tp), Tp, seq)
-    stub = legs[idx] if top else UPath._of((u,), bit(u))
-    others = [leg for j, leg in enumerate(legs) if j != idx]
+    others = _placed_legs((u,) * len(Tp), Tp, seq)
+    stub = others.pop(idx)
 
     def assemble(new_legs: list[UPath]) -> Optional[Embedding]:
         ordered = sorted(new_legs, key=lambda l: (-l.length, l.vertices))
@@ -502,13 +495,13 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     # absorb the probe end: x is off the embedding and the stub's end has
     # no free neighbour (the direct move failed), so x is absorbable only
     # by a splice into the stub's least absorbing edge
-    if stub.length >= 1 and is_absorbable(G, stub, x):
+    if is_absorbable(G, stub, x):
         i = _absorbing_edge(G.rows[x], stub) + 1
         got = assemble(others + [UPath(stub.vertices[:i] + (x,) + stub.vertices[i:])])
         if got:
             return got
     # reroute the stub, then extend (each reroute end has a spanning path)
-    if 1 <= stub.length and len(stub.vertices) <= EXACT_REROUTE_CAP:
+    if len(stub.vertices) <= EXACT_REROUTE_CAP:
         for v2 in sorted(reroute_ends(G, stub)):
             if not G.rows[v2] & free:
                 continue
@@ -521,19 +514,18 @@ def _guided(G: Graph, T: Spider, u: int) -> Optional[Embedding]:
     # freeing a neighbour z of the stub's reachable ends
     anchors = [(stub.end, stub)]  # (an end z may hang from, the path to it)
     extra = bit(x)
-    if stub.length >= 1:
-        outside, inside = second_ends(G, stub)
-        wmask = mask_of(outside) & ~(emb_mask | bit(x)) or mask_of(inside)
-        w = (wmask & -wmask).bit_length() - 1
-        if not bit(w) & emb_mask:
-            extra |= bit(w)
-            core = (stub.mask() & ~bit(stub.end)) | bit(w)
-            wpath = _spanning_path(G, core, u, w)
-            if wpath is not None:
-                anchors.append((w, wpath))
+    outside, inside = second_ends(G, stub)
+    wmask = mask_of(outside) & ~(emb_mask | bit(x)) or mask_of(inside)
+    w = (wmask & -wmask).bit_length() - 1
+    if not bit(w) & emb_mask:
+        extra |= bit(w)
+        core = (stub.mask() & ~bit(stub.end)) | bit(w)
+        wpath = _spanning_path(G, core, u, w)
+        if wpath is not None:
+            anchors.append((w, wpath))
     for j, leg in enumerate(others):
         for y, base in anchors:
-            for z in sorted(bits_of(G.rows[y] & leg.mask() & ~bit(u))):
+            for z in bits_of(G.rows[y] & leg.mask() & ~bit(u)):
                 allowed = (leg.mask() | extra) & ~bit(z)
                 try:
                     lp = longest_u_path(G, u, avoid=G.full_mask & ~allowed)

@@ -3,7 +3,8 @@
 Graphs are immutable values over vertex ids 0..n-1 with one adjacency
 bitmask per vertex, so every set operation is a handful of int ops.
 Vertex sets travel as plain ints (bit v set <=> vertex v in the set);
-public functions also accept any iterable of ids and normalize.
+public functions also accept any iterable of ids, and turn an outside id
+or set into bits only through ``_checked_vertex`` and ``_checked_mask``.
 
 Counting functionals follow the usual boundary conventions:
 
@@ -295,12 +296,24 @@ class Graph:
 # -- counting functionals ---------------------------------------------------
 
 
+def _checked_vertex(G: Graph, v: int, role: str) -> int:
+    if type(v) is not int:  # a float or a bool is no vertex id
+        raise InputError(f"{role} must be an integer id")
+    if not 0 <= v < G.n:
+        raise InputError(f"{role} outside 0..{G.n - 1}")
+    return 1 << v
+
+
 def _checked_mask(G: Graph, S: VertexSetLike, what: str = "vertex set") -> int:
     # each id is checked before it becomes a bit, so a huge id costs nothing
-    if isinstance(S, int):
+    if type(S) is int:  # a bool is no mask
         ok = not S & ~G.full_mask
     else:
+        if not hasattr(S, "__iter__"):
+            raise InputError(f"{what} must be a mask or an iterable of vertex ids")
         S = list(S)
+        if any(type(v) is not int for v in S):
+            raise InputError(f"{what} must hold integer ids")
         ok = all(0 <= v < G.n for v in S)
     if not ok:
         raise InputError(f"{what} references vertices outside 0..{G.n - 1}")
@@ -607,12 +620,11 @@ def find_H_subgraph(G: Graph, a: int, b: int, u: int) -> Optional[HCertificate]:
     least such Y (as a sorted tuple); X is the first a members of the
     class, u first when it is one of them.
     """
+    if type(a) is not int or type(b) is not int:  # a float or a bool is no size
+        raise InputError("a and b must be integers")
     if a < 1 or b < 0:
         raise InputError("need a >= 1 and b >= 0")
-    if type(u) is not int:  # a float or a bool is no vertex id
-        raise InputError("u must be an integer id")
-    if not 0 <= u < G.n:
-        raise InputError("u out of range")
+    _checked_vertex(G, u, "u")
     classes = {
         ymask: xmask
         for ymask, xmask in twin_classes(G, G.full_mask).items()

@@ -107,7 +107,7 @@ def _dichotomy_host(counts: dict, G: Graph) -> Iterator[dict]:
     """``_dichotomy_one`` on every (k, u, T) of G that ``dichotomy_check`` scans."""
     for k in _dense_ks(G):
         if satisfies_local_condition(G, k) is not None:
-            continue
+            break  # h_{k+1}(S) = h_k(S) - |S|: it fails at every larger k too
         spiders = list(enumerate_spiders(k))
         for u in range(G.n):
             if G.degree(u) < k:

@@ -91,6 +91,7 @@ from .errors import Budget, CapabilityError, InputError, SoundnessError, search_
 from .graphs import (
     Graph,
     HCertificate,
+    _checked_vertex,
     _inner_edges,
     bits_of,
     mask_of,
@@ -376,8 +377,8 @@ def _excluded(inst: LemmaInstance) -> int:
     G, u, Q = inst.graph, inst.u, inst.q_path
     w1, w2, v, w = inst.w1, inst.w2, inst.v, inst.w
     for z in (inst.x, w1, w2, v, w):
-        if z is not None and not 0 <= z < G.n:
-            raise InputError(f"named vertex outside 0..{G.n - 1}")
+        if z is not None:
+            _checked_vertex(G, z, "named vertex")
     if type(inst.lemma) is not int:  # 3.0 == 3 and True == 1
         raise InputError(f"unknown lemma id {inst.lemma}")
     if inst.lemma == 3:
@@ -424,8 +425,7 @@ def validate_instance(inst: LemmaInstance) -> _Ctx:
     G, u, lemma = inst.graph, inst.u, inst.lemma
     P, Q = inst.p_path, inst.q_path
     pv, qv = P.vertices, Q.vertices  # read once: each UPath property is a call
-    if not 0 <= u < G.n:
-        raise InputError("anchor out of range")
+    _checked_vertex(G, u, "anchor")
     if not is_valid_upath(G, pv) or pv[0] != u or len(pv) < 2:
         raise InputError("P must be a nontrivial anchored path of the host")
     if not is_valid_upath(G, qv):

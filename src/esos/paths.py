@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, search_budget
-from .graphs import MAX_VERTICES, Graph, VertexSetLike, _checked_mask, bit, mask_of, set_of
+from .graphs import MAX_VERTICES, Graph, VertexSetLike, _checked_mask, _checked_vertex
+from .graphs import bit, mask_of, set_of
 
 EXACT_REROUTE_CAP = 16
 LONGEST_PATH_CAP = 20
@@ -129,14 +130,14 @@ class UPath:
 
 def is_valid_upath(G: Graph, vertices: tuple[int, ...]) -> bool:
     """Whether ``vertices`` is a nonempty simple path of G, in one pass
-    checking each vertex's range, repeats and edge to its predecessor."""
+    checking each vertex's type, range, repeats and edge to its predecessor."""
     if not vertices:
         return False
     n, rows = G.n, G.rows
     seen = 0
     prev = -1  # the predecessor's row; the first vertex has none to match
     for v in vertices:
-        if not 0 <= v < n:
+        if type(v) is not int or not 0 <= v < n:  # a float or a bool is no id
             return False
         b = 1 << v
         if seen & b or not prev & b:
@@ -153,9 +154,7 @@ def _off_path(G: Graph, P: UPath, v: int, on_path="vertex already on the path"):
     """InputError unless P is a path of G and v a vertex of G off it."""
     if not is_valid_upath(G, P.vertices):
         raise InputError("P must be a path of the host")
-    if not 0 <= v < G.n:
-        raise InputError("vertex out of range")
-    if (1 << v) & P.mask():
+    if _checked_vertex(G, v, "vertex") & P.mask():
         raise InputError(on_path)
 
 
@@ -333,10 +332,7 @@ def _component(G: Graph, u: int, allowed: int) -> int:
 def longest_u_path(G: Graph, u: int, avoid: VertexSetLike = 0) -> UPath:
     """A maximum-length path from u in G minus ``avoid``; lexicographically
     smallest vertex sequence among the maximum-length ones."""
-    if type(u) is not int:  # a float or a bool is no vertex id
-        raise InputError("anchor must be an integer id")
-    if not 0 <= u < G.n:
-        raise InputError("anchor out of range")
+    _checked_vertex(G, u, "anchor")
     avoid_mask = _checked_mask(G, avoid, "avoid set")
     if bit(u) & avoid_mask:
         raise InputError("anchor is in the avoid set")
@@ -359,8 +355,8 @@ def on_every_upath(G: Graph, u: int, allowed: int, p: int, budget: Budget) -> in
     and each state of levels 1..p cost one node.  InputError for u or
     ``allowed`` outside the host or a negative p; CapabilityError past
     LONGEST_PATH_CAP allowed vertices."""
-    if not 0 <= u < G.n or allowed >> G.n:  # a negative mask shifts to -1
-        raise InputError(f"anchor or allowed set outside 0..{G.n - 1}")
+    _checked_vertex(G, u, "anchor")
+    allowed = _checked_mask(G, allowed, "allowed set")
     if p < 0:
         raise InputError("path length must be nonnegative")
     _cap(allowed.bit_count(), LONGEST_PATH_CAP, "exact longest-path search")
@@ -470,8 +466,8 @@ def iter_upaths(
     edges (no upper bound when None), in lexicographic vertex-sequence
     order; each vertex the walk places after u costs one node.  InputError,
     when called, for u or ``allowed`` outside the host or a negative bound."""
-    if not 0 <= u < G.n or allowed >> G.n:  # a negative mask shifts to -1
-        raise InputError(f"anchor or allowed set outside 0..{G.n - 1}")
+    _checked_vertex(G, u, "anchor")
+    allowed = _checked_mask(G, allowed, "allowed set")
     if shortest < 0 or (longest is not None and longest < 0):
         raise InputError("path length bounds must be nonnegative")
     return _upaths(G, u, allowed, budget, shortest, longest)
@@ -523,13 +519,13 @@ def first_upath_to(
     G: Graph, u: int, allowed: int, target: int, budget: Budget
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically first simple u-path to ``target`` inside ``allowed``;
-    InputError for u, ``target`` or ``allowed`` outside the host."""
-    if not 0 <= target < G.n:
-        raise InputError(f"target outside 0..{G.n - 1}")
-    walk = iter_upaths(G, u, allowed, budget)  # checks u and allowed
-    if not (allowed & bit(u)) or not (allowed & bit(target)) or u == target:
+    InputError for ``target``, u or ``allowed`` outside the host."""
+    ends = _checked_vertex(G, target, "target") | _checked_vertex(G, u, "anchor")
+    allowed = _checked_mask(G, allowed, "allowed set")
+    if allowed & ends != ends or u == target:
         return None
     # the walk never passes through target before it ends there
+    walk = _upaths(G, u, allowed, budget, 1, None)
     return next((path for path in walk if path[-1] == target), None)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from collections import Counter
@@ -213,6 +214,22 @@ def test_verify_conjecture_stream_input():
     stream = io.StringIO("C~\nDhc\n")
     rep = verify_conjecture_spiders(graphs=read_graph6_stream(stream))
     assert rep.ok and rep.counts["graphs"] == 2
+
+
+def test_dichotomy_scan_stops_at_the_first_violated_k(monkeypatch):
+    # h_{k+1}(S) = h_k(S) - |S|, so a host that fails the per-subset
+    # condition at k fails it at every larger k: the scan leaves the host
+    # there, with the report it gave when it asked every k (4,135 calls)
+    asked = []
+    real = harness_mod.satisfies_local_condition
+    monkeypatch.setattr(
+        harness_mod, "satisfies_local_condition", lambda G, k: asked.append(k) or real(G, k)
+    )
+    rep = dichotomy_check(7)
+    assert rep.counts == {"tests": 39191, "certified": 2} and rep.ok
+    digest = hashlib.sha256(rep.dumps().encode()).hexdigest()
+    assert digest == "b3ebf7b8f9ed341e23a1c9d3fe02d73cefdbd5319e261c0049468f405a812db5"
+    assert len(asked) == 3732
 
 
 # Y = {0, 1} sees all of X = {2, 3, 4, 5}: the whole graph splits as (4, 2)
@@ -734,7 +751,7 @@ def test_cli_embed_rejects_an_out_of_range_centre(capsys):
     for spider in ("3,3", "1"):
         assert main(["embed", "Bw", "--spider", spider, "--at", "99"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "input error: centre out of range" in err
+        assert out == "" and "input error: centre outside 0..2\n" in err
 
 
 def test_cli_census_rejects_k_zero(capsys):

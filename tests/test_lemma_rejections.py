@@ -232,7 +232,7 @@ def k6_minus_05(**changes):
 
 VALIDATE_ROWS = {
     # D@K at u=2, P=[2,3], Q=[2,4], x=4, (w1,w2)=(0,1)
-    "anchor-out-of-range": ("3A", replace(u=5), "anchor out of range"),
+    "anchor-out-of-range": ("3A", replace(u=5), r"^anchor outside 0\.\.4$"),
     "P-not-a-path": ("3A", replace(p_path=UPath((2, 0))), "P must be a nontrivial"),
     "Q-not-a-path": ("3A", replace(q_path=UPath((2, 0))), "Q must be a path"),
     "unknown-rule": ("3A", replace(lemma=7), "unknown lemma id 7"),

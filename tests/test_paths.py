@@ -120,7 +120,7 @@ def test_valid_upath_matches_reference_on_small_classes():
 
 @pytest.mark.parametrize("u", [-1, 4])
 def test_longest_u_path_rejects_an_anchor_out_of_range(u):
-    with pytest.raises(InputError, match="anchor out of range"):
+    with pytest.raises(InputError, match=r"^anchor outside 0\.\.3$"):
         longest_u_path(K4, u)
 
 
@@ -457,8 +457,13 @@ def test_on_every_upath_matches_brute_oracle(monkeypatch):
 
 def test_on_every_upath_checks_its_input():
     budget = Budget(10**6)
-    for u, allowed in ((4, 0b1111), (-1, 0b1111), (0, 0b11111), (0, -1)):
-        with pytest.raises(InputError, match=r"anchor or allowed set outside 0\.\.3"):
+    for u, allowed, who in (
+        (4, 0b1111, "anchor"),
+        (-1, 0b1111, "anchor"),
+        (0, 0b11111, "allowed set references vertices"),
+        (0, -1, "allowed set references vertices"),
+    ):
+        with pytest.raises(InputError, match=rf"^{who} outside 0\.\.3$"):
             on_every_upath(C4, u, allowed, 1, budget)
     with pytest.raises(InputError, match="path length must be nonnegative"):
         on_every_upath(C4, 0, 0b1111, -1, budget)
