@@ -52,6 +52,7 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     HCertificate,
+    _check_k,
     _checked_vertex,
     bit,
     bits_of,
@@ -352,6 +353,8 @@ def embed_into_H(cert: HCertificate, T: Spider, u: int) -> Optional[Embedding]:
         raise InputError("only all-even spiders embed alternately in a split")
     if cert.x_side & cert.y_side:
         raise InputError("malformed certificate: overlapping sides")
+    if type(u) is not int:  # 1.0 == True == 1 would pass the membership tests
+        raise InputError("centre must be an integer id")
     if u not in cert.x_side and u not in cert.y_side:
         raise InputError("centre lies outside the certified split")
     if u not in cert.x_side:
@@ -410,19 +413,15 @@ def embed_constructive(G: Graph, T: Spider, u: int) -> EmbedOutcome:
 
 def whole_split(G: Graph, k: int) -> Optional[HCertificate]:
     """The whole graph as a verified (n - k/2, k/2) split, or None."""
-    cert = recognize_H(G)
-    if (
-        cert is not None
-        and cert.b == k // 2
-        and cert.a == G.n - k // 2
-        and verify_H_certificate(G, cert)
-    ):
-        return cert
-    return None
+    _check_k(k)
+    cert, half = recognize_H(G), k // 2
+    fits = cert is not None and (cert.a, cert.b) == (G.n - half, half)
+    return cert if fits and verify_H_certificate(G, cert) else None
 
 
 def local_split(G: Graph, k: int, u: int) -> Optional[HCertificate]:
     """A verified (k/2 + 1, k/2) split through u, or None."""
+    _check_k(k)
     cert = find_H_subgraph(G, k // 2 + 1, k // 2, u)
     return cert if cert is not None and verify_H_certificate(G, cert) else None
 

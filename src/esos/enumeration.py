@@ -40,7 +40,7 @@ from itertools import chain, product
 from typing import Iterator
 
 from .errors import CapabilityError, InputError
-from .graphs import Graph, bit, bits_of, mask_of
+from .graphs import Graph, _checked_int, bit, bits_of, mask_of
 
 ENUMERATION_CAP = 7
 
@@ -156,9 +156,7 @@ def _from_key(key: tuple[int, ...]) -> Graph:
 
 def _check_order(n: int) -> None:
     """The one order check of ``enumerate_graphs`` and ``graphs_up_to``."""
-    if type(n) is not int:  # a float or a bool is no order
-        raise InputError(f"order {n!r} is not an integer")
-    if n < 1:
+    if _checked_int(n, "order") < 1:
         raise InputError("n must be positive")
     if n > ENUMERATION_CAP:
         raise CapabilityError(

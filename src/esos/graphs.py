@@ -5,6 +5,7 @@ bitmask per vertex, so every set operation is a handful of int ops.
 Vertex sets travel as plain ints (bit v set <=> vertex v in the set);
 public functions also accept any iterable of ids, and turn an outside id
 or set into bits only through ``_checked_vertex`` and ``_checked_mask``.
+Every count, size, length and k from outside passes ``_checked_int``.
 
 Counting functionals follow the usual boundary conventions:
 
@@ -81,6 +82,12 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
 
 
+def _checked_int(value: int, what: str) -> int:
+    if type(value) is not int:  # a float or a bool is no count, size or length
+        raise InputError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _check_order(n: int) -> None:
     # the integers 1..128 only: a float or a bool is no vertex count
     if type(n) is not int or not 1 <= n <= MAX_VERTICES:
@@ -135,10 +142,10 @@ class Graph:
     """``full_mask``, the set of all n vertices, is computed once, at
     construction; equality, hash and repr see only ``n`` and ``rows``.
 
-    Construction checks each row in turn for vertices >= n and for a loop,
-    then the symmetry of all rows at once: the packed rows must equal their
-    transpose.  Only when they do not are the rows walked edge by edge, to
-    name the first asymmetric pair in row order."""
+    Construction checks each row in turn for an int, vertices >= n and a
+    loop, then the symmetry of all rows at once: the packed rows must equal
+    their transpose.  Only when they do not are the rows walked edge by
+    edge, to name the first asymmetric pair in row order."""
 
     n: int
     rows: tuple[int, ...]
@@ -154,6 +161,8 @@ class Graph:
         full = (1 << self.n) - 1
         object.__setattr__(self, "full_mask", full)
         for v, row in enumerate(rows):
+            if type(row) is not int:  # a float or a bool is no row
+                raise InputError(f"row {v} must be an integer mask")
             if row & ~full:
                 raise InputError(f"row {v} references vertices >= n")
             if row >> v & 1:
@@ -178,6 +187,8 @@ class Graph:
         _check_order(n)
         rows = [0] * n
         for a, b in edges:
+            if type(a) is not int or type(b) is not int:  # True == 1
+                raise InputError(f"edge ({a},{b}) must join integer ids")
             if a == b:
                 raise InputError(f"loop edge ({a},{b})")
             if not (0 <= a < n and 0 <= b < n):
@@ -352,9 +363,7 @@ def edges_between(G: Graph, S1: VertexSetLike, S2: VertexSetLike) -> int:
 
 
 def _check_k(k: int) -> None:
-    if type(k) is not int:  # a float or a bool is no edge count
-        raise InputError(f"k {k!r} is not an integer")
-    if k < 1:
+    if _checked_int(k, "k") < 1:
         raise InputError("k must be positive")
 
 
@@ -382,6 +391,9 @@ def satisfies_local_condition(G: Graph, k: int) -> Optional[frozenset[int]]:
     A violator already in hand answers a step without a cut whenever it
     fits the tighter constraint.  No cut when every degree is >= k, else one
     when the condition holds and at most n + ceil(log2 n) + 1 when it fails.
+    Step 2 stays: bit fixing from n-1 down finds the same violator without
+    it, but with more cuts in all (3,664 against 2,702 over every dense
+    (G, k) with n <= 7, though 479 against 568 on G(n, 1/2), n = 12..16).
     """
     _check_k(k)
     if min(map(int.bit_count, G.rows)) >= k:  # every h(S) >= |S| > 0
@@ -620,9 +632,7 @@ def find_H_subgraph(G: Graph, a: int, b: int, u: int) -> Optional[HCertificate]:
     least such Y (as a sorted tuple); X is the first a members of the
     class, u first when it is one of them.
     """
-    if type(a) is not int or type(b) is not int:  # a float or a bool is no size
-        raise InputError("a and b must be integers")
-    if a < 1 or b < 0:
+    if _checked_int(a, "a") < 1 or _checked_int(b, "b") < 0:
         raise InputError("need a >= 1 and b >= 0")
     _checked_vertex(G, u, "u")
     classes = {
@@ -636,9 +646,6 @@ def find_H_subgraph(G: Graph, a: int, b: int, u: int) -> Optional[HCertificate]:
         inside = [y for y in classes if not y & ~G.rows[z]]
         if inside:
             ymask = min(inside, key=lambda y: list(bits_of(y)))
-            xs = list(bits_of(classes[ymask]))
-            if u in xs:
-                xs.remove(u)
-                xs.insert(0, u)
+            xs = sorted(bits_of(classes[ymask]), key=lambda x: x != u)  # u first
             return HCertificate(frozenset(xs[:a]), set_of(ymask))
     return None

@@ -24,7 +24,7 @@ from .embed import (
 )
 from .enumeration import ENUMERATION_CAP, enumerate_graphs, graphs_up_to
 from .errors import InputError, SoundnessError
-from .graphs import Graph, satisfies_local_condition, verify_H_certificate
+from .graphs import Graph, _checked_int, satisfies_local_condition, verify_H_certificate
 from .lemmas import analyze, enumerate_instances, sample_instances, verify_outcome
 from .report import Report
 from .spiders import Spider, enumerate_spiders, in_T0_family, t0
@@ -168,7 +168,7 @@ def extremal_census(n: int, k: int) -> Report:
     """
     if type(k) is not int or k < 1 or k % 2:  # a float or a bool is no k
         raise InputError("census needs a positive even k (all-even spiders exist)")
-    threshold = ((k - 1) * n) // 2
+    threshold = ((k - 1) * _checked_int(n, "order")) // 2
     most = n * (n - 1) // 2
     if threshold > most:
         raise InputError(f"threshold of {threshold} edges exceeds the {most} of K_{n}")
@@ -228,9 +228,8 @@ def run_lemma_suite(lemma: int, samples: int, seed: int) -> Report:
     """Sampled analyzer run over hosts of the ``SAMPLE_SIZES`` orders: every
     instance must resolve to a case and every witness must survive
     independent verification."""
-    for what, value in (("sample count", samples), ("seed", seed)):
-        if type(value) is not int:  # a float or a bool is no count or seed
-            raise InputError(f"{what} {value} is not an integer")
+    _checked_int(samples, "sample count")
+    _checked_int(seed, "seed")
     per_size = [samples // len(SAMPLE_SIZES)] * len(SAMPLE_SIZES)
     for i in range(samples - sum(per_size)):
         per_size[i % len(SAMPLE_SIZES)] += 1

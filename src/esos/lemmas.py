@@ -91,6 +91,7 @@ from .errors import Budget, CapabilityError, InputError, SoundnessError, search_
 from .graphs import (
     Graph,
     HCertificate,
+    _checked_int,
     _checked_vertex,
     _inner_edges,
     bits_of,
@@ -933,9 +934,8 @@ def sample_instances(
     tripped a budget with none kept, or when none survives and some budget
     tripped, the last such error raises.
     """
-    for what, size in (("host size", n), ("instance count", count)):
-        if type(size) is not int:  # a float or a bool is no size
-            raise InputError(f"{what} must be an integer")
+    for what, value in (("host size", n), ("instance count", count), ("seed", seed)):
+        _checked_int(value, what)
     _check_scope(lemma, n)
     search_budget(MAXIMALITY_BUDGET)  # fails fast on a malformed ESOS_BUDGET
     if count < 0:

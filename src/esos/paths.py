@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .errors import Budget, CapabilityError, InputError, search_budget
-from .graphs import MAX_VERTICES, Graph, VertexSetLike, _checked_mask, _checked_vertex
-from .graphs import bit, mask_of, set_of
+from .graphs import MAX_VERTICES, Graph, VertexSetLike, _checked_int, _checked_mask
+from .graphs import _checked_vertex, bit, mask_of, set_of
 
 EXACT_REROUTE_CAP = 16
 LONGEST_PATH_CAP = 20
@@ -357,7 +357,7 @@ def on_every_upath(G: Graph, u: int, allowed: int, p: int, budget: Budget) -> in
     LONGEST_PATH_CAP allowed vertices."""
     _checked_vertex(G, u, "anchor")
     allowed = _checked_mask(G, allowed, "allowed set")
-    if p < 0:
+    if _checked_int(p, "p") < 0:
         raise InputError("path length must be nonnegative")
     _cap(allowed.bit_count(), LONGEST_PATH_CAP, "exact longest-path search")
     if not allowed & bit(u):
@@ -468,7 +468,9 @@ def iter_upaths(
     when called, for u or ``allowed`` outside the host or a negative bound."""
     _checked_vertex(G, u, "anchor")
     allowed = _checked_mask(G, allowed, "allowed set")
-    if shortest < 0 or (longest is not None and longest < 0):
+    if _checked_int(shortest, "shortest") < 0 or (
+        longest is not None and _checked_int(longest, "longest") < 0
+    ):
         raise InputError("path length bounds must be nonnegative")
     return _upaths(G, u, allowed, budget, shortest, longest)
 
@@ -512,6 +514,7 @@ def iter_upaths_exact(
 ) -> Iterator[tuple[int, ...]]:
     """All u-paths of exactly ``length`` edges inside ``allowed``, in
     lexicographic vertex-sequence order."""
+    _checked_int(length, "length")
     yield from iter_upaths(G, u, allowed, budget, length, length)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import InputError
-from .graphs import _check_k
+from .graphs import _check_k, _checked_int
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,8 @@ class Spider:
         if type(legs) is not tuple:  # e.g. list legs: keep T hashable
             legs = tuple(legs)
             object.__setattr__(self, "legs", legs)
-        for leg in legs:  # a float or a bool is no leg length
-            if type(leg) is not int:
-                raise InputError("leg lengths must be integers")
+        for leg in legs:
+            _checked_int(leg, "leg length")
         if legs and min(legs) < 1:
             raise InputError("leg lengths must be positive")
         if sorted(legs, reverse=True) != list(legs):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from esos.enumeration import (
     canonical_form,
     canonical_key,
     enumerate_graphs,
+    graphs_up_to,
     read_graph6_stream,
     refined_cells,
 )
@@ -157,6 +159,30 @@ def test_canonical_key_is_invariant_under_relabelling(G, data):
 def test_enumeration_matches_independent_dedup_oracle():
     for n in range(1, 6):
         assert len(enumerate_graphs(n)) == brute_canonical_classes(n)
+
+
+def test_enumeration_matches_the_networkx_atlas_one_to_one():
+    # an independent population: the atlas lists every graph on 0..7
+    # vertices; bucket both sides by (n, e, sorted degrees), then pair each
+    # enumerated class with an isomorphic atlas graph, each used once
+    def bucket(n, degrees):
+        return n, sum(degrees) // 2, tuple(sorted(degrees))
+
+    atlas: dict[tuple, list] = {}
+    for H in nx.graph_atlas_g():
+        if H.number_of_nodes() >= 1:
+            degrees = [d for _, d in H.degree()]
+            atlas.setdefault(bucket(H.number_of_nodes(), degrees), []).append(H)
+    classes = list(graphs_up_to(7))
+    assert len(classes) == sum(map(len, atlas.values())) == 1252
+    for G in classes:
+        mine = nx.Graph(G.edges())
+        mine.add_nodes_from(range(G.n))
+        pool = atlas.get(bucket(G.n, [G.degree(v) for v in range(G.n)]), [])
+        match = next((i for i, H in enumerate(pool) if nx.is_isomorphic(mine, H)), None)
+        assert match is not None, G.to_graph6()
+        pool.pop(match)
+    assert not any(atlas.values())
 
 
 def test_enumeration_reps_are_canonical_and_distinct():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -802,7 +803,9 @@ def test_sample_instances_rejects_non_integer_sizes(monkeypatch, n, count, what)
     # both are refused before the first draw
     drawn = []
     monkeypatch.setattr(lemmas_mod, "_propose", lambda *args: drawn.append(args))
-    with pytest.raises(InputError, match=f"^{what} must be an integer$"):
+    bad = n if what == "host size" else count
+    text = f"{what} {bad!r} is not an integer"
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
         sample_instances(3, n, count, seed=1)
     assert not drawn
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -70,7 +71,9 @@ def test_list_legs_make_the_same_hashable_spider():
 def test_non_integer_legs_are_input_errors(legs):
     # a float leg summed to k = 3.5, and a bool leg printed as JSON true;
     # the type is checked before any other check
-    with pytest.raises(InputError, match="^leg lengths must be integers$"):
+    bad = next(leg for leg in legs if type(leg) is not int)
+    text = f"leg length {bad!r} is not an integer"
+    with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
         Spider(legs)
 
 
@@ -84,7 +87,7 @@ def test_a_non_integer_k_is_an_input_error(k):
 
 def test_embedding_a_float_legged_spider_fails_at_the_spider():
     # the spider is refused before the oracle sees a leg it cannot place
-    with pytest.raises(InputError, match="integers"):
+    with pytest.raises(InputError, match=r"^leg length 2\.5 is not an integer$"):
         embed_bruteforce(Graph.complete(6), Spider((2.5, 1)))
 
 
