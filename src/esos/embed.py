@@ -41,11 +41,10 @@ inside the certified split.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import Budget, CapabilityError, InputError, SoundnessError, search_budget
 from .graphs import (
@@ -76,7 +75,7 @@ from .paths import (
     reroute_ends,
     second_ends,
 )
-from .report import Report
+from .report import Report, _suite
 from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 
 EMBED_DEFAULT_BUDGET = 2_000_000
@@ -216,11 +215,10 @@ def place_legs(
     One depth-first search over the k placement positions: leg by leg in
     ``legs`` order, each leg vertex by vertex from the centre, candidates
     ascending.  Each placed vertex costs one node of ``budget``: nodes are
-    counted locally and charged once on return, or at once at the node that
-    crosses the limit, which raises CapabilityError as ``spend`` does.  A leg
-    as long as the one before it starts above that leg's first vertex,
-    which breaks the swap symmetry of equal legs.  The oracle checks that
-    the k placed vertices fit beside the centre (k + 1 <= n).
+    counted locally and spent on return, or at once at ``Budget``'s trip
+    point.  A leg as long as the one before it starts above that leg's
+    first vertex, which breaks the swap symmetry of equal legs.  The oracle
+    checks that the k placed vertices fit beside the centre (k + 1 <= n).
     """
     k = sum(legs)
     rows = G.rows
@@ -554,18 +552,15 @@ def theorem2_check(G: Graph, k: int) -> Report:
     split, which always holds one: a verified (k/2 + 1, k/2) or
     (n - k/2, k/2) split has k/2 vertices on each side beyond the centre.
     Every reported embedding is lifted back to the original vertex ids and
-    verified there.
+    verified there.  The spiders run through ``report._suite``, after the
+    reduction; the Report's timing covers them only.
     """
-    start = time.monotonic()
     if not satisfies_density(G, k):
         raise InputError("density precondition 2e(G) > (k-1)n fails")
     H = G
     mapping = list(range(G.n))
     deletions: list[list[int]] = []
-    while True:
-        witness = satisfies_local_condition(H, k)
-        if witness is None:
-            break
+    while (witness := satisfies_local_condition(H, k)) is not None:
         smask = mask_of(witness)
         e_in, d_out = edge_counts(H, smask)
         keep = H.full_mask & ~smask
@@ -582,36 +577,31 @@ def theorem2_check(G: Graph, k: int) -> Report:
     u = heavy_vertex(H, H.full_mask, k)
     if H.degree(u) < k:
         raise SoundnessError("no high-degree centre after reduction")
-    embedded = []
-    failures = []
-    certified = 0
-    for T in enumerate_spiders(k):
+    embedded: list[dict] = []
+
+    def check(counts: dict, T: Spider) -> Iterator[dict]:
+        counts["spiders"] += 1
         out = embed_constructive(H, T, u)
         if out.embedded:
             emb = out.embedding
         else:
-            certified += 1
+            counts["via_certificate"] += 1
             emb = embed_into_H(out.certificate, T, min(out.certificate.x_side))
         if emb is None or not verify_embedding(H, T, emb):
-            failures.append({"spider": T.to_json(), "reason": "no embedding found"})
-            continue
+            yield {"spider": T.to_json(), "reason": "no embedding found"}
+            return
         lifted = Embedding(
             mapping[emb.center],
             tuple(UPath(tuple(mapping[v] for v in leg.vertices)) for leg in emb.legs),
         )
         if not verify_embedding(G, T, lifted):
-            failures.append({"spider": T.to_json(), "reason": "lift failed"})
-            continue
+            yield {"spider": T.to_json(), "reason": "lift failed"}
+            return
+        counts["embedded"] += 1
         embedded.append({"spider": T.to_json(), "embedding": lifted.to_json()})
-    return Report(
-        scope={"graph6": G.to_graph6(), "k": k},
-        counts={
-            "spiders": len(embedded) + len(failures),
-            "embedded": len(embedded),
-            "via_certificate": certified,
-            "reduction_steps": len(deletions),
-        },
-        failures=failures,
-        timing=time.monotonic() - start,
-        notes={"deleted_sets": deletions, "embeddings": embedded},
-    )
+
+    scope = {"graph6": G.to_graph6(), "k": k}
+    counts = dict(spiders=0, embedded=0, via_certificate=0, reduction_steps=len(deletions))
+    report = _suite(scope, counts, enumerate_spiders(k), check)
+    report.notes = {"deleted_sets": deletions, "embeddings": embedded}
+    return report

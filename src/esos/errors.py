@@ -50,7 +50,10 @@ def search_budget(default: int) -> int:
 
 
 class Budget:
-    """Mutable node counter that raises CapabilityError when exhausted."""
+    """Mutable node counter that raises CapabilityError when exhausted.  The
+    trip point: a spend that crosses the limit sets ``used`` to the limit's
+    next node, ``limit + 1``, and raises, so nodes counted locally or kept by
+    a memo and spent at once trip where one spend per node would."""
 
     __slots__ = ("limit", "used", "label")
 
@@ -62,6 +65,7 @@ class Budget:
     def spend(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise CapabilityError(
                 f"{self.label} budget exceeded ({self.used} > {self.limit} nodes)"
             )

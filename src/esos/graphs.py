@@ -153,6 +153,8 @@ class Graph:
 
     def __post_init__(self):
         if type(self.rows) is not tuple:  # e.g. list rows: keep G hashable
+            if not isinstance(self.rows, Iterable):  # e.g. a bare mask
+                raise InputError("adjacency rows must be an iterable of integer masks")
             object.__setattr__(self, "rows", tuple(self.rows))
         _check_order(self.n)
         if len(self.rows) != self.n:
@@ -186,7 +188,13 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         _check_order(n)
         rows = [0] * n
-        for a, b in edges:
+        if not isinstance(edges, Iterable):
+            raise InputError("edges must be an iterable of vertex pairs")
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):  # e.g. a bare id or a triple
+                raise InputError(f"edge {edge!r} must be a pair of vertex ids") from None
             if type(a) is not int or type(b) is not int:  # True == 1
                 raise InputError(f"edge ({a},{b}) must join integer ids")
             if a == b:
@@ -581,13 +589,12 @@ class HCertificate:
 
 
 def verify_H_certificate(G: Graph, cert: HCertificate) -> bool:
-    """True iff on G[X∪Y] every X-vertex's neighbourhood is exactly Y."""
+    """True iff on G[X∪Y] every X-vertex's neighbourhood is exactly Y; so
+    overlapping sides fail, as a shared vertex would have to see itself."""
     if not all(0 <= v < G.n for v in cert.x_side | cert.y_side):
         return False
     xm = mask_of(cert.x_side)
     ym = mask_of(cert.y_side)
-    if xm & ym:
-        return False
     both = xm | ym
     return all(G.rows[v] & both == ym for v in bits_of(xm))
 

@@ -6,13 +6,12 @@ Reports are deterministic for fixed inputs and seed (timing excluded from
 serialization), and graph-keyed results are ordered by graph6 string.
 Scope errors (orders outside 1..ENUMERATION_CAP, unknown rule ids) come from
 their owners, ``graphs_up_to`` and ``esos.lemmas``, before any work.
-Every suite is a unit stream plus a per-unit check, run by ``_suite``,
-which owns the loop, the timing, the failure order and the Report.
+Every suite is a unit stream plus a per-unit check run by ``esos.report``'s
+``_suite``, which ``embed.theorem2_check`` runs through too.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Iterator, Optional
 
 from .embed import (
@@ -26,7 +25,7 @@ from .enumeration import ENUMERATION_CAP, enumerate_graphs, graphs_up_to
 from .errors import InputError, SoundnessError
 from .graphs import Graph, _checked_int, satisfies_local_condition, verify_H_certificate
 from .lemmas import analyze, enumerate_instances, sample_instances, verify_outcome
-from .report import Report
+from .report import Report, _suite
 from .spiders import Spider, enumerate_spiders, in_T0_family, t0
 
 SAMPLE_SIZES = (5, 6, 7, 8, 9, 10)  # host orders of the sampled lemma suite
@@ -36,17 +35,6 @@ _CASES = {"case_A": 0, "case_B": 0, "case_C": 0}  # a lemma suite's zero case co
 def _dense_ks(G: Graph) -> range:
     """k = 1 ... ceil(2e/n): exactly the k with 2e(G) > (k-1)n."""
     return range(1, -(-2 * G.edge_count() // G.n) + 1)
-
-
-def _suite(scope: dict, counts: dict, units: Iterable, check, order=None) -> Report:
-    """Run ``check(counts, unit)`` on each unit in turn.  A check adds to
-    ``counts`` and yields the unit's failure entries, which keep their run
-    order unless ``order`` gives a sort key."""
-    start = time.monotonic()
-    failures = [f for unit in units for f in check(counts, unit)]
-    if order is not None:
-        failures.sort(key=order)
-    return Report(scope, counts, failures, timing=time.monotonic() - start)
 
 
 def verify_conjecture_spiders(

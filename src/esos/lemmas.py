@@ -318,8 +318,7 @@ def _argmax_paths(
     placed after u.  Each prefix carries its mask and inner-edge count, a
     path is scored as its last vertex is placed, and it becomes a tuple only
     when it ties or beats the best so far.  Nodes are counted locally and
-    charged on return; past the limit, the charge is the limit's next node
-    and the search raises, as one charge per node would."""
+    spent on return, or at once at ``Budget``'s trip point."""
     if not allowed & (1 << u):
         return None, ()
     if p == 0:
@@ -344,7 +343,7 @@ def _argmax_paths(
         untried[-1] = ext ^ low
         nodes += 1
         if nodes > room:
-            budget.spend(room + 1)  # trips at the limit's next node
+            budget.spend(nodes)
         z = low.bit_length() - 1
         e = inner[-1] + (rows[z] & mask).bit_count()
         if len(stack) < p:
@@ -479,13 +478,10 @@ CASE_SEARCH_BUDGET = 2_000_000
 
 def _paths2_through(G: Graph, w: int) -> list[tuple[int, int, int]]:
     """All 3-vertex paths containing w, each once, sorted; w-ended ones are
-    oriented from w, w-middle ones with smaller first endpoint.  Built in
-    that order: the w-middle paths whose first end is below w, then the
-    w-ended paths, then the other w-middle paths."""
+    oriented from w, w-middle ones with smaller first endpoint."""
     nw = list(bits_of(G.rows[w]))
     middle = [(a, w, c) for i, a in enumerate(nw) for c in nw[i + 1 :]]
-    below = sum(len(nw) - 1 - i for i, a in enumerate(nw) if a < w)
-    return middle[:below] + _w_ended(G, w) + middle[below:]
+    return sorted(middle + _w_ended(G, w))
 
 
 def _w_ended(G: Graph, w: int) -> list[tuple[int, int, int]]:
@@ -918,6 +914,8 @@ def _check_scope(lemma: int, n: int) -> None:
     """Both builders' one scope check, run before any work."""
     if type(lemma) is not int or lemma not in LEMMA_IDS:  # 3.0 == 3 and True == 1
         raise InputError(f"unknown lemma id {lemma}")
+    if n < 1:
+        raise InputError("host size must be positive")
     if n > MAX_INSTANCE_HOST:
         raise CapabilityError(f"instance hosts capped at n <= {MAX_INSTANCE_HOST}")
 

@@ -26,8 +26,8 @@ p's vertex sets for ``on_every_upath`` (whose table stops there), the state
 optimal reroute a state on the latest level that holds every x-neighbour of
 P-u and ends at one, then any spanning completion.  ``_leading_to`` keeps the
 states that reach a goal and ``_lex_least`` walks them in ascending neighbour
-order.  Every table is charged to a Budget; the optimal reroute's and
-``_spanning_path``'s only count, as vertex caps bound them.
+order.  Tables are charged to a Budget (which states the trip point); the
+optimal reroute's and ``_spanning_path``'s only count, as caps bound them.
 
 The searches callers repeat share one memo of MEMO_SIZE entries through
 ``recall``, which states how a hit is charged.  A key starts with its query
@@ -189,19 +189,14 @@ def _absorbs(row: int, P: UPath) -> bool:
 
 def recall(key: tuple, budget: Budget, search, *args):
     """``search(*args)``, memoised under ``key`` with the nodes it spent of
-    ``budget``.  A hit never searches: it charges those nodes, capped at the
-    limit's next node.  Every memoised search trips at that node (one node per
-    step, or the ``room + 1`` of ``_reach`` and ``lemmas._argmax_paths``),
-    so node counts and budget errors are those of a cold search under any
-    limit.  A miss drops the oldest entry of a full memo first; safe to call
-    from several threads."""
+    ``budget``.  A hit never searches: it spends those nodes at once, which
+    trips where the cold search would (``Budget`` states the trip point), so
+    node counts and budget errors do not depend on the memo.  A miss drops the
+    oldest entry of a full memo first; safe to call from several threads."""
     got = _memo.get(key)
     if got is not None:
         value, nodes = got
-        if budget.used + nodes <= budget.limit:
-            budget.used += nodes
-        else:
-            budget.spend(min(nodes, budget.limit - budget.used + 1))
+        budget.spend(nodes)
         return value
     start = budget.used
     value = search(*args)
@@ -219,12 +214,11 @@ def _reach(
     """The table of u-paths inside ``allowed``: level i maps the vertex set
     of each path with i edges to the bitmask of its possible last vertices.
     It stops at the first empty level, or after level ``levels`` when given.
-    Every (vertex set, last vertex) state after the root costs one node."""
+    Every (vertex set, last vertex) state after the root costs one node,
+    spent a level at a time (``Budget`` states where that trips)."""
     rows = G.rows
     level = {bit(u): bit(u)}
     table = [level]
-    room = budget.limit - budget.used
-    spent = 0
     steps = allowed.bit_count() - 1
     for _ in range(steps if levels is None else min(steps, levels)):
         nxt: dict[int, int] = {}
@@ -242,13 +236,9 @@ def _reach(
                     nxt[nm] = get(nm, 0) | z
         if not nxt:
             break
-        spent += sum(map(int.bit_count, nxt.values()))
-        if spent > room:
-            budget.spend(room + 1)  # trips at the limit's next node
+        budget.spend(sum(map(int.bit_count, nxt.values())))
         table.append(nxt)
         level = nxt
-    if spent:
-        budget.spend(spent)
     return table
 
 

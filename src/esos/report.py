@@ -1,9 +1,14 @@
-"""Run reports shared by the embedder pipeline and the harness."""
+"""Run reports and their one driver, ``_suite``, which every harness suite
+and ``embed.theorem2_check`` run through; it sits beside Report because
+``esos.embed`` cannot import ``esos.harness``, which imports ``esos.embed``.
+"""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -31,3 +36,14 @@ class Report:
             "notes": self.notes,
         }
         return json.dumps(out, sort_keys=True)
+
+
+def _suite(scope: dict, counts: dict, units: Iterable, check, order=None) -> Report:
+    """Run ``check(counts, unit)`` on each unit in turn and time the loop.  A
+    check adds to ``counts`` and yields the unit's failure entries, which
+    keep their run order unless ``order`` gives a sort key."""
+    start = time.monotonic()
+    failures = [f for unit in units for f in check(counts, unit)]
+    if order is not None:
+        failures.sort(key=order)
+    return Report(scope, counts, failures, timing=time.monotonic() - start)

@@ -161,6 +161,10 @@ CENTRE_INT = "centre must be an integer id"
         (lambda: embed_constructive(K4, Spider((1,)), 1.0), CENTRE_INT),
         (lambda: find_H_subgraph(K4, 1, 1, 1.0), "u must be an integer id"),
         (lambda: longest_u_path(K4, 1.0), "anchor must be an integer id"),
+        (lambda: Graph(2, 5), "adjacency rows must be an iterable of integer masks"),
+        (lambda: Graph.from_edges(3, None), "edges must be an iterable of vertex pairs"),
+        (lambda: Graph.from_edges(3, [(0, 1, 2)]), "edge (0, 1, 2) must be a pair of vertex ids"),
+        (lambda: Graph.from_edges(3, [0]), "edge 0 must be a pair of vertex ids"),
     ],
     ids=[
         "cert-float",
@@ -179,6 +183,10 @@ CENTRE_INT = "centre must be an integer id"
         "constructive-float-centre",
         "find-H-float-u",
         "longest-path-float-anchor",
+        "graph-int-rows",
+        "graph-none-edges",
+        "graph-triple-edge",
+        "graph-int-edge",
     ],
 )
 def test_witness_types_refuse_ids_their_verifiers_cannot_read(call, text):
@@ -332,6 +340,47 @@ def test_theorem2_converts_certificates():
     assert rep.ok
     assert rep.counts["via_certificate"] == 1
     assert rep.counts["embedded"] == 5
+
+
+def test_theorem2_reports_a_spider_with_no_embedding(monkeypatch):
+    # [2] gets a certificate too small to hold it, in which embed_into_H
+    # finds none, and [1, 1] a bare-centre embedding, which fails
+    # verification: each is a failure entry, in spider order
+    def outcome(H, T, u):
+        if T.legs == (2,):
+            return embed_mod.EmbedOutcome(certificate=HCertificate({u}, set()))
+        return embed_mod.EmbedOutcome(embedding=Embedding(u, [(u,)]))
+
+    monkeypatch.setattr(embed_mod, "embed_constructive", outcome)
+    rep = theorem2_check(Graph.complete(4), 2)
+    assert not rep.ok and rep.exit_code == 1
+    assert rep.counts == {
+        "spiders": 2, "embedded": 0, "via_certificate": 1, "reduction_steps": 0
+    }
+    assert rep.failures == [
+        {"spider": [2], "reason": "no embedding found"},
+        {"spider": [1, 1], "reason": "no embedding found"},
+    ]
+    assert rep.notes == {"deleted_sets": [], "embeddings": []}
+
+
+def test_theorem2_reports_an_embedding_that_fails_its_lift(monkeypatch):
+    # the pendant vertex is deleted, so the reduced host is a new graph; an
+    # embedding verifies there but not, once lifted, in the original host
+    core = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    G = Graph.from_edges(6, core + [(0, 5)])
+    verify = embed_mod.verify_embedding
+    monkeypatch.setattr(
+        embed_mod, "verify_embedding", lambda H, T, emb: H is not G and verify(H, T, emb)
+    )
+    rep = theorem2_check(G, 4)
+    spiders = [T.to_json() for T in enumerate_spiders(4)]
+    assert not rep.ok and rep.exit_code == 1
+    assert rep.counts == {
+        "spiders": 5, "embedded": 0, "via_certificate": 0, "reduction_steps": 1
+    }
+    assert rep.failures == [{"spider": T, "reason": "lift failed"} for T in spiders]
+    assert rep.notes == {"deleted_sets": [[5]], "embeddings": []}
 
 
 def test_oracle_budget_error():

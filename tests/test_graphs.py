@@ -348,6 +348,15 @@ def test_verify_H_certificate_examples():
     assert verify_H_certificate(C4, HCertificate(frozenset(), frozenset({1})))
 
 
+def test_verify_H_certificate_refuses_overlapping_sides():
+    # a shared vertex is an X-vertex whose neighbourhood would have to
+    # hold itself; K4 has every other edge the sides ask for
+    K4 = Graph.complete(4)
+    assert verify_H_certificate(K4, HCertificate({0}, {1, 2, 3}))
+    assert not verify_H_certificate(K4, HCertificate({0, 1}, {1, 2, 3}))
+    assert not verify_H_certificate(K4, HCertificate({0}, {0, 1, 2, 3}))
+
+
 @pytest.mark.parametrize("x, y", [({-1}, {0}), ({1}, {-1})])
 def test_verify_H_certificate_rejects_a_negative_id(x, y):
     assert not verify_H_certificate(C4, HCertificate(frozenset(x), frozenset(y)))

@@ -26,9 +26,11 @@ from oracles import (
 import esos
 import esos.enumeration as enumeration_mod
 import esos.cli as cli_mod
+import esos.embed as embed_mod
 import esos.harness as harness_mod
+import esos.report as report_mod
 from esos.cli import main
-from esos.embed import EmbedOutcome, Embedding
+from esos.embed import EmbedOutcome, Embedding, theorem2_check
 from esos.enumeration import (
     canonical_form,
     canonical_key,
@@ -379,25 +381,28 @@ def test_lemma_cases_report_unmatched_and_unverified_instances(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "run",
+    "owner, run",
     [
-        lambda: verify_conjecture_spiders(4),
-        lambda: dichotomy_check(4),
-        lambda: extremal_census(5, 2),
-        lambda: run_lemma_suite(3, 6, seed=1),
-        lambda: exhaustive_lemma_suite(3, 4),
+        (harness_mod, lambda: verify_conjecture_spiders(4)),
+        (harness_mod, lambda: dichotomy_check(4)),
+        (harness_mod, lambda: extremal_census(5, 2)),
+        (harness_mod, lambda: run_lemma_suite(3, 6, seed=1)),
+        (harness_mod, lambda: exhaustive_lemma_suite(3, 4)),
+        (embed_mod, lambda: theorem2_check(Graph.from_graph6("F?B~w"), 4)),
     ],
-    ids=["check", "dichotomy", "census", "sampled", "exhaustive"],
+    ids=["check", "dichotomy", "census", "sampled", "exhaustive", "theorem2"],
 )
-def test_each_suite_runs_once_through_the_suite_driver(monkeypatch, run):
+def test_each_suite_runs_once_through_the_suite_driver(monkeypatch, owner, run):
+    # each module imports the one driver of esos.report under its own name
+    assert owner._suite is report_mod._suite
     calls = []
-    suite = harness_mod._suite
+    suite = owner._suite
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return suite(*args, **kwargs)
 
-    monkeypatch.setattr(harness_mod, "_suite", counted)
+    monkeypatch.setattr(owner, "_suite", counted)
     report = run()
     assert calls == [report.scope]
 
@@ -413,6 +418,21 @@ def test_density_check_reports_a_missing_spider(monkeypatch):
         {"graph6": "Bw", "k": 1, "spider": [1]},
         {"graph6": "Bw", "k": 2, "spider": [1, 1]},
         {"graph6": "Bw", "k": 2, "spider": [2]},
+    ]
+
+
+def test_dichotomy_check_reports_a_disagreement(monkeypatch):
+    # the cross-check's (stubbed) oracle misses every spider, so each
+    # two-leg spider that the constructive phase embeds is a failure entry,
+    # in scan order; one-leg spiders embed through the oracle unchecked
+    monkeypatch.setattr(harness_mod, "embed_bruteforce", lambda G, T, u=None: None)
+    rep = dichotomy_check(3)
+    assert not rep.ok and rep.exit_code == 1
+    assert rep.counts == {"tests": 16, "certified": 0}
+    reason = "verdict disagrees with the oracle"
+    assert rep.failures == [
+        {"graph6": g6, "k": 2, "u": u, "spider": [1, 1], "reason": reason}
+        for g6, u in (("BW", 2), ("Bw", 0), ("Bw", 1), ("Bw", 2))
     ]
 
 
@@ -721,6 +741,30 @@ def test_cli_check_stdin_reports_the_graphs_before_a_bad_line(capsys, monkeypatc
 def test_cli_rejects_a_negative_sample_count(capsys):
     assert main(["lemmas", "--which", "3", "--samples", "-5"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_cli_prints_a_certificate_in_text_mode(capsys):
+    assert main(["embed", "DF{", "--spider", "2,2", "--at", "3", "--constructive"]) == 0
+    assert capsys.readouterr().out == "DF{: certified (local) X=[0, 1, 2] Y=[3, 4]\n"
+
+
+def test_cli_text_report_lists_twenty_failures_then_a_count(monkeypatch, capsys):
+    failures = [{"i": i} for i in range(23)]
+    report = report_mod.Report({"n_max": 3}, {"graphs": 4}, failures)
+    monkeypatch.setattr(cli_mod, "verify_conjecture_spiders", lambda n_max: report)
+    assert main(["check", "--nmax", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check: scope={'n_max': 3} counts={'graphs': 4}",
+        *(f"  FAILURE: {{'i': {i}}}" for i in range(20)),
+        "  ... 3 more",
+        "check: FAILURES FOUND",
+    ]
+
+
+def test_cli_records_refuse_a_host_size_below_one(capsys):
+    argv = ["lemmas", "--which", "3", "--records", "--n", "-5", "--samples", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "input error: host size must be positive\n"
 
 
 def test_cli_rejects_an_empty_check_range(capsys):

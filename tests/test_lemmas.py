@@ -22,7 +22,7 @@ from oracles import (
 import esos.lemmas as lemmas_mod
 import esos.paths as paths_mod
 from esos.enumeration import enumerate_graphs, graphs_up_to
-from esos.errors import Budget, CapabilityError, InputError
+from esos.errors import Budget, CapabilityError, InputError, SoundnessError
 from esos.graphs import (
     Graph,
     HCertificate,
@@ -608,8 +608,7 @@ def test_rule6_companion_search_matches_the_first_of_walks(monkeypatch):
 
 
 def test_paths2_through_matches_the_sorted_reference():
-    # the list is built in sorted order rather than collected and sorted:
-    # every w of every class with n <= 6, and of seeded hosts at n = 10..12
+    # the list is sorted and holds each path once: every w of every class with n <= 6, and of seeded hosts at n = 10..12
     rng = random.Random(30)
     hosts = list(graphs_up_to(6))
     for n in (10, 11, 12):
@@ -784,6 +783,28 @@ def test_sampled_streams_are_pinned_at_every_host_size(lemma, n):
     sampled, discarded = sample_instances(lemma, n, 25, seed=100 * lemma + n)
     assert len(sampled) == 25
     assert (_stream_digest(sampled), discarded) == SAMPLE_PINS[lemma, n]
+
+
+@pytest.mark.parametrize("n", [-5, 0])
+def test_sample_instances_refuses_a_host_size_below_one(monkeypatch, n):
+    # -5 used to sample nothing and return ([], 0), like a host too small
+    # for the rule
+    drawn = []
+    monkeypatch.setattr(lemmas_mod, "_propose", lambda *args: drawn.append(args))
+    with pytest.raises(InputError, match="^host size must be positive$"):
+        sample_instances(3, n, 10, seed=0)
+    assert not drawn
+    assert sample_instances(3, 1, 10, seed=0) == sample_instances(3, 2, 10, seed=0) == ([], 0)
+
+
+def test_a_valid_instance_that_matches_no_case_is_a_soundness_error(monkeypatch):
+    # the analyzers' shared tail raises when neither B nor A holds, which a
+    # valid instance never reaches; stub both out to reach it
+    inst = next(enumerate_instances(3, Graph.complete(5)))
+    monkeypatch.setattr(lemmas_mod, "_split_pools", lambda inst: [])
+    monkeypatch.setattr(lemmas_mod, "_degenerate", lambda inst: None)
+    with pytest.raises(SoundnessError, match="^no case matched a valid lemma-3 instance: "):
+        lemmas_mod._split_or_degenerate(inst)
 
 
 def test_sample_instances_rejects_a_negative_count():

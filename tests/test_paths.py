@@ -403,6 +403,22 @@ def test_path_walks_reject_a_negative_bound(call):
     assert budget.used == 0
 
 
+@pytest.mark.parametrize(
+    "shortest, longest, allowed, walked",
+    [
+        (1, None, K5_ALL & ~1, []),  # the anchor outside the allowed set
+        (0, None, K5_ALL & ~1, []),
+        (1, 0, K5_ALL, []),  # no path has at least one and at most no edges
+        (0, 0, K5_ALL, [(0,)]),
+    ],
+    ids=["anchor-outside", "anchor-outside-shortest-0", "longest-0", "only-the-anchor"],
+)
+def test_path_walks_with_nothing_to_walk_place_no_vertex(shortest, longest, allowed, walked):
+    budget = Budget(10**6)
+    assert list(iter_upaths(K5, 0, allowed, budget, shortest, longest)) == walked
+    assert budget.used == 0
+
+
 def small_classes():
     for n in range(1, 6):
         yield from enumerate_graphs(n)
@@ -516,6 +532,20 @@ def trips_at(monkeypatch, call, nodes):
             call()
     monkeypatch.setenv("ESOS_BUDGET", str(nodes))
     call()
+
+
+def test_a_budget_trips_at_its_limits_next_node():
+    # a spend that crosses the limit stops at limit + 1 however much it
+    # asked for, so a batched spend trips where single nodes would
+    budget = Budget(3, "x")
+    with pytest.raises(CapabilityError, match=r"^x budget exceeded \(4 > 3 nodes\)$"):
+        budget.spend(5)
+    assert budget.used == 4
+    budget = Budget(3, "x")
+    budget.spend(3)
+    with pytest.raises(CapabilityError, match=r"^x budget exceeded \(4 > 3 nodes\)$"):
+        budget.spend()
+    assert budget.used == 4
 
 
 def test_path_search_budgets_trip_at_the_state_count(monkeypatch):
