@@ -151,7 +151,7 @@ def _from_key(key: tuple[int, ...]) -> Graph:
     for j, row in enumerate(key):
         for i in bits_of(row):
             rows[i] |= 1 << j
-    return Graph(len(key), tuple(rows))
+    return Graph._of(len(key), tuple(rows))
 
 
 def _check_order(n: int) -> None:
@@ -193,8 +193,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
                     continue
                 rows = [r | (bit(n - 1) if nbrs & bit(v) else 0) for v, r in enumerate(H.rows)]
                 rows.append(nbrs)
-                G = Graph(n, tuple(rows))
-                key = canonical_key(G)
+                key = canonical_key(Graph._of(n, tuple(rows)))
                 if key not in reps_by_key:
                     reps_by_key[key] = _from_key(key)
         reps = sorted(reps_by_key.values(), key=lambda g: g.to_graph6())

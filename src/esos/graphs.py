@@ -145,7 +145,10 @@ class Graph:
     Construction checks each row in turn for an int, vertices >= n and a
     loop, then the symmetry of all rows at once: the packed rows must equal
     their transpose.  Only when they do not are the rows walked edge by
-    edge, to name the first asymmetric pair in row order."""
+    edge, to name the first asymmetric pair in row order.  ``Graph._of(n,
+    rows)`` skips the checks, only for a tuple of rows symmetric, loop-free
+    and inside n by construction: a graph6 decode, ``lemmas._propose``'s
+    host, and enumeration's candidates and ``_from_key`` graphs."""
 
     n: int
     rows: tuple[int, ...]
@@ -181,6 +184,14 @@ class Graph:
                     raise InputError(f"asymmetric adjacency at ({v},{w})")
                 row ^= low
 
+    @classmethod
+    def _of(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        G = object.__new__(cls)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "rows", rows)
+        object.__setattr__(G, "full_mask", (1 << n) - 1)
+        return G
+
     # -- constructors ------------------------------------------------------
     # each checks n before it builds a row, so a huge n costs nothing
 
@@ -196,7 +207,7 @@ class Graph:
             except (TypeError, ValueError):  # e.g. a bare id or a triple
                 raise InputError(f"edge {edge!r} must be a pair of vertex ids") from None
             if type(a) is not int or type(b) is not int:  # True == 1
-                raise InputError(f"edge ({a},{b}) must join integer ids")
+                raise InputError(f"edge ({a!r},{b!r}) must join integer ids")
             if a == b:
                 raise InputError(f"loop edge ({a},{b})")
             if not (0 <= a < n and 0 <= b < n):
@@ -237,10 +248,9 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for a in range(self.n):
-            for b in bits_of(self.rows[a]):
-                if a < b:
-                    yield (a, b)
+        for a, row in enumerate(self.rows):
+            for b in bits_of(row & -(2 << a)):  # the neighbours above a
+                yield (a, b)
 
     # -- derived graphs ----------------------------------------------------
 
@@ -305,11 +315,7 @@ class Graph:
         packed <<= width  # row 0 has nothing below the diagonal
         packed |= _transpose(packed, width)
         mask = (1 << width) - 1
-        G = object.__new__(cls)  # a triangle ORed with its transpose: no check
-        object.__setattr__(G, "n", n)
-        object.__setattr__(G, "rows", tuple(packed >> v * width & mask for v in range(n)))
-        object.__setattr__(G, "full_mask", (1 << n) - 1)
-        return G
+        return cls._of(n, tuple(packed >> v * width & mask for v in range(n)))
 
 
 # -- counting functionals ---------------------------------------------------

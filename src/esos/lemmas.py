@@ -54,10 +54,10 @@ and Q.  Both instance builders walk that shape once for every rule:
   maximizing P, then its probes.  P becomes a UPath, with its filter, only
   when its first probe arrives, and the filter's verdict is kept per probe
   end x, so each (P, x) is judged once however many probes end at x;
-* ``sample_instances``: a random host and anchor, one excluded choice
-  drawn by ``_pick_exclusion``, then one tail for every rule that draws p,
-  P and x; only the last draw differs (rule 4 picks x in N(u), the others
-  take the first shuffled end that a probe path reaches).
+* ``sample_instances``: a random host (``Graph._of``, unchecked) and anchor,
+  one excluded choice drawn by ``_pick_exclusion``, then one tail for every
+  rule that draws p, P and x; only the last draw differs (rule 4 picks x in
+  N(u), the others take the first shuffled end that a probe path reaches).
 
 Each rule's hypotheses are stated once:
 
@@ -315,48 +315,57 @@ def _argmax_paths(
 ) -> tuple[Optional[int], tuple[tuple[int, ...], ...]]:
     """The search behind ``_max_paths``, in the order and at the node
     charge of ``paths.iter_upaths_exact``: lexicographic, one node per vertex
-    placed after u.  Each prefix carries its mask and inner-edge count, a
-    path is scored as its last vertex is placed, and it becomes a tuple only
-    when it ties or beats the best so far.  Nodes are counted locally and
-    spent on return, or at once at ``Budget``'s trip point."""
+    placed after u.  Each prefix carries its mask m and inner-edge count e;
+    one of p vertices, ending at z, places its ends ``rows[z] & allowed & ~m``
+    in one pass, as that many nodes, and scores each end b as e + |N(b) & m|
+    unless e + p, the most an end can score, is below the best so far.  Nodes
+    are counted locally and spent on return, or at ``Budget``'s trip point."""
     if not allowed & (1 << u):
         return None, ()
     if p == 0:
         return 0, ((u,),)
     rows = G.rows
     room = budget.limit - budget.used
-    nodes = 0
-    best = None
+    nodes = best = -1  # u is the root's one step and no node; a path scores >= 0
     out: list[tuple[int, ...]] = []
-    stack = [u]
-    mask = 1 << u
+    stack: list[int] = []
+    mask = 0
     inner = [0]  # per depth, the inner edges of the prefix
-    untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
+    untried = [1 << u]  # per depth, the next steps left
     while untried:
         ext = untried[-1]
         if not ext:
             untried.pop()
             inner.pop()
-            mask ^= 1 << stack.pop()
+            mask ^= 1 << stack.pop() if stack else 0  # the root has no vertex
             continue
         low = ext & -ext
         untried[-1] = ext ^ low
-        nodes += 1
-        if nodes > room:
-            budget.spend(nodes)
         z = low.bit_length() - 1
         e = inner[-1] + (rows[z] & mask).bit_count()
-        if len(stack) < p:
+        m = mask | low
+        steps = rows[z] & allowed & ~m
+        last = len(stack) == p - 1  # m has p vertices: steps are path ends
+        nodes += 1 + steps.bit_count() if last else 1
+        if nodes > room:
+            budget.spend(nodes)
+        if not last:
             stack.append(z)
             inner.append(e)
-            mask |= low
-            untried.append(rows[z] & allowed & ~mask)
-        elif best is None or e > best:
-            best, out = e, [(*stack, z)]
-        elif e == best:
-            out.append((*stack, z))
+            mask = m
+            untried.append(steps)
+        elif e + p >= best:
+            while steps:
+                low = steps & -steps
+                steps ^= low
+                b = low.bit_length() - 1
+                score = e + (rows[b] & m).bit_count()
+                if score > best:
+                    best, out = score, [(*stack, z, b)]
+                elif score == best:
+                    out.append((*stack, z, b))
     budget.spend(nodes)
-    return best, tuple(out)
+    return (best if out else None), tuple(out)
 
 
 # What the probe of rules 3, 5 and 6 must avoid besides V(P-u).
@@ -819,11 +828,14 @@ def _verify_case_c(inst: LemmaInstance, out: CaseOutcome) -> bool:
 
 def _random_rows(rng: random.Random, n: int, density: float) -> list[int]:
     rows = [0] * n
+    draw = rng.random
     for i in range(n):
+        upper = 0
         for j in range(i + 1, n):
-            if rng.random() < density:
-                rows[i] |= 1 << j
+            if draw() < density:
+                upper |= 1 << j
                 rows[j] |= 1 << i
+        rows[i] |= upper
     return rows
 
 
@@ -843,7 +855,7 @@ def _propose(
             if z != u and rng.random() < 0.9:
                 rows[u] |= 1 << z
                 rows[z] |= 1 << u
-    G = Graph(n, tuple(rows))
+    G = Graph._of(n, tuple(rows))  # each edge set at both ends
     budget = Budget(200_000, "instance synthesis")
     try:
         picked = _pick_exclusion(lemma, rng, G, u)
@@ -900,7 +912,8 @@ def _pick_exclusion(
             seq.reverse()
         return {"w1": seq[0], "w2": seq[-1]}, UPath(tuple(seq))
     if lemma == 5:
-        edges = [(a, b) for a, b in G.edges() if u not in (a, b)]
+        edges = [(a, b) for a, row in enumerate(G.rows) if a != u  # G.edges() off u
+                 for b in bits_of(row & ~(1 << u) & -(2 << a))]
         if not edges:
             return None
         v, w = rng.choice(edges)

@@ -25,7 +25,9 @@ set and then sorted, kept to pin the list built already in order, and
 ``reference_to_graph6``, ``reference_from_graph6`` and
 ``reference_is_symmetric``, the library's earlier bit-by-bit graph6 codec
 and edge-by-edge symmetry check, kept to pin the packed-matrix codec and
-transpose test byte for byte and text for text.
+transpose test byte for byte and text for text, and
+``reference_argmax_paths``, the maximality search that placed path ends one
+node at a time, kept to pin the one-pass scoring of the ends.
 ``polya_counts`` counts the classes per edge count with no canonical form.
 ``scan_local_condition`` is fast enough for hosts of up to 16 vertices.
 """
@@ -877,3 +879,48 @@ def _reference_max_flow(cap, adj, s, t, limit):
         flow += push(s, limit - flow)
         if flow >= limit:
             return None
+
+
+def reference_argmax_paths(G, u, allowed, p, budget):
+    """The most inner edges on the vertex set of a u-path with exactly p
+    edges inside ``allowed`` (None when there is none) and every path
+    reaching it, lexicographic; one node per vertex placed after u, each end
+    scored as it is placed, nodes spent on return or at the trip."""
+    if not allowed & (1 << u):
+        return None, ()
+    if p == 0:
+        return 0, ((u,),)
+    rows = G.rows
+    room = budget.limit - budget.used
+    nodes = 0
+    best = None
+    out = []
+    stack = [u]
+    mask = 1 << u
+    inner = [0]  # per depth, the inner edges of the prefix
+    untried = [rows[u] & allowed & ~mask]  # per depth, the next steps left
+    while untried:
+        ext = untried[-1]
+        if not ext:
+            untried.pop()
+            inner.pop()
+            mask ^= 1 << stack.pop()
+            continue
+        low = ext & -ext
+        untried[-1] = ext ^ low
+        nodes += 1
+        if nodes > room:
+            budget.spend(nodes)
+        z = low.bit_length() - 1
+        e = inner[-1] + (rows[z] & mask).bit_count()
+        if len(stack) < p:
+            stack.append(z)
+            inner.append(e)
+            mask |= low
+            untried.append(rows[z] & allowed & ~mask)
+        elif best is None or e > best:
+            best, out = e, [(*stack, z)]
+        elif e == best:
+            out.append((*stack, z))
+    budget.spend(nodes)
+    return best, tuple(out)

@@ -165,6 +165,8 @@ CENTRE_INT = "centre must be an integer id"
         (lambda: Graph.from_edges(3, None), "edges must be an iterable of vertex pairs"),
         (lambda: Graph.from_edges(3, [(0, 1, 2)]), "edge (0, 1, 2) must be a pair of vertex ids"),
         (lambda: Graph.from_edges(3, [0]), "edge 0 must be a pair of vertex ids"),
+        (lambda: Graph.from_edges(3, [("0", "1")]), "edge ('0','1') must join integer ids"),
+        (lambda: Graph.from_edges(3, [(0, "1")]), "edge (0,'1') must join integer ids"),
     ],
     ids=[
         "cert-float",
@@ -187,6 +189,8 @@ CENTRE_INT = "centre must be an integer id"
         "graph-none-edges",
         "graph-triple-edge",
         "graph-int-edge",
+        "graph-str-edge",
+        "graph-str-end",
     ],
 )
 def test_witness_types_refuse_ids_their_verifiers_cannot_read(call, text):

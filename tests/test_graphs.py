@@ -26,6 +26,7 @@ from oracles import (
     scan_local_condition,
 )
 
+import esos.enumeration as enumeration_mod
 import esos.graphs as graphs_mod
 from esos.cli import main
 from esos.embed import theorem2_check
@@ -45,6 +46,7 @@ from esos.graphs import (
     satisfies_local_condition,
     verify_H_certificate,
 )
+from esos.lemmas import LEMMA_IDS, sample_instances
 from esos.paths import longest_u_path
 
 C4 = Graph.cycle(4)
@@ -554,6 +556,55 @@ def test_decoded_graph_skips_the_constructor_checks(monkeypatch):
         checked = Graph(n, G.rows)
         assert type(G.rows) is tuple and G.full_mask == checked.full_mask
         assert (G, hash(G), repr(G)) == (checked, hash(checked), repr(checked))
+
+
+def _unchecked_builds(monkeypatch):
+    """Every graph ``Graph._of`` builds, and every ``_transpose`` call."""
+    built, transposes = [], []
+    of = Graph._of.__func__
+    monkeypatch.setattr(
+        Graph, "_of", classmethod(lambda cls, *args: built.append(of(cls, *args)) or built[-1])
+    )
+    transpose = graphs_mod._transpose
+    monkeypatch.setattr(
+        graphs_mod, "_transpose", lambda *args: transposes.append(1) or transpose(*args)
+    )
+    return built, transposes
+
+
+def _assert_checked_equal(G):
+    checked = Graph(G.n, G.rows)
+    assert type(G.rows) is tuple and G.full_mask == checked.full_mask
+    assert (G, hash(G), repr(G)) == (checked, hash(checked), repr(checked))
+
+
+def test_sampled_hosts_skip_the_constructor_checks(monkeypatch):
+    # each proposal builds one random host, unchecked, and it equals the
+    # checked graph of its rows
+    built, transposes = _unchecked_builds(monkeypatch)
+    for lemma in LEMMA_IDS:
+        for n in range(5, 13):
+            built.clear()
+            kept, discarded = sample_instances(lemma, n, 10, 40)
+            assert len(built) == len(kept) + discarded and not transposes
+            for G in built:
+                _assert_checked_equal(G)
+            transposes.clear()
+
+
+def test_enumeration_builds_skip_the_constructor_checks(monkeypatch):
+    # every candidate and every class with n <= 7 is built unchecked and
+    # equals its checked graph; decoding a class transposes once
+    monkeypatch.setattr(enumeration_mod, "_cache", {1: [Graph.empty(1)]})
+    built, transposes = _unchecked_builds(monkeypatch)
+    classes = list(graphs_up_to(7))
+    assert not transposes and {G.n for G in built} == set(range(2, 8))
+    assert set(classes[1:]) <= set(built)
+    for G in built:
+        _assert_checked_equal(G)
+    for G in classes:
+        transposes.clear()
+        assert Graph.from_graph6(G.to_graph6()) == G and len(transposes) == 1
 
 
 def test_graph6_large_order_round_trip():

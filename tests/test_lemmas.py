@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     brute_max_inner_edges,
     brute_upath_counts,
+    reference_argmax_paths,
     reference_attachment,
     reference_case_a_holds,
     reference_case_b_holds,
@@ -414,6 +415,61 @@ def test_max_paths_trip_at_the_limits_next_node(monkeypatch):
                         exact = Budget(nodes, "maximality check")
                         lemmas_mod._max_paths(G, u, allowed, p, exact)
                         assert exact.used == nodes, (G, u, excl, p)
+
+
+def _seeded_maximality_cases():
+    # dense random hosts past enumeration's reach, each with a drawn anchor
+    # and up to 2 excluded vertices, at p = 0..6
+    rng = random.Random(40)
+    for n in range(7, 13):
+        for _ in range(3):
+            density = rng.uniform(0.55, 0.95)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+            G = Graph.from_edges(n, edges)
+            u = rng.randrange(n)
+            allowed = G.full_mask & ~mask_of(rng.sample(range(n), rng.randrange(3)))
+            for p in range(7):
+                yield G, u, allowed, p
+
+
+def _same_search(G, u, allowed, p):
+    want, got = Budget(10**9), Budget(10**9)
+    expected = reference_argmax_paths(G, u, allowed, p, want)
+    assert lemmas_mod._argmax_paths(G, u, allowed, p, got) == expected, (G, u, allowed, p)
+    assert got.used == want.used, (G, u, allowed, p)
+    return want.used
+
+
+def test_argmax_paths_matches_the_per_node_search_on_every_6_vertex_class():
+    # the one-pass end scoring returns the per-node search's best, its paths
+    # in its order and its node count: every anchor, every exclusion of at
+    # most 2 vertices and every p
+    for G in enumerate_graphs(6):
+        for u in range(6):
+            for size in range(3):
+                for excl in combinations(range(6), size):
+                    allowed = G.full_mask & ~mask_of(excl)
+                    for p in range(7):
+                        _same_search(G, u, allowed, p)
+
+
+def test_argmax_paths_matches_the_per_node_search_on_dense_hosts():
+    # the same on seeded hosts with n = 7..12; one node short of the count,
+    # and at a drawn earlier limit, it trips where and as the reference does
+    rng = random.Random(41)
+    for G, u, allowed, p in _seeded_maximality_cases():
+        nodes = _same_search(G, u, allowed, p)
+        for limit in sorted({nodes - 1, rng.randrange(nodes)}) if nodes else ():
+            texts = []
+            for search in (reference_argmax_paths, lemmas_mod._argmax_paths):
+                short = Budget(limit, "maximality check")
+                with pytest.raises(CapabilityError) as tripped:
+                    search(G, u, allowed, p, short)
+                texts.append((str(tripped.value), short.used))
+            assert texts[0] == texts[1] == (
+                f"maximality check budget exceeded ({limit + 1} > {limit} nodes)",
+                limit + 1,
+            )
 
 
 def test_warm_maximality_memo_follows_the_budget(monkeypatch):
